@@ -320,9 +320,9 @@ PREDICTIONS: Tuple[Dict[str, str], ...] = (
      "on": "burst-kunserve; no change predicted on burst-vllm or tier-telemetry"},
     {"layer": "core", "moves": "sim_requests_per_s",
      "on": "burst-kunserve; no change predicted on burst-vllm or tier-telemetry"},
-    {"layer": "trace, metrics, fleet, multicluster, serve", "moves": "wall_s",
+    {"layer": "trace, metrics, fleet, multicluster, serve", "moves": "scaled_wall_s",
      "on": "tier-telemetry; no change predicted on burst-*"},
-    {"layer": "sweeps", "moves": "wall_s and setup_s", "on": "tier-telemetry"},
+    {"layer": "sweeps", "moves": "scaled_wall_s and setup_s", "on": "tier-telemetry"},
     {"layer": "workloads (and import time)", "moves": "setup_s", "on": "all three"},
     {"layer": "memory", "moves": "peak_rss_mb", "on": "burst-*"},
     {"layer": "simulation", "moves": "caps any event-loop gain at its self_s share",

@@ -7,11 +7,14 @@ Usage (from the repository root)::
 
 One process per run; every workload runs inline (no worker pool).
 ``--trace 0`` reports the end-to-end metrics: set-up time (the median of
-several fresh processes, from process start to the first simulated event),
-then untraced repeats of the workload for ``--seconds`` seconds.  Host time
-is the fastest path through the repeats (:func:`hostclock.fastest_path`):
-on a shared host, contention only ever adds time, and it comes in phases
-that a whole repeat rarely escapes but short segments of it often do.
+several fresh processes, from process start to the first simulated event,
+each scaled like host time below), then untraced repeats of the workload
+for ``--seconds`` seconds.  Host time
+is the median over the repeats of each one's host time scaled by the speed
+of a fixed reference program sampled inside it (:mod:`hostclock`): on a
+shared host, contention slows every instruction in phases that can outlast
+a whole run, and the scaling cancels most of them.  The throughputs are
+simulated work per scaled host second.
 ``--trace 1``
 alternates untraced repeats with repeats traced by
 :class:`layertrace.LayerTracer` and reports the per-layer split of the
@@ -47,7 +50,7 @@ WORK_DIR = HERE / ".work"
 #: ``(name, unit, better)`` of the end-to-end metrics.
 END_TO_END: Tuple[Tuple[str, str, str], ...] = (
     ("setup_s", "s", "lower"),
-    ("wall_s", "s", "lower"),
+    ("scaled_wall_s", "s", "lower"),
     ("sim_requests_per_s", "1/s", "higher"),
     ("sim_output_tokens_per_s", "1/s", "higher"),
     ("peak_rss_mb", "MiB", "lower"),
@@ -55,7 +58,7 @@ END_TO_END: Tuple[Tuple[str, str, str], ...] = (
 WORKLOAD_NAMES = ("burst-vllm", "burst-kunserve", "tier-telemetry")
 
 #: Fresh processes timed per run for ``setup_s``.
-SETUP_PROBES = 5
+SETUP_PROBES = 7
 #: Repeats measured at least, however long they take.
 MIN_REPEATS = 3
 MIN_TRACED = 2
@@ -107,13 +110,18 @@ def probe_setup(args: argparse.Namespace) -> int:
 
 
 def measure_setup(args: argparse.Namespace) -> List[float]:
-    """Seconds from spawning a fresh process to its first simulated event."""
+    """Seconds from spawning a fresh process to its first simulated event,
+    scaled by the reference's speed just before and just after it."""
+    from hostclock import reference_s, scaled
+
     command = [
         sys.executable, str(HERE / "run.py"), "--probe-setup",
         "--workload", args.workload, "--seed", str(args.seed), "--size", args.size,
     ]
     times = []
+    after = reference_s()
     for _ in range(SETUP_PROBES):
+        before = after
         start = time.monotonic()
         proc = subprocess.run(
             command, cwd=ROOT, capture_output=True, text=True, timeout=PROBE_TIMEOUT_S
@@ -121,7 +129,8 @@ def measure_setup(args: argparse.Namespace) -> List[float]:
         if proc.returncode != 0:
             raise RuntimeError(f"set-up probe failed:\n{proc.stderr}")
         reached = float(proc.stdout.strip().splitlines()[-1].split()[1])
-        times.append(reached - start)
+        after = reference_s()
+        times.append(scaled([(0.0, before), (reached - start, after)]))
     return times
 
 
@@ -172,24 +181,24 @@ class Runner:
 
 
 def end_to_end(args: argparse.Namespace, runner: Runner) -> Dict[str, float]:
-    from hostclock import SliceClock, fastest_path
+    from hostclock import ScaledClock
 
     setups = measure_setup(args)
-    clock = SliceClock()
-    outcomes = []
+    clock = ScaledClock()
+    walls = []
     deadline = time.perf_counter() + args.seconds
-    while len(outcomes) < MIN_REPEATS or time.perf_counter() < deadline:
+    while len(walls) < MIN_REPEATS or time.perf_counter() < deadline:
         done = runner.attempt("untraced", clock=clock)
         if done is not None:
-            outcomes.append(done[0])
-        if runner.attempted > 4 * MIN_REPEATS and not outcomes:
+            walls.append(done[0].scaled_s)
+        if runner.attempted > 4 * MIN_REPEATS and not walls:
             break
-    if not outcomes:
+    if not walls:
         return {}
-    wall_s = fastest_path([o.segments for o in outcomes])
+    wall_s = statistics.median(walls)
     return {
         "setup_s": statistics.median(setups),
-        "wall_s": wall_s,
+        "scaled_wall_s": wall_s,
         "sim_requests_per_s": runner.first.finished / wall_s,
         "sim_output_tokens_per_s": runner.first.output_tokens / wall_s,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,

@@ -14,7 +14,7 @@
 
 Each run returns an :class:`Outcome`: simulated counts that must repeat
 exactly for a seed, the host time of the simulation proper (as measured by
-the :class:`~hostclock.SliceClock` passed in), and the correctness
+the :class:`~hostclock.ScaledClock` passed in), and the correctness
 problems found.
 """
 
@@ -43,7 +43,7 @@ from repro.experiments.runner import (
 from repro.policies import make_policy
 from repro.serving.system import ClusterServingSystem
 
-from hostclock import SliceClock
+from hostclock import ScaledClock
 
 #: Input sizes: ``bench`` is what the benchmark measures, ``tiny`` is for
 #: smoke tests of the benchmark itself.
@@ -85,9 +85,9 @@ class Outcome:
     ttft_p50: Optional[float]
     ttft_p99: Optional[float]
     ttft_samples: int
-    #: host seconds of the simulation proper, and their segments.
+    #: host seconds of the simulation proper, plain and scaled.
     wall_s: float
-    segments: List[float] = field(default_factory=list)
+    scaled_s: float = 0.0
     #: digest of everything else the run simulated (tier documents).
     documents: str = ""
     #: host-side figures of the sweep layer (tier only).
@@ -123,17 +123,17 @@ def percentile(values: Sequence[float], q: float) -> Optional[float]:
 # burst-vllm / burst-kunserve
 # ----------------------------------------------------------------------
 def run_burst(
-    policy: str, seed: int, size: str = "bench", clock: Optional[SliceClock] = None
+    policy: str, seed: int, size: str = "bench", clock: Optional[ScaledClock] = None
 ) -> Outcome:
     """Replay the BurstGPT preset on one multi-instance cluster."""
-    clock = clock or SliceClock(None)
+    clock = clock or ScaledClock(sample=False)
     preset = WORKLOAD_PRESETS[BURST_PRESET]
     scale = BURST_SCALES[size]
     workload = build_preset_workload(preset, scale, seed=seed)
     system = ClusterServingSystem(
         build_system_config(preset, scale, seed=seed), make_policy(policy)
     )
-    with clock.measure() as segments:
+    with clock.measure() as measured:
         result = system.run(workload)
 
     records = result.records
@@ -162,8 +162,8 @@ def run_burst(
         ttft_p50=percentile(ttfts, 50),
         ttft_p99=percentile(ttfts, 99),
         ttft_samples=len(ttfts),
-        wall_s=sum(segments),
-        segments=segments,
+        wall_s=measured.wall_s,
+        scaled_s=measured.scaled_s,
         problems=problems,
     )
 
@@ -274,16 +274,16 @@ def run_tier(
     seed: int,
     size: str = "bench",
     work_dir: Optional[Path] = None,
-    clock: Optional[SliceClock] = None,
+    clock: Optional[ScaledClock] = None,
 ) -> Outcome:
     """Cold then warm pass of the tier grid through a throwaway cache."""
-    clock = clock or SliceClock(None)
+    clock = clock or ScaledClock(sample=False)
     root = Path(tempfile.mkdtemp(prefix="tier-", dir=work_dir))
     try:
         tally = RecordTally()
-        with tally.installed(), clock.measure() as cold_segments:
+        with tally.installed(), clock.measure() as cold_pass:
             cold = _tier_pass(root, "cold", seed, size)
-        with clock.measure() as warm_segments:
+        with clock.measure() as warm_pass:
             warm = _tier_pass(root, "warm", seed, size)
     finally:
         shutil.rmtree(root, ignore_errors=True)
@@ -302,12 +302,12 @@ def run_tier(
         ttft_p50=percentile(tally.ttfts, 50),
         ttft_p99=percentile(tally.ttfts, 99),
         ttft_samples=len(tally.ttfts),
-        wall_s=sum(cold_segments) + sum(warm_segments),
-        segments=cold_segments + warm_segments,
+        wall_s=cold_pass.wall_s + warm_pass.wall_s,
+        scaled_s=cold_pass.scaled_s + warm_pass.scaled_s,
         documents=hashlib.sha256(stripped.encode()).hexdigest()[:16],
         sweeps={
-            "sweeps.cold_s": sum(cold_segments),
-            "sweeps.warm_s": sum(warm_segments),
+            "sweeps.cold_s": cold_pass.wall_s,
+            "sweeps.warm_s": warm_pass.wall_s,
             "sweeps.cache_hit_ratio": hits / cells if cells else 0.0,
         },
         problems=tier_problems(cold, warm, tally),
