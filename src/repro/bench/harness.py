@@ -424,65 +424,6 @@ def _event_core_benchmark(scale: ExperimentScale, seed: int) -> None:
     loop.run(max_events=int(20_000 * scale.trace_duration_s))
 
 
-def _parallel_shards_benchmark(scale: ExperimentScale, seed: int) -> Dict[str, float]:
-    """Serial vs. conservative-parallel execution of one eligible tier cell.
-
-    A four-shard ``locality_affinity``/``fixed``-autoscaler cell — the
-    configuration class :mod:`repro.parallel` can shard — run serially and
-    then under the parallel executor.  The additive fields record measured
-    wall-clocks, the speedup, the worker/CPU counts (a 1-CPU container
-    cannot show a real speedup; ``cpu_count`` makes that legible in the
-    trajectory) and ``identical`` — 1.0 iff the two runs produced
-    bit-identical records, summaries and tier stats, which is the
-    correctness half of the row.
-    """
-    import os
-
-    from repro.multicluster.config import make_multicluster_config
-    from repro.multicluster.sweep import SWEEP_ADMISSION, run_tier
-    from repro.scenarios.registry import get_scenario
-    from repro.scenarios.sweep import build_cell_config
-
-    spec = get_scenario("steady-poisson")
-    cell_scale = dataclasses.replace(scale, name=f"parallel-shards-{scale.name}")
-    shards = 4
-
-    def build(execution: str):
-        config = build_cell_config(spec, cell_scale, seed=seed)
-        config.multicluster = make_multicluster_config(
-            num_clusters=shards,
-            global_router="locality_affinity",
-            placement="spare_capacity_first",
-            cluster_autoscaler="fixed",
-            admission=SWEEP_ADMISSION,
-            execution=execution,
-        )
-        return config
-
-    def digest(run):
-        return (
-            tuple((r.ttft, r.mean_tpot, r.finished) for r in run.result.records),
-            run.result.summary,
-            run.system.stats(),
-            run.result.duration_s,
-            run.result.finished_requests,
-        )
-
-    serial = run_tier(spec, "vllm", build("serial"), cell_scale, seed)
-    parallel = run_tier(spec, "vllm", build("parallel"), cell_scale, seed)
-    report = parallel.parallel
-    identical = digest(serial) == digest(parallel)
-    return {
-        "shards": float(shards),
-        "workers": float(report.workers if report is not None else 0),
-        "cpu_count": float(os.cpu_count() or 1),
-        "serial_wall_s": serial.wall_s,
-        "parallel_wall_s": parallel.wall_s,
-        "speedup": serial.wall_s / parallel.wall_s if parallel.wall_s > 0 else 0.0,
-        "identical": 1.0 if identical else 0.0,
-    }
-
-
 #: id -> runner; every runner accepts the scale unless marked analytic.
 EXPERIMENT_RUNNERS: Dict[str, Callable] = {
     "figure2": lambda scale, seed: figure2.run_figure2(scale, seed=seed),
@@ -508,12 +449,11 @@ EXPERIMENT_RUNNERS: Dict[str, Callable] = {
     "sweep_cache": _sweep_cache_benchmark,
     "trace_overhead": _trace_overhead_benchmark,
     "event_core": _event_core_benchmark,
-    "parallel_shards": _parallel_shards_benchmark,
 }
 
 #: Experiment ids whose runner's return value is a dict of additive entry
 #: fields (everything else returns a document the meter ignores).
-EXTRA_FIELD_RUNNERS = frozenset({"sweep_cache", "trace_overhead", "parallel_shards"})
+EXTRA_FIELD_RUNNERS = frozenset({"sweep_cache", "trace_overhead"})
 
 
 def run_experiment_benchmark(
@@ -684,13 +624,5 @@ def format_results(document: Dict) -> str:
                 f"{'':<18} {'':<12} untraced {entry['untraced_wall_s']:.2f}s vs "
                 f"disabled tracer {entry['disabled_wall_s']:.2f}s "
                 f"({entry['overhead_ratio']:.3f}x)"
-            )
-        if entry["experiment"] == "parallel_shards" and "speedup" in entry:
-            lines.append(
-                f"{'':<18} {'':<12} serial {entry['serial_wall_s']:.2f}s vs "
-                f"parallel {entry['parallel_wall_s']:.2f}s "
-                f"({entry['speedup']:.2f}x, {entry['workers']:.0f} workers / "
-                f"{entry['cpu_count']:.0f} cpus, identical="
-                f"{'yes' if entry['identical'] else 'NO'})"
             )
     return "\n".join(lines)

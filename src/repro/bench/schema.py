@@ -39,17 +39,14 @@ vllm-pp, infercept, llumnix, kunserve), the module name (``figure2``,
 ``figure5``, ``figure12``..``figure17``, ``table1``) for the figure/table
 experiments, ``scenarios`` / ``fleet`` / ``multicluster`` for the sweep
 timing rows (small grids run inline so their cost is tracked),
-``sweep_cache`` for the incremental-sweep row, ``event_core`` for the pure
-event-loop dispatch microbenchmark (its ``events_per_s`` is gated by
-``scripts/bench_compare.py``), and ``parallel_shards`` for the
-serial-vs-parallel tier comparison.  Entries may carry *additive* fields
+``sweep_cache`` for the incremental-sweep row, and ``event_core`` for the
+pure event-loop dispatch microbenchmark (its ``events_per_s`` is gated by
+``scripts/bench_compare.py``).  Entries may carry *additive* fields
 beyond ``ENTRY_KEYS``; the ``sweep_cache`` row adds ``cold_wall_s`` /
 ``warm_wall_s`` / ``cache_speedup`` / ``cold_cache_hits`` /
 ``warm_cache_hits``, the cold-vs-warm wall-clock of the same
 scenario+fleet sweep run twice through the ``.repro_cache/`` result
-cache; the ``parallel_shards`` row adds ``shards`` / ``workers`` /
-``cpu_count`` / ``serial_wall_s`` / ``parallel_wall_s`` / ``speedup`` /
-``identical`` (1.0 iff serial and parallel runs matched to the bit).
+cache.
 Every entry additionally carries a ``profile`` block — the task-level
 resource profile (``wall_s`` / ``cpu_s`` / ``peak_rss_kb`` / ``events``
 / ``events_per_s`` / ``sim_s``) recorded by the sweep executor (see

@@ -153,7 +153,6 @@ def run_chaos_cell(
     seed: int = 42,
     trace: Union[bool, str] = False,
     on_tracer=None,
-    execution: str = "serial",
     alerts: bool = False,
 ) -> ChaosCellResult:
     """Run one scenario through one (policy, faults, migration)
@@ -164,21 +163,12 @@ def run_chaos_cell(
     it with recording off.  ``on_tracer`` receives the tracer right after
     it attaches, so callers can keep a handle for span export.
 
-    ``execution="parallel"`` requests the conservative parallel shard
-    executor; chaos cells with fault schedules (and any cell using the
-    default elastic autoscaler) are ineligible and transparently run
-    serially, with the reason recorded on the underlying ``TierRun``.
-
     ``alerts=True`` attaches an in-memory metrics monitor, replays the
     :func:`repro.obs.default_rule_pack` over the recorded scrape stream,
-    and fills the result's ``alerts`` block.  The monitor needs the
-    in-process system, so alert cells always run serially (the
-    executions are bit-identical by contract, so nothing is lost).
+    and fills the result's ``alerts`` block.
     """
     spec = scenario if isinstance(scenario, ScenarioSpec) else get_scenario(scenario)
     schedule = cell_schedule(faults, scale, seed)
-    if alerts:
-        execution = "serial"
     config = build_cell_config(spec, scale, seed=seed)
     config.multicluster = make_multicluster_config(
         num_clusters=CHAOS_CLUSTER_COUNT,
@@ -186,7 +176,6 @@ def run_chaos_cell(
         placement=CHAOS_PLACEMENT,
         admission=SWEEP_ADMISSION,
         session_migration=migration,
-        execution=execution,
     )
     config.chaos = schedule if schedule else None
     chunks: List[Tuple[str, float]] = []
@@ -291,7 +280,6 @@ def run_chaos_cell_payload(params: Mapping[str, Any], seed: int) -> Dict[str, An
         params["scale"],
         seed,
         trace=params.get("trace", False),
-        execution=params.get("execution", "serial"),
         alerts=params.get("alerts", False),
     )
     return dataclasses.asdict(cell)
@@ -305,7 +293,6 @@ def chaos_cell_task(
     scale: ExperimentScale,
     seed: int,
     trace: bool = False,
-    execution: str = "serial",
     alerts: bool = False,
 ) -> SweepTask:
     """Describe one chaos grid cell as a cacheable sweep task."""
@@ -315,7 +302,6 @@ def chaos_cell_task(
         placement=CHAOS_PLACEMENT,
         admission=SWEEP_ADMISSION,
         session_migration=migration,
-        execution=execution,
     )
     schedule = cell_schedule(faults, scale, seed)
     params: Dict[str, Any] = {
@@ -324,7 +310,6 @@ def chaos_cell_task(
         "faults": faults,
         "migration": migration,
         "scale": scale,
-        "execution": execution,
     }
     key: Dict[str, Any] = {
         "kind": "chaos-cell",
@@ -334,14 +319,8 @@ def chaos_cell_task(
         # The materialised schedule, not just the preset name: a
         # retimed or resampled preset must invalidate cached cells.
         "schedule": schedule_fingerprint(schedule),
-        # ``execution`` stays out of the key: parallel cells are
-        # bit-identical to serial by contract, so modes share entries.
         "multicluster": {
-            **{
-                k: v
-                for k, v in dataclasses.asdict(mc).items()
-                if k not in ("admission", "execution")
-            },
+            **{k: v for k, v in dataclasses.asdict(mc).items() if k != "admission"},
             "admission": dataclasses.asdict(mc.admission),
         },
         "scale": dataclasses.asdict(scale),
@@ -458,7 +437,6 @@ def run_chaos_sweep(
     use_cache: bool = False,
     cache_dir: Optional[Path] = None,
     trace: bool = False,
-    execution: str = "serial",
     alerts: bool = False,
 ) -> Dict:
     """Sweep the scenario × policy × faults × migration grid.
@@ -488,8 +466,8 @@ def run_chaos_sweep(
         alerts: attach an in-memory metrics monitor to every cell,
             replay the default alert-rule pack over its scrape stream,
             and add an ``alerts`` block (firing/resolved timeline) to
-            each entry.  Alert cells cache under a distinct key and run
-            serially; cells without the axis stay bit-identical.
+            each entry.  Alert cells cache under a distinct key; cells
+            without the axis stay bit-identical.
     """
     names = list(scenarios) if scenarios is not None else list(DEFAULT_SCENARIOS)
     policy_keys = list(policies) if policies is not None else list(DEFAULT_POLICIES)
@@ -519,7 +497,7 @@ def run_chaos_sweep(
     tasks = [
         chaos_cell_task(
             spec, policy, fault, migration, scale, seed,
-            trace=trace, execution=execution, alerts=alerts,
+            trace=trace, alerts=alerts,
         )
         for spec in specs
         for policy in policy_keys

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.multicluster.config import EXECUTION_MODES
 from repro.multicluster.placement import list_placements
 from repro.multicluster.routing import list_global_routers
 from repro.multicluster.schema import validate_document
@@ -82,14 +81,6 @@ def main(argv=None) -> int:
         default=None,
         metavar="POLICY",
         help="placement policies (default: all registered)",
-    )
-    parser.add_argument(
-        "--execution",
-        choices=sorted(EXECUTION_MODES),
-        default="serial",
-        help="tier execution mode: 'parallel' runs eligible cells under the "
-        "conservative parallel shard executor (bit-identical results; "
-        "ineligible cells fall back to serial transparently)",
     )
     parser.add_argument("--seed", type=int, default=42, help="sweep seed")
     parser.add_argument(
@@ -173,7 +164,6 @@ def main(argv=None) -> int:
             max_workers=max_workers,
             use_cache=not args.no_cache,
             cache_dir=args.cache_dir,
-            execution=args.execution,
         )
     except (KeyError, ValueError) as error:
         print(f"error: {error.args[0]}", file=sys.stderr)

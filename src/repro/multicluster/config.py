@@ -25,13 +25,6 @@ from repro.fleet.config import AdmissionConfig
 #: Session-migration policies for sessions whose home cluster is down.
 SESSION_MIGRATION_POLICIES: Tuple[str, ...] = ("sticky", "migrate")
 
-#: Execution modes for the tier: ``"serial"`` simulates every shard on one
-#: shared event loop (the reference semantics); ``"parallel"`` runs shards
-#: in worker processes under the conservative windowed protocol of
-#: :mod:`repro.parallel` when the configuration is eligible, falling back
-#: to serial (with a recorded reason) when it is not.
-EXECUTION_MODES: Tuple[str, ...] = ("serial", "parallel")
-
 
 def list_session_migrations() -> List[str]:
     """Known session-migration policy names."""
@@ -66,15 +59,6 @@ class MultiClusterConfig:
         tick_interval_s: period of the multicluster controller's decision
             tick (placement runs on it); also used for the per-cluster
             fleet ticks so the tiers observe a consistent cadence.
-        execution: how the tier simulates its shards.  ``"serial"`` (the
-            default and the oracle) runs every shard on one shared event
-            loop.  ``"parallel"`` requests the conservative parallel shard
-            executor (:mod:`repro.parallel`): each shard advances in its
-            own worker process in lookahead-bounded time windows, and the
-            committed results are bit-identical to serial; configurations
-            the conservative protocol cannot shard safely (stateful global
-            routers, elastic autoscaling, chaos) transparently fall back
-            to serial execution.
         session_migration: what happens to sessions whose home cluster is
             down (see :mod:`repro.chaos`).  ``"sticky"`` keeps the dead
             home: every affected arrival is rerouted to an alive sibling
@@ -98,7 +82,6 @@ class MultiClusterConfig:
     spill_queue_depth: int = 8
     tick_interval_s: float = 1.0
     session_migration: str = "sticky"
-    execution: str = "serial"
 
     def __post_init__(self) -> None:
         if self.num_clusters < 1:
@@ -120,11 +103,6 @@ class MultiClusterConfig:
             raise ValueError(
                 f"unknown session_migration {self.session_migration!r}; known: {known}"
             )
-        if self.execution not in EXECUTION_MODES:
-            known = ", ".join(EXECUTION_MODES)
-            raise ValueError(
-                f"unknown execution mode {self.execution!r}; known: {known}"
-            )
 
 
 def make_multicluster_config(
@@ -140,7 +118,6 @@ def make_multicluster_config(
     spill_queue_depth: int = 8,
     tick_interval_s: float = 1.0,
     session_migration: str = "sticky",
-    execution: str = "serial",
 ) -> MultiClusterConfig:
     """Build a :class:`MultiClusterConfig`, failing fast on unknown names."""
     # Local imports: this module stays import-light for the sweep workers,
@@ -174,7 +151,6 @@ def make_multicluster_config(
         spill_queue_depth=spill_queue_depth,
         tick_interval_s=tick_interval_s,
         session_migration=session_migration,
-        execution=execution,
     )
 
 
@@ -209,7 +185,6 @@ def multicluster_preset(name: str) -> MultiClusterConfig:
 
 
 __all__: Tuple[str, ...] = (
-    "EXECUTION_MODES",
     "MultiClusterConfig",
     "SESSION_MIGRATION_POLICIES",
     "list_session_migrations",

@@ -114,27 +114,13 @@ class MultiClusterCellResult:
 
 @dataclasses.dataclass(frozen=True)
 class TierRun:
-    """One timed multicluster run: the system, its result, and context.
-
-    ``system`` is the serial :class:`MultiClusterSystem` or, for runs the
-    conservative protocol executed, a
-    :class:`repro.parallel.executor.ParallelTierView` (duck-typed: the
-    cell builders only read ``stats()``, ``initial_group_count()``,
-    ``recovery_transient_s()`` and ``tracer``).  ``parallel`` carries the
-    :class:`repro.parallel.executor.ParallelReport` when the run was
-    parallel; ``parallel_fallback`` carries the ineligibility reason when
-    parallel execution was requested but the cell ran serially.  Neither
-    field enters cell payloads — documents are bit-identical across
-    execution modes.
-    """
+    """One timed multicluster run: the system, its result, and context."""
 
     system: MultiClusterSystem
     result: MultiClusterResult
     workload_name: str
     initial_groups: int
     wall_s: float
-    parallel: Optional[Any] = None
-    parallel_fallback: Optional[str] = None
 
 
 def tier_workload_scale(scale: ExperimentScale, num_clusters: int) -> ExperimentScale:
@@ -173,32 +159,10 @@ def run_tier(
     receives the tracer right after it attaches.  ``on_system`` receives
     the constructed :class:`MultiClusterSystem` before the run starts —
     the hook the ``--alerts`` axis uses to attach an in-memory metrics
-    monitor; it requires the serial path (callers wanting it must not
-    request parallel execution).
+    monitor.
     """
     workload_scale = tier_workload_scale(scale, config.multicluster.num_clusters)
     workload = spec.build_workload(workload_scale, seed)
-    parallel_fallback: Optional[str] = None
-    if on_system is not None and config.multicluster.execution == "parallel":
-        raise ValueError("on_system requires serial execution")
-    if config.multicluster.execution == "parallel":
-        # Local import: repro.parallel imports this module's siblings.
-        from repro.parallel import parallel_ineligibility, run_parallel
-
-        reason = parallel_ineligibility(config, trace=bool(trace))
-        if reason is None:
-            start = time.perf_counter()
-            outcome = run_parallel(config, policy_key, workload)
-            wall_s = time.perf_counter() - start
-            return TierRun(
-                system=outcome.view,
-                result=outcome.result,
-                workload_name=workload.name,
-                initial_groups=outcome.view.initial_group_count(),
-                wall_s=wall_s,
-                parallel=outcome.report,
-            )
-        parallel_fallback = reason
     start = time.perf_counter()
     system = MultiClusterSystem(config, lambda: make_policy(policy_key))
     if trace:
@@ -216,7 +180,6 @@ def run_tier(
         workload_name=workload.name,
         initial_groups=initial_groups,
         wall_s=wall_s,
-        parallel_fallback=parallel_fallback,
     )
 
 
@@ -228,16 +191,9 @@ def run_multicluster_cell(
     placement: str,
     scale: ExperimentScale,
     seed: int = 42,
-    execution: str = "serial",
 ) -> MultiClusterCellResult:
     """Run one scenario through one (policy, clusters, router, placement)
-    combination; the in-process cell primitive.
-
-    ``execution="parallel"`` requests the conservative parallel shard
-    executor; ineligible cells (stateful routers, elastic autoscaling —
-    which includes the whole committed default grid) transparently run
-    serially, and either way the cell payload is bit-identical.
-    """
+    combination; the in-process cell primitive."""
     spec = scenario if isinstance(scenario, ScenarioSpec) else get_scenario(scenario)
     config = build_cell_config(spec, scale, seed=seed)
     config.multicluster = make_multicluster_config(
@@ -245,7 +201,6 @@ def run_multicluster_cell(
         global_router=router,
         placement=placement,
         admission=SWEEP_ADMISSION,
-        execution=execution,
     )
     run = run_tier(spec, policy_key, config, scale, seed)
     result = run.result
@@ -316,7 +271,6 @@ def run_multicluster_cell_payload(params: Mapping[str, Any], seed: int) -> Dict[
         params["placement"],
         params["scale"],
         seed,
-        execution=params.get("execution", "serial"),
     )
     return dataclasses.asdict(cell)
 
@@ -329,7 +283,6 @@ def multicluster_cell_task(
     placement: str,
     scale: ExperimentScale,
     seed: int,
-    execution: str = "serial",
 ) -> SweepTask:
     """Describe one multicluster grid cell as a cacheable sweep task."""
     mc = make_multicluster_config(
@@ -337,7 +290,6 @@ def multicluster_cell_task(
         global_router=router,
         placement=placement,
         admission=SWEEP_ADMISSION,
-        execution=execution,
     )
     return SweepTask(
         runner="repro.multicluster.sweep:run_multicluster_cell_payload",
@@ -348,7 +300,6 @@ def multicluster_cell_task(
             "router": router,
             "placement": placement,
             "scale": scale,
-            "execution": execution,
         },
         key={
             "kind": "multicluster-cell",
@@ -356,16 +307,9 @@ def multicluster_cell_task(
             "scenario": spec_fingerprint(spec),
             "policy": policy,
             # The full tier config, WAN parameters included: a changed
-            # link model must invalidate cached cells.  ``execution`` is
-            # deliberately left out: parallel cells are bit-identical to
-            # serial by contract (tests/test_parallel.py enforces it), so
-            # the two modes share cache entries.
+            # link model must invalidate cached cells.
             "multicluster": {
-                **{
-                    k: v
-                    for k, v in dataclasses.asdict(mc).items()
-                    if k not in ("admission", "execution")
-                },
+                **{k: v for k, v in dataclasses.asdict(mc).items() if k != "admission"},
                 "admission": dataclasses.asdict(mc.admission),
             },
             "scale": dataclasses.asdict(scale),
@@ -456,7 +400,6 @@ def run_multicluster_sweep(
     max_workers: Optional[int] = None,
     use_cache: bool = False,
     cache_dir: Optional[Path] = None,
-    execution: str = "serial",
 ) -> Dict:
     """Sweep the scenario × policy × clusters × router × placement grid.
 
@@ -477,11 +420,6 @@ def run_multicluster_sweep(
             Python API defaults to off).
         cache_dir: cache location override (default ``.repro_cache/`` at
             the repository root, or ``$REPRO_CACHE_DIR``).
-        execution: tier execution mode for every cell (``"serial"`` or
-            ``"parallel"``; see :data:`repro.multicluster.config.EXECUTION_MODES`).
-            Parallel cells are bit-identical to serial and ineligible
-            cells fall back transparently, so the output document does
-            not depend on this knob (``wall_s*`` aside).
     """
     names = list(scenarios) if scenarios is not None else list(DEFAULT_SCENARIOS)
     policy_keys = list(policies) if policies is not None else list(DEFAULT_POLICIES)
@@ -513,9 +451,7 @@ def run_multicluster_sweep(
         raise ValueError("max_workers must be >= 1")
     specs = [get_scenario(name) for name in names]
     tasks = [
-        multicluster_cell_task(
-            spec, policy, count, router, placement, scale, seed, execution
-        )
+        multicluster_cell_task(spec, policy, count, router, placement, scale, seed)
         for spec in specs
         for policy in policy_keys
         for count in counts

@@ -59,7 +59,7 @@ class ClusterHandle:
     economics) is the contract new strategies can rely on.
     """
 
-    def __init__(self, index: int, system: Optional[ClusterServingSystem]) -> None:
+    def __init__(self, index: int, system: ClusterServingSystem) -> None:
         self.index = index
         self.system = system
         #: cleared by a chaos ``cluster_outage``; dead shards are invisible
@@ -141,10 +141,7 @@ def summarize_records(
 
     Percentiles are computed over the union of every shard's records;
     ``throughput`` is the sum of the shards' bucket-mean token rates (the
-    single-cluster definition, summed — callers must add shard terms in
-    shard-index order so serial and parallel assembly agree bit-for-bit).
-    Module-level so the parallel shard executor (:mod:`repro.parallel`)
-    can assemble the identical summary from worker-returned records.
+    single-cluster definition, summed in shard-index order).
     """
     ttfts = [r.ttft for r in records if r.ttft is not None]
     tpots = [r.mean_tpot for r in records if r.mean_tpot is not None]
@@ -164,14 +161,7 @@ def summarize_records(
 class MultiClusterSystem:
     """N cluster shards, a global router, placement, and a WAN fabric."""
 
-    def __init__(
-        self, config: ServingConfig, policy_factory: Optional[PolicyFactory]
-    ) -> None:
-        # ``policy_factory=None`` builds the tier in *plan* mode: handles
-        # are index-only stubs with no serving systems behind them, so the
-        # routing/fabric layer can be replayed standalone.  The parallel
-        # executor's dispatch planner uses this; every other caller passes
-        # a real factory.
+    def __init__(self, config: ServingConfig, policy_factory: PolicyFactory) -> None:
         if config.multicluster is None:
             raise ValueError("ServingConfig.multicluster must be set")
         self.config = config
@@ -199,9 +189,6 @@ class MultiClusterSystem:
         self._fleet_config = fleet
         self.handles: List[ClusterHandle] = []
         for index in range(self.mc.num_clusters):
-            if policy_factory is None:
-                self.handles.append(ClusterHandle(index, None))
-                continue
             # Every shard is a full serving system on the shared loop, with
             # its own RNG streams (distinct seed offset per shard) and its
             # own fleet controller built from the tier's fleet settings.
@@ -264,9 +251,7 @@ class MultiClusterSystem:
     # Topology
     # ------------------------------------------------------------------
     def shard_config(self, index: int) -> ServingConfig:
-        """The ServingConfig one shard is built from (shared with the
-        parallel executor, which must construct bit-identical shards in
-        worker processes)."""
+        """The ServingConfig one shard is built from."""
         return dataclasses.replace(
             self.config,
             multicluster=None,
@@ -297,17 +282,6 @@ class MultiClusterSystem:
         if self.tracer is not None:
             self.tracer.on_submit(request)
         self._route(request)
-
-    def _dispatch(self, handle: ClusterHandle, request: Request) -> None:
-        """Hand a routed request to its shard.
-
-        Every tier-to-shard handoff funnels through here — the healthy
-        local/remote paths, migration adoption, and WAN delivery — so the
-        parallel executor's planner can override this single method to
-        record ``(time, shard, request)`` dispatches instead of executing
-        them.
-        """
-        handle.system.submit(request)
 
     def _route(self, request: Request) -> None:
         alive = self.alive_handles
@@ -343,7 +317,7 @@ class MultiClusterSystem:
             )
         if target.index == home:
             self.local_routed += 1
-            self._dispatch(target, request)
+            target.system.submit(request)
             return
         # Remote dispatch: the session's context (conservatively, the full
         # prompt's worth of KV — multi-turn prompts carry their history)
@@ -368,14 +342,14 @@ class MultiClusterSystem:
         adopted = self._session_adoptions.get(key)
         if adopted is not None and self.handles[adopted].alive:
             self.migration_hits += 1
-            self._dispatch(self.handles[adopted], request)
+            self.handles[adopted].system.submit(request)
             return
         home = self.home_cluster(request)
         if self.handles[home].alive:
             # A displaced request whose session is homed on an *alive*
             # cluster (it had been remote-dispatched to the dead one):
             # the home still holds the session context, go back local.
-            self._dispatch(self.handles[home], request)
+            self.handles[home].system.submit(request)
             return
         target = self.router.route(request, alive)
         self._session_adoptions[key] = target.index
@@ -416,7 +390,7 @@ class MultiClusterSystem:
             else:
                 self._lose(request)
             return
-        self._dispatch(handle, request)
+        handle.system.submit(request)
 
     def _lose(self, request: Request) -> None:
         self.lost_to_fault += 1

@@ -23,14 +23,12 @@ from repro.sweeps.executor import (
     effective_worker_count,
     execute_task,
     run_tasks,
-    shared_pool,
-    shutdown_shared_pool,
 )
 from repro.sweeps.task import (
     CACHE_FORMAT_VERSION,
     SweepTask,
     canonical_json,
-    runner_bytecode_fingerprint,
+    source_fingerprint,
 )
 
 __all__ = [
@@ -46,7 +44,5 @@ __all__ = [
     "effective_worker_count",
     "execute_task",
     "run_tasks",
-    "runner_bytecode_fingerprint",
-    "shared_pool",
-    "shutdown_shared_pool",
+    "source_fingerprint",
 ]

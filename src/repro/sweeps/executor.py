@@ -45,7 +45,6 @@ DEFAULT_PRELOAD: Tuple[str, ...] = (
     "repro.fleet.sweep",
     "repro.multicluster.sweep",
     "repro.chaos.sweep",
-    "repro.parallel.shard",
 )
 
 

@@ -12,31 +12,27 @@ start method) with two views of its inputs:
   ``params``.
 
 The content hash is the cache-key contract (see ``ARCHITECTURE.md``): a
-SHA-256 over the canonical JSON of ``(runner, runner-module bytecode
-fingerprint, key, seed, repro version, cache format version)``.  Any
-config change, seed change, change to the *compiled code* of the runner's
-module, ``repro`` version bump, or cache-format bump therefore produces a
-different hash and invalidates prior results — and nothing else does.
-Runners must be pure functions of ``(params, seed)`` modulo host
-wall-clock fields.
+SHA-256 over the canonical JSON of ``(runner, source fingerprint, key,
+seed, repro version, cache format version)``.  Any config change, seed
+change, edit to any ``*.py`` file of the ``repro`` package, ``repro``
+version bump, or cache-format bump therefore produces a different hash
+and invalidates prior results — and nothing else does.  Runners must be
+pure functions of ``(params, seed)`` modulo host wall-clock fields.
 
-The bytecode fingerprint (:func:`runner_bytecode_fingerprint`) makes
-invalidation finer than the package version alone: editing the runner's
-module invalidates its cells automatically, while unrelated code changes
-keep them warm.  It hashes compiled code objects (not source bytes), so
-comments and formatting don't invalidate.  It only sees the runner's *own*
-module — a behaviour change in a module the runner calls into must still
-be accompanied by a ``repro.version`` bump, which stays the manual
-invalidate-everything lever.
+The source fingerprint (:func:`source_fingerprint`) covers the whole
+package, not only the runner's module, because a cell's result depends
+on everything the runner calls into.  A cached result can therefore
+never come from older code; the price is that any edit, comments
+included, turns the next sweep into a cold one.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
-import importlib.util
 import json
-import types
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any, Callable, Dict, Mapping
 
 import repro.version as _version
@@ -47,74 +43,28 @@ CACHE_FORMAT_VERSION = 1
 #: Signature of a task runner: ``(params, seed) -> JSON-able payload``.
 TaskRunner = Callable[[Mapping[str, Any], int], Dict[str, Any]]
 
+#: The ``repro`` package directory whose sources every task hash covers.
+PACKAGE_ROOT = Path(__file__).resolve().parents[1]
 
-#: Memoised module fingerprints: computed once per (module, process).
-_MODULE_FINGERPRINTS: Dict[str, str] = {}
 
+@functools.lru_cache(maxsize=None)
+def source_fingerprint() -> str:
+    """SHA-256 over the sorted relative paths and bytes of every ``*.py``
+    file of the ``repro`` package; computed once per process.
 
-def _const_token(const: Any) -> str:
-    """Canonical text for a code constant.
-
-    ``repr`` alone is not stable for ``frozenset`` constants (set literals
-    compile to them): their iteration order follows string hashing, which
-    is randomised per interpreter run, and a run-dependent fingerprint
-    would silently turn every cache lookup into a miss.  Sets are
-    therefore serialised in sorted-element order; tuples recurse since
-    they may nest them.
+    Paths are taken relative to the package directory, so a copy of the
+    package at another location fingerprints the same.
     """
-    if isinstance(const, frozenset):
-        return "frozenset{" + ",".join(sorted(_const_token(c) for c in const)) + "}"
-    if isinstance(const, tuple):
-        return "tuple(" + ",".join(_const_token(c) for c in const) + ")"
-    return repr(const)
-
-
-def _hash_code_object(code: types.CodeType, digest) -> None:
-    """Fold a code object (and its nested code constants) into ``digest``.
-
-    Deliberately skips line-number tables and filenames, so moving code
-    around a file or editing comments does not change the fingerprint;
-    any change to instructions, constants or names does.
-    """
-    digest.update(code.co_code)
-    for names in (code.co_names, code.co_varnames, code.co_freevars, code.co_cellvars):
-        digest.update(repr(names).encode("utf-8"))
-    for const in code.co_consts:
-        if isinstance(const, types.CodeType):
-            _hash_code_object(const, digest)
-        else:
-            digest.update(_const_token(const).encode("utf-8"))
-
-
-def runner_bytecode_fingerprint(runner: str) -> str:
-    """Fingerprint of the compiled bytecode of a runner's module.
-
-    Part of every task's hash material: a code change inside the runner's
-    module invalidates its cached cells without a ``repro.version`` bump,
-    and — because only bytecode is hashed — comment/formatting edits and
-    changes to *other* modules keep cells warm.  Falls back to the
-    constant ``"unavailable"`` when the module cannot be located or read
-    (e.g. a frozen distribution), degrading to the version-only contract.
-    """
-    module_name = runner.partition(":")[0]
-    cached = _MODULE_FINGERPRINTS.get(module_name)
-    if cached is not None:
-        return cached
-    fingerprint = "unavailable"
-    try:
-        spec = importlib.util.find_spec(module_name)
-        origin = getattr(spec, "origin", None)
-        if origin is not None and origin.endswith(".py"):
-            with open(origin, "rb") as handle:
-                source = handle.read()
-            code = compile(source, "<runner-module>", "exec", dont_inherit=True)
-            digest = hashlib.sha256()
-            _hash_code_object(code, digest)
-            fingerprint = digest.hexdigest()[:16]
-    except (ImportError, OSError, SyntaxError, ValueError):
-        pass
-    _MODULE_FINGERPRINTS[module_name] = fingerprint
-    return fingerprint
+    digest = hashlib.sha256()
+    files = {
+        path.relative_to(PACKAGE_ROOT).as_posix(): path
+        for path in PACKAGE_ROOT.rglob("*.py")
+    }
+    for relative in sorted(files):
+        data = files[relative].read_bytes()
+        digest.update(f"{relative}\0{len(data)}\0".encode("utf-8"))
+        digest.update(data)
+    return digest.hexdigest()[:16]
 
 
 def canonical_json(value: Any) -> str:
@@ -157,7 +107,7 @@ class SweepTask:
         """The exact dict the content hash is computed over."""
         return {
             "runner": self.runner,
-            "runner_bytecode": runner_bytecode_fingerprint(self.runner),
+            "source": source_fingerprint(),
             "key": dict(self.key),
             "seed": self.seed,
             "repro_version": _version.__version__,

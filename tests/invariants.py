@@ -26,10 +26,6 @@ The invariants:
 * **span conservation** — trace output (``repro.trace``): every finished
   request has exactly one closed root span, and its stage spans tile the
   root exactly, so stage durations sum to the end-to-end latency.
-* **window-barrier conservation** — parallel tier runs (``repro.parallel``):
-  every shard's window schedule tiles ``[0, horizon]`` contiguously, no
-  window exceeds the lookahead, every injected dispatch lands inside its
-  window, and the per-window executed-event counts sum to the shard total.
 """
 
 from __future__ import annotations
@@ -222,60 +218,6 @@ def assert_span_conservation(
             f"duration is {expected} (difference {abs(total - expected)})"
         )
         checked += 1
-    return checked
-
-
-def assert_window_conservation(report, *, abs_tol: float = 1e-9) -> int:
-    """Every shard of a parallel run respected the conservative protocol.
-
-    Takes a :class:`repro.parallel.executor.ParallelReport` and asserts,
-    per shard: the window schedule is contiguous from 0 to the same end
-    everywhere (each window starts where the previous ended), every
-    window spans ``0 < end - start <= lookahead + abs_tol``, every
-    injected dispatch time falls inside ``[start - abs_tol, end +
-    abs_tol]`` of its window, and the per-window ``executed`` counts sum
-    to the shard's total event count.  Returns the number of windows
-    checked (callers assert non-zero so an empty report cannot pass).
-    """
-    checked = 0
-    horizons = set()
-    for shard_index, (windows, shard_total) in enumerate(
-        zip(report.shard_windows, report.shard_events)
-    ):
-        assert windows, f"shard {shard_index}: no windows recorded"
-        previous_end = 0.0
-        executed_total = 0
-        for window in windows:
-            assert window.start == previous_end, (
-                f"shard {shard_index}: window starts at {window.start}, "
-                f"previous ended at {previous_end} — schedule not contiguous"
-            )
-            span = window.end - window.start
-            assert 0.0 < span <= report.lookahead_s + abs_tol, (
-                f"shard {shard_index}: window span {span} outside "
-                f"(0, lookahead={report.lookahead_s}]"
-            )
-            if window.injected:
-                assert window.first_t is not None and window.last_t is not None
-                assert window.first_t >= window.start - abs_tol, (
-                    f"shard {shard_index}: dispatch at {window.first_t} "
-                    f"precedes its window start {window.start}"
-                )
-                assert window.last_t <= window.end + abs_tol, (
-                    f"shard {shard_index}: dispatch at {window.last_t} "
-                    f"exceeds its window end {window.end}"
-                )
-            executed_total += window.executed
-            previous_end = window.end
-            checked += 1
-        horizons.add(previous_end)
-        assert executed_total == shard_total, (
-            f"shard {shard_index}: window executed counts sum to "
-            f"{executed_total}, shard ran {shard_total} events"
-        )
-    assert len(horizons) == 1, (
-        f"shards disagree on the horizon: {sorted(horizons)}"
-    )
     return checked
 
 

@@ -49,6 +49,7 @@ from repro.multicluster.routing import _GLOBAL_ROUTERS
 from repro.multicluster.sweep import (
     run_multicluster_cell,
     run_multicluster_sweep,
+    tier_workload_scale,
     write_results,
     format_results,
 )
@@ -305,11 +306,11 @@ class TestConfig:
 
 class TestSystem:
     @staticmethod
-    def build(router: str, seed: int = 3, cluster_count: int = 2):
+    def build(router: str, seed: int = 3, cluster_count: int = 2, **tier):
         spec = get_scenario("steady-poisson")
         config = build_cell_config(spec, TINY_SCALE, seed=seed)
         config.multicluster = make_multicluster_config(
-            num_clusters=cluster_count, global_router=router
+            num_clusters=cluster_count, global_router=router, **tier
         )
         return config, spec
 
@@ -335,6 +336,26 @@ class TestSystem:
         assert stats["local_routed"] + stats["remote_routed"] == result.submitted_requests
         # Remote dispatches crossed the WAN fabric, one transfer each.
         assert stats["cross_cluster_transfers"] == stats["remote_routed"]
+
+    def test_remote_dispatches_pay_the_wan_delay(self):
+        # A latency far above any transfer's bandwidth time, so only the
+        # propagation delay can account for the lateness asserted below.
+        config, spec = self.build("weighted_round_robin", wan_latency_s=1.0)
+        system = MultiClusterSystem(config, lambda: make_policy("vllm"))
+        first_received = {}
+        for shard in system.systems:
+            def recording(request, _submit=shard.submit):
+                first_received.setdefault(request.request_id, (system.loop.now, request))
+                _submit(request)
+
+            shard.submit = recording
+        system.run(spec.build_workload(tier_workload_scale(TINY_SCALE, 2), 3))
+        wan = config.multicluster.wan_latency_s
+        late = [(now, r) for now, r in first_received.values() if now > r.arrival_time]
+        assert late
+        for now, request in late:
+            assert now >= request.arrival_time + wan
+        assert len(late) == system.stats()["remote_routed"]
 
     def test_locality_affinity_generates_zero_wan_traffic(self):
         cell = run_multicluster_cell(

@@ -1,18 +1,24 @@
 """Tests for the unified sweep engine (``repro.sweeps``).
 
 Covers the content-hash contract of :class:`SweepTask` (config / seed /
-version sensitivity), the on-disk result cache (hit, miss, invalidation,
-corrupted-entry recovery, atomicity basics), the executor (order
-preservation, inline vs. pooled determinism, cache integration) and the
-cgroup-aware worker sizing helper.
+package source / version sensitivity), the on-disk result cache (hit,
+miss, invalidation, corrupted-entry recovery, atomicity basics), the
+executor (order preservation, inline vs. pooled determinism, cache
+integration) and the cgroup-aware worker sizing helper.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
 
 import pytest
 
+import repro
 import repro.version as repro_version
 from repro.experiments.runner import ExperimentScale
 from repro.sweeps import (
@@ -22,10 +28,9 @@ from repro.sweeps import (
     canonical_json,
     effective_worker_count,
     run_tasks,
-    runner_bytecode_fingerprint,
+    source_fingerprint,
 )
 from repro.sweeps import executor as executor_module
-from repro.sweeps import task as task_module
 
 #: Scale small enough that a real sweep cell completes in under a second.
 TINY_SCALE = ExperimentScale(
@@ -51,83 +56,45 @@ def make_task(payload=None, seed=1, key=None):
     )
 
 
-class TestBytecodeFingerprint:
-    """The finer invalidation lever: runner-module bytecode in the task hash."""
-
-    MODULE = "sweeps_fp_probe"
-
-    def _write_module(self, directory, body: str) -> None:
-        (directory / f"{self.MODULE}.py").write_text(body)
-
-    def _fingerprint(self, monkeypatch) -> str:
-        import importlib
-
-        importlib.invalidate_caches()
-        monkeypatch.setattr(task_module, "_MODULE_FINGERPRINTS", {})
-        return runner_bytecode_fingerprint(f"{self.MODULE}:r")
+class TestSourceFingerprint:
+    """Every source file of the package is part of every task hash."""
 
     def test_fingerprint_is_part_of_hash_material(self):
         material = make_task().hash_material()
-        assert material["runner_bytecode"] == runner_bytecode_fingerprint(
-            "tests.test_sweeps:echo_runner"
+        assert material["source"] == source_fingerprint()
+        assert material["repro_version"] == repro_version.__version__
+        assert material["cache_format_version"] == CACHE_FORMAT_VERSION
+
+    def test_fingerprint_is_memoised(self, monkeypatch):
+        first = source_fingerprint()
+
+        def unreadable(path):
+            raise AssertionError(f"{path} re-read after the first fingerprint")
+
+        monkeypatch.setattr(pathlib.Path, "read_bytes", unreadable)
+        assert source_fingerprint() == first
+
+    def test_editing_another_module_changes_the_task_hash(self, tmp_path):
+        # The runner lives in repro.chaos.sweep; the edit is to the
+        # scheduler it calls into, in a copy of the package.
+        shutil.copytree(
+            pathlib.Path(repro.__file__).parent,
+            tmp_path / "repro",
+            ignore=shutil.ignore_patterns("__pycache__"),
         )
-        assert material["runner_bytecode"] != "unavailable"
-
-    def test_unresolvable_module_degrades_to_version_only(self):
-        assert runner_bytecode_fingerprint("no.such.module:f") == "unavailable"
-
-    def test_fingerprint_is_memoised(self):
-        first = runner_bytecode_fingerprint("tests.test_sweeps:echo_runner")
-        assert runner_bytecode_fingerprint("tests.test_sweeps:other") == first
-
-    def test_code_change_invalidates_but_comment_change_does_not(
-        self, tmp_path, monkeypatch
-    ):
-        monkeypatch.syspath_prepend(str(tmp_path))
-        self._write_module(tmp_path, "def r(params, seed):\n    return {'v': 1}\n")
-        base = self._fingerprint(monkeypatch)
-        assert base != "unavailable"
-
-        # Comments, blank lines and moved line numbers: cells stay warm.
-        self._write_module(
-            tmp_path,
-            "# an explanatory comment\n\n\ndef r(params, seed):\n    return {'v': 1}\n",
+        task = SweepTask(
+            runner="repro.chaos.sweep:run_chaos_cell_payload", params={}, key={"k": 1}
         )
-        assert self._fingerprint(monkeypatch) == base
 
-        # A real code change: cells invalidate without a version bump.
-        self._write_module(tmp_path, "def r(params, seed):\n    return {'v': 2}\n")
-        assert self._fingerprint(monkeypatch) != base
-
-    def test_fingerprint_survives_hash_randomisation(self, tmp_path):
-        # Set literals compile to frozenset constants whose iteration
-        # order follows per-process string-hash randomisation; the
-        # fingerprint must canonicalise them or every new interpreter
-        # would silently miss the whole cache.
-        import os
-        import subprocess
-        import sys
-
-        import repro
-
-        (tmp_path / f"{self.MODULE}.py").write_text(
-            "def r(params, seed):\n"
-            "    return params.get('k') in {'vllm', 'kunserve', 'llumnix', 'infercept'}\n"
-        )
-        src_dir = str(__import__("pathlib").Path(repro.__file__).parents[1])
-
-        def fingerprint_under(hash_seed: int) -> str:
-            env = dict(
-                os.environ,
-                PYTHONHASHSEED=str(hash_seed),
-                PYTHONPATH=f"{tmp_path}{os.pathsep}{src_dir}",
-            )
+        def content_hash_in_copy() -> str:
+            env = dict(os.environ, PYTHONPATH=str(tmp_path))
             out = subprocess.run(
                 [
                     sys.executable,
                     "-c",
-                    "from repro.sweeps import runner_bytecode_fingerprint as f; "
-                    f"print(f('{self.MODULE}:r'))",
+                    "from repro.sweeps import SweepTask; "
+                    f"print(SweepTask(runner={task.runner!r}, params={{}}, "
+                    "key={'k': 1}).content_hash())",
                 ],
                 env=env,
                 capture_output=True,
@@ -136,15 +103,12 @@ class TestBytecodeFingerprint:
             )
             return out.stdout.strip()
 
-        fingerprints = {fingerprint_under(seed) for seed in (1, 2, 3)}
-        assert len(fingerprints) == 1
-        assert fingerprints != {"unavailable"}
-
-    def test_version_bump_remains_the_manual_override(self, monkeypatch):
-        # The bytecode hash refines, not replaces, version invalidation.
-        base = make_task().content_hash()
-        monkeypatch.setattr(repro_version, "__version__", "888.0.0")
-        assert make_task().content_hash() != base
+        # An unedited copy elsewhere on disk, in a fresh interpreter (with
+        # its own string-hash seed), hashes the same as this process.
+        assert content_hash_in_copy() == task.content_hash()
+        scheduler = tmp_path / "repro" / "engine" / "scheduler.py"
+        scheduler.write_text(scheduler.read_text() + "\n# edited\n")
+        assert content_hash_in_copy() != task.content_hash()
 
 
 class TestTaskHash:
