@@ -103,12 +103,45 @@ class TestSourceFingerprint:
             )
             return out.stdout.strip()
 
-        # An unedited copy elsewhere on disk, in a fresh interpreter (with
-        # its own string-hash seed), hashes the same as this process.
+        # An unedited copy elsewhere on disk hashes the same as this process.
         assert content_hash_in_copy() == task.content_hash()
         scheduler = tmp_path / "repro" / "engine" / "scheduler.py"
         scheduler.write_text(scheduler.read_text() + "\n# edited\n")
         assert content_hash_in_copy() != task.content_hash()
+
+    def test_fingerprint_survives_hash_randomisation(self):
+        # Every new interpreter draws its own string-hash seed; a key that
+        # depended on it would make each process miss the whole cache.
+        src_dir = str(pathlib.Path(repro.__file__).parents[1])
+        task = make_task(payload={"b": 2, "a": 1, "policies": ["vllm", "kunserve"]})
+
+        def hashes_under(hash_seed: int) -> tuple:
+            env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=src_dir)
+            out = subprocess.run(
+                [
+                    sys.executable,
+                    "-c",
+                    "from repro.sweeps import SweepTask, source_fingerprint; "
+                    f"print(source_fingerprint(), SweepTask(runner={task.runner!r}, "
+                    f"params={{}}, key={task.key!r}, seed={task.seed}).content_hash())",
+                ],
+                env=env,
+                capture_output=True,
+                text=True,
+                check=True,
+            )
+            return tuple(out.stdout.split())
+
+        expected = (source_fingerprint(), task.content_hash())
+        assert {hashes_under(seed) for seed in (1, 2, 3)} == {expected}
+
+    def test_version_bump_remains_the_manual_override(self, monkeypatch):
+        # The source hash refines, not replaces, version invalidation.
+        base = make_task().content_hash()
+        fingerprint = source_fingerprint()
+        monkeypatch.setattr(repro_version, "__version__", "888.0.0")
+        assert source_fingerprint() == fingerprint
+        assert make_task().content_hash() != base
 
 
 class TestTaskHash:
