@@ -94,9 +94,17 @@ class ScheduledChunk:
 
 @dataclass(slots=True)
 class MicroBatch:
-    """A set of chunks executed together on one pipeline stage pass."""
+    """A set of chunks executed together on one pipeline stage pass.
+
+    ``decode_count`` and ``decode_prefix_sum`` summarise the run of decode
+    chunks that *ends* ``chunks`` (the lookahead former deals decodes after
+    the prefill pieces); :meth:`LatencyModel.batch_time` prices that run in
+    closed form.  Zero means no summary, not "no decodes".
+    """
 
     chunks: List[ScheduledChunk] = field(default_factory=list)
+    decode_count: int = 0
+    decode_prefix_sum: int = 0
 
     @property
     def num_chunks(self) -> int:
@@ -122,9 +130,17 @@ class MicroBatch:
 
 @dataclass(slots=True)
 class IterationBatch:
-    """All work performed by one engine iteration."""
+    """All work performed by one engine iteration.
+
+    ``decode_count`` and ``decode_prefix_sum`` summarise the run of decode
+    chunks that *leads* ``chunks`` (the scheduler schedules decodes first);
+    :meth:`LatencyModel.batch_time` prices that run in closed form.  Zero
+    means no summary, not "no decodes".
+    """
 
     chunks: List[ScheduledChunk] = field(default_factory=list)
+    decode_count: int = 0
+    decode_prefix_sum: int = 0
 
     @property
     def total_new_tokens(self) -> int:

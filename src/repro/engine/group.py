@@ -209,11 +209,7 @@ class ServingGroup:
     def adopt_waiting(self, request: Request, *, front: bool = False) -> None:
         """Adopt a queued request from another group."""
         request.owner_group = self.group_id
-        request.state = RequestState.QUEUED
-        if front:
-            self.scheduler.waiting.appendleft(request)
-        else:
-            self.scheduler.add_request(request)
+        self.scheduler.add_request(request, front=front)
         self.kick()
 
     # ------------------------------------------------------------------
@@ -280,7 +276,11 @@ class ServingGroup:
         chunks = batch.chunks
         if self.num_stages == 1:
             instance = self.instances[0]
-            duration = instance.latency.batch_time(chunks, num_layers=len(self._assignment[0]))
+            duration = instance.latency.batch_time(
+                chunks,
+                num_layers=len(self._assignment[0]),
+                decodes=(batch.decode_count, batch.decode_prefix_sum),
+            )
             return duration, 0.0
 
         microbatches = self.microbatch_former(chunks, self.num_stages)
@@ -307,6 +307,7 @@ class ServingGroup:
         )
         for microbatch in microbatches:
             mb_chunks = microbatch.chunks
+            decodes = (microbatch.decode_count, microbatch.decode_prefix_sum)
             row = []
             mb_tokens = -1
             if uniform_stages:
@@ -316,7 +317,7 @@ class ServingGroup:
                     duration = stage_memo.get(key)
                     if duration is None:
                         without_head, with_head, mb_tokens = lat0.batch_time_pair(
-                            mb_chunks, num_layers=key[0]
+                            mb_chunks, num_layers=key[0], decodes=decodes
                         )
                         stage_memo[(key[0], False)] = without_head
                         stage_memo[(key[0], True)] = with_head
@@ -329,6 +330,7 @@ class ServingGroup:
                             mb_chunks,
                             num_layers=max(1, len(self._assignment[stage])),
                             include_lm_head=(stage == last_stage),
+                            decodes=decodes,
                         )
                     )
             stage_times.append(row)

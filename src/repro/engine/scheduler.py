@@ -112,6 +112,20 @@ class ContinuousBatchingScheduler:
         #: paths (KV exchange, fault recovery, group transfers) iterate it
         #: in that order and their outcomes depend on it.
         self._running_fcfs: List[Request] = []
+        #: running requests still prefilling, FCFS-sorted like
+        #: ``_running_fcfs``.  Entered on ``_add_running`` when
+        #: ``prefill_progress < prefill_target``; left on ``_remove_running``
+        #: or when ``complete_batch`` finishes the prefill.  Demand queries
+        #: and the running-prefill pass visit only this list: a running
+        #: request holds at least ``prefill_progress`` KV tokens, so one
+        #: whose prefill is done has no deficit.
+        self._prefilling: List[Request] = []
+        #: KV tokens each waiting or swapped request will need to start,
+        #: stored at enqueue and subtracted at dequeue, and their sum: the
+        #: dispatcher queries demand for every group on every arrival, so it
+        #: reads the sum instead of rescanning the queues.
+        self._queued: Dict[int, int] = {}
+        self._queued_demand: int = 0
         #: True when the last ``form_batch`` had to leave work unscheduled
         #: because of insufficient KV memory (overload signal).
         self.memory_blocked: bool = False
@@ -122,10 +136,16 @@ class ContinuousBatchingScheduler:
     # ------------------------------------------------------------------
     # Request intake / removal
     # ------------------------------------------------------------------
-    def add_request(self, request: Request) -> None:
-        """Enqueue a newly-arrived request (FCFS)."""
+    def add_request(self, request: Request, *, front: bool = False) -> None:
+        """Enqueue a request: FCFS at the tail, or at the head with ``front``."""
         request.state = RequestState.QUEUED
-        self.waiting.append(request)
+        self._enqueue_waiting(request, front)
+
+    def pop_waiting(self) -> Request:
+        """Dequeue the head of the waiting queue."""
+        request = self.waiting.popleft()
+        self._untrack_queued(request)
+        return request
 
     def add_running(self, request: Request, kv_tokens: int) -> None:
         """Adopt a request that already has ``kv_tokens`` of KV cache.
@@ -143,18 +163,35 @@ class ContinuousBatchingScheduler:
         freed_tokens = self.kv.tokens_of(request.request_id)
         self.kv.free(request.request_id)
         self._remove_running(request)
-        if request in self.swapped:
-            self.swapped.remove(request)
-        try:
-            self.waiting.remove(request)
-        except ValueError:
-            pass
+        if request.request_id in self._queued:
+            self._untrack_queued(request)
+            if request in self.swapped:
+                self.swapped.remove(request)
+            else:
+                self.waiting.remove(request)
         return freed_tokens
+
+    def _enqueue_waiting(self, request: Request, front: bool) -> None:
+        remaining = request.prefill_target - request.prefill_progress
+        self._track_queued(request, remaining if remaining > 0 else 0)
+        if front:
+            self.waiting.appendleft(request)
+        else:
+            self.waiting.append(request)
+
+    def _track_queued(self, request: Request, demand: int) -> None:
+        self._queued[request.request_id] = demand
+        self._queued_demand += demand
+
+    def _untrack_queued(self, request: Request) -> None:
+        self._queued_demand -= self._queued.pop(request.request_id)
 
     def _add_running(self, request: Request) -> None:
         self.running.append(request)
         insort(self._running_fcfs, request, key=_fcfs_key)
         self._running_ids.add(request.request_id)
+        if request.prefill_progress < request.prefill_target:
+            insort(self._prefilling, request, key=_fcfs_key)
 
     def _remove_running(self, request: Request) -> None:
         if request.request_id in self._running_ids:
@@ -162,6 +199,8 @@ class ContinuousBatchingScheduler:
             self._running_fcfs.remove(request)
             self._running_ids.discard(request.request_id)
             self._decode_chunks.pop(request.request_id, None)
+            if request in self._prefilling:
+                self._prefilling.remove(request)
 
     def is_running(self, request: Request) -> bool:
         """O(1) membership test against the running list."""
@@ -188,21 +227,10 @@ class ContinuousBatchingScheduler:
     def queued_demand_tokens(self) -> int:
         """KV tokens the queued (and swapped) requests will need to start.
 
-        The loops inline :attr:`Request.remaining_prefill_tokens` and
-        :attr:`Request.context_tokens`: the dispatcher and monitor query the
-        demand for every group on every arrival/tick, and under overload the
-        waiting queue is long enough that per-element property-descriptor
-        calls dominate the query.
+        A waiting request needs its remaining prefill, a swapped one its
+        context at swap-out; neither changes while the request is queued.
         """
-        demand = 0
-        for r in self.waiting:
-            remaining = r.prefill_target - r.prefill_progress
-            if remaining > 0:
-                demand += remaining
-        for r in self.swapped:
-            beyond = r.prompt_tokens + r.output_tokens - r.prefill_target
-            demand += r.prefill_progress + (beyond if beyond > 0 else 0)
-        return demand
+        return self._queued_demand
 
     def total_demand_tokens(self) -> int:
         """In-processing plus head-of-line demand (the paper's load metric).
@@ -212,12 +240,12 @@ class ContinuousBatchingScheduler:
         """
         tables = self.kv._tables
         running_remaining = 0
-        for r in self.running:
+        for r in self._prefilling:
             table = tables.get(r.request_id)
             deficit = r.prefill_target - (table.num_tokens if table is not None else 0)
             if deficit > 0:
                 running_remaining += deficit
-        return self.kv.used_tokens + running_remaining + self.queued_demand_tokens()
+        return self.kv.used_tokens + running_remaining + self._queued_demand
 
     def has_pending_work(self, now: float) -> bool:
         """Is there any work that could be scheduled at or after ``now``?"""
@@ -258,7 +286,9 @@ class ContinuousBatchingScheduler:
         # per iteration.  ``_running_fcfs`` is already in FCFS order (no
         # per-iteration sort), the state checks inline the ``prefill_done``
         # / ``finished`` / ``is_stalled`` properties, and the one-token KV
-        # grow goes through the allocator's ``append_token`` fast path.
+        # grow goes through the allocator's ``append_token`` fast path.  The
+        # pass runs first, on an empty batch, and records the count and
+        # prefix sum of the decodes it appends for the latency model.
         finished_state = RequestState.FINISHED
         candidates = [
             r
@@ -277,6 +307,7 @@ class ContinuousBatchingScheduler:
         # inside this loop can evict one, so the membership re-check is
         # skipped until the first eviction happens.
         evicted = False
+        prefix_sum = 0
         for request in candidates:
             if budget <= 0:
                 break
@@ -313,7 +344,9 @@ class ContinuousBatchingScheduler:
                         continue
                     kv.allocate(rid, 1)
                 beyond = request.prompt_tokens + request.output_tokens - request.prefill_target
-                chunk.prefix_tokens = request.prefill_progress + (beyond if beyond > 0 else 0)
+                prefix = request.prefill_progress + (beyond if beyond > 0 else 0)
+                chunk.prefix_tokens = prefix
+                prefix_sum += prefix
                 chunk_append(chunk)
                 budget -= 1
                 continue
@@ -344,16 +377,20 @@ class ContinuousBatchingScheduler:
             chunk = ScheduledChunk(request, prefix, 1, True)
             table = tables.get(rid)
             decode_chunks[rid] = (chunk, table)
+            prefix_sum += prefix
             chunk_append(chunk)
             budget -= 1
+        batch.decode_count = len(batch.chunks)
+        batch.decode_prefix_sum = prefix_sum
         return budget
 
     def _schedule_running_prefills(self, batch: IterationBatch, budget: int, now: float) -> int:
-        # Inlined ``prefill_done`` / ``is_stalled``: this comprehension also
-        # visits every running request each iteration.
+        # ``_prefilling`` holds, in FCFS order, every running request whose
+        # prefill is unfinished; the filter drops the rare entry whose
+        # prefill an iteration of its previous owner finished.
         candidates = [
             r
-            for r in self._running_fcfs
+            for r in self._prefilling
             if r.prefill_progress < r.prefill_target and now >= r.stall_until
         ]
         for request in candidates:
@@ -388,7 +425,7 @@ class ContinuousBatchingScheduler:
                 # Head-of-line blocking: FCFS admission does not skip ahead.
                 self.memory_blocked = True
                 break
-            self.waiting.popleft()
+            self.pop_waiting()
             request.state = RequestState.RUNNING
             self._add_running(request)
             self.kv.allocate(request.request_id, chunk_tokens)
@@ -451,7 +488,7 @@ class ContinuousBatchingScheduler:
         self._remove_running(victim)
         if self.config.preemption_mode == PreemptionMode.RECOMPUTE:
             victim.reset_for_recompute()
-            self.waiting.appendleft(victim)
+            self._enqueue_waiting(victim, True)
             self.preemption_count += 1
             if self.hooks.on_preempt is not None:
                 self.hooks.on_preempt(victim)
@@ -459,6 +496,7 @@ class ContinuousBatchingScheduler:
             victim.state = RequestState.SWAPPED
             victim.swap_count += 1
             self.swapped.append(victim)
+            self._track_queued(victim, victim.context_tokens)
             self.swap_out_count += 1
             if self.hooks.on_swap_out is not None:
                 self.hooks.on_swap_out(victim)
@@ -480,6 +518,7 @@ class ContinuousBatchingScheduler:
                 break
             self.kv.allocate(request.request_id, tokens)
             self.swapped.remove(request)
+            self._untrack_queued(request)
             request.state = RequestState.RUNNING
             self._add_running(request)
             if self.hooks.on_swap_in is not None:
@@ -493,6 +532,7 @@ class ContinuousBatchingScheduler:
         finished: List[Request] = []
         finished_ids: set[int] = set()
         finished_state = RequestState.FINISHED
+        prefilling = self._prefilling
         for chunk in batch.chunks:
             request = chunk.request
             if chunk.is_decode:
@@ -508,8 +548,13 @@ class ContinuousBatchingScheduler:
                     request.finish_time = end_time
             else:
                 request.record_prefill(chunk.new_tokens, end_time)
-                if request.output_tokens == 0 and request.prefill_progress >= request.prefill_target:
-                    request.record_output_token(end_time)
+                if request.prefill_progress >= request.prefill_target:
+                    # A request migrated away while this iteration ran is
+                    # in the new owner's list, not in this one.
+                    if request in prefilling:
+                        prefilling.remove(request)
+                    if request.output_tokens == 0:
+                        request.record_output_token(end_time)
             if request.state is finished_state and request.request_id not in finished_ids:
                 finished.append(request)
                 finished_ids.add(request.request_id)

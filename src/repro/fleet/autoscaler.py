@@ -237,7 +237,7 @@ class Autoscaler:
         admission = self.controller.admission
         scheduler = group.scheduler
         while scheduler.waiting:
-            admission.readmit(scheduler.waiting.popleft())
+            admission.readmit(scheduler.pop_waiting())
 
     def _finish_drains(self) -> None:
         """Retire draining groups whose last request has finished."""

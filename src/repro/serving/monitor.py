@@ -5,14 +5,6 @@ usage, demand (in-processing + head-of-line queued requests) and queue
 lengths, records them into the metrics timelines, and hands the snapshot to
 the configured overload policy (which may drop parameters, migrate
 requests, or do nothing).
-
-The tick is coalesced with the groups' own iteration bookkeeping: when the
-attached policy does not consume per-group snapshots (vLLM and InferCept
-ignore them — only Llumnix-style migration and KunServe react to cluster
-state), the monitor folds the aggregate counters straight off the live
-group objects in a single pass instead of materialising one snapshot dict
-per group per tick.  Both paths record bit-identical timeline samples; the
-fast path only skips the allocations.
 """
 
 from __future__ import annotations
@@ -39,31 +31,16 @@ class GlobalMonitor:
         *,
         interval_s: float = 1.0,
         callback: Optional[MonitorCallback] = None,
-        collect_snapshots: bool = True,
     ) -> None:
         self.loop = loop
         self.metrics = metrics
         self._group_provider = group_provider
         self.interval_s = interval_s
         self.callback = callback
-        #: build per-group snapshot dicts each tick; pass ``False`` when the
-        #: callback ignores them and only the aggregate timelines matter.
-        self.collect_snapshots = collect_snapshots
         self._process = PeriodicProcess(loop, interval_s, self._tick, name="global-monitor")
-        self._last_snapshots: List[Dict[str, float]] = []
+        #: per-group snapshots of the most recent tick.
+        self.last_snapshots: List[Dict[str, float]] = []
         self.overload_events = 0
-
-    @property
-    def last_snapshots(self) -> List[Dict[str, float]]:
-        """Per-group snapshots of the most recent tick.
-
-        On the aggregate-only fast path no per-tick snapshot list exists,
-        so external inspectors get a fresh one computed on demand instead
-        of a misleading empty list.
-        """
-        if self.collect_snapshots:
-            return self._last_snapshots
-        return self.snapshot()
 
     def start(self) -> None:
         self._process.start(initial_delay=self.interval_s)
@@ -76,27 +53,12 @@ class GlobalMonitor:
         return [group.load_snapshot() for group in self._group_provider() if group.active]
 
     def _tick(self, now: float) -> None:
-        if self.collect_snapshots:
-            snapshots = self.snapshot()
-            self._last_snapshots = snapshots
-            used = sum(s["kv_used_bytes"] for s in snapshots)
-            demand = sum(s["kv_demand_bytes"] for s in snapshots)
-            capacity = sum(s["kv_capacity_bytes"] for s in snapshots)
-            queued = sum(int(s["num_waiting"]) for s in snapshots)
-        else:
-            # Aggregate-only fast path: identical sums (integer byte counts
-            # are exact in float far beyond any cluster size), no dicts.
-            snapshots = []
-            used = 0.0
-            demand = 0.0
-            capacity = 0.0
-            queued = 0
-            for group in self._group_provider():
-                if group.active:
-                    used += group.kv_used_bytes()
-                    demand += group.kv_demand_bytes()
-                    capacity += group.kv_capacity_bytes()
-                    queued += group.scheduler.num_waiting
+        snapshots = self.snapshot()
+        self.last_snapshots = snapshots
+        used = sum(s["kv_used_bytes"] for s in snapshots)
+        demand = sum(s["kv_demand_bytes"] for s in snapshots)
+        capacity = sum(s["kv_capacity_bytes"] for s in snapshots)
+        queued = sum(int(s["num_waiting"]) for s in snapshots)
         self.metrics.sample_memory(
             now, used_bytes=used, capacity_bytes=capacity, demand_bytes=demand
         )

@@ -93,19 +93,12 @@ class ClusterServingSystem:
         self._build_initial_groups()
 
         self.dispatcher = Dispatcher()
-        # Policies that keep the base no-op tick (vLLM, InferCept) never
-        # read the per-group snapshots, so the monitor can run its
-        # aggregate-only fast path for them.
-        consumes_snapshots = (
-            type(policy).on_monitor_tick is not OverloadPolicy.on_monitor_tick
-        )
         self.monitor = GlobalMonitor(
             self.loop,
             self.metrics,
             group_provider=lambda: self.groups,
             interval_s=config.monitor_interval_s,
             callback=self._on_monitor_tick,
-            collect_snapshots=consumes_snapshots,
         )
         self._submitted = 0
         self._all_requests: List[Request] = []

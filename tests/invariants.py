@@ -26,11 +26,14 @@ The invariants:
 * **span conservation** — trace output (``repro.trace``): every finished
   request has exactly one closed root span, and its stage spans tile the
   root exactly, so stage durations sum to the end-to-end latency.
+* **scheduler aggregates** — a live scheduler's incremental demand
+  counters equal a full rescan of its queues, and the invariants they
+  rest on hold (see :func:`assert_scheduler_aggregates`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable, List, Optional
 
 
 def entry_label(entry: Dict) -> str:
@@ -238,3 +241,52 @@ def assert_document_invariants(document: Dict) -> List[Dict]:
         checked.append(entry)
     assert checked, "document has no entries to check"
     return checked
+
+
+def assert_scheduler_aggregates(scheduler, total_demand: Optional[int] = None) -> None:
+    """A scheduler's demand aggregates equal a full rescan of its queues.
+
+    Recomputes ``queued_demand_tokens`` (remaining prefill of every waiting
+    request plus the context of every swapped one) and
+    ``total_demand_tokens`` (used KV, plus every running request's prefill
+    deficit against the KV it holds, plus queued demand) request by
+    request, and checks the two facts the incremental versions rest on:
+
+    * every running request with ``prefill_progress < prefill_target`` is
+      in the scheduler's prefilling list;
+    * every running request holds at least ``prefill_progress`` KV tokens,
+      so a running request outside that list has no deficit.
+
+    ``total_demand`` is the value a ``total_demand_tokens`` query just
+    returned (so a wrapper around that method can check it without
+    recursing); when omitted the helper queries it.
+    """
+    queued = 0
+    for request in scheduler.waiting:
+        queued += max(0, request.prefill_target - request.prefill_progress)
+    for request in scheduler.swapped:
+        queued += request.context_tokens
+    prefilling = {id(request) for request in scheduler._prefilling}
+    deficit = 0
+    for request in scheduler.running:
+        held = scheduler.kv.tokens_of(request.request_id)
+        assert held >= request.prefill_progress, (
+            f"running request {request.request_id} holds {held} KV tokens, "
+            f"below its prefill progress {request.prefill_progress}"
+        )
+        if request.prefill_progress < request.prefill_target:
+            assert id(request) in prefilling, (
+                f"running request {request.request_id} is mid-prefill "
+                f"({request.prefill_progress}/{request.prefill_target}) but "
+                "missing from the prefilling list"
+            )
+        deficit += max(0, request.prefill_target - held)
+    assert scheduler.queued_demand_tokens() == queued, (
+        f"queued demand {scheduler.queued_demand_tokens()} != rescan {queued}"
+    )
+    if total_demand is None:
+        total_demand = scheduler.total_demand_tokens()
+    expected = scheduler.kv.used_tokens + deficit + queued
+    assert total_demand == expected, (
+        f"total demand {total_demand} != rescan {expected}"
+    )

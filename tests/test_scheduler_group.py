@@ -105,6 +105,17 @@ class TestSchedulerBasics:
         assert scheduler.used_kv_tokens() == 64
         assert scheduler.total_demand_tokens() == 100  # 64 used + 36 still queued
 
+    def test_front_enqueue_and_pop_waiting(self):
+        scheduler = make_scheduler()
+        first, second, urgent = make_request(prompt=10), make_request(prompt=20), make_request(prompt=30)
+        scheduler.add_request(first)
+        scheduler.add_request(second)
+        scheduler.add_request(urgent, front=True)
+        assert list(scheduler.waiting) == [urgent, first, second]
+        assert scheduler.queued_demand_tokens() == 60
+        assert scheduler.pop_waiting() is urgent
+        assert scheduler.queued_demand_tokens() == 30
+
     def test_remove_request(self):
         scheduler = make_scheduler()
         request = make_request(prompt=32)
