@@ -172,18 +172,15 @@ def make_lookahead_former(
         if not microbatches:
             microbatches = [MicroBatch() for _ in range(min(target_microbatches, max(1, len(decode_chunks))))]
 
-        # Decode chunks are homogeneous (one token each); dealing them
-        # round-robin keeps every microbatch's decode work identical so the
-        # cost-balanced prefill split fully determines the balance.  Each
-        # microbatch's dealt tail is the stride slice starting at its index,
-        # and its count and prefix sum let the latency model price it in
-        # closed form.
+        # Decode chunks are homogeneous (one token each); spreading them
+        # evenly keeps every microbatch's decode work identical so the
+        # cost-balanced prefill split fully determines the balance.  The
+        # chunk lists are appended to directly: this round-robin runs once
+        # per running request per iteration.
         num_microbatches = len(microbatches)
-        for index, microbatch in enumerate(microbatches):
-            tail = decode_chunks[index::num_microbatches]
-            microbatch.chunks.extend(tail)
-            microbatch.decode_count = len(tail)
-            microbatch.decode_prefix_sum = sum([chunk.prefix_tokens for chunk in tail])
+        chunk_lists = [microbatch.chunks for microbatch in microbatches]
+        for index, chunk in enumerate(decode_chunks):
+            chunk_lists[index % num_microbatches].append(chunk)
         return [microbatch for microbatch in microbatches if microbatch.chunks]
 
     return former

@@ -94,17 +94,9 @@ class ScheduledChunk:
 
 @dataclass(slots=True)
 class MicroBatch:
-    """A set of chunks executed together on one pipeline stage pass.
-
-    ``decode_count`` and ``decode_prefix_sum`` summarise the run of decode
-    chunks that *ends* ``chunks`` (the lookahead former deals decodes after
-    the prefill pieces); :meth:`LatencyModel.batch_time` prices that run in
-    closed form.  Zero means no summary, not "no decodes".
-    """
+    """A set of chunks executed together on one pipeline stage pass."""
 
     chunks: List[ScheduledChunk] = field(default_factory=list)
-    decode_count: int = 0
-    decode_prefix_sum: int = 0
 
     @property
     def num_chunks(self) -> int:
@@ -133,9 +125,9 @@ class IterationBatch:
     """All work performed by one engine iteration.
 
     ``decode_count`` and ``decode_prefix_sum`` summarise the run of decode
-    chunks that *leads* ``chunks`` (the scheduler schedules decodes first);
-    :meth:`LatencyModel.batch_time` prices that run in closed form.  Zero
-    means no summary, not "no decodes".
+    chunks leading ``chunks`` (the scheduler schedules decodes first);
+    :meth:`LatencyModel.batch_time` prices that run in closed form.  A batch
+    built elsewhere leaves both zero and is priced chunk by chunk.
     """
 
     chunks: List[ScheduledChunk] = field(default_factory=list)

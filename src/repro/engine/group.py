@@ -307,7 +307,6 @@ class ServingGroup:
         )
         for microbatch in microbatches:
             mb_chunks = microbatch.chunks
-            decodes = (microbatch.decode_count, microbatch.decode_prefix_sum)
             row = []
             mb_tokens = -1
             if uniform_stages:
@@ -317,7 +316,7 @@ class ServingGroup:
                     duration = stage_memo.get(key)
                     if duration is None:
                         without_head, with_head, mb_tokens = lat0.batch_time_pair(
-                            mb_chunks, num_layers=key[0], decodes=decodes
+                            mb_chunks, num_layers=key[0]
                         )
                         stage_memo[(key[0], False)] = without_head
                         stage_memo[(key[0], True)] = with_head
@@ -330,7 +329,6 @@ class ServingGroup:
                             mb_chunks,
                             num_layers=max(1, len(self._assignment[stage])),
                             include_lm_head=(stage == last_stage),
-                            decodes=decodes,
                         )
                     )
             stage_times.append(row)

@@ -17,13 +17,17 @@ parameter loads — the effect the ``-(|b_k|-1)γ`` term of Eq. 3 models).
 
 Exactness.  Every per-chunk roofline term is an integer: the per-token
 FLOP and KV-byte constants and ``q_dim`` are ints, and the attention term
-``4n(p + (n+1)/2)qL`` equals ``2n(2p + n + 1)qL``.  While a batch's exact
-FLOP and KV-byte totals stay below 2**53, every partial float sum is an
-exactly representable integer, so the totals do not depend on summation
-order and can be formed in integer arithmetic.  That is what lets a run of
-decode chunks be priced from its count and prefix-token sum alone (the
-scheduler and the lookahead former record both) with results bit-identical
-to summing chunk by chunk.  At or above 2**53 the per-chunk float loop runs.
+``4n(p + (n+1)/2)qL`` equals ``2n(2p + n + 1)qL``.  The batch totals are
+therefore summed as Python ints and converted to float once.  While a
+total stays below 2**53, every partial sum of the per-chunk terms
+(:meth:`LatencyModel.chunk_compute_flops` and the KV-byte methods) added
+as floats is an exactly representable integer, so such a float sum is the
+same in any order and equals the single conversion bit for bit.  That is
+what lets the run of decode chunks leading a scheduled batch be priced
+from its count and prefix-token sum alone (the scheduler records both).
+Totals of 2**53 or more, which no simulated workload reaches (it takes a
+Llama-405B-class batch with multi-million-token prefixes), are rounded
+once, to the float nearest the exact total.
 """
 
 from __future__ import annotations
@@ -37,10 +41,6 @@ from repro.engine.tensor_parallel import tp_layer_comm_time
 from repro.models.memory import kv_bytes_per_token_per_layer, param_bytes_per_layer
 from repro.models.spec import ModelSpec
 from repro.simulation.rng import SeededRNG
-
-#: integer roofline totals below this are exact in float at every step of
-#: any summation order (see the module docstring).
-_EXACT_LIMIT = 2**53
 
 
 @dataclass(frozen=True)
@@ -87,12 +87,6 @@ class LatencyModel:
         self._layer_param_bytes = param_bytes_per_layer(model)
         self._kv_bytes_per_token_layer = kv_bytes_per_token_per_layer(model)
         self._flops_per_token_layer = model.flops_per_token_per_layer()
-        #: the integer path of :meth:`_chunk_totals` needs integral roofline
-        #: constants; every catalog model has them.
-        self._integral = all(
-            type(value) is int
-            for value in (self._flops_per_token_layer, self._kv_bytes_per_token_layer, model.q_dim)
-        )
         #: memo of batch_time results keyed by the batch's shape signature.
         #: Iteration times depend only on chunk shapes, so identical batches
         #: (common in steady-state decode and in profiling sweeps) are
@@ -146,9 +140,9 @@ class LatencyModel:
 
         ``num_layers`` defaults to the full model (non-pipelined execution);
         pipeline stages pass their own layer count.  ``decodes`` is the
-        ``(count, prefix-token sum)`` of a run of decode chunks at the head
-        of ``chunks``, or at its tail when ``chunks`` leads with a prefill
-        chunk; that run is priced in closed form instead of chunk by chunk.
+        ``(count, prefix-token sum)`` of the run of decode chunks leading
+        ``chunks``; that run is priced in closed form instead of chunk by
+        chunk.
         """
         chunk_list = chunks if type(chunks) is list else list(chunks)
         if num_layers is None:
@@ -273,53 +267,25 @@ class LatencyModel:
     ) -> Tuple[float, float, int]:
         """``(FLOPs, KV bytes read and written, new tokens)`` over the chunks.
 
-        Exact integer sums whenever they fit below 2**53 (the module
-        docstring says why that equals the float loop bit for bit); only
-        the chunks outside the ``decodes`` run are visited.  A decode chunk
-        (``n = 1``) contributes ``4(p + 1)`` attention units and ``p + 2``
-        KV units, so the run's share follows from its count and prefix sum.
+        Sums exact integers and converts each total once (the module
+        docstring says why that equals summing per-chunk floats).  The
+        leading ``decodes`` run is not visited: a decode chunk (``n = 1``)
+        contributes ``4(p + 1)`` attention units and ``p + 2`` KV units, so
+        the run's share follows from its count and prefix sum.
         """
         count, prefix_sum = decodes
-        if self._integral:
-            if not count:
-                rest = chunk_list
-            elif chunk_list[0].is_decode:
-                rest = chunk_list[count:]
-            else:
-                rest = chunk_list[: len(chunk_list) - count]
-            tokens = count
-            attn_units = 4 * (prefix_sum + count)
-            kv_units = prefix_sum + 2 * count
-            for chunk in rest:
-                new_tokens = chunk.new_tokens
-                prefix = chunk.prefix_tokens
-                tokens += new_tokens
-                attn_units += 2 * new_tokens * (2 * prefix + new_tokens + 1)
-                kv_units += prefix + 2 * new_tokens
-            flops = (tokens * self._flops_per_token_layer + attn_units * self.model.q_dim) * num_layers
-            kv_bytes = kv_units * self._kv_bytes_per_token_layer * num_layers
-            if flops < _EXACT_LIMIT and kv_bytes < _EXACT_LIMIT:
-                return float(flops), float(kv_bytes), tokens
-
-        # The expressions mirror chunk_compute_flops / chunk_kv_read_bytes /
-        # chunk_kv_write_bytes term for term, in chunk order.
-        flops_per_token_layer = self._flops_per_token_layer
-        kv_bytes_token_layer = self._kv_bytes_per_token_layer
-        q_dim = self.model.q_dim
-        total_flops = 0.0
-        total_bytes = 0.0
-        total_tokens = 0
-        for chunk in chunk_list:
+        tokens = count
+        attn_units = 4 * (prefix_sum + count)
+        kv_units = prefix_sum + 2 * count
+        for chunk in chunk_list[count:] if count else chunk_list:
             new_tokens = chunk.new_tokens
             prefix = chunk.prefix_tokens
-            linear = new_tokens * flops_per_token_layer * num_layers
-            attended = prefix + (new_tokens + 1) / 2.0
-            attn = 4.0 * new_tokens * attended * q_dim * num_layers
-            total_flops += linear + attn
-            total_bytes += (prefix + new_tokens) * kv_bytes_token_layer * num_layers
-            total_bytes += new_tokens * kv_bytes_token_layer * num_layers
-            total_tokens += new_tokens
-        return total_flops, total_bytes, total_tokens
+            tokens += new_tokens
+            attn_units += 2 * new_tokens * (2 * prefix + new_tokens + 1)
+            kv_units += prefix + 2 * new_tokens
+        flops = (tokens * self._flops_per_token_layer + attn_units * self.model.q_dim) * num_layers
+        kv_bytes = kv_units * self._kv_bytes_per_token_layer * num_layers
+        return float(flops), float(kv_bytes), tokens
 
     def prefill_time(self, prompt_tokens: int, *, prefix_tokens: int = 0) -> float:
         """Convenience: full-model time of a single prefill chunk."""

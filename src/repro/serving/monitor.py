@@ -38,8 +38,6 @@ class GlobalMonitor:
         self.interval_s = interval_s
         self.callback = callback
         self._process = PeriodicProcess(loop, interval_s, self._tick, name="global-monitor")
-        #: per-group snapshots of the most recent tick.
-        self.last_snapshots: List[Dict[str, float]] = []
         self.overload_events = 0
 
     def start(self) -> None:
@@ -54,7 +52,6 @@ class GlobalMonitor:
 
     def _tick(self, now: float) -> None:
         snapshots = self.snapshot()
-        self.last_snapshots = snapshots
         used = sum(s["kv_used_bytes"] for s in snapshots)
         demand = sum(s["kv_demand_bytes"] for s in snapshots)
         capacity = sum(s["kv_capacity_bytes"] for s in snapshots)

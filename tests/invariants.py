@@ -28,7 +28,9 @@ The invariants:
   root exactly, so stage durations sum to the end-to-end latency.
 * **scheduler aggregates** — a live scheduler's incremental demand
   counters equal a full rescan of its queues, and the invariants they
-  rest on hold (see :func:`assert_scheduler_aggregates`).
+  rest on hold (see :func:`assert_scheduler_aggregates`); each batch it
+  forms summarises its leading decode run correctly
+  (:func:`assert_decode_summary`).
 """
 
 from __future__ import annotations
@@ -289,4 +291,18 @@ def assert_scheduler_aggregates(scheduler, total_demand: Optional[int] = None) -
     expected = scheduler.kv.used_tokens + deficit + queued
     assert total_demand == expected, (
         f"total demand {total_demand} != rescan {expected}"
+    )
+
+
+def assert_decode_summary(batch) -> None:
+    """A formed batch's ``decode_count`` / ``decode_prefix_sum`` describe
+    the decode chunks leading it, which the latency model prices from
+    those two numbers alone."""
+    lead = batch.chunks[: batch.decode_count]
+    assert len(lead) == batch.decode_count and all(chunk.is_decode for chunk in lead), (
+        f"decode_count {batch.decode_count} does not cover a leading decode run"
+    )
+    prefix_sum = sum(chunk.prefix_tokens for chunk in lead)
+    assert batch.decode_prefix_sum == prefix_sum, (
+        f"decode_prefix_sum {batch.decode_prefix_sum} != {prefix_sum} over the leading run"
     )

@@ -9,7 +9,8 @@ operation sequences on bare schedulers, and once on every query of whole
 simulations whose runs fire each mechanism that moves requests between
 queues — recompute preemption, swap, migration, KunServe drop / KV
 exchange / restore, autoscaler drains, instance failures and cluster
-outages.
+outages.  Every batch formed along the way also has its decode summary
+checked against its chunks (:func:`tests.invariants.assert_decode_summary`).
 """
 
 from __future__ import annotations
@@ -37,27 +38,29 @@ from repro.fleet.sweep import run_fleet_cell
 from repro.memory.paged_kv import PagedKVCache
 from repro.policies import LlumnixPolicy, make_policy
 
-from tests.invariants import assert_scheduler_aggregates
+from tests.invariants import assert_decode_summary, assert_scheduler_aggregates
 from tests.test_chaos import TINY_SCALE
 from tests.test_fleet import build_system
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
 
-#: A BurstGPT replay small enough for the fast tier on which every
-#: policy's mechanism fires: vLLM preempts, InferCept swaps, an eager
-#: Llumnix migrates and KunServe drops parameters, exchanges KV and
-#: restores.
+#: The smallest BurstGPT replay found on which every policy's mechanism
+#: fires: vLLM preempts, InferCept swaps, an eager Llumnix migrates and
+#: KunServe drops parameters, exchanges KV and restores.  The tests
+#: assert each mechanism, so a scale that stops firing one fails loudly.
 BURST_SCALE = ExperimentScale(
-    name="aggregates", num_instances=2, trace_duration_s=30.0,
-    drain_timeout_s=60.0, rate_fraction=1.5,
+    name="aggregates", num_instances=2, trace_duration_s=15.0,
+    drain_timeout_s=45.0, rate_fraction=2.5,
 )
 
 
 @pytest.fixture
 def checked_queries(monkeypatch):
-    """Check every ``total_demand_tokens`` query against the rescan."""
-    seen = {"queries": 0, "with_swapped": 0}
+    """Check every ``total_demand_tokens`` query against the rescan, and
+    every formed batch's decode summary against its chunks."""
+    seen = {"queries": 0, "with_swapped": 0, "decode_batches": 0}
     original = ContinuousBatchingScheduler.total_demand_tokens
+    original_form = ContinuousBatchingScheduler.form_batch
 
     def checked(self):
         total = original(self)
@@ -66,7 +69,14 @@ def checked_queries(monkeypatch):
         seen["with_swapped"] += bool(self.swapped)
         return total
 
+    def checked_form(self, now):
+        batch = original_form(self, now)
+        assert_decode_summary(batch)
+        seen["decode_batches"] += batch.decode_count > 0
+        return batch
+
     monkeypatch.setattr(ContinuousBatchingScheduler, "total_demand_tokens", checked)
+    monkeypatch.setattr(ContinuousBatchingScheduler, "form_batch", checked_form)
     return seen
 
 
@@ -81,6 +91,7 @@ class TestSystemRuns:
         result = run_burst(make_policy("vllm"))
         assert sum(r.preemption_count for r in result.records) > 0
         assert checked_queries["queries"] > 1000
+        assert checked_queries["decode_batches"] > 1000
 
     def test_infercept_swap(self, checked_queries):
         run_burst(make_policy("infercept"))
@@ -177,6 +188,7 @@ def test_random_transitions_keep_aggregates(ops, swap, budget):
             scheduler.add_request(request, front=op == "arrive_front")
         elif op in ("step", "step_migrating"):
             batch = scheduler.form_batch(now)
+            assert_decode_summary(batch)
             now += 0.1
             if op == "step_migrating" and scheduler.running:
                 mover = scheduler.running[pick % len(scheduler.running)]
