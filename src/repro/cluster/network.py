@@ -14,18 +14,27 @@ bandwidth is left.  This is the mechanism KunServe's coordinated exchange
 (§4.2) relies on: KV chunks are submitted at BULK priority so activations
 are never stalled behind them.
 
-Rates are recomputed whenever the set of active transfers at any endpoint
-changes (a fluid-flow approximation), and the single completion event for
-the earliest-finishing transfer is rescheduled accordingly — standard
-progress-based network simulation.
+Active transfers are grouped into *flows* keyed by ``(src, dst,
+priority)``: a transfer's rate depends only on its endpoints' shares at its
+priority, so a flow's members share one rate and advance at the same
+instants.  Each submit, cancel or completion recomputes rates and finds the
+earliest completion per flow, in O(flows + nodes) with per-node counters;
+the only per-transfer work is one subtraction per member when the clock has
+moved.  That step is the very product each member would compute from the
+same rate and elapsed time, and rounding is monotonic, so members stay
+sorted by remaining bytes and every float equals that of advancing each
+transfer on its own.  A single completion event, for the earliest-finishing
+transfer, is rescheduled on every change — standard progress-based network
+simulation.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.simulation.event_loop import Event, EventLoop
 
@@ -39,7 +48,12 @@ class TransferPriority(enum.IntEnum):
 
 @dataclass(slots=True)
 class Transfer:
-    """An in-flight data transfer between two fabric nodes."""
+    """An in-flight data transfer between two fabric nodes.
+
+    While the transfer is active its progress lives in the fabric's flow;
+    ``remaining_bytes`` is written when it leaves the fabric (0 on
+    completion, the bytes still unsent on cancel).
+    """
 
     transfer_id: int
     src: str
@@ -52,8 +66,6 @@ class Transfer:
     remaining_bytes: float = field(init=False)
     submitted_at: float = field(default=0.0)
     completed_at: Optional[float] = field(default=None)
-    current_rate: float = field(default=0.0)
-    _last_update: float = field(default=0.0)
     cancelled: bool = field(default=False)
 
     def __post_init__(self) -> None:
@@ -159,15 +171,51 @@ class CrossClusterLink:
         )
 
 
+class _Flow:
+    """The active transfers from ``src`` to ``dst`` at one priority.
+
+    Every member moves at the flow's ``rate``.  ``remaining`` holds the
+    members' remaining bytes in ascending order, parallel to ``transfers``.
+    """
+
+    __slots__ = ("src", "dst", "high", "rate", "transfers", "remaining")
+
+    def __init__(self, src: str, dst: str, high: bool) -> None:
+        self.src = src
+        self.dst = dst
+        self.high = high
+        self.rate = 0.0
+        self.transfers: List[Transfer] = []
+        self.remaining: List[float] = []
+
+    def index_of(self, transfer: Transfer) -> int:
+        for index, member in enumerate(self.transfers):
+            if member is transfer:
+                return index
+        raise ValueError(f"transfer {transfer.transfer_id} is not in this flow")
+
+
+_PRIORITIES = tuple(TransferPriority)
+
+
 class NetworkFabric:
     """Fluid-flow network model shared by all instances of a cluster."""
 
     def __init__(self, loop: EventLoop) -> None:
         self._loop = loop
         self._node_bandwidth: Dict[str, float] = {}
-        self._active: Dict[int, Transfer] = {}
+        self._flows: Dict[Tuple[str, str, TransferPriority], _Flow] = {}
+        #: active transfer id -> the flow holding it.
+        self._active: Dict[int, _Flow] = {}
+        #: the instant every member's remaining bytes refer to.
+        self._updated_at = 0.0
+        #: per node: endpoints of active transfers, all and ACTIVATION only
+        #: (a self-loop is two endpoints), and distinct active transfers
+        #: touching the node (a self-loop is one).
+        self._endpoints: Dict[str, int] = {}
+        self._high_endpoints: Dict[str, int] = {}
+        self._touching: Dict[str, int] = {}
         self._counter = itertools.count()
-        self.completed_transfers: List[Transfer] = []
         #: single pending completion event, for the transfer that finishes
         #: earliest under the current rates.  Keeping one event instead of
         #: one per transfer avoids O(active) heap churn on every rate change
@@ -184,6 +232,8 @@ class NetworkFabric:
         if bandwidth <= 0:
             raise ValueError(f"bandwidth must be positive, got {bandwidth}")
         self._node_bandwidth[name] = float(bandwidth)
+        for counts in (self._endpoints, self._high_endpoints, self._touching):
+            counts.setdefault(name, 0)
 
     def has_node(self, name: str) -> bool:
         return name in self._node_bandwidth
@@ -232,128 +282,170 @@ class NetworkFabric:
             tag=tag,
             submitted_at=self._loop.now,
         )
-        transfer._last_update = self._loop.now
         if size_bytes <= 0:
             # Zero-byte transfers complete immediately (still asynchronously,
             # so callers see a uniform callback discipline).
             self._loop.schedule(0.0, lambda t=transfer: self._finish(t))
             return transfer
-        self._active[transfer.transfer_id] = transfer
+        # Bring the members up to now first: the newcomer has moved nothing.
+        self._advance_progress()
+        key = (src, dst, priority)
+        flow = self._flows.get(key)
+        if flow is None:
+            flow = self._flows[key] = _Flow(
+                src, dst, priority == TransferPriority.ACTIVATION
+            )
+        remaining = transfer.remaining_bytes
+        index = bisect_right(flow.remaining, remaining)
+        flow.remaining.insert(index, remaining)
+        flow.transfers.insert(index, transfer)
+        self._active[transfer.transfer_id] = flow
+        self._count(flow, 1)
         self._recompute_rates()
         return transfer
 
     def cancel(self, transfer: Transfer) -> None:
         """Abort an in-flight transfer; its callback will not run."""
-        if transfer.transfer_id not in self._active:
+        flow = self._active.get(transfer.transfer_id)
+        if flow is None:
             return
         transfer.cancelled = True
         self._advance_progress()
-        del self._active[transfer.transfer_id]
+        transfer.remaining_bytes = self._remove(flow, flow.index_of(transfer))
         self._recompute_rates()
-
-    def active_transfers(self, node: Optional[str] = None) -> List[Transfer]:
-        """Transfers currently in flight, optionally filtered to one node."""
-        transfers = list(self._active.values())
-        if node is None:
-            return transfers
-        return [t for t in transfers if t.src == node or t.dst == node]
 
     def estimate_transfer_time(
         self, src: str, dst: str, size_bytes: float, *, exclusive: bool = True
     ) -> float:
-        """Lower-bound time to move ``size_bytes`` between two nodes.
+        """Time to move ``size_bytes`` between two nodes.
 
-        With ``exclusive=True`` the estimate assumes the transfer gets the
-        whole link; otherwise it accounts for the currently active
-        transfers' shares.
+        With ``exclusive=True`` the estimate is a lower bound: the transfer
+        gets the whole link.  Otherwise it divides the link among the
+        transfer and every active transfer touching either node, whatever
+        their priority.
         """
         bandwidth = min(self._node_bandwidth[src], self._node_bandwidth[dst])
         if exclusive:
             return size_bytes / bandwidth
-        contenders = 1 + len(
-            {t.transfer_id for t in self.active_transfers(src)}
-            | {t.transfer_id for t in self.active_transfers(dst)}
-        )
+        touching = self._touching
+        if src == dst:
+            contenders = 1 + touching[src]
+        else:
+            # Transfers between the two nodes touch both; count them once.
+            contenders = (
+                1 + touching[src] + touching[dst]
+                - self._pair_count(src, dst) - self._pair_count(dst, src)
+            )
         return size_bytes * contenders / bandwidth
 
     # ------------------------------------------------------------------
     # Internal fluid-flow machinery
     # ------------------------------------------------------------------
+    def _pair_count(self, src: str, dst: str) -> int:
+        """Active transfers from ``src`` to ``dst``, at any priority."""
+        count = 0
+        for priority in _PRIORITIES:
+            flow = self._flows.get((src, dst, priority))
+            if flow is not None:
+                count += len(flow.transfers)
+        return count
+
+    def _count(self, flow: _Flow, delta: int) -> None:
+        """Add ``delta`` members of ``flow`` to the per-node counters."""
+        src = flow.src
+        dst = flow.dst
+        self._endpoints[src] += delta
+        self._endpoints[dst] += delta
+        if flow.high:
+            self._high_endpoints[src] += delta
+            self._high_endpoints[dst] += delta
+        self._touching[src] += delta
+        if dst != src:
+            self._touching[dst] += delta
+
+    def _remove(self, flow: _Flow, index: int) -> float:
+        """Take member ``index`` out of ``flow``; returns its remaining bytes."""
+        transfer = flow.transfers.pop(index)
+        remaining = flow.remaining.pop(index)
+        del self._active[transfer.transfer_id]
+        self._count(flow, -1)
+        if not flow.transfers:
+            del self._flows[(transfer.src, transfer.dst, transfer.priority)]
+        return remaining
+
     def _advance_progress(self) -> None:
         """Apply the current rates to all active transfers up to `now`."""
         now = self._loop.now
-        for transfer in self._active.values():
-            elapsed = now - transfer._last_update
-            if elapsed > 0:
-                transfer.remaining_bytes = max(
-                    0.0, transfer.remaining_bytes - transfer.current_rate * elapsed
-                )
-            transfer._last_update = now
+        elapsed = now - self._updated_at
+        self._updated_at = now
+        if elapsed <= 0:
+            return
+        for flow in self._flows.values():
+            step = flow.rate * elapsed
+            remaining = [r - step for r in flow.remaining]
+            if not remaining[0] > 0.0:
+                # The order survives the subtraction, so the members that
+                # ran dry form a prefix: clamp only that.
+                for index, value in enumerate(remaining):
+                    if value > 0.0:
+                        break
+                    remaining[index] = 0.0
+            flow.remaining = remaining
+
+    def _share(self, node: str, high: bool) -> float:
+        """A transfer's share of ``node`` at its priority class."""
+        bandwidth = self._node_bandwidth[node]
+        busy = self._high_endpoints[node]
+        if high:
+            return bandwidth / max(1, busy)
+        # Bulk transfers share the bandwidth left over after the
+        # high-priority class; we conservatively give the high class
+        # 90% of the node while it is active.
+        leftover = bandwidth * (0.1 if busy > 0 else 1.0)
+        return leftover / max(1, self._endpoints[node] - busy)
 
     def _recompute_rates(self) -> None:
-        """Recompute every active transfer's rate and completion event.
+        """Recompute every flow's rate and re-arm the completion event.
 
-        Runs on every submit/complete/cancel with O(active) cost, so the
-        two passes are kept tight: the endpoint counting is unrolled (no
-        per-transfer tuple), and progress advancement is fused into the
-        rate-assignment pass (each transfer's advance only reads its own
-        pre-recompute rate, so fusing is result-identical to advancing all
-        transfers first).
+        Runs on every submit/complete/cancel with O(flows + nodes) cost,
+        plus one subtraction per active transfer if the clock has moved
+        since the last update.
         """
-        now = self._loop.now
-        active = self._active
-        # Count per-node demand at each priority level.  Per-node *share*
-        # is then computed once per (node, priority) instead of once per
-        # transfer endpoint.
-        per_node_high: Dict[str, int] = {}
-        per_node_total: Dict[str, int] = {}
-        total_get = per_node_total.get
-        high_get = per_node_high.get
-        activation = TransferPriority.ACTIVATION
-        for transfer in active.values():
-            src = transfer.src
-            dst = transfer.dst
-            per_node_total[src] = total_get(src, 0) + 1
-            per_node_total[dst] = total_get(dst, 0) + 1
-            if transfer.priority == activation:
-                per_node_high[src] = high_get(src, 0) + 1
-                per_node_high[dst] = high_get(dst, 0) + 1
-
-        high_share: Dict[str, float] = {}
-        bulk_share: Dict[str, float] = {}
-        node_bandwidth = self._node_bandwidth
-        for node, total in per_node_total.items():
-            bandwidth = node_bandwidth[node]
-            high = high_get(node, 0)
-            high_share[node] = bandwidth / max(1, high)
-            # Bulk transfers share the bandwidth left over after the
-            # high-priority class; we conservatively give the high class
-            # 90% of the node while it is active.
-            leftover = bandwidth * (0.1 if high > 0 else 1.0)
-            bulk_share[node] = leftover / max(1, total - high)
-
+        self._advance_progress()
         # Pick the transfer that completes earliest under the new rates and
-        # keep a single completion event for it.  Ties resolve to the first
-        # transfer in insertion order, matching the seq tie-break the heap
-        # applied when every transfer carried its own event.
+        # keep a single completion event for it.  Ties resolve to the lowest
+        # transfer id (the first submitted), matching the seq tie-break the
+        # heap applied when every transfer carried its own event.
         next_transfer: Optional[Transfer] = None
         next_eta = 0.0
-        for transfer in active.values():
-            elapsed = now - transfer._last_update
-            if elapsed > 0:
-                remaining = transfer.remaining_bytes - transfer.current_rate * elapsed
-                transfer.remaining_bytes = remaining if remaining > 0.0 else 0.0
-            transfer._last_update = now
-            share = high_share if transfer.priority == activation else bulk_share
-            src_share = share[transfer.src]
-            dst_share = share[transfer.dst]
+        share = self._share
+        for flow in self._flows.values():
+            src_share = share(flow.src, flow.high)
+            dst_share = share(flow.dst, flow.high)
             rate = src_share if src_share <= dst_share else dst_share
-            transfer.current_rate = rate
+            flow.rate = rate
             if rate <= 0:
                 continue
-            eta = transfer.remaining_bytes / rate
-            if next_transfer is None or eta < next_eta:
-                next_transfer = transfer
+            remaining = flow.remaining
+            eta = remaining[0] / rate
+            if next_transfer is not None and eta > next_eta:
+                continue
+            # Division is monotonic, so the members finishing at ``eta``
+            # form a prefix; distinct remainders can still round to the
+            # same ETA, so take the lowest id across all of it.
+            transfers = flow.transfers
+            first = transfers[0]
+            for index in range(1, len(remaining)):
+                if remaining[index] / rate != eta:
+                    break
+                if transfers[index].transfer_id < first.transfer_id:
+                    first = transfers[index]
+            if (
+                next_transfer is None
+                or eta < next_eta
+                or first.transfer_id < next_transfer.transfer_id
+            ):
+                next_transfer = first
                 next_eta = eta
 
         if self._next_completion is not None:
@@ -368,14 +460,16 @@ class NetworkFabric:
 
     def _maybe_complete(self, transfer: Transfer) -> None:
         self._next_completion = None
-        if transfer.transfer_id not in self._active:
+        flow = self._active.get(transfer.transfer_id)
+        if flow is None:
             # Stale event (the transfer was cancelled); re-arm the chain for
             # the remaining transfers.
             self._recompute_rates()
             return
         self._advance_progress()
-        remaining = transfer.remaining_bytes
-        rate = transfer.current_rate
+        index = flow.index_of(transfer)
+        remaining = flow.remaining[index]
+        rate = flow.rate
         now = self._loop.now
         if remaining > 1e-6 and rate > 0 and now + remaining / rate > now:
             # Floating-point residue the advance underestimated, and the
@@ -384,14 +478,13 @@ class NetworkFabric:
             self._recompute_rates()
             return
         # Done — or a sub-ulp residue that could never advance the clock.
-        del self._active[transfer.transfer_id]
+        self._remove(flow, index)
         self._finish(transfer)
         self._recompute_rates()
 
     def _finish(self, transfer: Transfer) -> None:
         transfer.remaining_bytes = 0.0
         transfer.completed_at = self._loop.now
-        self.completed_transfers.append(transfer)
         if self.tracer is not None:
             self.tracer.on_transfer(transfer)
         if transfer.on_complete is not None:
