@@ -12,7 +12,7 @@ done (token-count based vs. lookahead cost-balanced) is the subject of §4.3.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List
+from typing import Iterable, List, Optional
 
 from repro.engine.request import Request
 
@@ -60,11 +60,6 @@ class ScheduledChunk:
             f"prefix_tokens={self.prefix_tokens}, new_tokens={self.new_tokens}, "
             f"is_decode={self.is_decode})"
         )
-
-    @property
-    def total_context(self) -> int:
-        """Context length after this chunk executes."""
-        return self.prefix_tokens + self.new_tokens
 
     def split(self, first_tokens: int) -> tuple["ScheduledChunk", "ScheduledChunk"]:
         """Split a prefill chunk into two consecutive chunks.
@@ -125,21 +120,31 @@ class IterationBatch:
     """All work performed by one engine iteration.
 
     ``decode_count`` and ``decode_prefix_sum`` summarise the run of decode
-    chunks leading ``chunks`` (the scheduler schedules decodes first);
-    :meth:`LatencyModel.batch_time` prices that run in closed form.  A batch
-    built elsewhere leaves both zero and is priced chunk by chunk.
+    chunks leading ``chunks`` (the scheduler schedules decodes first, one
+    per request); :meth:`LatencyModel.batch_time` prices that run in closed
+    form and ``complete_batch`` walks it without per-chunk branching.  The
+    scheduler also records the batch's new-token count (the token budget it
+    spent) and request count as it forms the batch.  A batch built
+    elsewhere leaves the summary zero and the counts ``None``; it is priced
+    and counted chunk by chunk.
     """
 
     chunks: List[ScheduledChunk] = field(default_factory=list)
     decode_count: int = 0
     decode_prefix_sum: int = 0
+    new_token_count: Optional[int] = None
+    request_count: Optional[int] = None
 
     @property
     def total_new_tokens(self) -> int:
+        if self.new_token_count is not None:
+            return self.new_token_count
         return sum(c.new_tokens for c in self.chunks)
 
     @property
     def num_requests(self) -> int:
+        if self.request_count is not None:
+            return self.request_count
         return len({c.request.request_id for c in self.chunks})
 
     @property

@@ -41,7 +41,6 @@ class RequestRecord:
     slo_class: str
     ttft: Optional[float]
     mean_tpot: Optional[float]
-    tpot_values: List[float]
     finish_time: Optional[float]
     e2e_latency: Optional[float]
     preemption_count: int
@@ -51,12 +50,6 @@ class RequestRecord:
 
     @classmethod
     def from_request(cls, request: Request) -> "RequestRecord":
-        # ``tpot_values`` builds an O(output_tokens) diff list; computing it
-        # once and deriving the mean here (instead of touching the
-        # ``mean_tpot`` property, which would rebuild it) halves the cost of
-        # recording a finished request.
-        tpot_values = request.tpot_values
-        mean_tpot = sum(tpot_values) / len(tpot_values) if tpot_values else None
         return cls(
             request_id=request.request_id,
             arrival_time=request.arrival_time,
@@ -64,8 +57,7 @@ class RequestRecord:
             output_tokens=request.output_tokens,
             slo_class=request.slo_class,
             ttft=request.ttft,
-            mean_tpot=mean_tpot,
-            tpot_values=tpot_values,
+            mean_tpot=request.mean_tpot,
             finish_time=request.finish_time,
             e2e_latency=request.e2e_latency,
             preemption_count=request.preemption_count,

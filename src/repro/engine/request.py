@@ -9,8 +9,9 @@ re-prefill), ``SWAPPED`` (KV in host DRAM), ``MIGRATING`` (KV moving to
 another instance) or ``EXCHANGING`` (KV being redistributed after a
 parameter drop).
 
-The request also records every token emission time so TTFT / TPOT metrics
-can be computed exactly as the paper defines them.
+The request keeps the time of its first and latest token and a running sum
+of the gaps between consecutive tokens, so TTFT and mean TPOT are exact as
+the paper defines them without storing a time per token.
 """
 
 from __future__ import annotations
@@ -18,7 +19,11 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import TYPE_CHECKING, Optional
+
+if TYPE_CHECKING:
+    from repro.engine.batch import ScheduledChunk
+    from repro.memory.paged_kv import BlockTable
 
 _request_counter = itertools.count()
 
@@ -40,11 +45,19 @@ class Request:
     """One inference request.
 
     Requests compare (and hash) by identity: every submitted request is a
-    distinct object, and the scheduler's queue-membership checks sit on the
-    simulation's hottest path, where a generated field-by-field ``__eq__``
-    (which would compare the ever-growing ``token_times`` list) dominates
-    the run time.  Slotted for the same reason: nearly every hot loop reads
-    request fields, and slot access skips the per-instance dict.
+    distinct object, and the scheduler's queue-membership checks (list
+    ``remove`` / ``in`` on its running lists) would otherwise run a
+    generated field-by-field ``__eq__`` per element.  Slotted because
+    nearly every hot loop reads request fields, and slot access skips the
+    per-instance dict.
+
+    Per-token state is a handful of scalars, updated in place: the output
+    token count, the first and latest token times, and ``tpot_sum``, the
+    gaps between consecutive tokens added left to right as they are
+    emitted.  ``mean_tpot`` divides that sum by the number of gaps: the
+    mean of the gap list summed left to right, the same on every
+    interpreter (from Python 3.12 the builtin ``sum`` compensates, so it
+    is not used here).
 
     Attributes:
         request_id: unique id (auto-assigned when negative).
@@ -90,7 +103,17 @@ class Request:
     first_scheduled_time: Optional[float] = None
     first_token_time: Optional[float] = None
     finish_time: Optional[float] = None
-    token_times: List[float] = field(default_factory=list)
+    #: emission time of the latest output token.
+    last_token_time: Optional[float] = None
+    #: sum of the gaps between consecutive output tokens, accumulated in
+    #: emission order.
+    tpot_sum: float = 0.0
+
+    # --- scheduler scratch ------------------------------------------------
+    #: the reusable decode chunk and KV block table the owning scheduler
+    #: keeps for this request while it decodes there (``None`` otherwise).
+    decode_chunk: Optional["ScheduledChunk"] = field(default=None, init=False, repr=False)
+    decode_table: Optional["BlockTable"] = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.request_id < 0:
@@ -160,10 +183,13 @@ class Request:
 
     def record_output_token(self, now: float) -> None:
         """Account one generated token emitted at time ``now``."""
-        if self.first_token_time is None:
+        last = self.last_token_time
+        if last is None:
             self.first_token_time = now
+        else:
+            self.tpot_sum += now - last
+        self.last_token_time = now
         self.output_tokens += 1
-        self.token_times.append(now)
         if self.output_tokens >= self.max_output_tokens:
             self.state = RequestState.FINISHED
             self.finish_time = now
@@ -191,26 +217,11 @@ class Request:
         return self.first_token_time - self.arrival_time
 
     @property
-    def tpot_values(self) -> List[float]:
-        """Per-output-token latencies after the first token."""
-        times = self.token_times
-        if len(times) < 2:
-            return []
-        # Pairwise diff without materialising the two slice copies.
-        it = iter(times)
-        prev = next(it)
-        values = []
-        for t in it:
-            values.append(t - prev)
-            prev = t
-        return values
-
-    @property
     def mean_tpot(self) -> Optional[float]:
-        values = self.tpot_values
-        if not values:
+        """Mean gap between consecutive output tokens (None below two)."""
+        if self.output_tokens < 2:
             return None
-        return sum(values) / len(values)
+        return self.tpot_sum / (self.output_tokens - 1)
 
     @property
     def e2e_latency(self) -> Optional[float]:

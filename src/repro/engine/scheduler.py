@@ -16,6 +16,7 @@ import enum
 from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Deque, Dict, List, Optional
 
 from repro.engine.batch import IterationBatch, ScheduledChunk
@@ -90,36 +91,35 @@ class ContinuousBatchingScheduler:
         self.waiting: Deque[Request] = deque()
         self.running: List[Request] = []
         self.swapped: List[Request] = []
-        #: ids of requests in ``running`` — membership tests happen per
-        #: candidate per iteration, so they must be O(1), not list scans.
+        #: ids of requests in ``running``, for O(1) membership tests.
         self._running_ids: set[int] = set()
-        #: one reusable ``(chunk, table)`` pair per request: a running
-        #: request decodes for hundreds of iterations and only its prefix
-        #: changes between them, so the chunk object is recycled instead of
-        #: reallocated, and its block table rides along to spare a lookup.
-        #: Consumers (latency model, completion, tracer, listeners) all read
-        #: chunks within the iteration that scheduled them, before the next
-        #: ``form_batch`` can touch the prefix again.  Entries are dropped in
-        #: ``_remove_running``: every path that can replace a request's block
-        #: table (preemption, swap-out, migration, finish) leaves the running
-        #: set first, so a live entry's table is always current.
-        self._decode_chunks: Dict[int, tuple] = {}
         #: ``running`` maintained in FCFS order ``(arrival_time, request_id)``.
-        #: Batch formation and victim selection consume the running set in
-        #: priority order every iteration; keeping a sorted sibling list
-        #: (updated on the rare add/remove) replaces a per-iteration sort.
+        #: Victim selection scans the running set in priority order (batch
+        #: formation walks the same order, split in the two lists below);
+        #: keeping sorted sibling lists (updated on the rare add/remove)
+        #: replaces a per-iteration sort.
         #: ``running`` itself keeps insertion order because reconfiguration
         #: paths (KV exchange, fault recovery, group transfers) iterate it
         #: in that order and their outcomes depend on it.
         self._running_fcfs: List[Request] = []
-        #: running requests still prefilling, FCFS-sorted like
-        #: ``_running_fcfs``.  Entered on ``_add_running`` when
-        #: ``prefill_progress < prefill_target``; left on ``_remove_running``
-        #: or when ``complete_batch`` finishes the prefill.  Demand queries
-        #: and the running-prefill pass visit only this list: a running
-        #: request holds at least ``prefill_progress`` KV tokens, so one
-        #: whose prefill is done has no deficit.
+        #: ``_running_fcfs`` split in two FCFS-sorted lists: every running
+        #: request is in exactly one.  ``_prefilling`` holds those whose
+        #: prefill is unfinished, ``_decoding`` those whose prefill is done.
+        #: A request enters one on ``_add_running`` by its prefill state,
+        #: leaves on ``_remove_running``, and moves from the first to the
+        #: second when ``complete_batch`` finishes its prefill.  Demand
+        #: queries and the running-prefill pass visit only ``_prefilling``
+        #: (a running request holds at least ``prefill_progress`` KV tokens,
+        #: so one whose prefill is done has no deficit); the decode pass
+        #: walks only ``_decoding``.
+        #:
+        #: One transition happens outside this scheduler: a request adopted
+        #: mid-prefill whose prefill its previous owner's in-flight
+        #: iteration then finishes (migration, KV exchange).  That owner's
+        #: ``complete_batch`` cannot reach these lists, so ``form_batch``
+        #: promotes such entries before its decode pass.
         self._prefilling: List[Request] = []
+        self._decoding: List[Request] = []
         #: KV tokens each waiting or swapped request will need to start,
         #: stored at enqueue and subtracted at dequeue, and their sum: the
         #: dispatcher queries demand for every group on every arrival, so it
@@ -192,15 +192,38 @@ class ContinuousBatchingScheduler:
         self._running_ids.add(request.request_id)
         if request.prefill_progress < request.prefill_target:
             insort(self._prefilling, request, key=_fcfs_key)
+        else:
+            self._start_decoding(request)
 
     def _remove_running(self, request: Request) -> None:
         if request.request_id in self._running_ids:
             self.running.remove(request)
             self._running_fcfs.remove(request)
             self._running_ids.discard(request.request_id)
-            self._decode_chunks.pop(request.request_id, None)
             if request in self._prefilling:
                 self._prefilling.remove(request)
+            else:
+                self._decoding.remove(request)
+            request.decode_chunk = None
+            request.decode_table = None
+
+    def _start_decoding(self, request: Request) -> None:
+        """Enter ``request``, whose prefill is done, into ``_decoding``.
+
+        It holds its block table from here: every path that can free or
+        replace the table (preemption, swap-out, migration, finish) leaves
+        the running set first, which drops the held one.
+        """
+        insort(self._decoding, request, key=_fcfs_key)
+        request.decode_table = self.kv._tables.get(request.request_id)
+
+    def _promote_prefilled(self) -> None:
+        """Move ``_prefilling`` entries whose prefill is done to
+        ``_decoding``: those whose previous owner finished the prefill."""
+        done = [r for r in self._prefilling if r.prefill_progress >= r.prefill_target]
+        for request in done:
+            self._prefilling.remove(request)
+            self._start_decoding(request)
 
     def is_running(self, request: Request) -> bool:
         """O(1) membership test against the running list."""
@@ -247,15 +270,6 @@ class ContinuousBatchingScheduler:
                 running_remaining += deficit
         return self.kv.used_tokens + running_remaining + self._queued_demand
 
-    def has_pending_work(self, now: float) -> bool:
-        """Is there any work that could be scheduled at or after ``now``?"""
-        if self.waiting:
-            return True
-        for request in self.running:
-            if not request.finished:
-                return True
-        return bool(self.swapped)
-
     def next_stall_expiry(self, now: float) -> Optional[float]:
         """Earliest future time at which a stalled request becomes runnable."""
         times = [
@@ -275,128 +289,108 @@ class ContinuousBatchingScheduler:
         budget = self.config.token_budget
 
         self._try_swap_in(now)
+        self._promote_prefilled()
 
         budget = self._schedule_decodes(batch, budget, now)
         budget = self._schedule_running_prefills(batch, budget, now)
-        self._admit_waiting(batch, budget, now)
+        budget = self._admit_waiting(batch, budget, now)
+        # Each request contributes at most one chunk: a decode, a running
+        # prefill, or the admission of a waiting request (a request
+        # preempted by the decode pass was never given a chunk before).
+        batch.new_token_count = self.config.token_budget - budget
+        batch.request_count = len(batch.chunks)
         return batch
 
     def _schedule_decodes(self, batch: IterationBatch, budget: int, now: float) -> int:
-        # The hottest loop of the simulation: one pass per running request
-        # per iteration.  ``_running_fcfs`` is already in FCFS order (no
-        # per-iteration sort), the state checks inline the ``prefill_done``
-        # / ``finished`` / ``is_stalled`` properties, and the one-token KV
-        # grow goes through the allocator's ``append_token`` fast path.  The
+        # The hottest loop of the simulation: one step per decoding request
+        # per iteration, allocating nothing after a request's first decode
+        # here.  ``_decoding`` is already in
+        # FCFS order and holds only requests whose prefill is done.  Each
+        # holds its KV block table (from when it entered the list) and its
+        # decode chunk (from its first decode here), both dropped when it
+        # leaves running, so the one-token KV grow touches no dict and the
+        # chunk is recycled.  Consumers of a chunk (latency model,
+        # completion, tracer, listeners) all read it within the iteration
+        # that scheduled it, before the next ``form_batch`` can touch its
+        # prefix again.  The used-token count of grows that take no new
+        # block is added once, before any slow path and at the end.  The
         # pass runs first, on an empty batch, and records the count and
         # prefix sum of the decodes it appends for the latency model.
+        #
+        # A preemption inside the walk removes entries from ``_decoding``:
+        # victims rank strictly behind the current request, so the walk
+        # simply never reaches them; a request that preempts itself does so
+        # because no unfinished running request ranks behind it, so nothing
+        # after it could decode and the walk stops.
         finished_state = RequestState.FINISHED
-        candidates = [
-            r
-            for r in self._running_fcfs
-            if r.prefill_progress >= r.prefill_target
-            and r.state is not finished_state
-            and now >= r.stall_until
-        ]
         kv = self.kv
-        tables = kv._tables
         block_size = kv.block_size
-        running_ids = self._running_ids
         chunk_append = batch.chunks.append
-        decode_chunks = self._decode_chunks
-        # Candidates are all running when the pass starts; only a preemption
-        # inside this loop can evict one, so the membership re-check is
-        # skipped until the first eviction happens.
-        evicted = False
+        appended = 0
         prefix_sum = 0
-        for request in candidates:
-            if budget <= 0:
-                break
-            rid = request.request_id
-            if evicted and rid not in running_ids:
-                # Already evicted earlier in this pass to make room for a
-                # higher-priority request.
+        for request in self._decoding:
+            if request.state is finished_state or now < request.stall_until:
                 continue
-            entry = decode_chunks.get(rid)
-            if entry is not None and entry[0].request is request:
-                chunk, table = entry
-                # Steady-state decode: the cached table is current (entries
-                # are invalidated whenever the request leaves running), so
-                # the one-token KV grow touches no dict at all.
-                if table.num_tokens < table.num_blocks * block_size:
-                    table.num_tokens += 1
-                    kv._used_tokens += 1
-                elif kv._used_blocks < kv._num_blocks:
-                    table.num_blocks += 1
-                    table.num_tokens += 1
-                    kv._used_blocks += 1
-                    kv._used_tokens += 1
-                else:
-                    if not self._make_room(request, 1, now):
-                        # No lower-priority victim exists: the request itself
-                        # is the lowest priority one, so it gets preempted
-                        # (vLLM's behaviour) rather than holding memory.
-                        self.memory_blocked = True
-                        self._preempt(request, now)
-                        evicted = True
-                        continue
-                    evicted = True
-                    if rid not in running_ids:
-                        continue
-                    kv.allocate(rid, 1)
-                beyond = request.prompt_tokens + request.output_tokens - request.prefill_target
-                prefix = request.prefill_progress + (beyond if beyond > 0 else 0)
-                chunk.prefix_tokens = prefix
-                prefix_sum += prefix
-                chunk_append(chunk)
-                budget -= 1
-                continue
-            # First decode of this request since it (re-)entered running:
-            # inlined ``kv.append_token(rid)`` with the table looked up once.
-            table = tables.get(rid)
+            table = request.decode_table
             if table is not None and table.num_tokens < table.num_blocks * block_size:
                 table.num_tokens += 1
-                kv._used_tokens += 1
+                appended += 1
             elif table is not None and kv._used_blocks < kv._num_blocks:
                 table.num_blocks += 1
                 table.num_tokens += 1
                 kv._used_blocks += 1
-                kv._used_tokens += 1
-            elif kv.append_token(rid) is None:
-                if not self._make_room(request, 1, now):
-                    self.memory_blocked = True
-                    self._preempt(request, now)
-                    evicted = True
-                    continue
-                evicted = True
-                if rid not in running_ids:
-                    continue
-                kv.allocate(rid, 1)
-            # Inlined ``request.context_tokens`` (prefix before this token).
-            beyond = request.prompt_tokens + request.output_tokens - request.prefill_target
-            prefix = request.prefill_progress + (beyond if beyond > 0 else 0)
-            chunk = ScheduledChunk(request, prefix, 1, True)
-            table = tables.get(rid)
-            decode_chunks[rid] = (chunk, table)
+                appended += 1
+            else:
+                kv._used_tokens += appended
+                appended = 0
+                if not self._append_decode_token(request, now):
+                    break
+            # ``context_tokens`` of a request whose prefill is done: its
+            # prefill target never exceeds prompt plus generated tokens.
+            prefix = request.prompt_tokens + request.output_tokens
+            chunk = request.decode_chunk
+            if chunk is None:
+                chunk = ScheduledChunk(request, prefix, 1, True)
+                request.decode_chunk = chunk
+            else:
+                chunk.prefix_tokens = prefix
             prefix_sum += prefix
             chunk_append(chunk)
             budget -= 1
+            if budget <= 0:
+                break
+        kv._used_tokens += appended
         batch.decode_count = len(batch.chunks)
         batch.decode_prefix_sum = prefix_sum
         return budget
 
+    def _append_decode_token(self, request: Request, now: float) -> bool:
+        """The decode pass's slow path: grow ``request``'s KV by one token
+        when the cache is full (or the request holds no KV yet).
+
+        Preempts lower-priority requests to make room.  When none is left,
+        the request itself is the lowest-priority one and is preempted
+        (vLLM's behaviour) rather than holding memory; returns False then.
+        """
+        kv = self.kv
+        rid = request.request_id
+        if request.decode_table is not None or kv.append_token(rid) is None:
+            if not self._make_room(request, 1, now):
+                self.memory_blocked = True
+                self._preempt(request, now)
+                return False
+            kv.allocate(rid, 1)
+        request.decode_table = kv._tables[rid]
+        return True
+
     def _schedule_running_prefills(self, batch: IterationBatch, budget: int, now: float) -> int:
         # ``_prefilling`` holds, in FCFS order, every running request whose
-        # prefill is unfinished; the filter drops the rare entry whose
-        # prefill an iteration of its previous owner finished.
-        candidates = [
-            r
-            for r in self._prefilling
-            if r.prefill_progress < r.prefill_target and now >= r.stall_until
-        ]
-        for request in candidates:
+        # prefill is unfinished (``form_batch`` promoted the rest); nothing
+        # in this pass adds or removes running requests.
+        for request in self._prefilling:
             if budget <= 0:
                 break
-            if not self.is_running(request):
+            if now < request.stall_until:
                 continue
             chunk_tokens = min(budget, request.remaining_prefill_tokens)
             chunk_tokens = self._fit_to_memory(request, chunk_tokens)
@@ -530,34 +524,45 @@ class ContinuousBatchingScheduler:
     def complete_batch(self, batch: IterationBatch, end_time: float) -> List[Request]:
         """Apply the effects of an executed batch; returns finished requests."""
         finished: List[Request] = []
-        finished_ids: set[int] = set()
         finished_state = RequestState.FINISHED
+        chunks = batch.chunks
+        # The leading decode run holds one chunk per request: inlined
+        # ``request.record_output_token(end_time)``, one step per generated
+        # token of the whole simulation.  A request finishes exactly when
+        # its count reaches ``max_output_tokens`` (a finished request's
+        # count never drops below it).
+        for chunk in islice(chunks, batch.decode_count):
+            request = chunk.request
+            last = request.last_token_time
+            if last is None:
+                request.first_token_time = end_time
+            else:
+                request.tpot_sum += end_time - last
+            request.last_token_time = end_time
+            tokens = request.output_tokens + 1
+            request.output_tokens = tokens
+            if tokens >= request.max_output_tokens:
+                request.state = finished_state
+                request.finish_time = end_time
+                finished.append(request)
         prefilling = self._prefilling
-        for chunk in batch.chunks:
+        for chunk in chunks[batch.decode_count:]:
             request = chunk.request
             if chunk.is_decode:
-                # Inlined ``request.record_output_token(end_time)``: one call
-                # per generated token of the whole simulation.
-                if request.first_token_time is None:
-                    request.first_token_time = end_time
-                tokens = request.output_tokens + 1
-                request.output_tokens = tokens
-                request.token_times.append(end_time)
-                if tokens >= request.max_output_tokens:
-                    request.state = finished_state
-                    request.finish_time = end_time
+                request.record_output_token(end_time)
             else:
                 request.record_prefill(chunk.new_tokens, end_time)
                 if request.prefill_progress >= request.prefill_target:
                     # A request migrated away while this iteration ran is
-                    # in the new owner's list, not in this one.
+                    # in the new owner's list, not in this one; the new
+                    # owner promotes it when it next forms a batch.
                     if request in prefilling:
                         prefilling.remove(request)
+                        self._start_decoding(request)
                     if request.output_tokens == 0:
                         request.record_output_token(end_time)
-            if request.state is finished_state and request.request_id not in finished_ids:
+            if request.state is finished_state and request not in finished:
                 finished.append(request)
-                finished_ids.add(request.request_id)
         for request in finished:
             self.kv.free(request.request_id)
             self._remove_running(request)

@@ -28,9 +28,10 @@ The invariants:
   root exactly, so stage durations sum to the end-to-end latency.
 * **scheduler aggregates** — a live scheduler's incremental demand
   counters equal a full rescan of its queues, and the invariants they
-  rest on hold (see :func:`assert_scheduler_aggregates`); each batch it
-  forms summarises its leading decode run correctly
-  (:func:`assert_decode_summary`).
+  rest on hold, as do its prefilling/decoding split and the decode state
+  each running request holds (see :func:`assert_scheduler_aggregates`);
+  each batch it forms summarises its leading decode run and its token
+  and request counts correctly (:func:`assert_decode_summary`).
 """
 
 from __future__ import annotations
@@ -259,6 +260,18 @@ def assert_scheduler_aggregates(scheduler, total_demand: Optional[int] = None) -
     * every running request holds at least ``prefill_progress`` KV tokens,
       so a running request outside that list has no deficit.
 
+    It also checks the per-request state the decode pass relies on:
+
+    * every running request is in exactly one of the ``_prefilling`` /
+      ``_decoding`` lists, both FCFS-sorted, and every ``_decoding`` entry
+      has finished its prefill (a ``_prefilling`` entry may have too, when
+      a previous owner's in-flight iteration finished it; the next
+      ``form_batch`` promotes it);
+    * a decoding request's held decode chunk points at that request, and
+      its held block table is the KV cache's table for it; a prefilling
+      request holds neither;
+    * the KV cache's used-token count equals the sum over its tables.
+
     ``total_demand`` is the value a ``total_demand_tokens`` query just
     returned (so a wrapper around that method can check it without
     recursing); when omitted the helper queries it.
@@ -268,7 +281,40 @@ def assert_scheduler_aggregates(scheduler, total_demand: Optional[int] = None) -
         queued += max(0, request.prefill_target - request.prefill_progress)
     for request in scheduler.swapped:
         queued += request.context_tokens
+    for name in ("_prefilling", "_decoding"):
+        keys = [(r.arrival_time, r.request_id) for r in getattr(scheduler, name)]
+        assert keys == sorted(keys), f"{name} is not FCFS-sorted: {keys}"
     prefilling = {id(request) for request in scheduler._prefilling}
+    decoding = {id(request) for request in scheduler._decoding}
+    running = {id(request) for request in scheduler.running}
+    assert len(prefilling) == len(scheduler._prefilling)
+    assert len(decoding) == len(scheduler._decoding)
+    assert not prefilling & decoding, "a request is in both running lists"
+    assert prefilling | decoding == running, (
+        "the prefilling and decoding lists do not partition the running set"
+    )
+    for request in scheduler._decoding:
+        assert request.prefill_progress >= request.prefill_target, (
+            f"decoding request {request.request_id} is mid-prefill "
+            f"({request.prefill_progress}/{request.prefill_target})"
+        )
+    tables = scheduler.kv._tables
+    for request in scheduler._decoding:
+        assert request.decode_table is tables.get(request.request_id), (
+            f"decoding request {request.request_id} holds a stale block table"
+        )
+        chunk = request.decode_chunk
+        assert chunk is None or chunk.request is request, (
+            f"request {request.request_id} holds another request's decode chunk"
+        )
+    for request in scheduler._prefilling:
+        assert request.decode_table is None and request.decode_chunk is None, (
+            f"prefilling request {request.request_id} holds decode state"
+        )
+    held_tokens = sum(table.num_tokens for table in tables.values())
+    assert scheduler.kv.used_tokens == held_tokens, (
+        f"used KV tokens {scheduler.kv.used_tokens} != sum over tables {held_tokens}"
+    )
     deficit = 0
     for request in scheduler.running:
         held = scheduler.kv.tokens_of(request.request_id)
@@ -295,14 +341,36 @@ def assert_scheduler_aggregates(scheduler, total_demand: Optional[int] = None) -
 
 
 def assert_decode_summary(batch) -> None:
-    """A formed batch's ``decode_count`` / ``decode_prefix_sum`` describe
-    the decode chunks leading it, which the latency model prices from
-    those two numbers alone."""
+    """A freshly formed batch's recorded summary matches its chunks.
+
+    ``decode_count`` / ``decode_prefix_sum`` describe the decode chunks
+    leading it (one per request, each prefixed by its request's context),
+    which the latency model prices from those two numbers alone and
+    completion walks without per-chunk branching.  ``total_new_tokens``
+    and ``num_requests``, recorded as the batch formed, equal a per-chunk
+    recount.
+    """
     lead = batch.chunks[: batch.decode_count]
     assert len(lead) == batch.decode_count and all(chunk.is_decode for chunk in lead), (
         f"decode_count {batch.decode_count} does not cover a leading decode run"
     )
+    for chunk in lead:
+        assert chunk.prefix_tokens == chunk.request.context_tokens, (
+            f"decode of request {chunk.request.request_id} has prefix "
+            f"{chunk.prefix_tokens}, context {chunk.request.context_tokens}"
+        )
+    assert len({id(chunk.request) for chunk in lead}) == len(lead), (
+        "a request has two decode chunks in one batch"
+    )
     prefix_sum = sum(chunk.prefix_tokens for chunk in lead)
     assert batch.decode_prefix_sum == prefix_sum, (
         f"decode_prefix_sum {batch.decode_prefix_sum} != {prefix_sum} over the leading run"
+    )
+    new_tokens = sum(chunk.new_tokens for chunk in batch.chunks)
+    assert batch.total_new_tokens == new_tokens, (
+        f"total_new_tokens {batch.total_new_tokens} != recount {new_tokens}"
+    )
+    requests = len({chunk.request.request_id for chunk in batch.chunks})
+    assert batch.num_requests == requests, (
+        f"num_requests {batch.num_requests} != recount {requests}"
     )

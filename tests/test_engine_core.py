@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import functools
+import operator
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -12,7 +15,9 @@ from repro.engine.latency_model import LatencyModel, LatencyModelConfig
 from repro.engine.metrics import MetricsCollector, TimelineSeries, percentile
 from repro.engine.pipeline import PipelineExecution
 from repro.engine.request import Request, RequestState
+from repro.engine.scheduler import ContinuousBatchingScheduler
 from repro.engine.tensor_parallel import allreduce_time, tp_layer_comm_time
+from repro.memory.paged_kv import PagedKVCache
 from repro.models.catalog import MODEL_CATALOG, QWEN_2_5_14B, QWEN_2_5_72B
 from repro.models.memory import kv_bytes_per_token_per_layer
 
@@ -24,6 +29,11 @@ def make_chunk(prefix=0, tokens=10, is_decode=False, prompt=None):
         max_output_tokens=8,
     )
     return ScheduledChunk(request=request, prefix_tokens=prefix, new_tokens=tokens, is_decode=is_decode)
+
+
+#: Emission times spread over twelve decades: their gaps round differently
+#: at every magnitude, so a sum of them depends on the order of additions.
+SPREAD_TIMES = st.floats(min_value=-6.0, max_value=6.0).map(lambda exponent: 10.0 ** exponent)
 
 
 class TestRequest:
@@ -40,7 +50,9 @@ class TestRequest:
         request.record_output_token(3.4)
         assert request.finished
         assert request.finish_time == 3.4
-        assert request.tpot_values == [pytest.approx(0.5), pytest.approx(0.4)]
+        assert request.last_token_time == 3.4
+        assert request.mean_tpot == ((3.0 - 2.5) + (3.4 - 3.0)) / 2
+        assert request.mean_tpot == pytest.approx(0.45)
         assert request.e2e_latency == pytest.approx(2.4)
 
     def test_recompute_grows_prefill_target(self):
@@ -74,6 +86,33 @@ class TestRequest:
             Request(arrival_time=0.0, prompt_tokens=0, max_output_tokens=5)
         with pytest.raises(ValueError):
             Request(arrival_time=0.0, prompt_tokens=5, max_output_tokens=0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(times=st.one_of(
+        st.lists(SPREAD_TIMES, min_size=1, max_size=20),
+        st.lists(SPREAD_TIMES, min_size=100, max_size=400),
+        st.lists(st.sampled_from([0.0, 0.1, 0.2, 0.30000000000000004, 7.5]),
+                 min_size=1, max_size=60),
+    ).map(sorted))
+    def test_mean_tpot_is_the_left_to_right_mean_of_the_gaps(self, times):
+        """The running accumulator equals the mean of the per-token gap list
+        summed left to right, exactly, on the request's own path and on the
+        scheduler's inlined completion path."""
+        direct = Request(arrival_time=0.0, prompt_tokens=4, max_output_tokens=len(times))
+        for t in times:
+            direct.record_output_token(t)
+        scheduled = Request(arrival_time=0.0, prompt_tokens=4, max_output_tokens=len(times))
+        scheduler = ContinuousBatchingScheduler(PagedKVCache(num_blocks=64, block_size=8))
+        scheduler.add_request(scheduled)
+        for t in times:
+            scheduler.complete_batch(scheduler.form_batch(t), t)
+        diffs = [later - earlier for earlier, later in zip(times, times[1:])]
+        expected = functools.reduce(operator.add, diffs) / len(diffs) if diffs else None
+        for request in (direct, scheduled):
+            assert request.output_tokens == len(times) and request.finished
+            assert request.mean_tpot == expected
+            assert request.first_token_time == times[0]
+            assert request.last_token_time == times[-1]
 
 
 class TestBatch:

@@ -175,7 +175,7 @@ class TestUpscaler:
 def record(ttft, tpot, request_id=0, slo_class="chat"):
     return RequestRecord(
         request_id=request_id, arrival_time=0.0, prompt_tokens=10, output_tokens=10,
-        slo_class=slo_class, ttft=ttft, mean_tpot=tpot, tpot_values=[tpot] if tpot else [],
+        slo_class=slo_class, ttft=ttft, mean_tpot=tpot,
         finish_time=1.0, e2e_latency=1.0, preemption_count=0, swap_count=0,
         migration_count=0, finished=True,
     )
