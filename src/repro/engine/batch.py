@@ -12,7 +12,7 @@ done (token-count based vs. lookahead cost-balanced) is the subject of §4.3.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional
+from typing import List
 
 from repro.engine.request import Request
 
@@ -122,30 +122,18 @@ class IterationBatch:
     ``decode_count`` and ``decode_prefix_sum`` summarise the run of decode
     chunks leading ``chunks`` (the scheduler schedules decodes first, one
     per request); :meth:`LatencyModel.batch_time` prices that run in closed
-    form and ``complete_batch`` walks it without per-chunk branching.  The
-    scheduler also records the batch's new-token count (the token budget it
-    spent) and request count as it forms the batch.  A batch built
-    elsewhere leaves the summary zero and the counts ``None``; it is priced
-    and counted chunk by chunk.
+    form and ``complete_batch`` walks it without per-chunk branching.
+    ``total_new_tokens`` and ``num_requests`` count the batch's new tokens
+    and chunks (a request contributes at most one chunk); :meth:`add`
+    keeps them, and the scheduler's decode pass, which appends to
+    ``chunks`` directly, starts them at its decode count.
     """
 
     chunks: List[ScheduledChunk] = field(default_factory=list)
     decode_count: int = 0
     decode_prefix_sum: int = 0
-    new_token_count: Optional[int] = None
-    request_count: Optional[int] = None
-
-    @property
-    def total_new_tokens(self) -> int:
-        if self.new_token_count is not None:
-            return self.new_token_count
-        return sum(c.new_tokens for c in self.chunks)
-
-    @property
-    def num_requests(self) -> int:
-        if self.request_count is not None:
-            return self.request_count
-        return len({c.request.request_id for c in self.chunks})
+    total_new_tokens: int = 0
+    num_requests: int = 0
 
     @property
     def decode_chunks(self) -> List[ScheduledChunk]:
@@ -161,9 +149,8 @@ class IterationBatch:
 
     def add(self, chunk: ScheduledChunk) -> None:
         self.chunks.append(chunk)
-
-    def extend(self, chunks: Iterable[ScheduledChunk]) -> None:
-        self.chunks.extend(chunks)
+        self.total_new_tokens += chunk.new_tokens
+        self.num_requests += 1
 
     def __iter__(self):
         return iter(self.chunks)

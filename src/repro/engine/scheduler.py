@@ -93,21 +93,20 @@ class ContinuousBatchingScheduler:
         self.swapped: List[Request] = []
         #: ids of requests in ``running``, for O(1) membership tests.
         self._running_ids: set[int] = set()
-        #: ``running`` maintained in FCFS order ``(arrival_time, request_id)``.
-        #: Victim selection scans the running set in priority order (batch
-        #: formation walks the same order, split in the two lists below);
-        #: keeping sorted sibling lists (updated on the rare add/remove)
-        #: replaces a per-iteration sort.
+        #: ``running`` split in two lists sorted in FCFS order
+        #: ``(arrival_time, request_id)``: every running request is in
+        #: exactly one.  Batch formation and victim selection walk the
+        #: running set in priority order; keeping sorted sibling lists
+        #: (updated on the rare add/remove) replaces a per-iteration sort.
         #: ``running`` itself keeps insertion order because reconfiguration
         #: paths (KV exchange, fault recovery, group transfers) iterate it
         #: in that order and their outcomes depend on it.
-        self._running_fcfs: List[Request] = []
-        #: ``_running_fcfs`` split in two FCFS-sorted lists: every running
-        #: request is in exactly one.  ``_prefilling`` holds those whose
-        #: prefill is unfinished, ``_decoding`` those whose prefill is done.
-        #: A request enters one on ``_add_running`` by its prefill state,
-        #: leaves on ``_remove_running``, and moves from the first to the
-        #: second when ``complete_batch`` finishes its prefill.  Demand
+        #:
+        #: ``_prefilling`` holds those whose prefill is unfinished,
+        #: ``_decoding`` those whose prefill is done.  A request enters one
+        #: on ``_add_running`` by its prefill state, leaves on
+        #: ``_remove_running``, and moves from the first to the second
+        #: when ``complete_batch`` finishes its prefill.  Demand
         #: queries and the running-prefill pass visit only ``_prefilling``
         #: (a running request holds at least ``prefill_progress`` KV tokens,
         #: so one whose prefill is done has no deficit); the decode pass
@@ -188,7 +187,6 @@ class ContinuousBatchingScheduler:
 
     def _add_running(self, request: Request) -> None:
         self.running.append(request)
-        insort(self._running_fcfs, request, key=_fcfs_key)
         self._running_ids.add(request.request_id)
         if request.prefill_progress < request.prefill_target:
             insort(self._prefilling, request, key=_fcfs_key)
@@ -198,7 +196,6 @@ class ContinuousBatchingScheduler:
     def _remove_running(self, request: Request) -> None:
         if request.request_id in self._running_ids:
             self.running.remove(request)
-            self._running_fcfs.remove(request)
             self._running_ids.discard(request.request_id)
             if request in self._prefilling:
                 self._prefilling.remove(request)
@@ -291,14 +288,13 @@ class ContinuousBatchingScheduler:
         self._try_swap_in(now)
         self._promote_prefilled()
 
+        # Each request contributes at most one chunk (the batch counts
+        # requests by chunks): a decode, a running prefill, or the
+        # admission of a waiting request (a request preempted by the
+        # decode pass was never given a chunk before).
         budget = self._schedule_decodes(batch, budget, now)
         budget = self._schedule_running_prefills(batch, budget, now)
-        budget = self._admit_waiting(batch, budget, now)
-        # Each request contributes at most one chunk: a decode, a running
-        # prefill, or the admission of a waiting request (a request
-        # preempted by the decode pass was never given a chunk before).
-        batch.new_token_count = self.config.token_budget - budget
-        batch.request_count = len(batch.chunks)
+        self._admit_waiting(batch, budget, now)
         return batch
 
     def _schedule_decodes(self, batch: IterationBatch, budget: int, now: float) -> int:
@@ -315,7 +311,8 @@ class ContinuousBatchingScheduler:
         # prefix again.  The used-token count of grows that take no new
         # block is added once, before any slow path and at the end.  The
         # pass runs first, on an empty batch, and records the count and
-        # prefix sum of the decodes it appends for the latency model.
+        # prefix sum of the decodes it appends for the latency model; the
+        # count is also the batch's new tokens and requests so far.
         #
         # A preemption inside the walk removes entries from ``_decoding``:
         # victims rank strictly behind the current request, so the walk
@@ -360,8 +357,11 @@ class ContinuousBatchingScheduler:
             if budget <= 0:
                 break
         kv._used_tokens += appended
-        batch.decode_count = len(batch.chunks)
+        decodes = len(batch.chunks)
+        batch.decode_count = decodes
         batch.decode_prefix_sum = prefix_sum
+        batch.total_new_tokens = decodes
+        batch.num_requests = decodes
         return budget
 
     def _append_decode_token(self, request: Request, now: float) -> bool:
@@ -461,19 +461,26 @@ class ContinuousBatchingScheduler:
         ``exclude`` in FCFS order — a request is never evicted for the sake
         of a lower-priority one.
 
-        ``_running_fcfs`` is sorted by ``(arrival_time, request_id)`` and
-        that key is unique, so the victim is the last unfinished entry with
-        a key greater than ``exclude``'s; scanning from the tail finds it
-        without materialising and maxing a candidate list.
+        ``_prefilling`` and ``_decoding`` are sorted by ``(arrival_time,
+        request_id)`` and that key is unique, so the victim is the later of
+        each list's last unfinished entry with a key greater than
+        ``exclude``'s; scanning each from the tail finds it without
+        materialising and maxing a candidate list.
         """
         exclude_key = (exclude.arrival_time, exclude.request_id)
         finished_state = RequestState.FINISHED
-        for r in reversed(self._running_fcfs):
-            if (r.arrival_time, r.request_id) <= exclude_key:
-                break
-            if r.state is not finished_state:
-                return r
-        return None
+        victim: Optional[Request] = None
+        victim_key = exclude_key
+        for ranked in (self._prefilling, self._decoding):
+            for r in reversed(ranked):
+                key = (r.arrival_time, r.request_id)
+                if key <= victim_key:
+                    break
+                if r.state is not finished_state:
+                    victim = r
+                    victim_key = key
+                    break
+        return victim
 
     def _preempt(self, victim: Request, now: float) -> None:
         if not self.is_running(victim):
@@ -545,23 +552,22 @@ class ContinuousBatchingScheduler:
                 request.state = finished_state
                 request.finish_time = end_time
                 finished.append(request)
+        # The rest are prefill chunks, one per request and none of a
+        # request decoded above.
         prefilling = self._prefilling
-        for chunk in chunks[batch.decode_count:]:
+        for chunk in islice(chunks, batch.decode_count, None):
             request = chunk.request
-            if chunk.is_decode:
-                request.record_output_token(end_time)
-            else:
-                request.record_prefill(chunk.new_tokens, end_time)
-                if request.prefill_progress >= request.prefill_target:
-                    # A request migrated away while this iteration ran is
-                    # in the new owner's list, not in this one; the new
-                    # owner promotes it when it next forms a batch.
-                    if request in prefilling:
-                        prefilling.remove(request)
-                        self._start_decoding(request)
-                    if request.output_tokens == 0:
-                        request.record_output_token(end_time)
-            if request.state is finished_state and request not in finished:
+            request.record_prefill(chunk.new_tokens, end_time)
+            if request.prefill_progress >= request.prefill_target:
+                # A request migrated away while this iteration ran is in
+                # the new owner's list, not in this one; the new owner
+                # promotes it when it next forms a batch.
+                if request in prefilling:
+                    prefilling.remove(request)
+                    self._start_decoding(request)
+                if request.output_tokens == 0:
+                    request.record_output_token(end_time)
+            if request.state is finished_state:
                 finished.append(request)
         for request in finished:
             self.kv.free(request.request_id)
