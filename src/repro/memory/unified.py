@@ -181,8 +181,7 @@ class UnifiedMemoryManager:
     def can_restore_layers(self, layers: Iterable[int]) -> bool:
         """Is there enough *free* KV capacity to give back to parameters?"""
         missing = sorted(set(layers) - self._resident_layers)
-        needed_bytes = len(missing) * self.layer_param_bytes
-        needed_chunks = self.pool.chunks_needed(needed_bytes)
+        needed_chunks = len(missing) * self.pool.chunks_needed(self.layer_param_bytes)
         free_kv_bytes = self.kv_cache.free_blocks * self.block_size * self.kv_token_bytes
         return needed_chunks * self.pool.chunk_bytes <= free_kv_bytes
 
@@ -205,8 +204,9 @@ class UnifiedMemoryManager:
                 "not enough free KV-cache memory to restore "
                 f"{len(missing)} layers on this instance"
             )
-        needed_bytes = len(missing) * self.layer_param_bytes
-        needed_chunks = self.pool.chunks_needed(needed_bytes)
+        # Each layer takes back the chunks ``load_layers`` gave it.
+        per_layer = self.pool.chunks_needed(self.layer_param_bytes)
+        needed_chunks = len(missing) * per_layer
 
         # Shrink the KV cache first so its block count matches the memory
         # that will be unmapped.
@@ -221,7 +221,6 @@ class UnifiedMemoryManager:
             self.pool.free(reclaimed)
             reclaimed = self.pool.allocate(needed_chunks * self.pool.chunk_bytes)
 
-        per_layer = self.pool.chunks_needed(self.layer_param_bytes)
         cursor = 0
         for layer in missing:
             self._param_chunks[layer] = reclaimed[cursor : cursor + per_layer]

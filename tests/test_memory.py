@@ -222,13 +222,17 @@ class TestUnifiedMemoryManager:
 
     def test_restore_roundtrip(self):
         manager = self._manager()
-        original_tokens = manager.kv_capacity_tokens
-        manager.drop_layers(range(24, 48))
+        kv_bytes, param_bytes = manager.kv_capacity_bytes, manager.param_bytes_resident
+        first = manager.drop_layers(range(24, 48))
         result = manager.restore_layers(range(24, 48))
         assert result.restored_layers == list(range(24, 48))
-        assert result.transfer_bytes == pytest.approx(24 * manager.layer_param_bytes)
+        assert result.transfer_bytes == 24 * manager.layer_param_bytes
         assert manager.num_resident_layers == 48
-        assert abs(manager.kv_capacity_tokens - original_tokens) <= manager.block_size * 4
+        # Restore gives back exactly what the drop took ...
+        assert manager.kv_capacity_bytes == kv_bytes
+        assert manager.param_bytes_resident == param_bytes
+        # ... so dropping the same layers again frees as much as before.
+        assert manager.drop_layers(range(24, 48)).freed_bytes == first.freed_bytes
 
     def test_restore_requires_free_kv(self):
         manager = self._manager()
