@@ -8,32 +8,10 @@ CUDA-VMM analog (§4.1), or the reverse for restoration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, List
 
 from repro.engine.instance import ServingInstance
 from repro.memory.unified import DropResult, RestoreResult
-
-
-@dataclass
-class LocalDropOutcome:
-    """What one instance did when executing its part of a drop plan."""
-
-    instance_id: int
-    kept_layers: List[int]
-    dropped_layers: List[int]
-    freed_bytes: int
-    remap_latency_s: float
-
-
-@dataclass
-class LocalRestoreOutcome:
-    """What one instance did when executing its part of a restore."""
-
-    instance_id: int
-    restored_layers: List[int]
-    transfer_bytes: int
-    remap_latency_s: float
 
 
 class LocalMemoryManager:
@@ -42,41 +20,26 @@ class LocalMemoryManager:
     def __init__(self, instance: ServingInstance) -> None:
         self.instance = instance
 
-    def execute_drop(self, keep_layers: Iterable[int]) -> LocalDropOutcome:
+    def execute_drop(self, keep_layers: Iterable[int]) -> DropResult:
         """Drop every resident layer not in ``keep_layers``.
 
         The freed physical memory is immediately remapped behind the KV
         region, so the instance's KV capacity grows by the freed bytes.
         """
-        keep = set(keep_layers)
-        resident = set(self.instance.memory.resident_layers)
-        to_drop = sorted(resident - keep)
-        result: DropResult = self.instance.memory.drop_layers(to_drop)
-        return LocalDropOutcome(
-            instance_id=self.instance.instance_id,
-            kept_layers=sorted(keep & resident),
-            dropped_layers=result.dropped_layers,
-            freed_bytes=result.freed_bytes,
-            remap_latency_s=result.remap_latency_s,
-        )
+        memory = self.instance.memory
+        return memory.drop_layers(memory.resident_layers - set(keep_layers))
 
     def can_restore(self, layers: Iterable[int]) -> bool:
-        """Is there enough free KV memory to take the layers back?"""
+        """Can the instance's KV memory give the layers their chunks back?"""
         return self.instance.memory.can_restore_layers(layers)
 
-    def execute_restore(self, layers: Iterable[int]) -> LocalRestoreOutcome:
+    def execute_restore(self, layers: Iterable[int]) -> RestoreResult:
         """Reclaim KV memory for ``layers`` and mark them resident.
 
         The returned ``transfer_bytes`` must be pulled over the network (or
         from host DRAM for fault recovery) by the caller.
         """
-        result: RestoreResult = self.instance.memory.restore_layers(layers)
-        return LocalRestoreOutcome(
-            instance_id=self.instance.instance_id,
-            restored_layers=result.restored_layers,
-            transfer_bytes=result.transfer_bytes,
-            remap_latency_s=result.remap_latency_s,
-        )
+        return self.instance.memory.restore_layers(layers)
 
     def missing_layers(self, num_layers: int) -> List[int]:
         """Layers of the full model this instance does not currently hold."""

@@ -86,18 +86,6 @@ class ServingInstance:
     def kv_capacity_bytes(self) -> int:
         return self.memory.kv_capacity_bytes
 
-    @property
-    def kv_capacity_tokens(self) -> int:
-        return self.memory.kv_capacity_tokens
-
-    @property
-    def param_bytes_resident(self) -> int:
-        return self.memory.param_bytes_resident
-
-    @property
-    def total_hbm_bytes(self) -> int:
-        return self.memory.total_hbm_bytes
-
     def nic_node(self) -> str:
         """Fabric endpoint of this instance's RDMA NIC."""
         return Cluster.nic_node(self.server_id)

@@ -1,30 +1,29 @@
 """Physical GPU memory pool (``cuMemCreate`` analog).
 
-The pool hands out fixed-size physical chunks.  Chunks are the unit the
-local memory manager moves between the parameter region and the KV-cache
-region when executing a drop or restore plan.
+The pool hands out fixed-size physical chunks as runs of consecutive chunk
+ids.  Chunks are the unit the local memory manager moves between the
+parameter region and the KV-cache region when executing a drop or restore
+plan; a run records how many move, not one object per chunk.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Dict, List, NamedTuple
+from typing import Dict, Iterable, NamedTuple
 
 #: Default physical allocation granularity, matching CUDA VMM's 2 MiB.
 DEFAULT_CHUNK_BYTES = 2 * 1024 * 1024
 
 
-class PhysicalChunk(NamedTuple):
-    """One physically-backed allocation of ``size_bytes`` bytes.
+class ChunkRun(NamedTuple):
+    """``count`` physical chunks with consecutive ids starting at ``first``."""
 
-    A ``NamedTuple`` rather than a frozen dataclass: loading a model maps
-    tens of thousands of chunks, and the tuple constructor is an order of
-    magnitude cheaper than frozen-dataclass ``__init__``'s per-field
-    ``object.__setattr__`` while staying immutable and hashable.
-    """
+    first: int
+    count: int
 
-    chunk_id: int
-    size_bytes: int
+    @property
+    def end(self) -> int:
+        """One past the last chunk id of the run."""
+        return self.first + self.count
 
 
 class PhysicalMemoryPool:
@@ -33,7 +32,7 @@ class PhysicalMemoryPool:
     The pool intentionally refuses to over-allocate: requesting more memory
     than is free raises :class:`MemoryError`, which is what forces the
     serving engine to queue or preempt requests — the phenomenon the paper
-    studies.
+    studies.  Every allocation is one :class:`ChunkRun`, whatever its size.
     """
 
     def __init__(self, total_bytes: int, chunk_bytes: int = DEFAULT_CHUNK_BYTES) -> None:
@@ -45,8 +44,10 @@ class PhysicalMemoryPool:
         self.total_chunks = int(total_bytes // chunk_bytes)
         if self.total_chunks == 0:
             raise ValueError("total_bytes smaller than one chunk")
-        self._counter = itertools.count()
-        self._allocated: Dict[int, PhysicalChunk] = {}
+        self._next_id = 0
+        #: first id -> end id of each allocated, disjoint span of chunk ids.
+        self._allocated: Dict[int, int] = {}
+        self.allocated_chunks = 0
 
     # ------------------------------------------------------------------
     # Capacity queries
@@ -54,10 +55,6 @@ class PhysicalMemoryPool:
     @property
     def total_bytes(self) -> int:
         return self.total_chunks * self.chunk_bytes
-
-    @property
-    def allocated_chunks(self) -> int:
-        return len(self._allocated)
 
     @property
     def allocated_bytes(self) -> int:
@@ -80,8 +77,8 @@ class PhysicalMemoryPool:
     # ------------------------------------------------------------------
     # Allocation
     # ------------------------------------------------------------------
-    def allocate(self, size_bytes: int) -> List[PhysicalChunk]:
-        """Allocate enough chunks to back ``size_bytes`` bytes.
+    def allocate(self, size_bytes: int) -> ChunkRun:
+        """Allocate one run of enough chunks to back ``size_bytes`` bytes.
 
         Raises:
             MemoryError: when the pool does not have enough free chunks.
@@ -92,31 +89,43 @@ class PhysicalMemoryPool:
                 f"out of GPU memory: need {needed} chunks "
                 f"({size_bytes} bytes), only {self.free_chunks} free"
             )
-        # Bulk construction: model loads and drop/restore plans map tens of
-        # thousands of chunks in one call.
-        chunk_bytes = self.chunk_bytes
-        counter = self._counter
-        chunks = [
-            PhysicalChunk(next(counter), chunk_bytes) for _ in range(needed)
-        ]
-        self._allocated.update((chunk[0], chunk) for chunk in chunks)
-        return chunks
+        run = ChunkRun(self._next_id, needed)
+        if needed:
+            self._next_id = run.end
+            self._allocated[run.first] = run.end
+            self.allocated_chunks += needed
+        return run
 
-    def free(self, chunks: List[PhysicalChunk]) -> None:
-        """Return chunks to the pool.
+    def free(self, runs: Iterable[ChunkRun]) -> None:
+        """Return runs (whole allocations or any part of one) to the pool.
 
         Raises:
             KeyError: if any chunk was not allocated from this pool (or was
-                already freed) — double frees are bugs we want loud.
+                already freed) — double frees are bugs we want loud.  The
+                pool is left unchanged.
         """
-        for chunk in chunks:
-            if chunk.chunk_id not in self._allocated:
-                raise KeyError(f"chunk {chunk.chunk_id} is not allocated from this pool")
-        for chunk in chunks:
-            del self._allocated[chunk.chunk_id]
-
-    def is_allocated(self, chunk: PhysicalChunk) -> bool:
-        return chunk.chunk_id in self._allocated
+        allocated = dict(self._allocated)
+        freed = 0
+        for run in runs:
+            if not run.count:
+                continue
+            first = next(
+                (start for start, end in allocated.items()
+                 if start <= run.first and run.end <= end),
+                None,
+            )
+            if first is None:
+                raise KeyError(
+                    f"chunks {run.first}..{run.end - 1} are not allocated from this pool"
+                )
+            end = allocated.pop(first)
+            if first < run.first:
+                allocated[first] = run.first
+            if run.end < end:
+                allocated[run.end] = end
+            freed += run.count
+        self._allocated = allocated
+        self.allocated_chunks -= freed
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

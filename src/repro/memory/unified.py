@@ -1,11 +1,16 @@
 """Unified parameter + KV-cache memory manager for one serving instance.
 
 This is the "local instance memory management" of §4.1: all HBM of an
-instance is managed as one physical pool; parameters of each resident layer
-occupy pinned chunks, the remaining chunks are mapped at the tail of a
-single contiguous KV-cache virtual range.  Dropping layers moves their
-chunks into the KV range (growing the paged cache); restoring layers
-requires the tail of the KV range to be free and moves chunks back.
+instance is managed as one physical pool.  Each resident layer's
+parameters occupy the chunk runs its load allocated; every other chunk is
+mapped at the tail of a single contiguous KV-cache virtual range, whose
+mapped pages are the only record of KV memory.  Dropping layers maps their
+runs behind the tail (growing the KV capacity); restoring layers unmaps
+exactly the chunks a load gives a layer from the tail and hands them back,
+so a drop/restore round trip leaves parameters and KV capacity as they
+were.  The manager holds no paged cache: requests allocate KV blocks from
+their group's :class:`~repro.memory.paged_kv.PagedKVCache`, which the group
+sizes from its instances' KV bytes.
 """
 
 from __future__ import annotations
@@ -13,8 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Set
 
-from repro.memory.paged_kv import PagedKVCache
-from repro.memory.physical import DEFAULT_CHUNK_BYTES, PhysicalChunk, PhysicalMemoryPool
+from repro.memory.physical import ChunkRun, PhysicalMemoryPool
 from repro.memory.virtual_memory import VirtualAddressSpace, VirtualRange
 from repro.models.memory import kv_bytes_per_token, param_bytes_per_layer
 from repro.models.spec import ModelSpec
@@ -26,7 +30,6 @@ class DropResult:
 
     dropped_layers: List[int]
     freed_bytes: int
-    new_kv_blocks: int
     remap_latency_s: float
 
 
@@ -35,8 +38,6 @@ class RestoreResult:
     """Outcome of restoring a set of layers on one instance."""
 
     restored_layers: List[int]
-    reclaimed_bytes: int
-    removed_kv_blocks: int
     transfer_bytes: int
     remap_latency_s: float
 
@@ -51,7 +52,6 @@ class UnifiedMemoryManager:
         runtime_reserve_fraction: fraction of HBM reserved for activations,
             CUDA graphs and framework overheads and never handed to the KV
             cache (vLLM's ``gpu_memory_utilization`` complement).
-        chunk_bytes: physical allocation granularity.
     """
 
     def __init__(
@@ -61,7 +61,6 @@ class UnifiedMemoryManager:
         *,
         block_size: int = 64,
         runtime_reserve_fraction: float = 0.10,
-        chunk_bytes: int = DEFAULT_CHUNK_BYTES,
     ) -> None:
         if not 0 <= runtime_reserve_fraction < 1:
             raise ValueError("runtime_reserve_fraction must be in [0, 1)")
@@ -69,22 +68,24 @@ class UnifiedMemoryManager:
         self.total_hbm_bytes = int(total_hbm_bytes)
         self.block_size = int(block_size)
         self.kv_token_bytes = kv_bytes_per_token(spec)
+        self.block_bytes = self.block_size * self.kv_token_bytes
         self.layer_param_bytes = param_bytes_per_layer(spec)
         self.runtime_reserve_bytes = int(total_hbm_bytes * runtime_reserve_fraction)
 
         usable = self.total_hbm_bytes - self.runtime_reserve_bytes
         if usable <= 0:
             raise ValueError("no usable HBM after runtime reserve")
-        self.pool = PhysicalMemoryPool(usable, chunk_bytes=chunk_bytes)
-        self.vas = VirtualAddressSpace(chunk_bytes=chunk_bytes)
+        self.pool = PhysicalMemoryPool(usable)
+        self.vas = VirtualAddressSpace(chunk_bytes=self.pool.chunk_bytes)
+        #: chunks one layer's parameters occupy: what a load allocates and
+        #: what a restore takes back.
+        self.layer_chunks = self.pool.chunks_needed(self.layer_param_bytes)
 
         # The KV virtual range is reserved large enough to cover the whole
         # GPU so it never needs to move (the point of the cuMemMap trick).
-        self.kv_range: VirtualRange = self.vas.reserve(usable, name="kvcache")
-        self._param_chunks: Dict[int, List[PhysicalChunk]] = {}
-        self._resident_layers: Set[int] = set()
-        self.kv_cache = PagedKVCache(num_blocks=0, block_size=self.block_size)
-        self._kv_chunks: List[PhysicalChunk] = []
+        self.kv_range: VirtualRange = self.vas.reserve(usable)
+        #: resident layer -> the chunk runs holding its parameters.
+        self._param_runs: Dict[int, List[ChunkRun]] = {}
 
     # ------------------------------------------------------------------
     # Initialisation
@@ -95,61 +96,48 @@ class UnifiedMemoryManager:
         Raises:
             MemoryError: if the parameters do not fit.
         """
-        for layer in sorted(set(layers)):
-            if layer in self._resident_layers:
-                continue
-            chunks = self.pool.allocate(self.layer_param_bytes)
-            self._param_chunks[layer] = chunks
-            self._resident_layers.add(layer)
+        for layer in sorted(set(layers) - self._param_runs.keys()):
+            self._param_runs[layer] = [self.pool.allocate(self.layer_param_bytes)]
 
     def provision_kv_cache(self) -> int:
         """Map all remaining free physical memory into the KV range.
 
         Returns the resulting number of KV blocks.  Called once after
-        ``load_layers`` and again implicitly by drop/restore operations.
+        ``load_layers``; drops and restores remap the KV range themselves.
         """
         free_bytes = self.pool.free_bytes
         if free_bytes > 0:
-            chunks = self.pool.allocate(free_bytes)
-            self.vas.map_tail(self.kv_range, chunks)
-            self._kv_chunks.extend(chunks)
-        self._sync_kv_blocks()
-        return self.kv_cache.num_blocks
+            self.vas.map_tail(self.kv_range, [self.pool.allocate(free_bytes)])
+        return self.kv_blocks
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     @property
     def resident_layers(self) -> Set[int]:
-        return set(self._resident_layers)
+        return set(self._param_runs)
 
     @property
     def num_resident_layers(self) -> int:
-        return len(self._resident_layers)
+        return len(self._param_runs)
 
     @property
     def param_bytes_resident(self) -> int:
-        return sum(len(chunks) * self.pool.chunk_bytes for chunks in self._param_chunks.values())
+        chunks = sum(run.count for runs in self._param_runs.values() for run in runs)
+        return chunks * self.pool.chunk_bytes
 
     @property
     def kv_capacity_bytes(self) -> int:
-        return len(self._kv_chunks) * self.pool.chunk_bytes
+        return self.kv_range.mapped_bytes
+
+    @property
+    def kv_blocks(self) -> int:
+        """Whole KV blocks the mapped KV memory holds."""
+        return self.kv_capacity_bytes // self.block_bytes
 
     @property
     def kv_capacity_tokens(self) -> int:
-        return self.kv_cache.capacity_tokens
-
-    @property
-    def kv_used_bytes(self) -> int:
-        return self.kv_cache.used_blocks * self.block_size * self.kv_token_bytes
-
-    @property
-    def kv_free_tokens(self) -> int:
-        return self.kv_cache.free_blocks * self.block_size
-
-    def kv_demand_bytes(self, num_tokens: int) -> int:
-        """Bytes of KV cache needed for ``num_tokens`` tokens."""
-        return num_tokens * self.kv_token_bytes
+        return self.kv_blocks * self.block_size
 
     # ------------------------------------------------------------------
     # Drop / restore
@@ -161,103 +149,52 @@ class UnifiedMemoryManager:
         then map it at the tail of the KV region.  The remap latency is the
         ~5 ms cuMemMap cost measured by the paper.
         """
-        to_drop = sorted(set(layers) & self._resident_layers)
-        freed_chunks: List[PhysicalChunk] = []
-        for layer in to_drop:
-            freed_chunks.extend(self._param_chunks.pop(layer))
-            self._resident_layers.discard(layer)
-        old_blocks = self.kv_cache.num_blocks
-        if freed_chunks:
-            self.vas.map_tail(self.kv_range, freed_chunks)
-            self._kv_chunks.extend(freed_chunks)
-            self._sync_kv_blocks()
+        to_drop = sorted(set(layers) & self._param_runs.keys())
+        freed = [run for layer in to_drop for run in self._param_runs.pop(layer)]
+        self.vas.map_tail(self.kv_range, freed)
+        freed_bytes = sum(run.count for run in freed) * self.pool.chunk_bytes
         return DropResult(
             dropped_layers=to_drop,
-            freed_bytes=len(freed_chunks) * self.pool.chunk_bytes,
-            new_kv_blocks=self.kv_cache.num_blocks - old_blocks,
-            remap_latency_s=self.vas.REMAP_LATENCY_S if freed_chunks else 0.0,
+            freed_bytes=freed_bytes,
+            remap_latency_s=self.vas.REMAP_LATENCY_S if freed_bytes else 0.0,
         )
 
     def can_restore_layers(self, layers: Iterable[int]) -> bool:
-        """Is there enough *free* KV capacity to give back to parameters?"""
-        missing = sorted(set(layers) - self._resident_layers)
-        needed_chunks = len(missing) * self.pool.chunks_needed(self.layer_param_bytes)
-        free_kv_bytes = self.kv_cache.free_blocks * self.block_size * self.kv_token_bytes
-        return needed_chunks * self.pool.chunk_bytes <= free_kv_bytes
+        """Do the KV range's whole blocks cover the chunks ``layers`` need?"""
+        missing = set(layers) - self._param_runs.keys()
+        needed_bytes = len(missing) * self.layer_chunks * self.pool.chunk_bytes
+        return needed_bytes <= self.kv_blocks * self.block_bytes
 
     def restore_layers(self, layers: Iterable[int]) -> RestoreResult:
         """Reclaim KV memory and mark ``layers`` resident again.
 
-        The caller is responsible for actually transferring the parameter
-        bytes over the network (the returned ``transfer_bytes``); this method
-        performs the memory movement only.
+        Each layer gets back ``layer_chunks`` chunks unmapped from the tail
+        of the KV range.  The caller is responsible for actually
+        transferring the parameter bytes over the network (the returned
+        ``transfer_bytes``); this method performs the memory movement only.
 
         Raises:
-            MemoryError: if the KV cache does not have enough free blocks at
-                its tail to shrink by the required amount.
+            MemoryError: if the KV range cannot give up enough whole blocks.
         """
-        missing = sorted(set(layers) - self._resident_layers)
+        missing = sorted(set(layers) - self._param_runs.keys())
         if not missing:
-            return RestoreResult([], 0, 0, 0, 0.0)
+            return RestoreResult([], 0, 0.0)
         if not self.can_restore_layers(missing):
             raise MemoryError(
-                "not enough free KV-cache memory to restore "
+                "not enough KV-cache memory to restore "
                 f"{len(missing)} layers on this instance"
             )
-        # Each layer takes back the chunks ``load_layers`` gave it.
-        per_layer = self.pool.chunks_needed(self.layer_param_bytes)
-        needed_chunks = len(missing) * per_layer
-
-        # Shrink the KV cache first so its block count matches the memory
-        # that will be unmapped.
-        blocks_to_remove = self._blocks_for_chunks(needed_chunks)
-        self.kv_cache.shrink(blocks_to_remove)
-        reclaimed = self.vas.unmap_tail(self.kv_range, min(needed_chunks, len(self._kv_chunks)))
-        reclaimed_ids = {chunk.chunk_id for chunk in reclaimed}
-        self._kv_chunks = [c for c in self._kv_chunks if c.chunk_id not in reclaimed_ids]
-        # Reuse the reclaimed chunks for parameters; allocate extra if the
-        # rounding left us short (possible when chunk > block granularity).
-        if len(reclaimed) < needed_chunks:
-            self.pool.free(reclaimed)
-            reclaimed = self.pool.allocate(needed_chunks * self.pool.chunk_bytes)
-
-        cursor = 0
         for layer in missing:
-            self._param_chunks[layer] = reclaimed[cursor : cursor + per_layer]
-            cursor += per_layer
-            self._resident_layers.add(layer)
-        self._sync_kv_blocks()
+            self._param_runs[layer] = self.vas.unmap_tail(self.kv_range, self.layer_chunks)
         return RestoreResult(
             restored_layers=missing,
-            reclaimed_bytes=needed_chunks * self.pool.chunk_bytes,
-            removed_kv_blocks=blocks_to_remove,
             transfer_bytes=len(missing) * self.layer_param_bytes,
             remap_latency_s=self.vas.REMAP_LATENCY_S,
         )
-
-    # ------------------------------------------------------------------
-    # Internal helpers
-    # ------------------------------------------------------------------
-    def _block_bytes(self) -> int:
-        return self.block_size * self.kv_token_bytes
-
-    def _blocks_for_chunks(self, num_chunks: int) -> int:
-        bytes_needed = num_chunks * self.pool.chunk_bytes
-        return min(self.kv_cache.free_blocks, -(-bytes_needed // self._block_bytes()))
-
-    def _sync_kv_blocks(self) -> None:
-        """Align the paged cache's block count with the mapped KV bytes."""
-        target_blocks = self.kv_capacity_bytes // self._block_bytes()
-        if target_blocks > self.kv_cache.num_blocks:
-            self.kv_cache.grow(target_blocks - self.kv_cache.num_blocks)
-        elif target_blocks < self.kv_cache.num_blocks:
-            shrink_by = self.kv_cache.num_blocks - target_blocks
-            shrink_by = min(shrink_by, self.kv_cache.free_blocks)
-            self.kv_cache.shrink(shrink_by)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"UnifiedMemoryManager(model={self.spec.name}, "
             f"layers={self.num_resident_layers}/{self.spec.num_layers}, "
-            f"kv_blocks={self.kv_cache.num_blocks})"
+            f"kv_blocks={self.kv_blocks})"
         )

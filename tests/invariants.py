@@ -32,11 +32,18 @@ The invariants:
   each running request holds (see :func:`assert_scheduler_aggregates`);
   each batch it forms summarises its leading decode run and its token
   and request counts correctly (:func:`assert_decode_summary`).
+* **memory conservation** — an instance's parameter runs and mapped KV
+  pages partition the chunks its pool allocated, and a group's paged
+  cache never holds more blocks than its instances' KV memory backs (see
+  :func:`assert_memory_conservation` and
+  :func:`assert_group_kv_capacity`).
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional
+
+from repro.models.memory import kv_bytes_per_token
 
 
 def entry_label(entry: Dict) -> str:
@@ -373,4 +380,60 @@ def assert_decode_summary(batch) -> None:
     requests = len({chunk.request.request_id for chunk in batch.chunks})
     assert batch.num_requests == requests, (
         f"num_requests {batch.num_requests} != recount {requests}"
+    )
+
+
+def assert_memory_conservation(manager) -> None:
+    """An instance's chunk runs account for exactly its pool's allocation.
+
+    Checks a :class:`~repro.memory.unified.UnifiedMemoryManager`:
+
+    * every resident layer holds exactly ``chunks_needed(layer_param_bytes)``
+      chunks, what loading it allocated;
+    * the KV range's runs add up to its mapped page count;
+    * parameter chunks plus mapped KV pages equal the pool's allocated
+      chunks, no two runs overlap, and every run lies in a span the pool
+      allocated;
+    * the KV block count equals mapped KV bytes // block bytes.
+    """
+    pool, kv_range = manager.pool, manager.kv_range
+    layer_chunks = pool.chunks_needed(manager.layer_param_bytes)
+    for layer, runs in manager._param_runs.items():
+        held = sum(run.count for run in runs)
+        assert held == layer_chunks, (
+            f"layer {layer} holds {held} chunks, a load gives it {layer_chunks}"
+        )
+    mapped = sum(run.count for run in kv_range.runs)
+    assert mapped == kv_range.mapped_pages, (
+        f"KV runs hold {mapped} chunks, the range maps {kv_range.mapped_pages} pages"
+    )
+    param_chunks = len(manager._param_runs) * layer_chunks
+    assert param_chunks + mapped == pool.allocated_chunks, (
+        f"{param_chunks} parameter chunks + {mapped} KV pages != "
+        f"{pool.allocated_chunks} allocated chunks"
+    )
+    runs = sorted(
+        [run for held in manager._param_runs.values() for run in held] + kv_range.runs
+    )
+    for before, after in zip(runs, runs[1:]):
+        assert before.end <= after.first, f"runs {before} and {after} overlap"
+    spans = pool._allocated.items()
+    for run in runs:
+        assert any(first <= run.first and run.end <= end for first, end in spans), (
+            f"run {run} is not inside an allocated span"
+        )
+    block_bytes = manager.block_size * manager.kv_token_bytes
+    expected = kv_range.mapped_pages * pool.chunk_bytes // block_bytes
+    assert manager.kv_blocks == expected, (
+        f"{manager.kv_blocks} KV blocks, mapped KV memory holds {expected}"
+    )
+
+
+def assert_group_kv_capacity(group) -> None:
+    """A group's paged cache holds no more blocks than its instances back."""
+    block_bytes = group.block_size * kv_bytes_per_token(group.model)
+    backed = sum(inst.memory.kv_range.mapped_bytes for inst in group.instances) // block_bytes
+    assert group.kv.num_blocks <= backed, (
+        f"group {group.group_id} has {group.kv.num_blocks} KV blocks, its "
+        f"instances' KV memory backs {backed}"
     )

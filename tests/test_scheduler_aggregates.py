@@ -11,7 +11,11 @@ queues — recompute preemption, swap, migration, KunServe drop / KV
 exchange / restore, autoscaler drains, instance failures and cluster
 outages.  Every batch formed along the way also has its decode summary
 and counts checked against its chunks
-(:func:`tests.invariants.assert_decode_summary`).  The same replay also
+(:func:`tests.invariants.assert_decode_summary`), and every parameter
+drop, restore and group KV resize has the instances' chunk accounting
+and the group's KV block count checked
+(:func:`tests.invariants.assert_memory_conservation`,
+:func:`tests.invariants.assert_group_kv_capacity`).  The same replay also
 checks that per-request results do not depend on how the interpreter's
 builtin ``sum`` adds floats.
 """
@@ -29,6 +33,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.chaos.sweep import run_chaos_cell
+from repro.engine.group import ServingGroup
 from repro.engine.request import Request
 from repro.engine.scheduler import (
     ContinuousBatchingScheduler,
@@ -43,9 +48,15 @@ from repro.experiments.runner import (
 from repro.fleet.config import AutoscalerConfig
 from repro.fleet.sweep import run_fleet_cell
 from repro.memory.paged_kv import PagedKVCache
+from repro.memory.unified import UnifiedMemoryManager
 from repro.policies import LlumnixPolicy, make_policy
 
-from tests.invariants import assert_decode_summary, assert_scheduler_aggregates
+from tests.invariants import (
+    assert_decode_summary,
+    assert_group_kv_capacity,
+    assert_memory_conservation,
+    assert_scheduler_aggregates,
+)
 from tests.test_chaos import TINY_SCALE
 from tests.test_fleet import build_system
 
@@ -63,10 +74,12 @@ BURST_SCALE = ExperimentScale(
 
 @pytest.fixture
 def checked_queries(monkeypatch):
-    """Check every ``total_demand_tokens`` query against the rescan, and
-    every formed batch's decode summary, token count and request count
-    against its chunks."""
-    seen = {"queries": 0, "with_swapped": 0, "decode_batches": 0}
+    """Check every ``total_demand_tokens`` query against the rescan, every
+    formed batch's decode summary, token count and request count against
+    its chunks, and the memory oracles after every parameter drop, restore
+    and group KV resize."""
+    seen = {"queries": 0, "with_swapped": 0, "decode_batches": 0,
+            "memory_checks": 0, "kv_syncs": 0}
     original = ContinuousBatchingScheduler.total_demand_tokens
     original_form = ContinuousBatchingScheduler.form_batch
 
@@ -83,8 +96,30 @@ def checked_queries(monkeypatch):
         seen["decode_batches"] += batch.decode_count > 0
         return batch
 
+    def checked_memory(method):
+        @functools.wraps(method)
+        def run(self, layers):
+            result = method(self, layers)
+            assert_memory_conservation(self)
+            seen["memory_checks"] += 1
+            return result
+        return run
+
+    original_sync = ServingGroup.sync_kv_capacity
+
+    def checked_sync(self):
+        original_sync(self)
+        for instance in self.instances:
+            assert_memory_conservation(instance.memory)
+        assert_group_kv_capacity(self)
+        seen["kv_syncs"] += 1
+
     monkeypatch.setattr(ContinuousBatchingScheduler, "total_demand_tokens", checked)
     monkeypatch.setattr(ContinuousBatchingScheduler, "form_batch", checked_form)
+    for name in ("drop_layers", "restore_layers"):
+        method = getattr(UnifiedMemoryManager, name)
+        monkeypatch.setattr(UnifiedMemoryManager, name, checked_memory(method))
+    monkeypatch.setattr(ServingGroup, "sync_kv_capacity", checked_sync)
     return seen
 
 
@@ -116,6 +151,8 @@ class TestSystemRuns:
         kinds = {event["kind"] for event in result.metrics.events}
         assert {"drop", "restore_end"} <= kinds
         assert checked_queries["queries"] > 1000
+        assert checked_queries["memory_checks"] > 0
+        assert checked_queries["kv_syncs"] > 0
 
     def test_fleet_elastic_instance_kill(self, checked_queries):
         cell = run_fleet_cell(
