@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:
     from repro.engine.batch import ScheduledChunk
+    from repro.engine.scheduler import ContinuousBatchingScheduler
     from repro.memory.paged_kv import BlockTable
 
 _request_counter = itertools.count()
@@ -110,6 +111,11 @@ class Request:
     tpot_sum: float = 0.0
 
     # --- scheduler scratch ------------------------------------------------
+    #: the scheduler whose running set holds the request (``None`` while it
+    #: is queued, swapped, in flight between groups or finished).
+    scheduler: Optional["ContinuousBatchingScheduler"] = field(
+        default=None, init=False, repr=False
+    )
     #: the reusable decode chunk and KV block table the owning scheduler
     #: keeps for this request while it decodes there (``None`` otherwise).
     decode_chunk: Optional["ScheduledChunk"] = field(default=None, init=False, repr=False)

@@ -188,6 +188,7 @@ class ContinuousBatchingScheduler:
     def _add_running(self, request: Request) -> None:
         self.running.append(request)
         self._running_ids.add(request.request_id)
+        request.scheduler = self
         if request.prefill_progress < request.prefill_target:
             insort(self._prefilling, request, key=_fcfs_key)
         else:
@@ -203,6 +204,7 @@ class ContinuousBatchingScheduler:
                 self._decoding.remove(request)
             request.decode_chunk = None
             request.decode_table = None
+            request.scheduler = None
 
     def _start_decoding(self, request: Request) -> None:
         """Enter ``request``, whose prefill is done, into ``_decoding``.
@@ -569,9 +571,12 @@ class ContinuousBatchingScheduler:
                     request.record_output_token(end_time)
             if request.state is finished_state:
                 finished.append(request)
+        # A request that left this scheduler while the batch was in flight
+        # (migration) is released by the scheduler now holding it.
         for request in finished:
-            self.kv.free(request.request_id)
-            self._remove_running(request)
+            owner = request.scheduler or self
+            owner.kv.free(request.request_id)
+            owner._remove_running(request)
         return finished
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -280,8 +280,7 @@ def test_random_transitions_keep_aggregates(ops, swap, budget):
     iteration that scheduled it is in flight, keeps both schedulers'
     aggregates equal to the rescan; stepping both schedulers until idle
     then finishes every request that arrived and was not removed, except
-    those held by a scheduler that one of the two known gaps pinned below
-    wedges."""
+    those held by a scheduler that the known gap pinned below wedges."""
     mode = PreemptionMode.SWAP if swap else PreemptionMode.RECOMPUTE
     schedulers = [
         ContinuousBatchingScheduler(
@@ -293,9 +292,8 @@ def test_random_transitions_keep_aggregates(ops, swap, budget):
     admitted = []
     removed = set()
     # Requests ``step_migrating`` moved while their old owner's batch was
-    # in flight, and those of them that batch then finished.
+    # in flight.
     adopted = set()
-    finished_by_old_owner = set()
     now = 0.0
     for op, index, pick in ops:
         scheduler, other = schedulers[index], schedulers[1 - index]
@@ -308,7 +306,6 @@ def test_random_transitions_keep_aggregates(ops, swap, budget):
             batch = scheduler.form_batch(now)
             assert_decode_summary(batch)
             now += 0.1
-            moved = None
             if op == "step_migrating" and scheduler.running:
                 mover = scheduler.running[pick % len(scheduler.running)]
                 tokens = scheduler.kv.tokens_of(mover.request_id)
@@ -316,10 +313,7 @@ def test_random_transitions_keep_aggregates(ops, swap, budget):
                     scheduler.remove_request(mover)
                     other.add_running(mover, tokens)
                     adopted.add(mover.request_id)
-                    moved = mover
             scheduler.complete_batch(batch, now)
-            if moved is not None and moved.finished:
-                finished_by_old_owner.add(moved.request_id)
         elif op == "pop" and scheduler.waiting:
             other.add_request(scheduler.pop_waiting())
         elif op == "remove":
@@ -348,23 +342,21 @@ def test_random_transitions_keep_aggregates(ops, swap, budget):
             assert request.finished or not request.prefill_done, (
                 f"request {request.request_id} finished its prefill but was never decoded"
             )
-    # What the drain leaves is explained by the two known gaps pinned
-    # below.  (1) A request its previous owner's in-flight iteration
-    # finished stays in the new owner's running set, holding its KV; any
-    # other finished request still running was never released.  (2)
-    # Running prefills never preempt, so an adopted mid-prefill request
-    # (its KV arrives without admission's memory check) and another
-    # prefill can fill the cache and stall each other.  Only a scheduler
-    # holding one of the two may keep unfinished requests.
+    # No scheduler holds a finished request, including one its previous
+    # owner's in-flight iteration finished.  What the drain leaves is
+    # explained by the known gap pinned below: running prefills never
+    # preempt, so an adopted mid-prefill request (its KV arrives without
+    # admission's memory check) and another prefill can fill the cache and
+    # stall each other.  Only a scheduler holding such a pair may keep
+    # unfinished requests.
     excused = set()
     for scheduler in schedulers:
         held_finished = {r.request_id for r in scheduler.running if r.finished}
-        assert held_finished <= finished_by_old_owner, (
-            f"finished requests {sorted(held_finished - finished_by_old_owner)} "
-            "were never released"
+        assert not held_finished, (
+            f"finished requests {sorted(held_finished)} were never released"
         )
-        stalled = {r.request_id for r in scheduler.running if not r.finished}
-        if held_finished or (len(stalled) >= 2 and stalled & adopted):
+        stalled = {r.request_id for r in scheduler.running}
+        if len(stalled) >= 2 and stalled & adopted:
             excused |= stalled | {r.request_id for r in scheduler.waiting}
             excused |= {r.request_id for r in scheduler.swapped}
     unfinished = [
@@ -408,9 +400,10 @@ def test_prefill_finished_by_the_previous_owner_still_decodes():
     assert b.num_running == 0 and b.kv.used_tokens == 0
 
 
-@pytest.mark.xfail(strict=True, reason="known gap: the new owner never releases "
-                   "a request its previous owner's in-flight iteration finished")
 def test_request_finished_by_the_previous_owner_is_released():
+    """The old owner's in-flight iteration emits the last token of a
+    request that moved away: the new owner frees its KV and drops it from
+    running, and only the old owner returns it as finished."""
     a, b = two_schedulers()
     request = Request(arrival_time=0.0, prompt_tokens=10, max_output_tokens=1)
     a.add_request(request)
@@ -419,8 +412,10 @@ def test_request_finished_by_the_previous_owner_is_released():
     a.remove_request(request)
     b.add_running(request, tokens)
     assert a.complete_batch(batch, 0.1) == [request]
-    step(b, 0.1)
     assert b.num_running == 0 and b.kv.used_tokens == 0
+    assert request.scheduler is None
+    assert step(b, 0.1).empty
+    assert_scheduler_aggregates(b)
 
 
 @pytest.mark.xfail(strict=True, reason="known gap: running prefills never preempt, "
