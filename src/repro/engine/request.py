@@ -9,9 +9,8 @@ re-prefill), ``SWAPPED`` (KV in host DRAM), ``MIGRATING`` (KV moving to
 another instance) or ``EXCHANGING`` (KV being redistributed after a
 parameter drop).
 
-The request keeps the time of its first and latest token and a running sum
-of the gaps between consecutive tokens, so TTFT and mean TPOT are exact as
-the paper defines them without storing a time per token.
+The request keeps the time of its first and latest token, so TTFT and mean
+TPOT follow as the paper defines them without storing a time per token.
 """
 
 from __future__ import annotations
@@ -52,13 +51,12 @@ class Request:
     nearly every hot loop reads request fields, and slot access skips the
     per-instance dict.
 
-    Per-token state is a handful of scalars, updated in place: the output
-    token count, the first and latest token times, and ``tpot_sum``, the
-    gaps between consecutive tokens added left to right as they are
-    emitted.  ``mean_tpot`` divides that sum by the number of gaps: the
-    mean of the gap list summed left to right, the same on every
-    interpreter (from Python 3.12 the builtin ``sum`` compensates, so it
-    is not used here).
+    Per-token state is three scalars, updated in place: the output token
+    count and the first and latest token times.  ``mean_tpot`` is the span
+    from the first to the latest token over the number of gaps between
+    them: the mean gap in real arithmetic, computed with one subtraction
+    and one division, so it is the same on every interpreter and for every
+    order in which the tokens were credited.
 
     Attributes:
         request_id: unique id (auto-assigned when negative).
@@ -106,9 +104,6 @@ class Request:
     finish_time: Optional[float] = None
     #: emission time of the latest output token.
     last_token_time: Optional[float] = None
-    #: sum of the gaps between consecutive output tokens, accumulated in
-    #: emission order.
-    tpot_sum: float = 0.0
 
     # --- scheduler scratch ------------------------------------------------
     #: the scheduler whose running set holds the request (``None`` while it
@@ -189,11 +184,8 @@ class Request:
 
     def record_output_token(self, now: float) -> None:
         """Account one generated token emitted at time ``now``."""
-        last = self.last_token_time
-        if last is None:
+        if self.last_token_time is None:
             self.first_token_time = now
-        else:
-            self.tpot_sum += now - last
         self.last_token_time = now
         self.output_tokens += 1
         if self.output_tokens >= self.max_output_tokens:
@@ -227,7 +219,7 @@ class Request:
         """Mean gap between consecutive output tokens (None below two)."""
         if self.output_tokens < 2:
             return None
-        return self.tpot_sum / (self.output_tokens - 1)
+        return (self.last_token_time - self.first_token_time) / (self.output_tokens - 1)
 
     @property
     def e2e_latency(self) -> Optional[float]:

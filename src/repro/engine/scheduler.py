@@ -542,11 +542,8 @@ class ContinuousBatchingScheduler:
         # count never drops below it).
         for chunk in islice(chunks, batch.decode_count):
             request = chunk.request
-            last = request.last_token_time
-            if last is None:
+            if request.last_token_time is None:
                 request.first_token_time = end_time
-            else:
-                request.tpot_sum += end_time - last
             request.last_token_time = end_time
             tokens = request.output_tokens + 1
             request.output_tokens = tokens

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import functools
+import math
 import operator
+import sys
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -51,7 +53,7 @@ class TestRequest:
         assert request.finished
         assert request.finish_time == 3.4
         assert request.last_token_time == 3.4
-        assert request.mean_tpot == ((3.0 - 2.5) + (3.4 - 3.0)) / 2
+        assert request.mean_tpot == (3.4 - 2.5) / 2
         assert request.mean_tpot == pytest.approx(0.45)
         assert request.e2e_latency == pytest.approx(2.4)
 
@@ -94,10 +96,13 @@ class TestRequest:
         st.lists(st.sampled_from([0.0, 0.1, 0.2, 0.30000000000000004, 7.5]),
                  min_size=1, max_size=60),
     ).map(sorted))
-    def test_mean_tpot_is_the_left_to_right_mean_of_the_gaps(self, times):
-        """The running accumulator equals the mean of the per-token gap list
-        summed left to right, exactly, on the request's own path and on the
-        scheduler's inlined completion path."""
+    def test_mean_tpot_is_the_span_over_the_gap_count(self, times):
+        """Mean TPOT is ``(last - first) / gaps`` exactly, on the request's
+        own path and on the scheduler's completion path, and agrees with
+        the left-to-right mean of the gap list to within the rounding of
+        that sum: each of the ``gaps`` non-negative gaps and each addition
+        rounds once (relative error at most half an epsilon each), and the
+        two divisions and the span once more."""
         direct = Request(arrival_time=0.0, prompt_tokens=4, max_output_tokens=len(times))
         for t in times:
             direct.record_output_token(t)
@@ -106,13 +111,18 @@ class TestRequest:
         scheduler.add_request(scheduled)
         for t in times:
             scheduler.complete_batch(scheduler.form_batch(t), t)
-        diffs = [later - earlier for earlier, later in zip(times, times[1:])]
-        expected = functools.reduce(operator.add, diffs) / len(diffs) if diffs else None
+        gaps = len(times) - 1
+        expected = (times[-1] - times[0]) / gaps if gaps else None
         for request in (direct, scheduled):
             assert request.output_tokens == len(times) and request.finished
             assert request.mean_tpot == expected
             assert request.first_token_time == times[0]
             assert request.last_token_time == times[-1]
+        if gaps:
+            diffs = [later - earlier for earlier, later in zip(times, times[1:])]
+            left_to_right = functools.reduce(operator.add, diffs) / gaps
+            tolerance = (gaps + 2) * sys.float_info.epsilon
+            assert math.isclose(expected, left_to_right, rel_tol=tolerance, abs_tol=0.0)
 
 
 class TestBatch:
