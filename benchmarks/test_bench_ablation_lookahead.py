@@ -10,27 +10,32 @@ from benchmarks.conftest import run_once
 from repro.cluster.specs import A800_80GB
 from repro.core.cost_model import fit_from_latency_model
 from repro.core.lookahead import make_lookahead_former
-from repro.engine.batch import ScheduledChunk
+from repro.engine.batch import IterationBatch, ScheduledChunk
 from repro.engine.chunked_prefill import split_into_n_microbatches
 from repro.engine.latency_model import LatencyModel
 from repro.engine.request import Request
 from repro.models.catalog import QWEN_2_5_14B
 
 
-def _heterogeneous_chunks():
-    """Prefill chunks with very different prefix lengths plus decodes."""
-    chunks = []
+def _heterogeneous_batch():
+    """Prefill chunks with very different prefix lengths plus 48 decodes."""
+    batch = IterationBatch(
+        decode_count=48, decode_prefix_sum=48 * 2000, decode_bases=[2000] * 48,
+        total_new_tokens=48, num_requests=48,
+    )
     for prefix, tokens in ((0, 900), (4096, 900), (0, 300), (6144, 300)):
         request = Request(arrival_time=0.0, prompt_tokens=prefix + tokens, max_output_tokens=4)
-        chunks.append(ScheduledChunk(request=request, prefix_tokens=prefix, new_tokens=tokens))
-    for _ in range(48):
-        request = Request(arrival_time=0.0, prompt_tokens=2000, max_output_tokens=64)
-        chunks.append(ScheduledChunk(request=request, prefix_tokens=2000, new_tokens=1, is_decode=True))
-    return chunks
+        batch.add(ScheduledChunk(request=request, prefix_tokens=prefix, new_tokens=tokens))
+    return batch
 
 
 def _imbalance(latency, microbatches, num_layers=24):
-    times = [latency.batch_time(mb.chunks, num_layers=num_layers) for mb in microbatches]
+    times = [
+        latency.batch_time(
+            mb.chunks, num_layers=num_layers, decodes=(mb.decode_count, mb.decode_prefix_sum)
+        )
+        for mb in microbatches
+    ]
     return max(times) / max(min(times), 1e-9), sum(times)
 
 
@@ -38,11 +43,11 @@ def test_bench_lookahead_balances_better_than_token_count(benchmark):
     latency = LatencyModel(A800_80GB, QWEN_2_5_14B)
     cost_model = fit_from_latency_model(latency)
     former = make_lookahead_former(cost_model)
-    chunks = _heterogeneous_chunks()
+    batch = _heterogeneous_batch()
 
-    microbatches = run_once(benchmark, former, chunks, 2)
+    microbatches = run_once(benchmark, former, batch, 2)
     lookahead_imbalance, _ = _imbalance(latency, microbatches)
-    token_count = split_into_n_microbatches(chunks, 2)
+    token_count = split_into_n_microbatches(batch, 2)
     token_imbalance, _ = _imbalance(latency, token_count)
     print(
         f"\nstage-time imbalance (max/min): lookahead={lookahead_imbalance:.2f}, "
@@ -55,6 +60,6 @@ def test_bench_lookahead_formation_latency(benchmark):
     latency = LatencyModel(A800_80GB, QWEN_2_5_14B)
     cost_model = fit_from_latency_model(latency)
     former = make_lookahead_former(cost_model)
-    chunks = _heterogeneous_chunks()
-    microbatches = benchmark(former, chunks, 4)
-    assert sum(mb.total_new_tokens for mb in microbatches) == sum(c.new_tokens for c in chunks)
+    batch = _heterogeneous_batch()
+    microbatches = benchmark(former, batch, 4)
+    assert sum(mb.total_new_tokens for mb in microbatches) == batch.total_new_tokens

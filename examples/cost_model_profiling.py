@@ -18,7 +18,7 @@ from repro.core.cost_model import (
     generate_profiling_samples,
 )
 from repro.core.lookahead import make_lookahead_former
-from repro.engine.batch import ScheduledChunk
+from repro.engine.batch import IterationBatch, ScheduledChunk
 from repro.engine.latency_model import LatencyModel
 from repro.engine.request import Request
 from repro.models import QWEN_2_5_14B
@@ -54,18 +54,17 @@ def main() -> None:
 
     print("4. using the fitted model for lookahead batch formulation:")
     former = make_lookahead_former(ours)
-    chunks = [chunk(0, 3000), chunk(4096, 1000)] + [
-        ScheduledChunk(
-            request=Request(arrival_time=0.0, prompt_tokens=1500, max_output_tokens=8),
-            prefix_tokens=1500, new_tokens=1, is_decode=True,
-        )
-        for _ in range(32)
-    ]
-    microbatches = former(chunks, 2)
+    # Two prefill chunks plus 32 decodes of 1500-token contexts.
+    batch = IterationBatch(decode_count=32, decode_prefix_sum=32 * 1500,
+                           decode_bases=[1500] * 32, total_new_tokens=32, num_requests=32)
+    batch.add(chunk(0, 3000))
+    batch.add(chunk(4096, 1000))
+    microbatches = former(batch, 2)
     for index, microbatch in enumerate(microbatches):
-        estimated = 1000 * ours.microbatch_cost(microbatch.chunks)
+        decodes = [chunk(1500, 1) for _ in range(microbatch.decode_count)]
+        estimated = 1000 * ours.microbatch_cost(microbatch.chunks + decodes)
         print(f"   microbatch {index}: {microbatch.total_new_tokens} tokens, "
-              f"{microbatch.num_decode_chunks} decodes, estimated {estimated:.1f} ms")
+              f"{microbatch.decode_count} decodes, estimated {estimated:.1f} ms")
 
 
 if __name__ == "__main__":

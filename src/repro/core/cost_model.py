@@ -132,18 +132,13 @@ class NoAttentionCostModel(BatchCostModel):
 # ----------------------------------------------------------------------
 # Offline profiling and least-squares fitting
 # ----------------------------------------------------------------------
-def _make_chunk(prefix_tokens: int, chunk_tokens: int, *, is_decode: bool = False) -> ScheduledChunk:
+def _make_chunk(prefix_tokens: int, chunk_tokens: int) -> ScheduledChunk:
     request = Request(
         arrival_time=0.0,
         prompt_tokens=max(1, prefix_tokens + chunk_tokens),
         max_output_tokens=1,
     )
-    return ScheduledChunk(
-        request=request,
-        prefix_tokens=prefix_tokens,
-        new_tokens=chunk_tokens,
-        is_decode=is_decode,
-    )
+    return ScheduledChunk(request=request, prefix_tokens=prefix_tokens, new_tokens=chunk_tokens)
 
 
 def generate_profiling_samples(
@@ -177,7 +172,8 @@ def generate_profiling_samples(
             )
     for context in decode_contexts:
         for batch_size in batch_sizes:
-            chunks = [_make_chunk(context, 1, is_decode=True) for _ in range(batch_size)]
+            # One-token chunks are priced exactly as decode steps.
+            chunks = [_make_chunk(context, 1) for _ in range(batch_size)]
             time = latency_model.batch_time(chunks)
             samples.append(
                 ProfilingSample(chunks=tuple((context, 1) for _ in range(batch_size)), measured_time=time)

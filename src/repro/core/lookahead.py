@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.core.cost_model import BatchCostModel
-from repro.engine.batch import MicroBatch, ScheduledChunk
+from repro.engine.batch import IterationBatch, MicroBatch, ScheduledChunk
 from repro.engine.group import MicrobatchFormer
 
 
@@ -28,11 +28,11 @@ def _split_chunk_by_cost(
 ) -> Optional[int]:
     """Token count at which ``chunk``'s cost reaches ``target_cost``.
 
-    Returns None when the chunk cannot or should not be split (decode
-    chunks, or a split point at the boundaries).  Binary search over the
-    token count — chunk cost is monotonic in tokens.
+    Returns None when the chunk cannot or should not be split (a
+    one-token chunk, or a split point at the boundaries).  Binary search
+    over the token count — chunk cost is monotonic in tokens.
     """
-    if chunk.is_decode or chunk.new_tokens <= 1:
+    if chunk.new_tokens <= 1:
         return None
     low, high = 1, chunk.new_tokens - 1
     best = None
@@ -150,12 +150,12 @@ def make_lookahead_former(
     per-microbatch weight reloads dominate), floored at ``min_tokens_floor``.
     """
 
-    def former(chunks: List[ScheduledChunk], num_stages: int) -> List[MicroBatch]:
-        if not chunks:
+    def former(batch: IterationBatch, num_stages: int) -> List[MicroBatch]:
+        prefill_chunks = batch.chunks
+        count = batch.decode_count
+        if not prefill_chunks and not count:
             return []
         target_microbatches = max(2, num_stages * microbatches_per_stage)
-        prefill_chunks = [chunk for chunk in chunks if not chunk.is_decode]
-        decode_chunks = [chunk for chunk in chunks if chunk.is_decode]
 
         if prefill_chunks:
             total_tokens = sum(chunk.new_tokens for chunk in prefill_chunks)
@@ -170,17 +170,19 @@ def make_lookahead_former(
             microbatches = []
 
         if not microbatches:
-            microbatches = [MicroBatch() for _ in range(min(target_microbatches, max(1, len(decode_chunks))))]
+            microbatches = [MicroBatch() for _ in range(min(target_microbatches, max(1, count)))]
 
-        # Decode chunks are homogeneous (one token each); spreading them
-        # evenly keeps every microbatch's decode work identical so the
-        # cost-balanced prefill split fully determines the balance.  The
-        # chunk lists are appended to directly: this round-robin runs once
-        # per running request per iteration.
+        # Decodes are homogeneous (one token each); dealing them round-robin
+        # in FCFS order keeps every microbatch's decode work identical so the
+        # cost-balanced prefill split fully determines the balance.
+        # Microbatch j of k takes decodes j, j + k, ...: ceil((count - j) / k)
+        # of them, whose prefixes are their bases plus the batch's offset.
         num_microbatches = len(microbatches)
-        chunk_lists = [microbatch.chunks for microbatch in microbatches]
-        for index, chunk in enumerate(decode_chunks):
-            chunk_lists[index % num_microbatches].append(chunk)
-        return [microbatch for microbatch in microbatches if microbatch.chunks]
+        bases, offset = batch.decode_bases, batch.decode_offset
+        for j, microbatch in enumerate(microbatches[:count]):
+            dealt = (count - j + num_microbatches - 1) // num_microbatches
+            microbatch.decode_count = dealt
+            microbatch.decode_prefix_sum = sum(bases[j:count:num_microbatches]) + dealt * offset
+        return [mb for mb in microbatches if mb.chunks or mb.decode_count]
 
     return former

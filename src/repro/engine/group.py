@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.network import NetworkFabric, Transfer, TransferPriority
-from repro.engine.batch import IterationBatch, MicroBatch, ScheduledChunk
+from repro.engine.batch import IterationBatch, MicroBatch
 from repro.engine.chunked_prefill import split_into_n_microbatches
 from repro.engine.instance import ServingInstance
 from repro.engine.metrics import MetricsCollector
@@ -37,9 +37,10 @@ from repro.models.memory import kv_bytes_per_token
 from repro.models.spec import ModelSpec
 from repro.simulation.event_loop import Event, EventLoop
 
-#: Type of the pluggable microbatch-formation function: takes the chunks of
-#: an iteration and the number of pipeline stages, returns microbatches.
-MicrobatchFormer = Callable[[List[ScheduledChunk], int], List[MicroBatch]]
+#: Type of the pluggable microbatch-formation function: takes an iteration's
+#: batch (prefill chunks plus its decode summary and FCFS prefix bases) and
+#: the number of pipeline stages, returns microbatches.
+MicrobatchFormer = Callable[[IterationBatch, int], List[MicroBatch]]
 
 
 class ServingGroup:
@@ -273,17 +274,16 @@ class ServingGroup:
         """Compute the iteration's duration and bubble fraction."""
         # The chunk list is handed to the latency model without copying:
         # neither path mutates it, and the copy showed up per iteration.
-        chunks = batch.chunks
         if self.num_stages == 1:
             instance = self.instances[0]
             duration = instance.latency.batch_time(
-                chunks,
+                batch.chunks,
                 num_layers=len(self._assignment[0]),
                 decodes=(batch.decode_count, batch.decode_prefix_sum),
             )
             return duration, 0.0
 
-        microbatches = self.microbatch_former(chunks, self.num_stages)
+        microbatches = self.microbatch_former(batch, self.num_stages)
         if not microbatches:
             return 0.0, 0.0
         stage_times: List[List[float]] = []
@@ -291,7 +291,7 @@ class ServingGroup:
         last_stage = self.num_stages - 1
         # When every stage runs on identical hardware with deterministic
         # latency (no jitter), batch_time is a pure function of
-        # (chunks, num_layers, include_lm_head) — stages holding the same
+        # (microbatch, num_layers, include_lm_head) — stages holding the same
         # layer count produce bit-identical times, so each distinct
         # (num_layers, lm_head) pair is computed once per microbatch instead
         # of once per stage.  Jitter disables this: memoizing would change
@@ -307,6 +307,7 @@ class ServingGroup:
         )
         for microbatch in microbatches:
             mb_chunks = microbatch.chunks
+            decodes = (microbatch.decode_count, microbatch.decode_prefix_sum)
             row = []
             mb_tokens = -1
             if uniform_stages:
@@ -316,7 +317,7 @@ class ServingGroup:
                     duration = stage_memo.get(key)
                     if duration is None:
                         without_head, with_head, mb_tokens = lat0.batch_time_pair(
-                            mb_chunks, num_layers=key[0]
+                            mb_chunks, num_layers=key[0], decodes=decodes
                         )
                         stage_memo[(key[0], False)] = without_head
                         stage_memo[(key[0], True)] = with_head
@@ -329,6 +330,7 @@ class ServingGroup:
                             mb_chunks,
                             num_layers=max(1, len(self._assignment[stage])),
                             include_lm_head=(stage == last_stage),
+                            decodes=decodes,
                         )
                     )
             stage_times.append(row)
@@ -407,8 +409,20 @@ class ServingGroup:
     # Stalls (KV exchange, swap-in, migration)
     # ------------------------------------------------------------------
     def stall_request(self, request: Request, until: float) -> None:
-        """Block ``request`` from being scheduled before ``until``."""
+        """Block ``request`` from being scheduled before ``until``.
+
+        The only way a stall is raised: the scheduler running the request
+        takes it out of its decode cohort until the stall passes.
+        """
         request.stall_until = max(request.stall_until, until)
+        if request.scheduler is not None:
+            request.scheduler.stall(request)
+
+    def end_stall(self, request: Request) -> None:
+        """The transfer ``request`` waited on landed: it may run from now."""
+        request.stall_until = min(request.stall_until, self.loop.now)
+        if request.scheduler is not None:
+            request.scheduler.stall_lowered(request)
 
     # ------------------------------------------------------------------
     # Swap mechanism (InferCept baseline)
@@ -450,7 +464,7 @@ class ServingGroup:
         self.stall_request(request, self.loop.now + eta)
 
     def _finish_swap_in(self, request: Request, _transfer: Transfer) -> None:
-        request.stall_until = min(request.stall_until, self.loop.now)
+        self.end_stall(request)
         self.kick()
 
     # ------------------------------------------------------------------
@@ -502,7 +516,7 @@ class ServingGroup:
             self.tracer.on_migration_end(request)
         if not request.finished:
             request.state = RequestState.RUNNING
-            request.stall_until = min(request.stall_until, self.loop.now)
+            destination.end_stall(request)
         destination.kick()
 
     # ------------------------------------------------------------------

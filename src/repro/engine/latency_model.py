@@ -1,8 +1,8 @@
 """Roofline execution-time model ("the GPU" of the simulation).
 
 This model plays the role the real GPU kernels play in the paper's testbed:
-given a batch of chunks (prefill pieces and decode steps) and the number of
-resident layers, it returns how long the iteration takes.  It is the ground
+given a batch (prefill chunks plus a summary of its decode steps) and the
+number of resident layers, it returns how long the iteration takes.  It is the ground
 truth against which the *scheduling* cost model of §4.3 (``repro.core.
 cost_model``) is fitted and evaluated (Figure 15).
 
@@ -23,8 +23,9 @@ total stays below 2**53, every partial sum of the per-chunk terms
 (:meth:`LatencyModel.chunk_compute_flops` and the KV-byte methods) added
 as floats is an exactly representable integer, so such a float sum is the
 same in any order and equals the single conversion bit for bit.  That is
-what lets the run of decode chunks leading a scheduled batch be priced
-from its count and prefix-token sum alone (the scheduler records both).
+what lets a batch's decode steps be priced from their count and
+prefix-token sum alone (the scheduler records both), exactly as if each
+were a one-token chunk.
 Totals of 2**53 or more, which no simulated workload reaches (it takes a
 Llama-405B-class batch with multi-million-token prefixes), are rounded
 once, to the float nearest the exact total.
@@ -139,26 +140,25 @@ class LatencyModel:
         """Execution time of one microbatch over ``num_layers`` layers.
 
         ``num_layers`` defaults to the full model (non-pipelined execution);
-        pipeline stages pass their own layer count.  ``decodes`` is the
-        ``(count, prefix-token sum)`` of the run of decode chunks leading
-        ``chunks``; that run is priced in closed form instead of chunk by
-        chunk.
+        pipeline stages pass their own layer count.  ``chunks`` are the
+        prefill chunks; ``decodes`` is the ``(count, prefix-token sum)`` of
+        the decode steps batched with them, priced in closed form.
         """
         chunk_list = chunks if type(chunks) is list else list(chunks)
         if num_layers is None:
             num_layers = self.model.num_layers
         if num_layers <= 0:
             raise ValueError("num_layers must be positive")
-        if not chunk_list:
+        if not chunk_list and not decodes[0]:
             return 0.0
 
-        # Decode prefixes grow every iteration, so a batch that leads with a
-        # decode chunk (form_batch schedules decodes first) essentially never
-        # repeats its shape — for those, building and probing the memo key is
-        # pure overhead.  Pure-prefill batches (admission bursts, profiling
-        # sweeps, cost-model calibration) do repeat and keep the memo.
+        # Decode prefixes grow every iteration, so a batch with decodes
+        # essentially never repeats its shape — for those, building and
+        # probing the memo key is pure overhead.  Pure-prefill batches
+        # (admission bursts, profiling sweeps, cost-model calibration) do
+        # repeat and keep the memo.
         cache_key = None
-        if (self._rng is None or self.config.jitter_fraction <= 0) and not chunk_list[0].is_decode:
+        if (self._rng is None or self.config.jitter_fraction <= 0) and not decodes[0]:
             cache_key = (
                 num_layers,
                 include_lm_head,
@@ -197,7 +197,7 @@ class LatencyModel:
         layer_fraction = num_layers / self.model.num_layers
         overhead = (
             self.config.iteration_overhead_s * layer_fraction
-            + self.config.per_chunk_overhead_s * len(chunk_list) * layer_fraction
+            + self.config.per_chunk_overhead_s * (len(chunk_list) + decodes[0]) * layer_fraction
             + self.config.per_layer_overhead_s * num_layers
         )
         duration = max(compute_time, memory_time) + comm_time + overhead
@@ -231,7 +231,7 @@ class LatencyModel:
             num_layers = self.model.num_layers
         if num_layers <= 0:
             raise ValueError("num_layers must be positive")
-        if not chunk_list:
+        if not chunk_list and not decodes[0]:
             return 0.0, 0.0, 0
 
         total_flops, total_bytes, total_tokens = self._chunk_totals(
@@ -255,7 +255,7 @@ class LatencyModel:
         layer_fraction = num_layers / self.model.num_layers
         overhead = (
             self.config.iteration_overhead_s * layer_fraction
-            + self.config.per_chunk_overhead_s * len(chunk_list) * layer_fraction
+            + self.config.per_chunk_overhead_s * (len(chunk_list) + decodes[0]) * layer_fraction
             + self.config.per_layer_overhead_s * num_layers
         )
         without_head = max(total_flops / effective_flops, memory_time) + comm_time + overhead
@@ -265,19 +265,20 @@ class LatencyModel:
     def _chunk_totals(
         self, chunk_list: List[ScheduledChunk], num_layers: int, decodes: Tuple[int, int]
     ) -> Tuple[float, float, int]:
-        """``(FLOPs, KV bytes read and written, new tokens)`` over the chunks.
+        """``(FLOPs, KV bytes read and written, new tokens)`` of the chunks
+        and the decodes.
 
         Sums exact integers and converts each total once (the module
-        docstring says why that equals summing per-chunk floats).  The
-        leading ``decodes`` run is not visited: a decode chunk (``n = 1``)
-        contributes ``4(p + 1)`` attention units and ``p + 2`` KV units, so
-        the run's share follows from its count and prefix sum.
+        docstring says why that equals summing per-chunk floats).  A decode
+        step (``n = 1``) contributes ``4(p + 1)`` attention units and
+        ``p + 2`` KV units, so the decodes' share follows from their count
+        and prefix sum.
         """
         count, prefix_sum = decodes
         tokens = count
         attn_units = 4 * (prefix_sum + count)
         kv_units = prefix_sum + 2 * count
-        for chunk in chunk_list[count:] if count else chunk_list:
+        for chunk in chunk_list:
             new_tokens = chunk.new_tokens
             prefix = chunk.prefix_tokens
             tokens += new_tokens
@@ -299,22 +300,7 @@ class LatencyModel:
 
     def decode_time(self, context_tokens: int, batch_size: int = 1) -> float:
         """Convenience: full-model time of a decode iteration."""
-        from repro.engine.request import Request  # local import to avoid cycle
-
-        chunks = []
-        for _ in range(batch_size):
-            request = Request(
-                arrival_time=0.0, prompt_tokens=max(1, context_tokens), max_output_tokens=1
-            )
-            chunks.append(
-                ScheduledChunk(
-                    request=request,
-                    prefix_tokens=context_tokens,
-                    new_tokens=1,
-                    is_decode=True,
-                )
-            )
-        return self.batch_time(chunks)
+        return self.batch_time([], decodes=(batch_size, batch_size * context_tokens))
 
     def activation_transfer_bytes(self, total_tokens: int) -> int:
         """Bytes of activations forwarded between two pipeline stages."""

@@ -21,9 +21,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:
-    from repro.engine.batch import ScheduledChunk
     from repro.engine.scheduler import ContinuousBatchingScheduler
-    from repro.memory.paged_kv import BlockTable
 
 _request_counter = itertools.count()
 
@@ -111,10 +109,6 @@ class Request:
     scheduler: Optional["ContinuousBatchingScheduler"] = field(
         default=None, init=False, repr=False
     )
-    #: the reusable decode chunk and KV block table the owning scheduler
-    #: keeps for this request while it decodes there (``None`` otherwise).
-    decode_chunk: Optional["ScheduledChunk"] = field(default=None, init=False, repr=False)
-    decode_table: Optional["BlockTable"] = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.request_id < 0:

@@ -8,25 +8,57 @@ token it preempts the lowest-priority running request, either by discarding
 its KV cache (vLLM's recompute mode) or by swapping it to host DRAM
 (InferCept's mode); when even that is impossible, arriving requests queue —
 which is exactly the overloading behaviour the paper studies.
+
+Decoding requests advance as a *cohort*, one token per decode pass each
+(see :class:`ContinuousBatchingScheduler`), so forming and completing a
+pass costs work per event — a KV block crossing, a finish, a request
+joining or leaving — not per decoding request.
 """
 
 from __future__ import annotations
 
 import enum
-from bisect import insort
+from bisect import bisect_left, insort
 from collections import deque
-from dataclasses import dataclass, field
-from itertools import islice
+from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Callable, Deque, Dict, List, Optional
 
 from repro.engine.batch import IterationBatch, ScheduledChunk
 from repro.engine.request import Request, RequestState
-from repro.memory.paged_kv import PagedKVCache
+from repro.memory.paged_kv import BlockTable, PagedKVCache
 
 
 def _fcfs_key(request: Request) -> tuple:
     """FCFS priority: earlier arrivals first, ties broken by id."""
     return (request.arrival_time, request.request_id)
+
+
+def _remove_ranked(ranked: List[Request], request: Request) -> bool:
+    """Delete ``request`` from the FCFS-sorted ``ranked``; False if absent."""
+    index = bisect_left(ranked, _fcfs_key(request), key=_fcfs_key)
+    if index < len(ranked) and ranked[index] is request:
+        del ranked[index]
+        return True
+    return False
+
+
+class _Member:
+    """A decoding request's membership of one scheduler's cohort.
+
+    Records the scheduler's formed-pass count when the request joined
+    (``joined``) and the request's KV and output tokens then; its counts
+    now follow from those and the scheduler's two pass counters.
+    """
+
+    __slots__ = ("request", "table", "joined", "kv", "out")
+
+    def __init__(self, request: Request, table: BlockTable, joined: int) -> None:
+        self.request = request
+        self.table = table
+        self.joined = joined
+        self.kv = table.num_tokens
+        self.out = request.output_tokens
 
 
 class PreemptionMode(enum.Enum):
@@ -77,7 +109,42 @@ class SchedulerHooks:
 
 
 class ContinuousBatchingScheduler:
-    """Iteration-level scheduler for one serving group."""
+    """Iteration-level scheduler for one serving group.
+
+    **The decode cohort.**  Every running request whose prefill is done
+    and which is not stalled advances one token per decode pass, so the
+    scheduler keeps them as a cohort instead of stepping each one:
+
+    * two counters: passes *formed* (a pass's KV tokens are taken when it
+      forms) and passes *completed* (its output tokens are credited when
+      it completes).  A completion that never comes (``deactivate``
+      abandons it on a merge or restore) leaves the KV with the token and
+      the output without it, as for a real aborted iteration;
+    * a member records the formed count when it joined (``joined``) and
+      its KV and output tokens then.  Its KV tokens are ``kv + formed -
+      joined``, its output tokens ``out + completed - joined`` once a
+      pass it took part in completed, and its latest token time is the
+      end of the last completed pass;
+    * the cohort's FCFS-ordered *prefix bases* ``prompt + out - joined``
+      and their sum, so a pass's decode prefix sum is ``base sum + count
+      x completed`` and each decode's prefix is its base plus
+      ``completed``;
+    * two heaps yield the events, in FCFS order within a pass: the formed
+      count at which a member's tail KV block is full (a *crossing*: it
+      takes a free block or preempts, as vLLM does) and the completed
+      count at which its output reaches ``max_output_tokens`` (a finish).
+      An entry whose membership ended is skipped when popped.
+
+    A member leaves on preemption, swap-out, finish, removal and stall,
+    and its counts are written onto the request and its block table then
+    (*materialised*).  A stalled request rejoins at the first
+    ``form_batch`` at or after its ``stall_until``; when a pass would hold
+    more members than the token budget, the latest-arrived sit it out on
+    a bench, as they would have in a per-request walk.  ``running`` is
+    the one outside view of a decoding request's counts: reading it
+    materialises every member.  The scheduler forms a pass only after the
+    previous one completed or was abandoned, as its group does.
+    """
 
     def __init__(
         self,
@@ -89,36 +156,55 @@ class ContinuousBatchingScheduler:
         self.config = config if config is not None else SchedulerConfig()
         self.hooks = hooks if hooks is not None else SchedulerHooks()
         self.waiting: Deque[Request] = deque()
-        self.running: List[Request] = []
         self.swapped: List[Request] = []
-        #: ids of requests in ``running``, for O(1) membership tests.
-        self._running_ids: set[int] = set()
-        #: ``running`` split in two lists sorted in FCFS order
-        #: ``(arrival_time, request_id)``: every running request is in
-        #: exactly one.  Batch formation and victim selection walk the
-        #: running set in priority order; keeping sorted sibling lists
-        #: (updated on the rare add/remove) replaces a per-iteration sort.
-        #: ``running`` itself keeps insertion order because reconfiguration
-        #: paths (KV exchange, fault recovery, group transfers) iterate it
-        #: in that order and their outcomes depend on it.
-        #:
-        #: ``_prefilling`` holds those whose prefill is unfinished,
-        #: ``_decoding`` those whose prefill is done.  A request enters one
-        #: on ``_add_running`` by its prefill state, leaves on
-        #: ``_remove_running``, and moves from the first to the second
-        #: when ``complete_batch`` finishes its prefill.  Demand
+        #: running requests by id, in the order they started running here
+        #: (read through :attr:`running`): reconfiguration paths (KV
+        #: exchange, fault recovery, group transfers) iterate them in that
+        #: order and their outcomes depend on it.
+        self._running: Dict[int, Request] = {}
+        #: the running set split in two lists sorted in FCFS order
+        #: ``(arrival_time, request_id)``: ``_prefilling`` holds those
+        #: whose prefill is unfinished, ``_decoding`` those whose prefill
+        #: is done, and every running request is in exactly one.  Demand
         #: queries and the running-prefill pass visit only ``_prefilling``
-        #: (a running request holds at least ``prefill_progress`` KV tokens,
-        #: so one whose prefill is done has no deficit); the decode pass
-        #: walks only ``_decoding``.
-        #:
-        #: One transition happens outside this scheduler: a request adopted
-        #: mid-prefill whose prefill its previous owner's in-flight
-        #: iteration then finishes (migration, KV exchange).  That owner's
-        #: ``complete_batch`` cannot reach these lists, so ``form_batch``
-        #: promotes such entries before its decode pass.
+        #: (a running request holds at least ``prefill_progress`` KV
+        #: tokens, so one whose prefill is done has no deficit); victim
+        #: selection walks both from the tail.  A request whose prefill
+        #: completes moves to ``_decoding`` when its first token is
+        #: recorded, by whichever scheduler's iteration completed it (the
+        #: owner reference reaches the one holding it).
         self._prefilling: List[Request] = []
         self._decoding: List[Request] = []
+        #: ``_decoding`` is partitioned into the cohort (FCFS-sorted, with
+        #: the prefix bases alongside), the stalled set and the bench.
+        self._cohort: List[Request] = []
+        self._bases: List[int] = []
+        self._base_sum: int = 0
+        self._members: Dict[int, _Member] = {}
+        self._formed: int = 0
+        self._completed: int = 0
+        #: end time of the last completed decode pass.
+        self._last_end: Optional[float] = None
+        #: event heaps of ``(pass, arrival_time, request_id, sequence,
+        #: member)``; the sequence number orders a request's entries from
+        #: different memberships.
+        self._crossings: list = []
+        self._finishes: list = []
+        self._sequence: int = 0
+        #: members that left while a pass they took part in was in flight:
+        #: that pass's completion credits their token.
+        self._departed: List[Request] = []
+        #: stalled decoding requests by id, and a heap of ``(stall_until,
+        #: sequence, request)`` giving when to look at each again.
+        self._stalled: Dict[int, Request] = {}
+        self._stall_heap: list = []
+        #: decoding requests sitting passes out because the cohort filled
+        #: the token budget (FCFS-sorted, each after every member).
+        self._bench: List[Request] = []
+        #: a lower bound on the current time: the latest ``form_batch`` or
+        #: ``complete_batch`` time.  A request joining with a stall beyond
+        #: it waits in the stalled set.
+        self._now: float = float("-inf")
         #: KV tokens each waiting or swapped request will need to start,
         #: stored at enqueue and subtracted at dequeue, and their sum: the
         #: dispatcher queries demand for every group on every arrival, so it
@@ -159,9 +245,9 @@ class ContinuousBatchingScheduler:
 
     def remove_request(self, request: Request) -> int:
         """Remove a request from all queues; returns its freed KV tokens."""
+        self._remove_running(request)
         freed_tokens = self.kv.tokens_of(request.request_id)
         self.kv.free(request.request_id)
-        self._remove_running(request)
         if request.request_id in self._queued:
             self._untrack_queued(request)
             if request in self.swapped:
@@ -169,6 +255,28 @@ class ContinuousBatchingScheduler:
             else:
                 self.waiting.remove(request)
         return freed_tokens
+
+    def stall(self, request: Request) -> None:
+        """``request``'s ``stall_until`` was raised: keep it out of decode
+        passes until the first ``form_batch`` at or after it."""
+        rid = request.request_id
+        if rid in self._members:
+            self._leave(request)
+        elif request in self._bench:
+            self._bench.remove(request)
+        else:
+            return  # prefilling (its pass checks), already stalled, or not here
+        self._stalled[rid] = request
+        self._watch_stall(request)
+
+    def stall_lowered(self, request: Request) -> None:
+        """``request``'s ``stall_until`` was lowered (its transfer landed)."""
+        if request.request_id in self._stalled:
+            self._watch_stall(request)
+
+    def _watch_stall(self, request: Request) -> None:
+        self._sequence += 1
+        heappush(self._stall_heap, (request.stall_until, self._sequence, request))
 
     def _enqueue_waiting(self, request: Request, front: bool) -> None:
         remaining = request.prefill_target - request.prefill_progress
@@ -186,47 +294,129 @@ class ContinuousBatchingScheduler:
         self._queued_demand -= self._queued.pop(request.request_id)
 
     def _add_running(self, request: Request) -> None:
-        self.running.append(request)
-        self._running_ids.add(request.request_id)
+        self._running[request.request_id] = request
         request.scheduler = self
         if request.prefill_progress < request.prefill_target:
             insort(self._prefilling, request, key=_fcfs_key)
         else:
-            self._start_decoding(request)
+            insort(self._decoding, request, key=_fcfs_key)
+            self._join(request)
 
     def _remove_running(self, request: Request) -> None:
-        if request.request_id in self._running_ids:
-            self.running.remove(request)
-            self._running_ids.discard(request.request_id)
-            if request in self._prefilling:
-                self._prefilling.remove(request)
-            else:
-                self._decoding.remove(request)
-            request.decode_chunk = None
-            request.decode_table = None
-            request.scheduler = None
+        rid = request.request_id
+        if self._running.pop(rid, None) is None:
+            return
+        request.scheduler = None
+        if _remove_ranked(self._prefilling, request):
+            return
+        _remove_ranked(self._decoding, request)
+        if rid in self._members:
+            self._leave(request)
+        elif self._stalled.pop(rid, None) is None and request in self._bench:
+            self._bench.remove(request)
 
     def _start_decoding(self, request: Request) -> None:
-        """Enter ``request``, whose prefill is done, into ``_decoding``.
-
-        It holds its block table from here: every path that can free or
-        replace the table (preemption, swap-out, migration, finish) leaves
-        the running set first, which drops the held one.
-        """
-        insort(self._decoding, request, key=_fcfs_key)
-        request.decode_table = self.kv._tables.get(request.request_id)
-
-    def _promote_prefilled(self) -> None:
-        """Move ``_prefilling`` entries whose prefill is done to
-        ``_decoding``: those whose previous owner finished the prefill."""
-        done = [r for r in self._prefilling if r.prefill_progress >= r.prefill_target]
-        for request in done:
-            self._prefilling.remove(request)
-            self._start_decoding(request)
+        """Move ``request``, whose prefill is done, from ``_prefilling`` to
+        ``_decoding`` (if it is still there) and into the cohort."""
+        if _remove_ranked(self._prefilling, request):
+            insort(self._decoding, request, key=_fcfs_key)
+            self._join(request)
 
     def is_running(self, request: Request) -> bool:
-        """O(1) membership test against the running list."""
-        return request.request_id in self._running_ids
+        """O(1) membership test against the running set."""
+        return request.request_id in self._running
+
+    # ------------------------------------------------------------------
+    # The decode cohort
+    # ------------------------------------------------------------------
+    @property
+    def running(self) -> List[Request]:
+        """A new list of the running requests, in the order they started
+        running here.
+
+        Reading it brings every cohort member's output tokens, latest
+        token time and KV tokens up to date on the request and its block
+        table.
+        """
+        for member in self._members.values():
+            self._materialise(member)
+        return list(self._running.values())
+
+    def _join(self, request: Request) -> None:
+        """Enter a decoding request into the cohort, or into the stalled
+        set while its stall lasts.  A request's first token is recorded
+        when its prefill completes, so a member has one already."""
+        rid = request.request_id
+        if request.stall_until > self._now:
+            self._stalled[rid] = request
+            self._watch_stall(request)
+            return
+        table = self.kv._tables.get(rid)
+        if table is None:
+            table = self.kv._tables[rid] = BlockTable(request_id=rid)
+        joined = self._formed
+        member = _Member(request, table, joined)
+        self._members[rid] = member
+        index = bisect_left(self._cohort, _fcfs_key(request), key=_fcfs_key)
+        self._cohort.insert(index, request)
+        base = request.prompt_tokens + member.out - joined
+        self._bases.insert(index, base)
+        self._base_sum += base
+        self._sequence += 1
+        tail_full = joined + table.num_blocks * self.kv.block_size - member.kv
+        done = joined + request.max_output_tokens - member.out
+        heappush(self._crossings, (tail_full, request.arrival_time, rid, self._sequence, member))
+        heappush(self._finishes, (done, request.arrival_time, rid, self._sequence, member))
+
+    def _leave(self, request: Request) -> None:
+        """Take a member out of the cohort, materialising its counts."""
+        member = self._members.pop(request.request_id)
+        self._materialise(member)
+        index = bisect_left(self._cohort, _fcfs_key(request), key=_fcfs_key)
+        del self._cohort[index]
+        self._base_sum -= self._bases.pop(index)
+        if self._completed < self._formed and member.joined < self._formed:
+            self._departed.append(request)
+
+    def _materialise(self, member: _Member) -> None:
+        """Write a member's current KV and output counts onto it."""
+        request = member.request
+        joined = member.joined
+        member.table.num_tokens = member.kv + self._formed - joined
+        completed = self._completed
+        if completed > joined:
+            request.output_tokens = member.out + completed - joined
+            request.last_token_time = self._last_end
+
+    def _wake_stalled(self, now: float) -> None:
+        """Let stalled requests whose stall has passed rejoin the cohort."""
+        heap = self._stall_heap
+        stalled = self._stalled
+        while heap and heap[0][0] <= now:
+            request = heappop(heap)[2]
+            if stalled.get(request.request_id) is not request:
+                continue  # rejoined or left since
+            if request.stall_until > now:
+                self._watch_stall(request)  # raised since
+                continue
+            del stalled[request.request_id]
+            self._join(request)
+
+    def _fit_to_budget(self, budget: int) -> None:
+        """Keep the first ``budget`` non-stalled decoders in FCFS order in
+        the cohort and bench the rest."""
+        cohort, bench = self._cohort, self._bench
+        while len(cohort) > budget:
+            self._bench_last()
+        while bench and (len(cohort) < budget or _fcfs_key(bench[0]) < _fcfs_key(cohort[-1])):
+            if len(cohort) >= budget:
+                self._bench_last()
+            self._join(bench.pop(0))
+
+    def _bench_last(self) -> None:
+        request = self._cohort[-1]
+        self._leave(request)
+        insort(self._bench, request, key=_fcfs_key)
 
     # ------------------------------------------------------------------
     # Load queries (used by dispatcher / monitor)
@@ -237,7 +427,7 @@ class ContinuousBatchingScheduler:
 
     @property
     def num_running(self) -> int:
-        return len(self.running)
+        return len(self._running)
 
     @property
     def num_swapped(self) -> int:
@@ -273,7 +463,7 @@ class ContinuousBatchingScheduler:
         """Earliest future time at which a stalled request becomes runnable."""
         times = [
             r.stall_until
-            for r in list(self.running) + list(self.waiting)
+            for r in [*self._running.values(), *self.waiting]
             if r.stall_until > now
         ]
         return min(times) if times else None
@@ -284,111 +474,73 @@ class ContinuousBatchingScheduler:
     def form_batch(self, now: float) -> IterationBatch:
         """Build the next iteration's batch (decodes first, then prefill)."""
         self.memory_blocked = False
+        self._now = now
         batch = IterationBatch()
         budget = self.config.token_budget
 
         self._try_swap_in(now)
-        self._promote_prefilled()
+        if self._stall_heap and self._stall_heap[0][0] <= now:
+            self._wake_stalled(now)
+        if self._bench or len(self._cohort) > budget:
+            self._fit_to_budget(budget)
 
-        # Each request contributes at most one chunk (the batch counts
-        # requests by chunks): a decode, a running prefill, or the
-        # admission of a waiting request (a request preempted by the
-        # decode pass was never given a chunk before).
-        budget = self._schedule_decodes(batch, budget, now)
+        # Each request takes part at most once: a decode, a running prefill,
+        # or the admission of a waiting request (a request preempted by a
+        # crossing was never given a chunk before).
+        if self._cohort:
+            self._form_decode_pass(batch, now)
+            budget -= batch.decode_count
         budget = self._schedule_running_prefills(batch, budget, now)
         self._admit_waiting(batch, budget, now)
         return batch
 
-    def _schedule_decodes(self, batch: IterationBatch, budget: int, now: float) -> int:
-        # The hottest loop of the simulation: one step per decoding request
-        # per iteration, allocating nothing after a request's first decode
-        # here.  ``_decoding`` is already in
-        # FCFS order and holds only requests whose prefill is done.  Each
-        # holds its KV block table (from when it entered the list) and its
-        # decode chunk (from its first decode here), both dropped when it
-        # leaves running, so the one-token KV grow touches no dict and the
-        # chunk is recycled.  Consumers of a chunk (latency model,
-        # completion, tracer, listeners) all read it within the iteration
-        # that scheduled it, before the next ``form_batch`` can touch its
-        # prefix again.  The used-token count of grows that take no new
-        # block is added once, before any slow path and at the end.  The
-        # pass runs first, on an empty batch, and records the count and
-        # prefix sum of the decodes it appends for the latency model; the
-        # count is also the batch's new tokens and requests so far.
-        #
-        # A preemption inside the walk removes entries from ``_decoding``:
-        # victims rank strictly behind the current request, so the walk
-        # simply never reaches them; a request that preempts itself does so
-        # because no unfinished running request ranks behind it, so nothing
-        # after it could decode and the walk stops.
-        finished_state = RequestState.FINISHED
-        kv = self.kv
-        block_size = kv.block_size
-        chunk_append = batch.chunks.append
-        appended = 0
-        prefix_sum = 0
-        for request in self._decoding:
-            if request.state is finished_state or now < request.stall_until:
-                continue
-            table = request.decode_table
-            if table is not None and table.num_tokens < table.num_blocks * block_size:
-                table.num_tokens += 1
-                appended += 1
-            elif table is not None and kv._used_blocks < kv._num_blocks:
-                table.num_blocks += 1
-                table.num_tokens += 1
-                kv._used_blocks += 1
-                appended += 1
-            else:
-                kv._used_tokens += appended
-                appended = 0
-                if not self._append_decode_token(request, now):
-                    break
-            # ``context_tokens`` of a request whose prefill is done: its
-            # prefill target never exceeds prompt plus generated tokens.
-            prefix = request.prompt_tokens + request.output_tokens
-            chunk = request.decode_chunk
-            if chunk is None:
-                chunk = ScheduledChunk(request, prefix, 1, True)
-                request.decode_chunk = chunk
-            else:
-                chunk.prefix_tokens = prefix
-            prefix_sum += prefix
-            chunk_append(chunk)
-            budget -= 1
-            if budget <= 0:
-                break
-        kv._used_tokens += appended
-        decodes = len(batch.chunks)
-        batch.decode_count = decodes
-        batch.decode_prefix_sum = prefix_sum
-        batch.total_new_tokens = decodes
-        batch.num_requests = decodes
-        return budget
+    def _form_decode_pass(self, batch: IterationBatch, now: float) -> None:
+        """Advance the cohort one token: serve this pass's block crossings
+        in FCFS order, then take every member's token at once."""
+        formed = self._formed
+        crossings = self._crossings
+        members = self._members
+        while crossings and crossings[0][0] <= formed:
+            entry = heappop(crossings)
+            member = entry[4]
+            if members.get(entry[2]) is member:
+                self._cross(member, entry, now)
+        count = len(self._cohort)
+        if not count:
+            return
+        self._formed = formed + 1
+        self.kv._used_tokens += count
+        completed = self._completed
+        batch.decode_count = count
+        batch.decode_prefix_sum = self._base_sum + count * completed
+        batch.decode_bases = self._bases
+        batch.decode_offset = completed
+        batch.total_new_tokens = count
+        batch.num_requests = count
 
-    def _append_decode_token(self, request: Request, now: float) -> bool:
-        """The decode pass's slow path: grow ``request``'s KV by one token
-        when the cache is full (or the request holds no KV yet).
+    def _cross(self, member: _Member, entry: tuple, now: float) -> None:
+        """Give a member whose tail block is full a new block.
 
         Preempts lower-priority requests to make room.  When none is left,
-        the request itself is the lowest-priority one and is preempted
-        (vLLM's behaviour) rather than holding memory; returns False then.
+        the member itself is the lowest-priority running request and is
+        preempted (vLLM's behaviour) rather than holding memory.
         """
         kv = self.kv
-        rid = request.request_id
-        if request.decode_table is not None or kv.append_token(rid) is None:
+        if kv._used_blocks >= kv._num_blocks:
+            request = member.request
+            self._materialise(member)
             if not self._make_room(request, 1, now):
                 self.memory_blocked = True
                 self._preempt(request, now)
-                return False
-            kv.allocate(rid, 1)
-        request.decode_table = kv._tables[rid]
-        return True
+                return
+        member.table.num_blocks += 1
+        kv._used_blocks += 1
+        heappush(self._crossings, (entry[0] + kv.block_size,) + entry[1:])
 
     def _schedule_running_prefills(self, batch: IterationBatch, budget: int, now: float) -> int:
         # ``_prefilling`` holds, in FCFS order, every running request whose
-        # prefill is unfinished (``form_batch`` promoted the rest); nothing
-        # in this pass adds or removes running requests.
+        # prefill is unfinished; nothing in this pass adds or removes
+        # running requests.
         for request in self._prefilling:
             if budget <= 0:
                 break
@@ -411,7 +563,7 @@ class ContinuousBatchingScheduler:
         return budget
 
     def _admit_waiting(self, batch: IterationBatch, budget: int, now: float) -> int:
-        while budget > 0 and self.waiting and len(self.running) < self.config.max_running_requests:
+        while budget > 0 and self.waiting and len(self._running) < self.config.max_running_requests:
             request = self.waiting[0]
             if request.is_stalled(now):
                 break
@@ -465,30 +617,23 @@ class ContinuousBatchingScheduler:
 
         ``_prefilling`` and ``_decoding`` are sorted by ``(arrival_time,
         request_id)`` and that key is unique, so the victim is the later of
-        each list's last unfinished entry with a key greater than
-        ``exclude``'s; scanning each from the tail finds it without
-        materialising and maxing a candidate list.
+        the two lists' last entries, if it ranks behind ``exclude``.
         """
-        exclude_key = (exclude.arrival_time, exclude.request_id)
-        finished_state = RequestState.FINISHED
         victim: Optional[Request] = None
-        victim_key = exclude_key
+        victim_key = _fcfs_key(exclude)
         for ranked in (self._prefilling, self._decoding):
-            for r in reversed(ranked):
-                key = (r.arrival_time, r.request_id)
-                if key <= victim_key:
-                    break
-                if r.state is not finished_state:
-                    victim = r
+            if ranked:
+                key = _fcfs_key(ranked[-1])
+                if key > victim_key:
+                    victim = ranked[-1]
                     victim_key = key
-                    break
         return victim
 
     def _preempt(self, victim: Request, now: float) -> None:
         if not self.is_running(victim):
             return
-        self.kv.free(victim.request_id)
         self._remove_running(victim)
+        self.kv.free(victim.request_id)
         if self.config.preemption_mode == PreemptionMode.RECOMPUTE:
             victim.reset_for_recompute()
             self._enqueue_waiting(victim, True)
@@ -509,11 +654,11 @@ class ContinuousBatchingScheduler:
         if not self.swapped:
             return
         watermark_blocks = int(self.kv.num_blocks * self.config.swap_in_watermark)
-        candidates = sorted(self.swapped, key=lambda r: (r.arrival_time, r.request_id))
+        candidates = sorted(self.swapped, key=_fcfs_key)
         for request in candidates:
             if request.is_stalled(now):
                 continue
-            if len(self.running) >= self.config.max_running_requests:
+            if len(self._running) >= self.config.max_running_requests:
                 break
             tokens = request.context_tokens
             needed_blocks = self.kv.blocks_for_tokens(tokens)
@@ -531,50 +676,66 @@ class ContinuousBatchingScheduler:
     # Batch completion
     # ------------------------------------------------------------------
     def complete_batch(self, batch: IterationBatch, end_time: float) -> List[Request]:
-        """Apply the effects of an executed batch; returns finished requests."""
+        """Apply the effects of an executed batch; returns finished requests.
+
+        Decode finishes come first in FCFS order, then prefill chunks'
+        finishes in batch order.
+        """
+        self._now = end_time
         finished: List[Request] = []
         finished_state = RequestState.FINISHED
-        chunks = batch.chunks
-        # The leading decode run holds one chunk per request: inlined
-        # ``request.record_output_token(end_time)``, one step per generated
-        # token of the whole simulation.  A request finishes exactly when
-        # its count reaches ``max_output_tokens`` (a finished request's
-        # count never drops below it).
-        for chunk in islice(chunks, batch.decode_count):
-            request = chunk.request
-            if request.last_token_time is None:
-                request.first_token_time = end_time
-            request.last_token_time = end_time
-            tokens = request.output_tokens + 1
-            request.output_tokens = tokens
-            if tokens >= request.max_output_tokens:
-                request.state = finished_state
-                request.finish_time = end_time
-                finished.append(request)
-        # The rest are prefill chunks, one per request and none of a
-        # request decoded above.
-        prefilling = self._prefilling
-        for chunk in islice(chunks, batch.decode_count, None):
+        if batch.decode_count:
+            completed = self._completed = self._completed + 1
+            self._last_end = end_time
+            finishes = self._finishes
+            members = self._members
+            while finishes and finishes[0][0] <= completed:
+                entry = heappop(finishes)
+                if members.get(entry[2]) is entry[4]:
+                    request = entry[4].request
+                    request.state = finished_state
+                    request.finish_time = end_time
+                    finished.append(request)
+            if self._departed:
+                self._credit_departed(end_time, finished)
+        for chunk in batch.chunks:
             request = chunk.request
             request.record_prefill(chunk.new_tokens, end_time)
             if request.prefill_progress >= request.prefill_target:
-                # A request migrated away while this iteration ran is in
-                # the new owner's list, not in this one; the new owner
-                # promotes it when it next forms a batch.
-                if request in prefilling:
-                    prefilling.remove(request)
-                    self._start_decoding(request)
                 if request.output_tokens == 0:
                     request.record_output_token(end_time)
+                # A request that moved to another scheduler while this
+                # iteration ran starts decoding there.
+                owner = request.scheduler
+                if owner is not None and request.state is not finished_state:
+                    owner._start_decoding(request)
             if request.state is finished_state:
                 finished.append(request)
         # A request that left this scheduler while the batch was in flight
         # (migration) is released by the scheduler now holding it.
         for request in finished:
             owner = request.scheduler or self
-            owner.kv.free(request.request_id)
             owner._remove_running(request)
+            owner.kv.free(request.request_id)
         return finished
+
+    def _credit_departed(self, end_time: float, finished: List[Request]) -> None:
+        """Credit the pass's token to requests that left the cohort while
+        it ran; re-base those that have joined a cohort since."""
+        departed, self._departed = self._departed, []
+        count = len(finished)
+        for request in departed:
+            owner = request.scheduler
+            rejoin = owner is not None and request.request_id in owner._members
+            if rejoin:
+                owner._leave(request)
+            request.record_output_token(end_time)
+            if request.finished:
+                finished.append(request)
+            elif rejoin:
+                owner._join(request)
+        if len(finished) > count:
+            finished.sort(key=_fcfs_key)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -122,9 +122,8 @@ class PagedKVCache:
     def try_allocate(self, request_id: int, new_tokens: int) -> Optional[int]:
         """Allocate if possible; returns blocks allocated, or None if full.
 
-        Fused check-then-commit used by the per-decode-token scheduling path,
-        where calling :meth:`can_allocate` followed by :meth:`allocate` would
-        compute the block requirement twice.
+        A fused check-then-commit: calling :meth:`can_allocate` followed by
+        :meth:`allocate` would compute the block requirement twice.
         """
         if new_tokens < 0:
             raise ValueError("new_tokens must be >= 0")
@@ -135,14 +134,11 @@ class PagedKVCache:
         return extra
 
     def append_token(self, request_id: int) -> Optional[int]:
-        """Fast path for ``try_allocate(request_id, 1)``.
+        """Fast path for ``try_allocate(request_id, 1)``: one decode step.
 
-        One decode step appends exactly one token, and almost always into a
-        block that still has slack — the continuous-batching scheduler calls
-        this once per running request per iteration, making it the hottest
-        allocator entry point by two orders of magnitude.  Returns the number
-        of new blocks (0 or 1), or None when the cache is full, exactly as
-        ``try_allocate`` would.
+        Returns the number of new blocks (0 or 1), or None when the cache is
+        full, exactly as ``try_allocate`` would.  (The scheduler's decode
+        cohort grows its members' tables in bulk and does not call it.)
         """
         table = self._tables.get(request_id)
         if table is None:

@@ -472,6 +472,10 @@ class ClusterServingSystem:
 
     def _finalize_unfinished(self) -> None:
         """Record requests that never finished so they count in the metrics."""
+        # A decoding request's token counts live in its scheduler's cohort
+        # until read; reading the running set writes them onto the request.
+        for group in self.groups:
+            group.scheduler.running
         recorded_ids = {record.request_id for record in self.metrics.records}
         for request in self._all_requests:
             if request.request_id not in recorded_ids:

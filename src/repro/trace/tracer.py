@@ -215,29 +215,27 @@ class Tracer:
         if not self.enabled:
             return
         track = getattr(group, "trace_track", "engine")
+        # Only prefill chunks are listed; a decoding request ran a prefill
+        # chunk before, which already marked its first execution.
         prefill_tokens = 0
-        decode_tokens = 0
         for chunk in batch.chunks:
             state = self._states.get(chunk.request.request_id)
-            if chunk.is_decode:
-                decode_tokens += 1
-            else:
-                prefill_tokens += chunk.new_tokens
-                if state is not None:
-                    self._details.append(
-                        Span(
-                            DETAIL_PREFILL_CHUNK,
-                            "detail",
-                            start_s,
-                            end_s,
-                            chunk.request.request_id,
-                            track,
-                            {
-                                "tokens": chunk.new_tokens,
-                                "prefix_tokens": chunk.prefix_tokens,
-                            },
-                        )
+            prefill_tokens += chunk.new_tokens
+            if state is not None:
+                self._details.append(
+                    Span(
+                        DETAIL_PREFILL_CHUNK,
+                        "detail",
+                        start_s,
+                        end_s,
+                        chunk.request.request_id,
+                        track,
+                        {
+                            "tokens": chunk.new_tokens,
+                            "prefix_tokens": chunk.prefix_tokens,
+                        },
                     )
+                )
             if state is not None and state.status is None and state.first_exec is None:
                 state.first_exec = start_s
                 state.boundaries.append((STAGE_SCHEDULER_QUEUE, start_s))
@@ -252,7 +250,7 @@ class Tracer:
                 {
                     "requests": batch.num_requests,
                     "prefill_tokens": prefill_tokens,
-                    "decode_tokens": decode_tokens,
+                    "decode_tokens": batch.decode_count,
                 },
             )
         )

@@ -28,10 +28,11 @@ The invariants:
   root exactly, so stage durations sum to the end-to-end latency.
 * **scheduler aggregates** — a live scheduler's incremental demand
   counters equal a full rescan of its queues, and the invariants they
-  rest on hold, as do its prefilling/decoding split and the decode state
-  each running request holds (see :func:`assert_scheduler_aggregates`);
-  each batch it forms summarises its leading decode run and its token
-  and request counts correctly (:func:`assert_decode_summary`).
+  rest on hold, as do its prefilling/decoding split and its decode
+  cohort: every member's derived counts, prefix base and pending events
+  (see :func:`assert_scheduler_aggregates`); each batch it forms
+  summarises the cohort it advanced and counts its tokens and requests
+  correctly (:func:`assert_decode_summary`).
 * **memory conservation** — an instance's parameter runs and mapped KV
   pages partition the chunks its pool allocated, and a group's paged
   cache never holds more blocks than its instances' KV memory backs (see
@@ -253,88 +254,151 @@ def assert_document_invariants(document: Dict) -> List[Dict]:
     return checked
 
 
+def _fcfs(request) -> tuple:
+    return (request.arrival_time, request.request_id)
+
+
+def _live_entries(heap, members) -> Dict[int, List[int]]:
+    """Request id -> keys of the heap entries of its current membership."""
+    live: Dict[int, List[int]] = {}
+    for entry in heap:
+        if members.get(entry[2]) is entry[4]:
+            live.setdefault(entry[2], []).append(entry[0])
+    return live
+
+
 def assert_scheduler_aggregates(scheduler, total_demand: Optional[int] = None) -> None:
-    """A scheduler's demand aggregates equal a full rescan of its queues.
+    """A scheduler's aggregates and its decode cohort equal a full rescan.
 
-    Recomputes ``queued_demand_tokens`` (remaining prefill of every waiting
-    request plus the context of every swapped one) and
-    ``total_demand_tokens`` (used KV, plus every running request's prefill
-    deficit against the KV it holds, plus queued demand) request by
-    request, and checks the two facts the incremental versions rest on:
+    Reads ``running``, which materialises every cohort member (writes its
+    derived output tokens, latest token time and KV tokens onto it), then
+    recomputes from the requests and their block tables:
 
-    * every running request with ``prefill_progress < prefill_target`` is
-      in the scheduler's prefilling list;
-    * every running request holds at least ``prefill_progress`` KV tokens,
-      so a running request outside that list has no deficit.
-
-    It also checks the per-request state the decode pass relies on:
-
-    * every running request is in exactly one of the ``_prefilling`` /
-      ``_decoding`` lists, both FCFS-sorted, and every ``_decoding`` entry
-      has finished its prefill (a ``_prefilling`` entry may have too, when
-      a previous owner's in-flight iteration finished it; the next
-      ``form_batch`` promotes it);
-    * a decoding request's held decode chunk points at that request, and
-      its held block table is the KV cache's table for it; a prefilling
-      request holds neither;
-    * the KV cache's used-token count equals the sum over its tables.
+    * ``queued_demand_tokens`` (remaining prefill of every waiting request
+      plus the context of every swapped one) and ``total_demand_tokens``
+      (used KV, plus every running request's prefill deficit against the
+      KV it holds, plus queued demand);
+    * the running set's partition: every running request is owned by this
+      scheduler and is in exactly one of the FCFS-sorted ``_prefilling``
+      (prefill unfinished) and ``_decoding`` (prefill done) lists, and no
+      running request is finished;
+    * the decode cohort: ``_decoding`` is partitioned into the cohort, the
+      stalled set and the bench; a cohort or bench request is not stalled
+      at the scheduler's latest time; a stalled one has a stall-heap entry
+      due no later than its ``stall_until``;
+    * each member's state: its block table is the cache's, its prefix base
+      is ``prompt + output - max(completed, joined)`` and the bases sum to
+      the recorded sum; it has exactly one live crossing entry, at the
+      formed count where its tail block fills, and one live finish entry,
+      at the completed count where its output reaches
+      ``max_output_tokens``;
+    * the materialised KV tokens and the blocks of every table sum to
+      ``kv.used_tokens`` and ``kv.used_blocks``, and every running request
+      holds at least ``prefill_progress``.
 
     ``total_demand`` is the value a ``total_demand_tokens`` query just
     returned (so a wrapper around that method can check it without
     recursing); when omitted the helper queries it.
     """
+    running = scheduler.running
     queued = 0
     for request in scheduler.waiting:
         queued += max(0, request.prefill_target - request.prefill_progress)
     for request in scheduler.swapped:
         queued += request.context_tokens
-    for name in ("_prefilling", "_decoding"):
-        keys = [(r.arrival_time, r.request_id) for r in getattr(scheduler, name)]
+    for name in ("_prefilling", "_decoding", "_cohort", "_bench"):
+        keys = [_fcfs(r) for r in getattr(scheduler, name)]
         assert keys == sorted(keys), f"{name} is not FCFS-sorted: {keys}"
-    prefilling = {id(request) for request in scheduler._prefilling}
-    decoding = {id(request) for request in scheduler._decoding}
-    running = {id(request) for request in scheduler.running}
+    ids = lambda requests: {request.request_id for request in requests}  # noqa: E731
+    prefilling, decoding = ids(scheduler._prefilling), ids(scheduler._decoding)
     assert len(prefilling) == len(scheduler._prefilling)
     assert len(decoding) == len(scheduler._decoding)
     assert not prefilling & decoding, "a request is in both running lists"
-    assert prefilling | decoding == running, (
+    assert prefilling | decoding == ids(running) and len(running) == len(ids(running)), (
         "the prefilling and decoding lists do not partition the running set"
     )
+    for request in running:
+        assert request.scheduler is scheduler, (
+            f"running request {request.request_id} names another owner"
+        )
+        assert not request.finished, f"finished request {request.request_id} still running"
+    for request in scheduler._prefilling:
+        assert request.prefill_progress < request.prefill_target, (
+            f"prefilling request {request.request_id} has finished its prefill"
+        )
     for request in scheduler._decoding:
         assert request.prefill_progress >= request.prefill_target, (
             f"decoding request {request.request_id} is mid-prefill "
             f"({request.prefill_progress}/{request.prefill_target})"
         )
+
+    members = scheduler._members
+    cohort, stalled, bench = ids(scheduler._cohort), set(scheduler._stalled), ids(scheduler._bench)
+    assert set(members) == cohort and len(cohort) == len(scheduler._cohort)
+    assert len(bench) == len(scheduler._bench)
+    assert not (cohort & stalled or cohort & bench or stalled & bench), (
+        "a decoding request is in two of cohort, stalled set and bench"
+    )
+    assert cohort | stalled | bench == decoding, (
+        "cohort, stalled set and bench do not partition the decoding list"
+    )
+    for request in list(scheduler._cohort) + list(scheduler._bench):
+        assert request.stall_until <= scheduler._now, (
+            f"request {request.request_id} decodes while stalled until "
+            f"{request.stall_until} (now {scheduler._now})"
+        )
+    for rid, request in scheduler._stalled.items():
+        assert any(
+            entry[2] is request and entry[0] <= request.stall_until
+            for entry in scheduler._stall_heap
+        ), f"stalled request {rid} is never looked at again"
+
     tables = scheduler.kv._tables
-    for request in scheduler._decoding:
-        assert request.decode_table is tables.get(request.request_id), (
-            f"decoding request {request.request_id} holds a stale block table"
+    block_size = scheduler.kv.block_size
+    formed, completed = scheduler._formed, scheduler._completed
+    crossings = _live_entries(scheduler._crossings, members)
+    finishes = _live_entries(scheduler._finishes, members)
+    for index, request in enumerate(scheduler._cohort):
+        member = members[request.request_id]
+        assert member.request is request
+        assert request.first_token_time is not None, (
+            f"member {request.request_id} joined before its first token"
         )
-        chunk = request.decode_chunk
-        assert chunk is None or chunk.request is request, (
-            f"request {request.request_id} holds another request's decode chunk"
+        table = tables.get(request.request_id)
+        assert member.table is table, f"member {request.request_id} holds a stale block table"
+        base = request.prompt_tokens + request.output_tokens - max(completed, member.joined)
+        assert scheduler._bases[index] == base, (
+            f"member {request.request_id} has prefix base {scheduler._bases[index]}, "
+            f"rescan {base}"
         )
-    for request in scheduler._prefilling:
-        assert request.decode_table is None and request.decode_chunk is None, (
-            f"prefilling request {request.request_id} holds decode state"
+        tail_full = formed + table.num_blocks * block_size - table.num_tokens
+        assert crossings.get(request.request_id) == [tail_full], (
+            f"member {request.request_id} crossing entries "
+            f"{crossings.get(request.request_id)}, expected [{tail_full}]"
         )
+        done = max(completed, member.joined) + request.max_output_tokens - request.output_tokens
+        assert finishes.get(request.request_id) == [done], (
+            f"member {request.request_id} finish entries "
+            f"{finishes.get(request.request_id)}, expected [{done}]"
+        )
+    assert len(scheduler._bases) == len(scheduler._cohort)
+    assert scheduler._base_sum == sum(scheduler._bases), "prefix base sum drifted"
+
     held_tokens = sum(table.num_tokens for table in tables.values())
     assert scheduler.kv.used_tokens == held_tokens, (
         f"used KV tokens {scheduler.kv.used_tokens} != sum over tables {held_tokens}"
     )
+    held_blocks = sum(table.num_blocks for table in tables.values())
+    assert scheduler.kv.used_blocks == held_blocks, (
+        f"used KV blocks {scheduler.kv.used_blocks} != sum over tables {held_blocks}"
+    )
     deficit = 0
-    for request in scheduler.running:
+    for request in running:
         held = scheduler.kv.tokens_of(request.request_id)
         assert held >= request.prefill_progress, (
             f"running request {request.request_id} holds {held} KV tokens, "
             f"below its prefill progress {request.prefill_progress}"
         )
-        if request.prefill_progress < request.prefill_target:
-            assert id(request) in prefilling, (
-                f"running request {request.request_id} is mid-prefill "
-                f"({request.prefill_progress}/{request.prefill_target}) but "
-                "missing from the prefilling list"
-            )
         deficit += max(0, request.prefill_target - held)
     assert scheduler.queued_demand_tokens() == queued, (
         f"queued demand {scheduler.queued_demand_tokens()} != rescan {queued}"
@@ -347,39 +411,54 @@ def assert_scheduler_aggregates(scheduler, total_demand: Optional[int] = None) -
     )
 
 
-def assert_decode_summary(batch) -> None:
-    """A freshly formed batch's recorded summary matches its chunks.
+def assert_decode_summary(scheduler, batch) -> None:
+    """A freshly formed batch's decode summary matches the cohort it advanced.
 
-    ``decode_count`` / ``decode_prefix_sum`` describe the decode chunks
-    leading it (one per request, each prefixed by its request's context),
-    which the latency model prices from those two numbers alone and
-    completion walks without per-chunk branching.  ``total_new_tokens``
-    and ``num_requests``, recorded as the batch formed, equal a per-chunk
-    recount.
+    Materialises the members (``running``) and checks that
+    ``decode_count`` is the cohort's size, that ``decode_bases[i] +
+    decode_offset`` is the i-th member's context in FCFS order and
+    ``decode_prefix_sum`` their sum, that every member's KV fits its
+    blocks (this pass's crossings took theirs), and that the cohort holds
+    the first members in FCFS order up to the token budget, with the bench
+    behind them.  ``total_new_tokens`` and ``num_requests`` equal a
+    recount of the decodes and prefill chunks, one request each.
     """
-    lead = batch.chunks[: batch.decode_count]
-    assert len(lead) == batch.decode_count and all(chunk.is_decode for chunk in lead), (
-        f"decode_count {batch.decode_count} does not cover a leading decode run"
+    scheduler.running
+    cohort = scheduler._cohort
+    assert batch.decode_count == len(cohort), (
+        f"decode_count {batch.decode_count} != cohort size {len(cohort)}"
     )
-    for chunk in lead:
-        assert chunk.prefix_tokens == chunk.request.context_tokens, (
-            f"decode of request {chunk.request.request_id} has prefix "
-            f"{chunk.prefix_tokens}, context {chunk.request.context_tokens}"
+    contexts = [request.prompt_tokens + request.output_tokens for request in cohort]
+    if batch.decode_count:
+        prefixes = [base + batch.decode_offset for base in batch.decode_bases]
+        assert prefixes == contexts, f"decode prefixes {prefixes} != contexts {contexts}"
+    assert batch.decode_prefix_sum == sum(contexts), (
+        f"decode_prefix_sum {batch.decode_prefix_sum} != {sum(contexts)} over the cohort"
+    )
+    block_size = scheduler.kv.block_size
+    for request in cohort:
+        table = scheduler._members[request.request_id].table
+        assert table.num_tokens <= table.num_blocks * block_size, (
+            f"member {request.request_id} holds {table.num_tokens} KV tokens "
+            f"in {table.num_blocks} blocks"
         )
-    assert len({id(chunk.request) for chunk in lead}) == len(lead), (
-        "a request has two decode chunks in one batch"
+    budget = scheduler.config.token_budget
+    assert len(cohort) <= budget
+    if scheduler._bench:
+        assert len(cohort) == budget and _fcfs(scheduler._bench[0]) > _fcfs(cohort[-1]), (
+            "a benched request ranks before a cohort member"
+        )
+    decoding = {request.request_id for request in cohort}
+    prefilled = [chunk.request.request_id for chunk in batch.chunks]
+    assert len(set(prefilled)) == len(prefilled) and not decoding & set(prefilled), (
+        "a request has two chunks in one batch"
     )
-    prefix_sum = sum(chunk.prefix_tokens for chunk in lead)
-    assert batch.decode_prefix_sum == prefix_sum, (
-        f"decode_prefix_sum {batch.decode_prefix_sum} != {prefix_sum} over the leading run"
-    )
-    new_tokens = sum(chunk.new_tokens for chunk in batch.chunks)
+    new_tokens = batch.decode_count + sum(chunk.new_tokens for chunk in batch.chunks)
     assert batch.total_new_tokens == new_tokens, (
         f"total_new_tokens {batch.total_new_tokens} != recount {new_tokens}"
     )
-    requests = len({chunk.request.request_id for chunk in batch.chunks})
-    assert batch.num_requests == requests, (
-        f"num_requests {batch.num_requests} != recount {requests}"
+    assert batch.num_requests == batch.decode_count + len(prefilled), (
+        f"num_requests {batch.num_requests} != recount {batch.decode_count + len(prefilled)}"
     )
 
 

@@ -22,10 +22,12 @@ from repro.core.drop_plan import (
     plan_freed_bytes_by_group,
 )
 from repro.core.lookahead import lookahead_microbatches, make_lookahead_former
-from repro.engine.batch import ScheduledChunk
+from repro.engine.batch import IterationBatch, ScheduledChunk
 from repro.engine.request import Request
 from repro.models.memory import param_bytes
 from repro.models.catalog import QWEN_2_5_14B
+
+from tests.test_engine_core import batch_with_decodes
 
 PARAM_BYTES = param_bytes(QWEN_2_5_14B)
 
@@ -112,9 +114,9 @@ class TestDropPlan:
             assert len(plan.final_groups) == 1
 
 
-def make_chunk(prefix, tokens, is_decode=False):
+def make_chunk(prefix, tokens):
     request = Request(arrival_time=0.0, prompt_tokens=max(1, prefix + tokens), max_output_tokens=4)
-    return ScheduledChunk(request=request, prefix_tokens=prefix, new_tokens=tokens, is_decode=is_decode)
+    return ScheduledChunk(request=request, prefix_tokens=prefix, new_tokens=tokens)
 
 
 class TestCostModel:
@@ -223,22 +225,21 @@ class TestLookahead:
 
     def test_former_spreads_decodes_evenly(self, cost_model):
         former = make_lookahead_former(cost_model, min_tokens_floor=64)
-        chunks = [make_chunk(0, 600)] + [make_chunk(1000, 1, is_decode=True) for _ in range(40)]
-        microbatches = former(chunks, 2)
-        decode_counts = [mb.num_decode_chunks for mb in microbatches]
+        microbatches = former(batch_with_decodes([make_chunk(0, 600)], [1000] * 40), 2)
+        decode_counts = [mb.decode_count for mb in microbatches]
         assert sum(decode_counts) == 40
         assert max(decode_counts) - min(decode_counts) <= 1
+        assert [mb.decode_prefix_sum for mb in microbatches] == [1000 * n for n in decode_counts]
 
     def test_former_handles_decode_only_batches(self, cost_model):
         former = make_lookahead_former(cost_model)
-        chunks = [make_chunk(500, 1, is_decode=True) for _ in range(10)]
-        microbatches = former(chunks, 2)
+        microbatches = former(batch_with_decodes(decode_prefixes=[500] * 10), 2)
         assert sum(mb.num_chunks for mb in microbatches) == 10
         assert len(microbatches) >= 1
 
     def test_former_empty(self, cost_model):
         former = make_lookahead_former(cost_model)
-        assert former([], 2) == []
+        assert former(IterationBatch(), 2) == []
 
     @given(
         lengths=st.lists(st.integers(min_value=1, max_value=4000), min_size=1, max_size=12),
@@ -249,7 +250,7 @@ class TestLookahead:
         params = CostModelParams(alpha=4e-9, beta=1e-4, gamma=0.01, lam=0.0085)
         former = make_lookahead_former(BatchCostModel(params))
         chunks = [make_chunk(0, n) for n in lengths]
-        microbatches = former(chunks, stages)
+        microbatches = former(batch_with_decodes(chunks), stages)
         assert sum(mb.total_new_tokens for mb in microbatches) == sum(lengths)
         # No request's chunk is lost or duplicated beyond a split.
         per_request = {}

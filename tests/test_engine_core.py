@@ -12,6 +12,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from repro.cluster.specs import A800_80GB, H800_80GB
 from repro.engine.batch import IterationBatch, MicroBatch, ScheduledChunk
+from repro.core.cost_model import fit_from_latency_model
+from repro.core.lookahead import make_lookahead_former
 from repro.engine.chunked_prefill import split_into_n_microbatches, token_count_microbatches
 from repro.engine.latency_model import LatencyModel, LatencyModelConfig
 from repro.engine.metrics import MetricsCollector, TimelineSeries, percentile
@@ -24,13 +26,29 @@ from repro.models.catalog import MODEL_CATALOG, QWEN_2_5_14B, QWEN_2_5_72B
 from repro.models.memory import kv_bytes_per_token_per_layer
 
 
-def make_chunk(prefix=0, tokens=10, is_decode=False, prompt=None):
+def make_chunk(prefix=0, tokens=10, prompt=None):
     request = Request(
         arrival_time=0.0,
         prompt_tokens=prompt if prompt is not None else max(1, prefix + tokens),
         max_output_tokens=8,
     )
-    return ScheduledChunk(request=request, prefix_tokens=prefix, new_tokens=tokens, is_decode=is_decode)
+    return ScheduledChunk(request=request, prefix_tokens=prefix, new_tokens=tokens)
+
+
+def batch_with_decodes(chunks=(), decode_prefixes=(), offset=0):
+    """An iteration batch of prefill ``chunks`` plus decodes whose FCFS
+    prefixes are ``decode_prefixes``, given as bases ``prefix - offset``."""
+    batch = IterationBatch(
+        decode_count=len(decode_prefixes),
+        decode_prefix_sum=sum(decode_prefixes),
+        decode_bases=[p - offset for p in decode_prefixes],
+        decode_offset=offset,
+        total_new_tokens=len(decode_prefixes),
+        num_requests=len(decode_prefixes),
+    )
+    for chunk in chunks:
+        batch.add(chunk)
+    return batch
 
 
 #: Emission times spread over twelve decades: their gaps round differently
@@ -130,8 +148,7 @@ class TestBatch:
         with pytest.raises(ValueError):
             make_chunk(tokens=0)
         with pytest.raises(ValueError):
-            ScheduledChunk(request=Request(arrival_time=0, prompt_tokens=5, max_output_tokens=1),
-                           prefix_tokens=0, new_tokens=2, is_decode=True)
+            make_chunk(prefix=-1)
 
     def test_chunk_split_prefixes(self):
         chunk = make_chunk(prefix=100, tokens=50)
@@ -142,26 +159,26 @@ class TestBatch:
         with pytest.raises(ValueError):
             chunk.split(50)
 
-    def test_decode_chunk_cannot_split(self):
-        chunk = make_chunk(prefix=10, tokens=1, is_decode=True)
+    def test_one_token_chunk_cannot_split(self):
+        chunk = make_chunk(prefix=10, tokens=1)
         with pytest.raises(ValueError):
             chunk.split(1)
 
     def test_iteration_batch_accounting(self):
-        batch = IterationBatch()
-        batch.add(make_chunk(tokens=100))
-        batch.add(make_chunk(prefix=50, tokens=1, is_decode=True))
+        assert IterationBatch().empty
+        decodes_only = batch_with_decodes(decode_prefixes=[50])
+        assert not decodes_only.empty and not decodes_only.chunks
+        batch = batch_with_decodes([make_chunk(tokens=100)], [50])
         assert batch.total_new_tokens == 101
         assert batch.num_requests == 2
-        assert len(batch.decode_chunks) == 1
-        assert len(batch.prefill_chunks) == 1
+        assert (batch.decode_count, batch.decode_prefix_sum) == (1, 50)
+        assert len(batch.chunks) == 1
         assert not batch.empty
 
     def test_microbatch_counts(self):
-        microbatch = MicroBatch(chunks=[make_chunk(tokens=5), make_chunk(tokens=1, prefix=3, is_decode=True)])
+        microbatch = MicroBatch(chunks=[make_chunk(tokens=5)], decode_count=1, decode_prefix_sum=3)
         assert microbatch.total_new_tokens == 6
-        assert microbatch.num_decode_chunks == 1
-        assert len(microbatch) == 2
+        assert microbatch.num_chunks == 2
 
 
 class TestLatencyModel:
@@ -236,7 +253,8 @@ class ChunkLoopLatencyModel(LatencyModel):
 
 
 def decode_chunks(prefixes):
-    return [make_chunk(prefix=p, tokens=1, is_decode=True, prompt=1) for p in prefixes]
+    """Decode steps as one-token chunks: what the chunk loop prices."""
+    return [make_chunk(prefix=p, tokens=1, prompt=1) for p in prefixes]
 
 
 def exact_totals(model, chunks, num_layers):
@@ -249,22 +267,35 @@ def exact_totals(model, chunks, num_layers):
     return flops, kv_bytes
 
 
+#: Decode prefixes and prefill ``(prefix, tokens)`` pairs of a batch.
+DECODE_PREFIXES = st.lists(st.integers(0, 300_000), max_size=40)
+PREFILLS = st.lists(st.tuples(st.integers(0, 200_000), st.integers(1, 4096)), max_size=6)
+
+
+def deal_round_robin(chunks, decodes, k):
+    """Microbatch chunk lists as the lookahead former dealt decode chunks:
+    the prefill pieces of each, then decode ``i`` into list ``i % k``."""
+    lists = [list(c) for c in chunks] + [[] for _ in range(k - len(chunks))]
+    for index, chunk in enumerate(decodes):
+        lists[index % k].append(chunk)
+    return lists
+
+
 class TestClosedFormRoofline:
-    """A summarised decode run is priced bit-identically to the chunk loop."""
+    """Prefill chunks plus a decode summary are priced bit-identically to
+    the chunk loop over the same decodes as one-token chunks."""
 
     @settings(max_examples=80, deadline=None)
     @given(
         model=st.sampled_from(sorted(MODEL_CATALOG.values(), key=lambda m: m.name)),
         layer_fraction=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
-        decode_prefixes=st.lists(st.integers(0, 300_000), max_size=40),
-        prefills=st.lists(
-            st.tuples(st.integers(0, 200_000), st.integers(1, 4096)), max_size=6
-        ),
+        decode_prefixes=DECODE_PREFIXES,
+        prefills=PREFILLS,
     )
     def test_matches_the_chunk_loop(self, model, layer_fraction, decode_prefixes, prefills):
         decodes = decode_chunks(decode_prefixes)
-        # Scheduled batches lead with their decodes.
-        chunks = decodes + [make_chunk(prefix=p, tokens=n, prompt=1) for p, n in prefills]
+        prefill_chunks = [make_chunk(prefix=p, tokens=n, prompt=1) for p, n in prefills]
+        chunks = decodes + prefill_chunks
         if not chunks:
             return
         num_layers = max(1, int(model.num_layers * layer_fraction))
@@ -273,15 +304,70 @@ class TestClosedFormRoofline:
         assume(max(exact_totals(model, chunks, num_layers)) < 2**53)
         summary = (len(decodes), sum(decode_prefixes))
         fast = LatencyModel(A800_80GB, model)
-        unsummarised = LatencyModel(A800_80GB, model)
         reference = ChunkLoopLatencyModel(A800_80GB, model)
         for head in (True, False):
             expected = reference.batch_time(chunks, num_layers, include_lm_head=head)
-            assert fast.batch_time(chunks, num_layers, include_lm_head=head, decodes=summary) == expected
-            assert unsummarised.batch_time(chunks, num_layers, include_lm_head=head) == expected
-        assert fast.batch_time_pair(chunks, num_layers, decodes=summary) == (
+            assert fast.batch_time(
+                prefill_chunks, num_layers, include_lm_head=head, decodes=summary
+            ) == expected
+        assert fast.batch_time_pair(prefill_chunks, num_layers, decodes=summary) == (
             reference.batch_time_pair(chunks, num_layers)
         )
+
+    @pytest.mark.parametrize("batch_size", [0, 1, 7, 64])
+    def test_decode_time_matches_the_chunk_loop(self, batch_size):
+        fast = LatencyModel(A800_80GB, QWEN_2_5_14B)
+        reference = ChunkLoopLatencyModel(A800_80GB, QWEN_2_5_14B)
+        chunks = decode_chunks([1024] * batch_size)
+        assert fast.decode_time(1024, batch_size) == reference.batch_time(chunks)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        decode_prefixes=DECODE_PREFIXES,
+        prefills=PREFILLS,
+        offset=st.integers(0, 1000),
+        stages=st.integers(1, 4),
+    )
+    def test_former_summaries_match_dealt_chunks(self, decode_prefixes, prefills, offset, stages):
+        """Both formers' microbatch summaries price exactly as dealing real
+        decode chunks: token-count packing puts the decodes, in FCFS order,
+        ahead of the prefill chunks; lookahead deals them round-robin after
+        its cost-balanced prefill split."""
+        decode_prefixes = [p + offset for p in decode_prefixes]
+        decodes = decode_chunks(decode_prefixes)
+        prefill_chunks = [make_chunk(prefix=p, tokens=n, prompt=1) for p, n in prefills]
+        batch = batch_with_decodes(prefill_chunks, decode_prefixes, offset)
+        fast = LatencyModel(A800_80GB, QWEN_2_5_14B)
+        reference = ChunkLoopLatencyModel(A800_80GB, QWEN_2_5_14B)
+
+        def prices(microbatches):
+            return [
+                fast.batch_time_pair(
+                    mb.chunks, 24, decodes=(mb.decode_count, mb.decode_prefix_sum)
+                )
+                for mb in microbatches
+            ]
+
+        token_count = split_into_n_microbatches(batch, stages)
+        packed = token_count_microbatches(decodes + prefill_chunks, max(1, -(
+            -(len(decodes) + sum(n for _, n in prefills)) // stages)))
+        assert prices(token_count) == [reference.batch_time_pair(mb.chunks, 24) for mb in packed]
+
+        cost_model = fit_from_latency_model(fast)
+        lookahead = make_lookahead_former(cost_model, min_tokens_floor=64)(batch, stages)
+        prefill_only = make_lookahead_former(cost_model, min_tokens_floor=64)(
+            batch_with_decodes(prefill_chunks), stages
+        )
+        if not decodes and not prefill_chunks:
+            assert lookahead == []
+            return
+        k = len(prefill_only) or min(max(2, stages), max(1, len(decodes)))
+        dealt = [
+            chunks
+            for chunks in deal_round_robin([mb.chunks for mb in prefill_only], decodes, k)
+            if chunks
+        ]
+        assert prices(lookahead) == [reference.batch_time_pair(c, 24) for c in dealt]
 
 
 class TestTensorParallel:
@@ -373,16 +459,21 @@ class TestChunkedPrefill:
         assert microbatches[1].chunks[0].prefix_tokens == 512
 
     def test_decode_chunks_not_split(self):
-        chunks = [make_chunk(prefix=10, tokens=1, is_decode=True) for _ in range(5)]
-        microbatches = token_count_microbatches(chunks, 2)
-        assert all(all(c.is_decode for c in mb.chunks) for mb in microbatches)
-        assert sum(mb.num_chunks for mb in microbatches) == 5
+        """Decodes lead, each microbatch taking a contiguous FCFS range of
+        whole decodes; prefill fills the rest of the budget."""
+        batch = batch_with_decodes([make_chunk(tokens=4)], [10, 11, 12, 13, 14], offset=10)
+        microbatches = split_into_n_microbatches(batch, 3)
+        assert [(mb.decode_count, mb.decode_prefix_sum) for mb in microbatches] == [
+            (3, 33), (2, 27), (0, 0)
+        ]
+        assert [sum(c.new_tokens for c in mb.chunks) for mb in microbatches] == [0, 1, 3]
+        assert sum(mb.num_chunks for mb in microbatches) == 7
 
     def test_split_into_n(self):
         chunks = [make_chunk(tokens=500), make_chunk(tokens=500)]
-        microbatches = split_into_n_microbatches(chunks, 2)
+        microbatches = split_into_n_microbatches(batch_with_decodes(chunks), 2)
         assert len(microbatches) == 2
-        assert split_into_n_microbatches([], 2) == []
+        assert split_into_n_microbatches(IterationBatch(), 2) == []
 
     def test_invalid_budget(self):
         with pytest.raises(ValueError):

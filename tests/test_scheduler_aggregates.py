@@ -75,9 +75,9 @@ BURST_SCALE = ExperimentScale(
 @pytest.fixture
 def checked_queries(monkeypatch):
     """Check every ``total_demand_tokens`` query against the rescan, every
-    formed batch's decode summary, token count and request count against
-    its chunks, and the memory oracles after every parameter drop, restore
-    and group KV resize."""
+    formed batch's decode summary against the cohort it advanced and its
+    counts against its chunks, and the memory oracles after every
+    parameter drop, restore and group KV resize."""
     seen = {"queries": 0, "with_swapped": 0, "decode_batches": 0,
             "memory_checks": 0, "kv_syncs": 0}
     original = ContinuousBatchingScheduler.total_demand_tokens
@@ -92,7 +92,7 @@ def checked_queries(monkeypatch):
 
     def checked_form(self, now):
         batch = original_form(self, now)
-        assert_decode_summary(batch)
+        assert_decode_summary(self, batch)
         seen["decode_batches"] += batch.decode_count > 0
         return batch
 
@@ -256,31 +256,30 @@ def test_results_do_not_depend_on_the_interpreter_sum(monkeypatch):
 OPS = st.lists(
     st.tuples(
         st.sampled_from(["arrive", "arrive_front", "step", "step_migrating",
-                         "pop", "remove", "swap_in"]),
+                         "pop", "remove", "swap_in", "stall", "unstall"]),
         st.integers(min_value=0, max_value=1),
         st.integers(min_value=0, max_value=10**6),
     ),
     min_size=1,
     max_size=60,
 )
+#: Token budgets; the smallest hold fewer decodes than the schedulers run,
+#: so some decoding requests sit passes out.
+BUDGETS = st.sampled_from([2, 3, 16, 48, 256])
 
 
 def step(scheduler, now):
     """Form, check and complete one iteration of ``scheduler``."""
     batch = scheduler.form_batch(now)
-    assert_decode_summary(batch)
+    assert_decode_summary(scheduler, batch)
     scheduler.complete_batch(batch, now + 0.1)
     return batch
 
 
-@settings(max_examples=60, deadline=None)
-@given(ops=OPS, swap=st.booleans(), budget=st.sampled_from([16, 48, 256]))
-def test_random_transitions_keep_aggregates(ops, swap, budget):
-    """Every transition, including a request migrating away while an
-    iteration that scheduled it is in flight, keeps both schedulers'
-    aggregates equal to the rescan; stepping both schedulers until idle
-    then finishes every request that arrived and was not removed, except
-    those held by a scheduler that the known gap pinned below wedges."""
+def check_random_transitions(ops, swap, budget):
+    """Run ``ops`` on two schedulers, checking both after every one, then
+    drain them and check every admitted request that was not removed
+    finished (see :func:`test_random_transitions_keep_aggregates`)."""
     mode = PreemptionMode.SWAP if swap else PreemptionMode.RECOMPUTE
     schedulers = [
         ContinuousBatchingScheduler(
@@ -304,7 +303,7 @@ def test_random_transitions_keep_aggregates(ops, swap, budget):
             admitted.append(request)
         elif op in ("step", "step_migrating"):
             batch = scheduler.form_batch(now)
-            assert_decode_summary(batch)
+            assert_decode_summary(scheduler, batch)
             now += 0.1
             if op == "step_migrating" and scheduler.running:
                 mover = scheduler.running[pick % len(scheduler.running)]
@@ -324,22 +323,33 @@ def test_random_transitions_keep_aggregates(ops, swap, budget):
                 removed.add(victim.request_id)
         elif op == "swap_in":
             scheduler._try_swap_in(now)
+        elif op in ("stall", "unstall") and scheduler.running:
+            # What ServingGroup.stall_request / end_stall do for a transfer.
+            request = scheduler.running[pick % len(scheduler.running)]
+            if op == "stall":
+                request.stall_until = max(request.stall_until, now + 0.1 * (pick % 4))
+                scheduler.stall(request)
+            else:
+                request.stall_until = min(request.stall_until, now)
+                scheduler.stall_lowered(request)
         for each in schedulers:
             assert_scheduler_aggregates(each)
-    # Drain: step both schedulers until neither forms a batch.
+    # Drain: step both schedulers until neither forms a batch or waits out
+    # a stall.
     busy = True
     while busy:
         busy = False
         for scheduler in schedulers:
             busy |= not step(scheduler, now).empty
+            busy |= scheduler.next_stall_expiry(now) is not None
             now += 0.1
             assert_scheduler_aggregates(scheduler)
     # An idle scheduler has decoded every running request whose prefill is
-    # done (or preempted it); one stranded in a list the decode pass never
-    # walks would be left here.
+    # done (or preempted it); one stranded outside the cohort would be
+    # left here.
     for scheduler in schedulers:
         for request in scheduler.running:
-            assert request.finished or not request.prefill_done, (
+            assert not request.prefill_done, (
                 f"request {request.request_id} finished its prefill but was never decoded"
             )
     # No scheduler holds a finished request, including one its previous
@@ -351,10 +361,6 @@ def test_random_transitions_keep_aggregates(ops, swap, budget):
     # unfinished requests.
     excused = set()
     for scheduler in schedulers:
-        held_finished = {r.request_id for r in scheduler.running if r.finished}
-        assert not held_finished, (
-            f"finished requests {sorted(held_finished)} were never released"
-        )
         stalled = {r.request_id for r in scheduler.running}
         if len(stalled) >= 2 and stalled & adopted:
             excused |= stalled | {r.request_id for r in scheduler.waiting}
@@ -365,6 +371,28 @@ def test_random_transitions_keep_aggregates(ops, swap, budget):
         if not r.finished and r.request_id not in removed | excused
     ]
     assert not unfinished, f"requests left unfinished after the drain: {unfinished}"
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=OPS, swap=st.booleans(), budget=BUDGETS)
+def test_random_transitions_keep_aggregates(ops, swap, budget):
+    """Every transition, including a request migrating away while an
+    iteration that scheduled it is in flight, a stall raised or lowered,
+    and more decoding requests than the token budget, keeps both
+    schedulers' aggregates and cohorts equal to the rescan; stepping both
+    schedulers until idle then finishes every request that arrived and was
+    not removed, except those held by a scheduler that the known gap
+    pinned below wedges."""
+    check_random_transitions(ops, swap, budget)
+
+
+@pytest.mark.slow
+@settings(max_examples=1500, deadline=None)
+@given(ops=OPS, swap=st.booleans(), budget=BUDGETS)
+def test_random_transitions_keep_aggregates_deep(ops, swap, budget):
+    """:func:`test_random_transitions_keep_aggregates` over many more
+    sequences (the slow tier)."""
+    check_random_transitions(ops, swap, budget)
 
 
 def two_schedulers():
@@ -416,6 +444,81 @@ def test_request_finished_by_the_previous_owner_is_released():
     assert request.scheduler is None
     assert step(b, 0.1).empty
     assert_scheduler_aggregates(b)
+
+
+@pytest.mark.parametrize("max_output", [3, 5])
+def test_a_token_in_flight_when_its_request_moves_is_credited(max_output):
+    """A decoding request that moves while its old owner's pass is in
+    flight keeps that pass's token: the old owner credits it at completion
+    and re-bases the new owner's cohort membership, or, when the token is
+    the last, the new owner releases the request."""
+    a, b = two_schedulers()
+    request = Request(arrival_time=0.0, prompt_tokens=10, max_output_tokens=max_output)
+    a.add_request(request)
+    step(a, 0.0)
+    batch = a.form_batch(0.1)
+    assert batch.decode_count == 1
+    tokens = a.remove_request(request)
+    assert (tokens, request.output_tokens) == (11, 1)
+    b.add_running(request, tokens)
+    step(b, 0.15)
+    assert a.complete_batch(batch, 0.3) == ([request] if max_output == 3 else [])
+    for scheduler in (a, b):
+        assert_scheduler_aggregates(scheduler)
+    assert request.output_tokens == 3 and request.last_token_time == 0.3
+    now = 0.4
+    while b.num_running:
+        step(b, now)
+        assert_scheduler_aggregates(b)
+        now += 0.1
+    assert request.finished and request.output_tokens == max_output
+    assert b.kv.used_tokens == 0
+
+
+def test_decoders_beyond_the_token_budget_sit_passes_out():
+    """Adoption can leave more decoding requests than the token budget:
+    the first ``budget`` in FCFS order advance each pass, the rest wait
+    until a place frees up."""
+    a = ContinuousBatchingScheduler(PagedKVCache(num_blocks=64, block_size=8))
+    b = ContinuousBatchingScheduler(
+        PagedKVCache(num_blocks=64, block_size=8), SchedulerConfig(token_budget=2)
+    )
+    requests = [Request(arrival_time=float(i), prompt_tokens=4 + i, max_output_tokens=3)
+                for i in range(4)]
+    for request in requests:
+        a.add_request(request)
+    step(a, 0.0)
+    for request in reversed(requests):
+        b.add_running(request, a.remove_request(request))
+    advanced = []
+    now = 1.0
+    while b.num_running:
+        before = [r.output_tokens for r in b.running]
+        ids = [r.request_id for r in b.running]
+        step(b, now)
+        assert_scheduler_aggregates(b)  # reads running: counts are current
+        advanced.append(sorted(i for i, was in zip(ids, before)
+                               if requests[i - requests[0].request_id].output_tokens > was))
+        now += 0.1
+    first = requests[0].request_id
+    assert advanced == [[first, first + 1]] * 2 + [[first + 2, first + 3]] * 2
+
+
+def test_a_lowered_stall_rejoins_at_the_next_pass():
+    """A stall lowered when its transfer lands early ends at the next
+    ``form_batch``, not at the stall first estimated."""
+    scheduler = ContinuousBatchingScheduler(PagedKVCache(num_blocks=64, block_size=8))
+    request = Request(arrival_time=0.0, prompt_tokens=4, max_output_tokens=8)
+    scheduler.add_request(request)
+    step(scheduler, 0.0)
+    request.stall_until = 5.0
+    scheduler.stall(request)
+    assert step(scheduler, 0.2).empty
+    request.stall_until = min(request.stall_until, 0.3)
+    scheduler.stall_lowered(request)
+    assert step(scheduler, 0.4).decode_count == 1
+    assert [r.output_tokens for r in scheduler.running] == [2]
+    assert_scheduler_aggregates(scheduler)
 
 
 @pytest.mark.xfail(strict=True, reason="known gap: running prefills never preempt, "

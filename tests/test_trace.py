@@ -56,7 +56,7 @@ from repro.trace import (
     write_chrome_trace,
     write_spans_jsonl,
 )
-from repro.trace.spans import span_from_dict
+from repro.trace.spans import DETAIL_ITERATION, span_from_dict
 
 from invariants import assert_span_conservation
 
@@ -136,6 +136,30 @@ class TestRecording:
         assert "route_decision" in details
         if result.retries:
             assert "retry_backoff" in details
+
+    def test_iteration_spans_count_the_batch_decodes(self, monkeypatch):
+        """An iteration span's ``decode_tokens`` is its batch's decode
+        count, and its ``prefill_tokens`` the batch's prefill chunks."""
+        seen = {}
+        original = Tracer.on_iteration
+
+        def recording(tracer, group, batch, start_s, end_s):
+            prefill = sum(chunk.new_tokens for chunk in batch.chunks)
+            seen[(group.trace_track, start_s, end_s)] = (batch.decode_count, prefill)
+            return original(tracer, group, batch, start_s, end_s)
+
+        monkeypatch.setattr(Tracer, "on_iteration", recording)
+        tracers = []
+        run_serve_cell(*SERVE_CELL, TINY_SCALE, 42, trace=True, on_tracer=tracers.append)
+        recorded = {
+            (span.track, span.start_s, span.end_s): (
+                span.meta["decode_tokens"], span.meta["prefill_tokens"]
+            )
+            for span in tracers[0].spans()
+            if span.name == DETAIL_ITERATION
+        }
+        assert recorded == seen
+        assert sum(decodes for decodes, _ in seen.values()) > 0
 
     def test_open_loop_run_emits_gateway_pull_details(self):
         tracers = []
