@@ -304,12 +304,16 @@ class TestClosedFormRoofline:
         assume(max(exact_totals(model, chunks, num_layers)) < 2**53)
         summary = (len(decodes), sum(decode_prefixes))
         fast = LatencyModel(A800_80GB, model)
+        # Decodes passed as one-token chunks with no summary, as the
+        # profiling samples price them.
+        unsummarised = LatencyModel(A800_80GB, model)
         reference = ChunkLoopLatencyModel(A800_80GB, model)
         for head in (True, False):
             expected = reference.batch_time(chunks, num_layers, include_lm_head=head)
             assert fast.batch_time(
                 prefill_chunks, num_layers, include_lm_head=head, decodes=summary
             ) == expected
+            assert unsummarised.batch_time(chunks, num_layers, include_lm_head=head) == expected
         assert fast.batch_time_pair(prefill_chunks, num_layers, decodes=summary) == (
             reference.batch_time_pair(chunks, num_layers)
         )
