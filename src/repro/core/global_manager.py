@@ -126,7 +126,7 @@ class GlobalMemoryManager:
             owner_instance = group.instances[0]
             for request in group.scheduler.running:
                 prior_owner[request.request_id] = owner_instance
-                kv_tokens[request.request_id] = group.kv.tokens_of(request.request_id)
+                kv_tokens[request.request_id] = group.scheduler.kv_tokens_of(request)
 
         # 1. Drop parameters: each instance keeps only its assigned slice.
         assignment = balanced_layer_assignment(self.system.model.num_layers, len(instances))
@@ -156,7 +156,7 @@ class GlobalMemoryManager:
     def _transfer_requests(source: ServingGroup, destination: ServingGroup) -> None:
         """Move all of ``source``'s requests into ``destination``."""
         for request in list(source.scheduler.running):
-            tokens = source.kv.tokens_of(request.request_id)
+            tokens = source.scheduler.kv_tokens_of(request)
             source.scheduler.remove_request(request)
             destination.adopt_running(request, tokens)
         # Preserve FCFS order for queued requests: they are re-enqueued in

@@ -153,6 +153,8 @@ def make_lookahead_former(
     def former(batch: IterationBatch, num_stages: int) -> List[MicroBatch]:
         prefill_chunks = batch.chunks
         count = batch.decode_count
+        if len(batch.decode_bases) != count:
+            raise ValueError("batch.decode_bases must hold one prefix base per decode")
         if not prefill_chunks and not count:
             return []
         target_microbatches = max(2, num_stages * microbatches_per_stage)

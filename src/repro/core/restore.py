@@ -190,11 +190,10 @@ class RestoreManager:
         new_owner: Dict[int, ServingInstance] = {}
         kv_tokens: Dict[int, int] = {}
         loads = {g.group_id: 0 for g in new_groups}
-        running = sorted(
-            group.scheduler.running, key=lambda r: group.kv.tokens_of(r.request_id), reverse=True
-        )
+        scheduler = group.scheduler
+        running = sorted(scheduler.running, key=scheduler.kv_tokens_of, reverse=True)
         for request in running:
-            tokens = group.kv.tokens_of(request.request_id)
+            tokens = scheduler.kv_tokens_of(request)
             kv_tokens[request.request_id] = tokens
             target = min(new_groups, key=lambda g: loads[g.group_id])
             loads[target.group_id] += tokens

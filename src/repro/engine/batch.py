@@ -109,9 +109,11 @@ class IterationBatch:
     ``decode_count`` of them whose prefixes sum to ``decode_prefix_sum``,
     which :meth:`LatencyModel.batch_time` prices in closed form.  The
     prefix of the i-th decode in FCFS order is ``decode_bases[i] +
-    decode_offset``; the microbatch formers deal decodes from those.
-    ``decode_bases`` is the forming scheduler's own list and is read right
-    after formation, before the scheduler's cohort changes.
+    decode_offset``; the microbatch formers deal decodes from those.  The
+    scheduler sets ``decode_offset`` when it forms the batch, and a
+    pipelined group fills ``decode_bases`` with a copy of the scheduler's
+    (:meth:`ContinuousBatchingScheduler.decode_bases`) before dealing;
+    otherwise it stays empty.
     ``total_new_tokens`` and ``num_requests`` count the batch's new tokens
     and requests; :meth:`add` keeps them, starting from the decode count.
     """

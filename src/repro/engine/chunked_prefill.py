@@ -68,6 +68,8 @@ def split_into_n_microbatches(batch: IterationBatch, num_microbatches: int) -> L
     if num_microbatches <= 0:
         raise ValueError("num_microbatches must be positive")
     count = batch.decode_count
+    if len(batch.decode_bases) != count:
+        raise ValueError("batch.decode_bases must hold one prefix base per decode")
     total_tokens = count + sum(c.new_tokens for c in batch.chunks)
     if total_tokens == 0:
         return []

@@ -283,6 +283,10 @@ class ServingGroup:
             )
             return duration, 0.0
 
+        # The formers deal decodes from their prefix bases, which the
+        # scheduler hands out only on request: the cohort it keeps them for
+        # changes after this pass.
+        batch.decode_bases = self.scheduler.decode_bases()
         microbatches = self.microbatch_former(batch, self.num_stages)
         if not microbatches:
             return 0.0, 0.0
@@ -475,7 +479,7 @@ class ServingGroup:
 
         Returns False when the destination cannot hold the request's KV.
         """
-        tokens = self.kv.tokens_of(request.request_id)
+        tokens = self.scheduler.kv_tokens_of(request)
         if tokens == 0:
             tokens = request.context_tokens
         if not destination.kv.can_allocate(request.request_id, tokens):

@@ -142,8 +142,9 @@ class ContinuousBatchingScheduler:
     more members than the token budget, the latest-arrived sit it out on
     a bench, as they would have in a per-request walk.  ``running`` is
     the one outside view of a decoding request's counts: reading it
-    materialises every member.  The scheduler forms a pass only after the
-    previous one completed or was abandoned, as its group does.
+    materialises every member (:meth:`kv_tokens_of` materialises one).
+    The scheduler forms a pass only after the previous one completed or
+    was abandoned, as its group does.
     """
 
     def __init__(
@@ -342,6 +343,21 @@ class ContinuousBatchingScheduler:
             self._materialise(member)
         return list(self._running.values())
 
+    def kv_tokens_of(self, request: Request) -> int:
+        """``request``'s KV tokens here, brought up to date on its block
+        table (with its output tokens) if it is a cohort member."""
+        member = self._members.get(request.request_id)
+        if member is not None:
+            self._materialise(member)
+        return self.kv.tokens_of(request.request_id)
+
+    def decode_bases(self) -> List[int]:
+        """A copy of the cohort's FCFS prefix bases: the i-th decode of the
+        pass just formed has prefix ``bases[i] + batch.decode_offset``.
+        Take it before the cohort changes (a pipelined group does, to deal
+        the pass into microbatches)."""
+        return self._bases[:]
+
     def _join(self, request: Request) -> None:
         """Enter a decoding request into the cohort, or into the stalled
         set while its stall lasts.  A request's first token is recorded
@@ -513,7 +529,6 @@ class ContinuousBatchingScheduler:
         completed = self._completed
         batch.decode_count = count
         batch.decode_prefix_sum = self._base_sum + count * completed
-        batch.decode_bases = self._bases
         batch.decode_offset = completed
         batch.total_new_tokens = count
         batch.num_requests = count

@@ -415,9 +415,11 @@ def assert_decode_summary(scheduler, batch) -> None:
     """A freshly formed batch's decode summary matches the cohort it advanced.
 
     Materialises the members (``running``) and checks that
-    ``decode_count`` is the cohort's size, that ``decode_bases[i] +
-    decode_offset`` is the i-th member's context in FCFS order and
-    ``decode_prefix_sum`` their sum, that every member's KV fits its
+    ``decode_count`` is the cohort's size, that the i-th of the
+    scheduler's ``decode_bases()`` plus the batch's ``decode_offset`` is
+    the i-th member's context in FCFS order and ``decode_prefix_sum``
+    their sum, that the batch holds no bases of its own (a pipelined group
+    gives it a copy), that every member's KV fits its
     blocks (this pass's crossings took theirs), and that the cohort holds
     the first members in FCFS order up to the token budget, with the bench
     behind them.  ``total_new_tokens`` and ``num_requests`` equal a
@@ -430,8 +432,9 @@ def assert_decode_summary(scheduler, batch) -> None:
     )
     contexts = [request.prompt_tokens + request.output_tokens for request in cohort]
     if batch.decode_count:
-        prefixes = [base + batch.decode_offset for base in batch.decode_bases]
+        prefixes = [base + batch.decode_offset for base in scheduler.decode_bases()]
         assert prefixes == contexts, f"decode prefixes {prefixes} != contexts {contexts}"
+    assert not batch.decode_bases, "the batch holds decode bases the cohort will change"
     assert batch.decode_prefix_sum == sum(contexts), (
         f"decode_prefix_sum {batch.decode_prefix_sum} != {sum(contexts)} over the cohort"
     )
