@@ -144,7 +144,8 @@ class ContinuousBatchingScheduler:
     the one outside view of a decoding request's counts: reading it
     materialises every member (:meth:`kv_tokens_of` materialises one).
     The scheduler forms a pass only after the previous one completed or
-    was abandoned, as its group does.
+    was abandoned, as its group does; a request that moves between
+    schedulers may be in two passes in flight at once.
     """
 
     def __init__(
@@ -715,14 +716,23 @@ class ContinuousBatchingScheduler:
                 self._credit_departed(end_time, finished)
         for chunk in batch.chunks:
             request = chunk.request
+            # A chunk lands only where KV still holds it.  A request that
+            # moved away while this iteration ran may have lost it since:
+            # another scheduler's pass finished the request, or it was
+            # preempted or left running.
+            owner = request.scheduler
+            if (
+                owner is None
+                or owner.kv.tokens_of(request.request_id) < chunk.prefix_tokens + chunk.new_tokens
+            ):
+                continue
             request.record_prefill(chunk.new_tokens, end_time)
             if request.prefill_progress >= request.prefill_target:
                 if request.output_tokens == 0:
                     request.record_output_token(end_time)
                 # A request that moved to another scheduler while this
                 # iteration ran starts decoding there.
-                owner = request.scheduler
-                if owner is not None and request.state is not finished_state:
+                if request.state is not finished_state:
                     owner._start_decoding(request)
             if request.state is finished_state:
                 finished.append(request)
@@ -736,12 +746,16 @@ class ContinuousBatchingScheduler:
 
     def _credit_departed(self, end_time: float, finished: List[Request]) -> None:
         """Credit the pass's token to requests that left the cohort while
-        it ran; re-base those that have joined a cohort since."""
+        it ran and still decode somewhere; re-base those that have joined a
+        cohort since.  One that finished, was preempted or left running
+        meanwhile gets nothing: no KV holds the token."""
         departed, self._departed = self._departed, []
         count = len(finished)
         for request in departed:
             owner = request.scheduler
-            rejoin = owner is not None and request.request_id in owner._members
+            if owner is None or request.prefill_progress < request.prefill_target:
+                continue
+            rejoin = request.request_id in owner._members
             if rejoin:
                 owner._leave(request)
             request.record_output_token(end_time)

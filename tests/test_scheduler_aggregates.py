@@ -23,6 +23,7 @@ builtin ``sum`` adds floats.
 from __future__ import annotations
 
 import builtins
+import collections
 import functools
 import math
 import operator
@@ -257,7 +258,8 @@ def test_results_do_not_depend_on_the_interpreter_sum(monkeypatch):
 OPS = st.lists(
     st.tuples(
         st.sampled_from(["arrive", "arrive_front", "step", "step_migrating",
-                         "pop", "remove", "swap_in", "stall", "unstall"]),
+                         "form", "complete", "migrate", "pop", "remove",
+                         "swap_in", "stall", "unstall"]),
         st.integers(min_value=0, max_value=1),
         st.integers(min_value=0, max_value=10**6),
     ),
@@ -282,6 +284,12 @@ def check_random_transitions(ops, swap, budget, *, every_route=False):
     drain them and check every admitted request that was not removed
     finished (see :func:`test_random_transitions_keep_aggregates`).
 
+    Each scheduler keeps at most one pass in flight: ``form`` forms one,
+    ``complete`` (or a step) completes it, and ``migrate`` moves a running
+    request to the other scheduler meanwhile.  ``step_migrating`` moves one
+    while its step's pass is in flight and has the new owner form a pass,
+    which may hold the request too, before that pass completes.
+
     The drain excuses schedulers the known gap pinned by the strict xfails
     below wedges: by default only through its first route, a request
     adopted mid-prefill; with ``every_route`` also through the rarer two,
@@ -304,13 +312,30 @@ def check_random_transitions(ops, swap, budget, *, every_route=False):
         )
         for _ in range(2)
     ]
+    inflight = [None, None]
     admitted = []
     removed = set()
-    # Requests ``step_migrating`` moved while their old owner's batch was
-    # in flight, and those stalled mid-prefill.
+    # How many times completions returned each request finished.
+    returned = collections.Counter()
+    # Requests moved to the other scheduler, and those stalled mid-prefill.
     adopted = set()
     stalled_mid_prefill = set()
     now = 0.0
+
+    def complete(scheduler, batch, end):
+        returned.update(r.request_id for r in scheduler.complete_batch(batch, end))
+
+    def migrate(scheduler, other, pick):
+        if scheduler.running:
+            mover = scheduler.running[pick % len(scheduler.running)]
+            tokens = scheduler.kv_tokens_of(mover)
+            if other.kv.can_allocate(mover.request_id, tokens):
+                scheduler.remove_request(mover)
+                other.add_running(mover, tokens)
+                adopted.add(mover.request_id)
+                return True
+        return False
+
     for op, index, pick in ops:
         scheduler, other = schedulers[index], schedulers[1 - index]
         if op in ("arrive", "arrive_front"):
@@ -318,18 +343,26 @@ def check_random_transitions(ops, swap, budget, *, every_route=False):
                               max_output_tokens=1 + pick % 7)
             scheduler.add_request(request, front=op == "arrive_front")
             admitted.append(request)
+        elif op == "form" and inflight[index] is None:
+            inflight[index] = scheduler.form_batch(now)
+            assert_decode_summary(scheduler, inflight[index])
+        elif op in ("step", "step_migrating", "complete") and inflight[index] is not None:
+            now += 0.1
+            complete(scheduler, inflight[index], now)
+            inflight[index] = None
         elif op in ("step", "step_migrating"):
             batch = scheduler.form_batch(now)
             assert_decode_summary(scheduler, batch)
             now += 0.1
-            if op == "step_migrating" and scheduler.running:
-                mover = scheduler.running[pick % len(scheduler.running)]
-                tokens = scheduler.kv.tokens_of(mover.request_id)
-                if other.kv.can_allocate(mover.request_id, tokens):
-                    scheduler.remove_request(mover)
-                    other.add_running(mover, tokens)
-                    adopted.add(mover.request_id)
-            scheduler.complete_batch(batch, now)
+            if op == "step_migrating" and migrate(scheduler, other, pick):
+                # The new owner's next pass, holding the moved request, may
+                # start before the old owner's completes.
+                if inflight[1 - index] is None:
+                    inflight[1 - index] = other.form_batch(now)
+                    assert_decode_summary(other, inflight[1 - index])
+            complete(scheduler, batch, now)
+        elif op == "migrate":
+            migrate(scheduler, other, pick)
         elif op == "pop" and scheduler.waiting:
             other.add_request(scheduler.pop_waiting())
         elif op == "remove":
@@ -353,16 +386,37 @@ def check_random_transitions(ops, swap, budget, *, every_route=False):
                 scheduler.stall_lowered(request)
         for each in schedulers:
             assert_scheduler_aggregates(each)
-    # Drain: step both schedulers until neither forms a batch or waits out
-    # a stall.
+    # Drain: complete the passes in flight, then step both schedulers until
+    # neither forms a batch, swaps a request in or out, or waits out a
+    # stall.
+    for scheduler, batch in zip(schedulers, inflight):
+        if batch is not None:
+            now += 0.1
+            complete(scheduler, batch, now)
     busy = True
     while busy:
         busy = False
         for scheduler in schedulers:
-            busy |= not step(scheduler, now).empty
+            swapped = list(scheduler.swapped)
+            batch = scheduler.form_batch(now)
+            assert_decode_summary(scheduler, batch)
+            complete(scheduler, batch, now + 0.1)
+            busy |= not batch.empty or scheduler.swapped != swapped
             busy |= scheduler.next_stall_expiry(now) is not None
             now += 0.1
             assert_scheduler_aggregates(scheduler)
+    # No request got a token past its last, and a completion returned each
+    # finished request once.
+    for request in admitted:
+        assert request.output_tokens <= request.max_output_tokens, (
+            f"request {request.request_id} has {request.output_tokens} output tokens, "
+            f"at most {request.max_output_tokens}"
+        )
+        times = returned[request.request_id]
+        assert times == (1 if request.finished else 0), (
+            f"request {request.request_id} (finished: {request.finished}) "
+            f"returned finished {times} times"
+        )
     # An idle scheduler has decoded every running request whose prefill is
     # done (or preempted it); one stranded outside the cohort would be
     # left here.
@@ -400,12 +454,13 @@ def check_random_transitions(ops, swap, budget, *, every_route=False):
 @given(ops=OPS, swap=st.booleans(), budget=BUDGETS)
 def test_random_transitions_keep_aggregates(ops, swap, budget):
     """Every transition, including a request migrating away while an
-    iteration that scheduled it is in flight, a stall raised or lowered,
-    and more decoding requests than the token budget, keeps both
-    schedulers' aggregates and cohorts equal to the rescan; stepping both
-    schedulers until idle then finishes every request that arrived and was
-    not removed, except those held by a scheduler that the known gap
-    pinned below wedges through an adopted request."""
+    iteration that scheduled it is in flight (and its new owner's pass
+    then holding it too), a stall raised or lowered, and more decoding
+    requests than the token budget, keeps both schedulers' aggregates and
+    cohorts equal to the rescan; stepping both schedulers until idle then
+    finishes every request that arrived and was not removed, except those
+    held by a scheduler that the known gap pinned below wedges through an
+    adopted request."""
     check_random_transitions(ops, swap, budget)
 
 
@@ -497,6 +552,119 @@ def test_a_token_in_flight_when_its_request_moves_is_credited(max_output):
         now += 0.1
     assert request.finished and request.output_tokens == max_output
     assert b.kv.used_tokens == 0
+
+
+@pytest.mark.parametrize("new_owner_first", [False, True])
+@pytest.mark.parametrize("max_output", [2, 3, 5])
+def test_overlapping_passes_of_the_old_and_new_owner(max_output, new_owner_first):
+    """A request moves while its old owner's pass is in flight, and the new
+    owner forms a pass holding it before that pass completes (a move
+    within one server does not stall).  The two completions, in either
+    order, credit one token each up to the last; the request is returned
+    finished once and holds no KV afterwards."""
+    a, b = two_schedulers()
+    request = Request(arrival_time=0.0, prompt_tokens=10, max_output_tokens=max_output)
+    a.add_request(request)
+    step(a, 0.0)
+    passes = [(a, a.form_batch(0.1))]
+    b.add_running(request, a.remove_request(request))
+    passes.append((b, b.form_batch(0.15)))
+    assert [batch.decode_count for _, batch in passes] == [1, 1]
+    if new_owner_first:
+        passes.reverse()
+    returned = []
+    for (scheduler, batch), end in zip(passes, (0.3, 0.4)):
+        returned.append(scheduler.complete_batch(batch, end))
+        for each in (a, b):
+            assert_scheduler_aggregates(each)
+    assert request.output_tokens == min(3, max_output)
+    assert request.last_token_time == (0.3 if max_output == 2 else 0.4)
+    assert returned == {2: [[request], []], 3: [[], [request]], 5: [[], []]}[max_output]
+    now = 0.5
+    while b.num_running:
+        batch = b.form_batch(now)
+        assert_decode_summary(b, batch)
+        returned.append(b.complete_batch(batch, now + 0.1))
+        assert_scheduler_aggregates(b)
+        now += 0.1
+    assert [r for each in returned for r in each] == [request]
+    assert request.output_tokens == max_output
+    assert a.kv.used_tokens == b.kv.used_tokens == 0
+
+
+@pytest.mark.parametrize("mode", list(PreemptionMode))
+def test_no_token_in_flight_lands_on_a_request_preempted_since(mode):
+    """A decoding request moves while its old owner's pass is in flight,
+    and its new owner preempts it (swap, or recompute and re-admit) before
+    that pass completes.  The token has no KV to land in, so it is not
+    credited: the swapped request's queued demand and the recompute's
+    target stay right, and the request later finishes once."""
+    a = ContinuousBatchingScheduler(PagedKVCache(num_blocks=12, block_size=8))
+    b = ContinuousBatchingScheduler(
+        PagedKVCache(num_blocks=3, block_size=8), SchedulerConfig(preemption_mode=mode)
+    )
+    earlier = Request(arrival_time=0.0, prompt_tokens=4, max_output_tokens=2)
+    b.add_request(earlier)
+    step(b, 0.0)
+    request = Request(arrival_time=1.0, prompt_tokens=15, max_output_tokens=5)
+    a.add_request(request)
+    step(a, 1.0)
+    in_flight = a.form_batch(1.1)
+    b.add_running(request, a.remove_request(request))
+    # ``request``'s crossing finds no free block, so it preempts itself; a
+    # recompute re-admits it at once.
+    b_pass = b.form_batch(1.15)
+    assert b_pass.decode_count == 1  # ``earlier`` alone
+    if mode is PreemptionMode.SWAP:
+        assert request in b.swapped
+    else:
+        assert b.is_running(request) and not request.prefill_done
+    assert a.complete_batch(in_flight, 1.3) == []
+    assert request.output_tokens == 1
+    for scheduler in (a, b):
+        assert_scheduler_aggregates(scheduler)
+    returned = b.complete_batch(b_pass, 1.35)
+    now = 1.4
+    while b.num_running or b.swapped:
+        batch = b.form_batch(now)
+        assert_decode_summary(b, batch)
+        returned += b.complete_batch(batch, now + 0.1)
+        assert_scheduler_aggregates(b)
+        now += 0.1
+    assert returned == [earlier, request] and request.output_tokens == 5
+    assert a.kv.used_tokens == b.kv.used_tokens == 0
+
+
+@pytest.mark.parametrize("then", ["prefill", "requeue"])
+def test_a_prefill_chunk_lands_only_on_the_prefill_it_extended(then):
+    """A request moves while its prefill chunk is in flight, and before the
+    chunk lands its new owner prefills the same tokens again or puts it
+    back in its queue.  The old owner's chunk then lands only while KV
+    holds it and finishes nothing twice: the request finishes once, its
+    first token from the first chunk to land on KV that held it."""
+    a, b = two_schedulers()
+    request = Request(arrival_time=0.0, prompt_tokens=10, max_output_tokens=1)
+    a.add_request(request)
+    in_flight = a.form_batch(0.0)
+    b.add_running(request, a.remove_request(request))
+    if then == "prefill":
+        again = b.form_batch(0.05)
+        assert [(c.request, c.prefix_tokens) for c in again.chunks] == [(request, 0)]
+        assert a.complete_batch(in_flight, 0.1) == [request]
+        assert b.complete_batch(again, 0.2) == []
+    else:
+        b.remove_request(request)
+        b.add_request(request)
+        assert a.complete_batch(in_flight, 0.1) == []
+        assert request.prefill_progress == 0 and request.output_tokens == 0
+        assert_scheduler_aggregates(b)
+        batch = b.form_batch(0.2)
+        assert b.complete_batch(batch, 0.3) == [request]
+    for scheduler in (a, b):
+        assert_scheduler_aggregates(scheduler)
+        assert scheduler.kv.used_tokens == 0
+    assert request.output_tokens == 1
+    assert request.first_token_time == (0.1 if then == "prefill" else 0.3)
 
 
 def test_decoders_beyond_the_token_budget_sit_passes_out():
