@@ -59,68 +59,35 @@ def main() -> None:
             {"rows": rows, "summary": result.summary, "dur": result.duration_s}
         )
 
-    from repro.scenarios.sweep import run_sweep
+    from repro.chaos.grid import GRID as CHAOS
+    from repro.fleet.grid import GRID as FLEET
+    from repro.multicluster.grid import GRID as MULTICLUSTER
+    from repro.scenarios.grid import GRID as SCENARIOS
+    from repro.serve.grid import GRID as SERVE
+    from repro.sweeps.grid import run_grid
 
-    out["scenarios"] = digest(
-        run_sweep(
-            scenarios=("steady-poisson", "spike-train"),
-            policies=("vllm", "kunserve"),
-            seed=42,
-            max_workers=1,
-        )
-    )
-
-    from repro.fleet.sweep import run_fleet_sweep
-
-    out["fleet"] = digest(
-        run_fleet_sweep(
-            scenarios=("steady-poisson",),
-            policies=("vllm",),
-            routers=("least_loaded", "power_of_two_choices"),
-            autoscalers=("fixed", "elastic"),
-            seed=42,
-            max_workers=1,
-        )
-    )
-
-    from repro.multicluster.sweep import run_multicluster_sweep
-
-    out["multicluster"] = digest(
-        run_multicluster_sweep(
-            scenarios=("steady-poisson",),
-            policies=("vllm",),
-            cluster_counts=(2,),
-            seed=42,
-            max_workers=1,
-        )
-    )
-
-    from repro.chaos.sweep import run_chaos_sweep
-
-    out["chaos"] = digest(
-        run_chaos_sweep(
-            scenarios=("steady-poisson",),
-            policies=("vllm",),
-            faults=("cluster-outage",),
-            migrations=("sticky", "migrate"),
-            seed=42,
-            max_workers=1,
-        )
-    )
-
-    from repro.serve.sweep import run_serve_sweep
-
-    out["serve"] = digest(
-        run_serve_sweep(
-            scenarios=("spike-train",),
-            policies=("vllm",),
-            clients=("open", "16"),
-            retries=("backoff",),
-            backpressures=("on",),
-            seed=42,
-            max_workers=1,
-        )
-    )
+    grids = {
+        "scenarios": (SCENARIOS, dict(
+            scenarios=("steady-poisson", "spike-train"), policies=("vllm", "kunserve"),
+        )),
+        "fleet": (FLEET, dict(
+            scenarios=("steady-poisson",), policies=("vllm",),
+            routers=("least_loaded", "power_of_two_choices"), autoscalers=("fixed", "elastic"),
+        )),
+        "multicluster": (MULTICLUSTER, dict(
+            scenarios=("steady-poisson",), policies=("vllm",), cluster_counts=(2,),
+        )),
+        "chaos": (CHAOS, dict(
+            scenarios=("steady-poisson",), policies=("vllm",),
+            faults=("cluster-outage",), migrations=("sticky", "migrate"),
+        )),
+        "serve": (SERVE, dict(
+            scenarios=("spike-train",), policies=("vllm",), clients=("open", "16"),
+            retries=("backoff",), backpressure=("on",),
+        )),
+    }
+    for name, (grid, axes) in grids.items():
+        out[name] = digest(run_grid(grid, seed=42, max_workers=1, **axes))
 
     json.dump(out, open(sys.argv[1], "w"), indent=1)
     print(json.dumps(out, indent=1))

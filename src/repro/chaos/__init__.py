@@ -5,10 +5,9 @@ describes *when* and *where* instance kills, whole-cluster outages and
 WAN-link degradations strike, deterministically — either at fixed trigger
 times or hazard-rate-sampled from the experiment seed — and the
 :class:`~repro.chaos.injector.ChaosInjector` replays the schedule on the
-shared event loop of a running system.  The chaos sweep
-(:mod:`repro.chaos.sweep`, ``python -m repro.chaos``) grids fault
-schedules against session-migration policies and emits a stable-schema
-``CHAOS_results.json`` through the cached sweep engine.
+shared event loop of a running system.  The chaos grid
+(:mod:`repro.chaos.grid`, ``python -m repro.chaos``) crosses fault
+schedules with session-migration policies and writes ``CHAOS_results.json``.
 """
 
 from repro.chaos.config import (
@@ -21,37 +20,19 @@ from repro.chaos.config import (
     schedule_fingerprint,
 )
 from repro.chaos.injector import ChaosInjector
-from repro.chaos.schema import (
-    DOCUMENT_KEYS,
-    ENTRY_KEYS,
-    SCALE_KEYS,
-    SCHEMA_VERSION,
-    WALL_CLOCK_DOCUMENT_KEYS,
-    WALL_CLOCK_ENTRY_KEYS,
-    strip_wall_clock,
-    validate_document,
-)
 
-# Note: :mod:`repro.chaos.sweep` is intentionally *not* imported here —
+# Note: :mod:`repro.chaos.grid` is intentionally *not* imported here —
 # it pulls in :mod:`repro.serving`, whose config embeds
 # :class:`~repro.chaos.config.FaultSchedule` from this package; import it
 # directly where needed.
 
 __all__ = [
     "ChaosInjector",
-    "DOCUMENT_KEYS",
-    "ENTRY_KEYS",
     "FAULT_KINDS",
     "FaultEvent",
     "FaultSchedule",
-    "SCALE_KEYS",
-    "SCHEMA_VERSION",
-    "WALL_CLOCK_DOCUMENT_KEYS",
-    "WALL_CLOCK_ENTRY_KEYS",
     "fault_schedule_preset",
     "list_fault_presets",
     "sampled_kill_schedule",
     "schedule_fingerprint",
-    "strip_wall_clock",
-    "validate_document",
 ]

@@ -1,205 +1,7 @@
-"""CLI entry point: ``python -m repro.chaos``.
+"""``python -m repro.chaos``: sweep the grid of :mod:`repro.chaos.grid`."""
 
-Sweeps scenarios across fault-schedule presets × session-migration
-policies (the chaos grid) through the unified sweep engine
-(:mod:`repro.sweeps`) and writes ``CHAOS_results.json`` to the
-repository root (see ``--output``).  Unchanged cells are served from the
-on-disk result cache (``.repro_cache/``); disable with ``--no-cache``,
-inspect with ``--cache-stats``, purge with ``--clear-cache``.
-``--list-faults`` / ``--list-migrations`` show the registries, and
-``--metrics-out FILE`` streams one cell's live Prometheus text scrapes
-to a file.
-"""
-
-from __future__ import annotations
-
-import argparse
-import sys
-from pathlib import Path
-
-from repro.chaos.config import list_fault_presets
-from repro.chaos.schema import validate_document
-from repro.chaos.sweep import (
-    CHAOS_SCALES,
-    DEFAULT_FAULTS,
-    DEFAULT_MIGRATIONS,
-    DEFAULT_POLICIES,
-    DEFAULT_SCENARIOS,
-    format_results,
-    run_chaos_sweep,
-    stream_cell_metrics,
-    write_results,
-)
-from repro.multicluster.config import list_session_migrations
-from repro.policies import make_policy
-from repro.scenarios.registry import list_scenarios
-from repro.sweeps import effective_worker_count
-from repro.sweeps.cli import add_cache_arguments, clear_cache, print_cache_stats
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.chaos",
-        description="Sweep scenarios across deterministic fault schedules and "
-        "session-migration policies in parallel and write CHAOS_results.json.",
-    )
-    parser.add_argument(
-        "--scale",
-        choices=sorted(CHAOS_SCALES),
-        default="quick",
-        help="sweep scale, instances per cluster (default: quick)",
-    )
-    parser.add_argument(
-        "--scenarios",
-        nargs="*",
-        default=None,
-        metavar="NAME",
-        help=f"scenarios to sweep (default: {' '.join(DEFAULT_SCENARIOS)})",
-    )
-    parser.add_argument(
-        "--policies",
-        nargs="*",
-        default=None,
-        metavar="POLICY",
-        help=f"overload-policy keys (default: {' '.join(DEFAULT_POLICIES)})",
-    )
-    parser.add_argument(
-        "--faults",
-        nargs="*",
-        default=None,
-        metavar="PRESET",
-        help=f"fault-schedule presets (default: {' '.join(DEFAULT_FAULTS)})",
-    )
-    parser.add_argument(
-        "--migrations",
-        nargs="*",
-        default=None,
-        metavar="POLICY",
-        help=f"session-migration policies (default: {' '.join(DEFAULT_MIGRATIONS)})",
-    )
-    parser.add_argument("--seed", type=int, default=42, help="sweep seed")
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes (default: min(grid size, CPU count))",
-    )
-    parser.add_argument(
-        "--sequential",
-        action="store_true",
-        help="run every cell inline in this process (equivalent to --workers 1)",
-    )
-    parser.add_argument(
-        "--output",
-        default=None,
-        help="where to write CHAOS_results.json (default: repository root)",
-    )
-    parser.add_argument(
-        "--metrics-out",
-        default=None,
-        metavar="FILE",
-        help="additionally replay the first grid cell inline, streaming live "
-        "Prometheus text scrapes to FILE",
-    )
-    parser.add_argument(
-        "--trace",
-        action="store_true",
-        help="attach a tier-wide per-request span tracer to every cell and add "
-        "a stage_breakdown block (per-stage latency attribution) to each entry; "
-        "with --metrics-out, also streams the stage-duration histogram",
-    )
-    parser.add_argument(
-        "--alerts",
-        action="store_true",
-        help="replay the default alert-rule pack (repro.obs) over every cell's "
-        "metric stream and add an alerts block (firing/resolved timeline) to "
-        "each entry",
-    )
-    add_cache_arguments(parser)
-    parser.add_argument(
-        "--list-faults",
-        action="store_true",
-        help="list fault-schedule presets and exit",
-    )
-    parser.add_argument(
-        "--list-migrations",
-        action="store_true",
-        help="list session-migration policies and exit",
-    )
-    args = parser.parse_args(argv)
-
-    if args.list_faults:
-        for name in list_fault_presets():
-            print(name)
-        return 0
-    if args.list_migrations:
-        for name in list_session_migrations():
-            print(name)
-        return 0
-    if args.clear_cache:
-        return clear_cache(args)
-
-    try:
-        for policy in args.policies or ():
-            make_policy(policy)  # fail fast on typos before spawning workers
-        max_workers = 1 if args.sequential else args.workers
-        if max_workers is None:
-            names = args.scenarios or list(DEFAULT_SCENARIOS)
-            grid = (
-                len([n for n in names if n in list_scenarios()])
-                * len(args.policies or DEFAULT_POLICIES)
-                * len(args.faults if args.faults is not None else DEFAULT_FAULTS)
-                * len(
-                    args.migrations
-                    if args.migrations is not None
-                    else DEFAULT_MIGRATIONS
-                )
-            )
-            max_workers = max(1, min(grid, effective_worker_count()))
-        document = run_chaos_sweep(
-            scenarios=args.scenarios,
-            policies=args.policies,
-            faults=args.faults,
-            migrations=args.migrations,
-            scale=CHAOS_SCALES[args.scale],
-            seed=args.seed,
-            max_workers=max_workers,
-            use_cache=not args.no_cache,
-            cache_dir=args.cache_dir,
-            trace=args.trace,
-            alerts=args.alerts,
-        )
-    except (KeyError, ValueError) as error:
-        print(f"error: {error.args[0]}", file=sys.stderr)
-        return 2
-    problems = validate_document(document)
-    if problems:
-        print("schema violations:", *problems, sep="\n  ", file=sys.stderr)
-        return 1
-    path = write_results(document, args.output)
-    print(format_results(document))
-    if args.cache_stats:
-        print_cache_stats(document, args)
-    if args.metrics_out:
-        scrapes = stream_cell_metrics(
-            (args.scenarios or list(DEFAULT_SCENARIOS))[0],
-            (args.policies or list(DEFAULT_POLICIES))[0],
-            (args.faults if args.faults is not None else list(DEFAULT_FAULTS))[0],
-            (
-                args.migrations
-                if args.migrations is not None
-                else list(DEFAULT_MIGRATIONS)
-            )[0],
-            CHAOS_SCALES[args.scale],
-            args.seed,
-            Path(args.metrics_out),
-            trace=args.trace,
-        )
-        print(f"streamed {scrapes} metric scrapes to {args.metrics_out}")
-    print(f"\nwrote {path}")
-    return 0
-
+from repro.chaos.grid import GRID
+from repro.sweeps.grid import main
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(GRID))

@@ -8,11 +8,11 @@ queues, SLO-aware shedding and per-tenant fairness
 serving groups from spare cluster capacity with realistic cold-start
 delays (:mod:`repro.fleet.autoscaler`) — all composed by
 :class:`~repro.fleet.controller.FleetController` and driven through the
-deterministic event loop.  The sweep runner
-(:mod:`repro.fleet.sweep`) replays scenarios across the router ×
-autoscaler grid and emits a stable-schema ``FLEET_results.json``.
+deterministic event loop.  The fleet grid (:mod:`repro.fleet.grid`,
+``python -m repro.fleet``) replays scenarios across routers, autoscaler
+presets and fault presets and writes ``FLEET_results.json``.
 
-Note: :mod:`repro.fleet.sweep` is intentionally *not* imported here — it
+Note: :mod:`repro.fleet.grid` is intentionally *not* imported here — it
 pulls in :mod:`repro.serving`, which itself resolves routers from this
 package; import it directly where needed.
 """
@@ -40,16 +40,6 @@ from repro.fleet.routing import (
     make_router,
     register_router,
 )
-from repro.fleet.schema import (
-    DOCUMENT_KEYS,
-    ENTRY_KEYS,
-    SCALE_KEYS,
-    SCHEMA_VERSION,
-    WALL_CLOCK_DOCUMENT_KEYS,
-    WALL_CLOCK_ENTRY_KEYS,
-    strip_wall_clock,
-    validate_document,
-)
 
 __all__ = [
     "AUTOSCALER_PRESETS",
@@ -57,8 +47,6 @@ __all__ = [
     "AdmissionController",
     "Autoscaler",
     "AutoscalerConfig",
-    "DOCUMENT_KEYS",
-    "ENTRY_KEYS",
     "FleetConfig",
     "FleetController",
     "LeastLoadedRouter",
@@ -66,17 +54,11 @@ __all__ = [
     "PowerOfTwoChoicesRouter",
     "RoundRobinRouter",
     "Router",
-    "SCALE_KEYS",
-    "SCHEMA_VERSION",
     "SessionAffinityRouter",
-    "WALL_CLOCK_DOCUMENT_KEYS",
-    "WALL_CLOCK_ENTRY_KEYS",
     "fleet_preset",
     "list_autoscaler_presets",
     "list_routers",
     "make_fleet_config",
     "make_router",
     "register_router",
-    "strip_wall_clock",
-    "validate_document",
 ]

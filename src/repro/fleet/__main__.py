@@ -1,216 +1,7 @@
-"""CLI entry point: ``python -m repro.fleet``.
+"""``python -m repro.fleet``: sweep the grid of :mod:`repro.fleet.grid`."""
 
-Sweeps a scenario across router strategies × autoscaler presets (the
-elastic-fleet grid) through the unified sweep engine (:mod:`repro.sweeps`)
-and writes ``FLEET_results.json`` to the repository root (see
-``--output``).  Unchanged cells are served from the on-disk result cache
-(``.repro_cache/``); disable with ``--no-cache``, inspect with
-``--cache-stats``, purge with ``--clear-cache``.  ``--list-routers`` /
-``--list-autoscalers`` / ``--list-faults`` show the registries, and
-``--faults`` adds single-cluster fault presets (``none``,
-``instance-kill``, ``churn``) as a grid axis.
-"""
-
-from __future__ import annotations
-
-import argparse
-import sys
-
-from repro.fleet.config import AUTOSCALER_PRESETS, list_autoscaler_presets
-from repro.fleet.routing import list_routers
-from repro.fleet.schema import validate_document
-from repro.fleet.sweep import (
-    DEFAULT_FAULTS,
-    DEFAULT_POLICIES,
-    DEFAULT_SCENARIOS,
-    FLEET_SCALES,
-    format_results,
-    list_fleet_fault_presets,
-    run_fleet_sweep,
-    stream_cell_metrics,
-    write_results,
-)
-from repro.policies import make_policy
-from repro.scenarios.registry import list_scenarios
-from repro.sweeps import effective_worker_count
-from repro.sweeps.cli import add_cache_arguments, clear_cache, print_cache_stats
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.fleet",
-        description="Sweep scenarios across router strategies and autoscaler "
-        "presets in parallel and write FLEET_results.json.",
-    )
-    parser.add_argument(
-        "--scale",
-        choices=sorted(FLEET_SCALES),
-        default="quick",
-        help="sweep scale (default: quick)",
-    )
-    parser.add_argument(
-        "--scenarios",
-        nargs="*",
-        default=None,
-        metavar="NAME",
-        help=f"scenarios to sweep (default: {' '.join(DEFAULT_SCENARIOS)})",
-    )
-    parser.add_argument(
-        "--policies",
-        nargs="*",
-        default=None,
-        metavar="POLICY",
-        help=f"overload-policy keys (default: {' '.join(DEFAULT_POLICIES)})",
-    )
-    parser.add_argument(
-        "--routers",
-        nargs="*",
-        default=None,
-        metavar="ROUTER",
-        help="router strategies (default: all registered)",
-    )
-    parser.add_argument(
-        "--autoscalers",
-        nargs="*",
-        default=None,
-        metavar="PRESET",
-        help="autoscaler presets (default: all presets)",
-    )
-    parser.add_argument(
-        "--faults",
-        nargs="*",
-        default=None,
-        metavar="PRESET",
-        help=f"fault-schedule presets (default: {' '.join(DEFAULT_FAULTS)})",
-    )
-    parser.add_argument("--seed", type=int, default=42, help="sweep seed")
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes (default: min(grid size, CPU count))",
-    )
-    parser.add_argument(
-        "--sequential",
-        action="store_true",
-        help="run every cell inline in this process (equivalent to --workers 1)",
-    )
-    parser.add_argument(
-        "--output",
-        default=None,
-        help="where to write FLEET_results.json (default: repository root)",
-    )
-    parser.add_argument(
-        "--metrics-out",
-        default=None,
-        metavar="FILE",
-        help="additionally replay the first grid cell inline, streaming live "
-        "Prometheus text scrapes to FILE",
-    )
-    parser.add_argument(
-        "--alerts",
-        action="store_true",
-        help="replay the default alert-rule pack (repro.obs) over every cell's "
-        "metric stream and add an alerts block (firing/resolved timeline) to "
-        "each entry",
-    )
-    add_cache_arguments(parser)
-    parser.add_argument(
-        "--list-routers", action="store_true", help="list router strategies and exit"
-    )
-    parser.add_argument(
-        "--list-autoscalers",
-        action="store_true",
-        help="list autoscaler presets and exit",
-    )
-    parser.add_argument(
-        "--list-faults",
-        action="store_true",
-        help="list single-cluster fault presets and exit",
-    )
-    args = parser.parse_args(argv)
-
-    if args.list_routers:
-        for name in list_routers():
-            print(name)
-        return 0
-    if args.list_autoscalers:
-        for name in list_autoscaler_presets():
-            preset = AUTOSCALER_PRESETS[name]
-            state = "elastic" if preset.enabled else "fixed fleet"
-            print(f"{name:<10} {state}")
-        return 0
-    if args.list_faults:
-        for name in list_fleet_fault_presets():
-            print(name)
-        return 0
-    if args.clear_cache:
-        return clear_cache(args)
-
-    try:
-        for policy in args.policies or ():
-            make_policy(policy)  # fail fast on typos before spawning workers
-        max_workers = 1 if args.sequential else args.workers
-        if max_workers is None:
-            names = args.scenarios or list(DEFAULT_SCENARIOS)
-            grid = (
-                len([n for n in names if n in list_scenarios()])
-                * len(args.policies or DEFAULT_POLICIES)
-                * len(args.routers if args.routers is not None else list_routers())
-                * len(
-                    args.autoscalers
-                    if args.autoscalers is not None
-                    else list_autoscaler_presets()
-                )
-                * len(args.faults if args.faults is not None else DEFAULT_FAULTS)
-            )
-            max_workers = max(1, min(grid, effective_worker_count()))
-        document = run_fleet_sweep(
-            scenarios=args.scenarios,
-            policies=args.policies,
-            routers=args.routers,
-            autoscalers=args.autoscalers,
-            faults=args.faults,
-            scale=FLEET_SCALES[args.scale],
-            seed=args.seed,
-            max_workers=max_workers,
-            use_cache=not args.no_cache,
-            cache_dir=args.cache_dir,
-            alerts=args.alerts,
-        )
-    except (KeyError, ValueError) as error:
-        print(f"error: {error.args[0]}", file=sys.stderr)
-        return 2
-    problems = validate_document(document)
-    if problems:
-        print("schema violations:", *problems, sep="\n  ", file=sys.stderr)
-        return 1
-    path = write_results(document, args.output)
-    print(format_results(document))
-    if args.cache_stats:
-        print_cache_stats(document, args)
-    if args.metrics_out:
-        from pathlib import Path
-
-        scrapes = stream_cell_metrics(
-            (args.scenarios or list(DEFAULT_SCENARIOS))[0],
-            (args.policies or list(DEFAULT_POLICIES))[0],
-            (args.routers if args.routers is not None else list_routers())[0],
-            (
-                args.autoscalers
-                if args.autoscalers is not None
-                else list_autoscaler_presets()
-            )[0],
-            FLEET_SCALES[args.scale],
-            args.seed,
-            Path(args.metrics_out),
-            faults=(args.faults if args.faults is not None else list(DEFAULT_FAULTS))[0],
-        )
-        print(f"streamed {scrapes} metric scrapes to {args.metrics_out}")
-    print(f"\nwrote {path}")
-    return 0
-
+from repro.fleet.grid import GRID
+from repro.sweeps.grid import main
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(GRID))

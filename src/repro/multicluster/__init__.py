@@ -8,12 +8,12 @@ placement policy deciding which cluster absorbs an autoscaler scale-up
 (:mod:`repro.multicluster.placement`), and an inter-cluster WAN fabric
 that makes remote routing and cross-cluster KV migration pay a modeled
 cost (:mod:`repro.multicluster.fabric`, built on
-:class:`repro.cluster.network.CrossClusterLink`).  The sweep runner
-(:mod:`repro.multicluster.sweep`) replays scenarios across the
-cluster-count × global-router × placement grid and emits a stable-schema
+:class:`repro.cluster.network.CrossClusterLink`).  The multicluster grid
+(:mod:`repro.multicluster.grid`, ``python -m repro.multicluster``) replays
+scenarios across cluster counts, global routers and placements and writes
 ``MULTICLUSTER_results.json``.
 
-Note: :mod:`repro.multicluster.sweep` and
+Note: :mod:`repro.multicluster.grid` and
 :mod:`repro.multicluster.system` are intentionally *not* imported here —
 they pull in :mod:`repro.serving`, whose config embeds
 :class:`~repro.multicluster.config.MultiClusterConfig` from this package;
@@ -44,32 +44,16 @@ from repro.multicluster.routing import (
     make_global_router,
     register_global_router,
 )
-from repro.multicluster.schema import (
-    DOCUMENT_KEYS,
-    ENTRY_KEYS,
-    SCALE_KEYS,
-    SCHEMA_VERSION,
-    WALL_CLOCK_DOCUMENT_KEYS,
-    WALL_CLOCK_ENTRY_KEYS,
-    strip_wall_clock,
-    validate_document,
-)
 
 __all__ = [
     "CostWeightedPlacement",
-    "DOCUMENT_KEYS",
-    "ENTRY_KEYS",
     "GlobalRouter",
     "LeastLoadedClusterRouter",
     "LocalityAffinityRouter",
     "MultiClusterConfig",
     "PlacementPolicy",
-    "SCALE_KEYS",
-    "SCHEMA_VERSION",
     "SpareCapacityFirstPlacement",
     "SpilloverRouter",
-    "WALL_CLOCK_DOCUMENT_KEYS",
-    "WALL_CLOCK_ENTRY_KEYS",
     "WeightedRoundRobinRouter",
     "home_cluster_index",
     "list_global_routers",
@@ -80,6 +64,4 @@ __all__ = [
     "multicluster_preset",
     "register_global_router",
     "register_placement",
-    "strip_wall_clock",
-    "validate_document",
 ]

@@ -1,8 +1,8 @@
 """Stable schemas of the ``alerts`` and ``profile`` blocks.
 
-Mirrors the result-document schema modules (:mod:`repro.chaos.schema`,
-...): keys may be *added* in later schema versions but the keys listed
-here are never renamed or removed, and ``tests/test_obs.py`` pins them.
+Like the sweep documents (:mod:`repro.sweeps.grid`), keys may be *added*
+in later schema versions but the keys listed here are never renamed or
+removed, and ``tests/test_obs.py`` pins them.
 
 The **alerts block** is attached to sweep entries when the sweep runs
 with ``--alerts`` (an opt-in axis — it enters the cell cache key, so

@@ -3,9 +3,9 @@
 Synthetic workload generators (Poisson, Markov-modulated bursts, diurnal
 swings, spike trains, multi-tenant mixtures, long-context skew), a named
 :class:`ScenarioSpec` registry with built-in stress scenarios, and a
-process-parallel sweep runner that replays every scenario under every
-overload policy and emits a stable-schema ``SCENARIO_results.json`` at the
-repository root (schema: :mod:`repro.scenarios.schema`).
+scenario grid (:mod:`repro.scenarios.grid`, ``python -m repro.scenarios``)
+that replays every scenario under every overload policy and writes
+``SCENARIO_results.json`` at the repository root.
 """
 
 from repro.scenarios.generators import (
@@ -27,49 +27,13 @@ from repro.scenarios.registry import (
     list_scenarios,
     register_scenario,
 )
-from repro.scenarios.schema import (
-    DOCUMENT_KEYS,
-    ENTRY_KEYS,
-    SCALE_KEYS,
-    SCHEMA_VERSION,
-    WALL_CLOCK_DOCUMENT_KEYS,
-    WALL_CLOCK_ENTRY_KEYS,
-    strip_wall_clock,
-    validate_document,
-)
-from repro.scenarios.sweep import (
-    DEFAULT_OUTPUT,
-    FULL_SWEEP_SCALE,
-    QUICK_SWEEP_SCALE,
-    SWEEP_SCALES,
-    CellResult,
-    format_results,
-    run_cell,
-    run_cell_payload,
-    run_sweep,
-    scenario_cell_task,
-    spec_fingerprint,
-    write_results,
-)
 
 __all__ = [
     "BUILTIN_SCENARIOS",
-    "CellResult",
-    "DEFAULT_OUTPUT",
     "DEFAULT_POLICY_SET",
-    "DOCUMENT_KEYS",
-    "ENTRY_KEYS",
-    "FULL_SWEEP_SCALE",
     "LONG_CONTEXT_SKEW_DATASET",
-    "QUICK_SWEEP_SCALE",
-    "SCALE_KEYS",
-    "SCHEMA_VERSION",
-    "SWEEP_SCALES",
     "ScenarioSpec",
-    "WALL_CLOCK_DOCUMENT_KEYS",
-    "WALL_CLOCK_ENTRY_KEYS",
     "diurnal_trace",
-    "format_results",
     "get_scenario",
     "list_scenarios",
     "long_context_dataset",
@@ -78,14 +42,6 @@ __all__ = [
     "multi_tenant_workload",
     "poisson_trace",
     "register_scenario",
-    "run_cell",
-    "run_cell_payload",
-    "run_sweep",
-    "scenario_cell_task",
-    "spec_fingerprint",
     "spike_train_trace",
     "stamp_sessions",
-    "strip_wall_clock",
-    "validate_document",
-    "write_results",
 ]

@@ -1,143 +1,7 @@
-"""CLI entry point: ``python -m repro.scenarios``.
+"""``python -m repro.scenarios``: sweep the grid of :mod:`repro.scenarios.grid`."""
 
-Sweeps the registered scenarios across the overload policies through the
-unified sweep engine (:mod:`repro.sweeps`) and writes
-``SCENARIO_results.json`` to the repository root (see ``--output``).
-Unchanged cells are served from the on-disk result cache
-(``.repro_cache/``), so a rerun recomputes only changed cells; disable
-with ``--no-cache``, inspect with ``--cache-stats``, purge with
-``--clear-cache``.  ``--list`` shows the registry.
-"""
-
-from __future__ import annotations
-
-import argparse
-import sys
-
-from repro.policies import make_policy
-from repro.scenarios.registry import DEFAULT_POLICY_SET, get_scenario, list_scenarios
-from repro.scenarios.schema import validate_document
-from repro.scenarios.sweep import (
-    SWEEP_SCALES,
-    format_results,
-    run_sweep,
-    write_results,
-)
-from repro.sweeps import effective_worker_count
-from repro.sweeps.cli import add_cache_arguments, clear_cache, print_cache_stats
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.scenarios",
-        description="Sweep synthetic stress scenarios across overload policies "
-        "in parallel and write SCENARIO_results.json.",
-    )
-    parser.add_argument(
-        "--scale",
-        choices=sorted(SWEEP_SCALES),
-        default="quick",
-        help="sweep scale (default: quick)",
-    )
-    parser.add_argument(
-        "--scenarios",
-        nargs="*",
-        default=None,
-        metavar="NAME",
-        help="subset of scenarios to sweep (default: all registered)",
-    )
-    parser.add_argument(
-        "--policies",
-        nargs="*",
-        default=None,
-        metavar="POLICY",
-        help="policy keys applied to every scenario (default: each scenario's "
-        f"own ScenarioSpec.policies set, usually {' '.join(DEFAULT_POLICY_SET)})",
-    )
-    parser.add_argument(
-        "--fleet",
-        default=None,
-        metavar="PRESET",
-        help="run every cell behind a fleet preset (e.g. 'elastic' or "
-        "'power_of_two_choices/elastic'); default: plain dispatcher",
-    )
-    parser.add_argument(
-        "--multicluster",
-        default=None,
-        metavar="PRESET",
-        help="run every cell through the fleet-of-fleets tier (e.g. '2' or "
-        "'2/locality_affinity/cost_weighted'); mutually exclusive with "
-        "--fleet; default: single cluster",
-    )
-    parser.add_argument("--seed", type=int, default=42, help="sweep seed")
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes (default: min(grid size, CPU count))",
-    )
-    parser.add_argument(
-        "--sequential",
-        action="store_true",
-        help="run every cell inline in this process (equivalent to --workers 1)",
-    )
-    parser.add_argument(
-        "--output",
-        default=None,
-        help="where to write SCENARIO_results.json (default: repository root)",
-    )
-    add_cache_arguments(parser)
-    parser.add_argument(
-        "--list", action="store_true", help="list registered scenarios and exit"
-    )
-    args = parser.parse_args(argv)
-
-    if args.list:
-        for name in list_scenarios():
-            spec = get_scenario(name)
-            print(f"{name:<20} {spec.description}")
-        return 0
-    if args.clear_cache:
-        return clear_cache(args)
-
-    try:
-        for policy in args.policies or ():
-            make_policy(policy)  # fail fast on typos before spawning workers
-        max_workers = 1 if args.sequential else args.workers
-        if max_workers is None:
-            names = args.scenarios or list_scenarios()
-            grid = sum(
-                len(args.policies) if args.policies else len(get_scenario(n).policies)
-                for n in names
-                if n in list_scenarios()
-            )
-            max_workers = max(1, min(grid, effective_worker_count()))
-        document = run_sweep(
-            scenarios=args.scenarios,
-            policies=args.policies,
-            scale=SWEEP_SCALES[args.scale],
-            seed=args.seed,
-            max_workers=max_workers,
-            fleet=args.fleet,
-            multicluster=args.multicluster,
-            use_cache=not args.no_cache,
-            cache_dir=args.cache_dir,
-        )
-    except (KeyError, ValueError) as error:
-        print(f"error: {error.args[0]}", file=sys.stderr)
-        return 2
-    problems = validate_document(document)
-    if problems:
-        print("schema violations:", *problems, sep="\n  ", file=sys.stderr)
-        return 1
-    path = write_results(document, args.output)
-    print(format_results(document))
-    if args.cache_stats:
-        print_cache_stats(document, args)
-    print(f"\nwrote {path}")
-    return 0
-
+from repro.scenarios.grid import GRID
+from repro.sweeps.grid import main
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(GRID))

@@ -14,10 +14,10 @@ Everything below this package pre-schedules a complete
   retry-with-backoff policy keyed off the admission controller's shed
   callbacks, and a backpressure channel that throttles issue rates
   while the fleet is overloaded;
-* a cached client-behaviour sweep (``python -m repro.serve``) emitting
-  stable-schema ``SERVE_results.json`` with *client-observed* metrics:
-  goodput, retries, give-ups, and client-perceived TTFT including
-  retry delay.
+* a cached client-behaviour grid (:mod:`repro.serve.grid`,
+  ``python -m repro.serve``) writing ``SERVE_results.json`` with
+  *client-observed* metrics: goodput, retries, give-ups, and
+  client-perceived TTFT including retry delay.
 """
 
 from repro.serve.clients import ClosedLoopPopulation
@@ -37,12 +37,6 @@ from repro.serve.sources import (
     workload_arrivals,
     write_jsonl_trace,
 )
-from repro.serve.sweep import (
-    SERVE_SCALES,
-    run_serve_cell,
-    run_serve_sweep,
-    write_results,
-)
 
 __all__ = [
     "BACKPRESSURE_MODES",
@@ -52,14 +46,10 @@ __all__ = [
     "OnlineGateway",
     "RETRY_POLICIES",
     "RetryPolicy",
-    "SERVE_SCALES",
     "jsonl_arrivals",
     "list_backpressure_modes",
     "list_retry_policies",
-    "run_serve_cell",
-    "run_serve_sweep",
     "synthetic_arrivals",
     "workload_arrivals",
     "write_jsonl_trace",
-    "write_results",
 ]

@@ -1,258 +1,7 @@
-"""CLI entry point: ``python -m repro.serve``.
+"""``python -m repro.serve``: sweep the grid of :mod:`repro.serve.grid`."""
 
-Sweeps scenarios across the client-behaviour grid (open-loop replay vs.
-closed-loop populations × retry policy × backpressure) through the
-unified sweep engine (:mod:`repro.sweeps`) and writes
-``SERVE_results.json`` to the repository root (see ``--output``).
-Unchanged cells are served from the on-disk result cache
-(``.repro_cache/``); disable with ``--no-cache``, inspect with
-``--cache-stats``, purge with ``--clear-cache``.  ``--list-retries`` /
-``--list-backpressure`` show the registries, and ``--metrics-out FILE``
-streams one cell's live Prometheus text scrapes — including the
-client-side gauges/counters for closed-loop cells — to a file.
-"""
-
-from __future__ import annotations
-
-import argparse
-import sys
-from pathlib import Path
-
-from repro.policies import make_policy
-from repro.scenarios.registry import list_scenarios
-from repro.serve.config import list_backpressure_modes, list_retry_policies
-from repro.serve.schema import validate_document
-from repro.serve.sweep import (
-    DEFAULT_BACKPRESSURE,
-    DEFAULT_CLIENTS,
-    DEFAULT_POLICIES,
-    DEFAULT_RETRIES,
-    DEFAULT_SCENARIOS,
-    SERVE_SCALES,
-    format_results,
-    run_serve_sweep,
-    serve_grid,
-    stream_cell_metrics,
-    write_results,
-)
-from repro.sweeps import effective_worker_count
-from repro.sweeps.cli import add_cache_arguments, clear_cache, print_cache_stats
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.serve",
-        description="Sweep scenarios across the online client-behaviour grid "
-        "(open- vs. closed-loop, retry policy, backpressure) in parallel and "
-        "write SERVE_results.json.",
-    )
-    parser.add_argument(
-        "--scale",
-        choices=sorted(SERVE_SCALES),
-        default="quick",
-        help="sweep scale (default: quick)",
-    )
-    parser.add_argument(
-        "--scenarios",
-        nargs="*",
-        default=None,
-        metavar="NAME",
-        help=f"scenarios to sweep (default: {' '.join(DEFAULT_SCENARIOS)})",
-    )
-    parser.add_argument(
-        "--policies",
-        nargs="*",
-        default=None,
-        metavar="POLICY",
-        help=f"overload-policy keys (default: {' '.join(DEFAULT_POLICIES)})",
-    )
-    parser.add_argument(
-        "--clients",
-        nargs="*",
-        default=None,
-        metavar="N|open",
-        help=f"client axis: 'open' and/or counts (default: {' '.join(DEFAULT_CLIENTS)})",
-    )
-    parser.add_argument(
-        "--retries",
-        nargs="*",
-        default=None,
-        metavar="POLICY",
-        help=f"retry policies (default: {' '.join(DEFAULT_RETRIES)})",
-    )
-    parser.add_argument(
-        "--backpressure",
-        nargs="*",
-        default=None,
-        metavar="MODE",
-        help=f"backpressure modes (default: {' '.join(DEFAULT_BACKPRESSURE)})",
-    )
-    parser.add_argument("--seed", type=int, default=42, help="sweep seed")
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes (default: min(grid size, CPU count))",
-    )
-    parser.add_argument(
-        "--sequential",
-        action="store_true",
-        help="run every cell inline in this process (equivalent to --workers 1)",
-    )
-    parser.add_argument(
-        "--output",
-        default=None,
-        help="where to write SERVE_results.json (default: repository root)",
-    )
-    parser.add_argument(
-        "--metrics-out",
-        default=None,
-        metavar="FILE",
-        help="additionally replay the last grid cell inline, streaming live "
-        "Prometheus text scrapes (fleet + client series) to FILE",
-    )
-    parser.add_argument(
-        "--trace",
-        action="store_true",
-        help="attach a per-request span tracer to every cell and add a "
-        "stage_breakdown block (per-stage latency attribution) to each entry; "
-        "with --metrics-out, also streams the stage-duration histogram",
-    )
-    parser.add_argument(
-        "--trace-out",
-        default=None,
-        metavar="FILE",
-        help="additionally replay the last grid cell inline with tracing on "
-        "and write its Chrome trace-event JSON (Perfetto-loadable) to FILE",
-    )
-    parser.add_argument(
-        "--alerts",
-        action="store_true",
-        help="replay the default alert-rule pack (repro.obs) over every cell's "
-        "metric stream and add an alerts block (firing/resolved timeline) to "
-        "each entry",
-    )
-    add_cache_arguments(parser)
-    parser.add_argument(
-        "--list-retries",
-        action="store_true",
-        help="list retry policies and exit",
-    )
-    parser.add_argument(
-        "--list-backpressure",
-        action="store_true",
-        help="list backpressure modes and exit",
-    )
-    args = parser.parse_args(argv)
-
-    if args.list_retries:
-        for name in list_retry_policies():
-            print(name)
-        return 0
-    if args.list_backpressure:
-        for name in list_backpressure_modes():
-            print(name)
-        return 0
-    if args.clear_cache:
-        return clear_cache(args)
-
-    try:
-        for policy in args.policies or ():
-            make_policy(policy)  # fail fast on typos before spawning workers
-        max_workers = 1 if args.sequential else args.workers
-        if max_workers is None:
-            names = [
-                n
-                for n in (args.scenarios or list(DEFAULT_SCENARIOS))
-                if n in list_scenarios()
-            ]
-            grid = serve_grid(
-                names,
-                args.policies or DEFAULT_POLICIES,
-                args.clients if args.clients is not None else DEFAULT_CLIENTS,
-                args.retries if args.retries is not None else DEFAULT_RETRIES,
-                (
-                    args.backpressure
-                    if args.backpressure is not None
-                    else DEFAULT_BACKPRESSURE
-                ),
-            )
-            max_workers = max(1, min(len(grid), effective_worker_count()))
-        document = run_serve_sweep(
-            scenarios=args.scenarios,
-            policies=args.policies,
-            clients=args.clients,
-            retries=args.retries,
-            backpressures=args.backpressure,
-            scale=SERVE_SCALES[args.scale],
-            seed=args.seed,
-            max_workers=max_workers,
-            use_cache=not args.no_cache,
-            cache_dir=args.cache_dir,
-            trace=args.trace,
-            alerts=args.alerts,
-        )
-    except (KeyError, ValueError) as error:
-        print(f"error: {error.args[0]}", file=sys.stderr)
-        return 2
-    problems = validate_document(document)
-    if problems:
-        print("schema violations:", *problems, sep="\n  ", file=sys.stderr)
-        return 1
-    path = write_results(document, args.output)
-    print(format_results(document))
-    if args.cache_stats:
-        print_cache_stats(document, args)
-    if args.metrics_out or args.trace_out:
-        # The *last* grid cell: with the default axes that is a closed-loop
-        # cell, so the stream includes the client-side series.
-        scenario, policy, clients, retry, backpressure = serve_grid(
-            args.scenarios or list(DEFAULT_SCENARIOS),
-            args.policies or list(DEFAULT_POLICIES),
-            args.clients if args.clients is not None else list(DEFAULT_CLIENTS),
-            args.retries if args.retries is not None else list(DEFAULT_RETRIES),
-            (
-                args.backpressure
-                if args.backpressure is not None
-                else list(DEFAULT_BACKPRESSURE)
-            ),
-        )[-1]
-        if args.metrics_out:
-            scrapes = stream_cell_metrics(
-                scenario,
-                policy,
-                clients,
-                retry,
-                backpressure,
-                SERVE_SCALES[args.scale],
-                args.seed,
-                Path(args.metrics_out),
-                trace=args.trace,
-            )
-            print(f"streamed {scrapes} metric scrapes to {args.metrics_out}")
-        if args.trace_out:
-            from repro.serve.sweep import run_serve_cell
-            from repro.trace import write_chrome_trace
-
-            tracers = []
-            run_serve_cell(
-                scenario,
-                policy,
-                clients,
-                retry,
-                backpressure,
-                SERVE_SCALES[args.scale],
-                args.seed,
-                trace=True,
-                on_tracer=tracers.append,
-            )
-            spans = tracers[0].spans()
-            write_chrome_trace(spans, Path(args.trace_out))
-            print(f"wrote Chrome trace ({len(spans)} spans) to {args.trace_out}")
-    print(f"\nwrote {path}")
-    return 0
-
+from repro.serve.grid import GRID
+from repro.sweeps.grid import main
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(GRID))

@@ -1,7 +1,8 @@
 """Generic sweep executor: cache lookup + shared warm worker pool.
 
-:func:`run_tasks` is the single execution path every sweep subsystem
-(``repro.scenarios``, ``repro.fleet``, ``repro.bench``) funnels through:
+:func:`run_tasks` is the single execution path all six sweep users (the
+five grid commands through :mod:`repro.sweeps.grid`, and ``repro.bench``)
+funnel through:
 
 1. Every task's content hash is checked against the
    :class:`~repro.sweeps.cache.ResultCache` (when one is supplied); hits
@@ -36,15 +37,14 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.sweeps.cache import ResultCache
 from repro.sweeps.task import SweepTask
 
-#: Modules every warm worker imports up front.  ``repro.serving.system``
-#: transitively pulls in the whole simulator (cluster, engine, memory,
-#: policies); the sweep modules add the cell runners themselves.
+#: Modules every warm worker imports up front: the grid engine, whose cell
+#: runner pulls in the single-cluster simulator, plus the tier and online
+#: systems it runs cells on.
 DEFAULT_PRELOAD: Tuple[str, ...] = (
-    "repro.serving.system",
-    "repro.scenarios.sweep",
-    "repro.fleet.sweep",
-    "repro.multicluster.sweep",
-    "repro.chaos.sweep",
+    "repro.sweeps.grid",
+    "repro.multicluster.system",
+    "repro.serve.clients",
+    "repro.serve.gateway",
 )
 
 
@@ -168,12 +168,10 @@ def execute_task(task: SweepTask) -> Dict[str, Any]:
     """Resolve and run one task's runner (this is what workers execute).
 
     The run is wrapped in a :class:`~repro.obs.profile.TaskProfiler` and
-    the measurement attached as a ``profile`` block on the payload —
-    part of the cached *value*, never the cache key (the runner-module
-    bytecode fingerprint does not cover this module), so existing cache
-    entries stay valid; entries cached before the profiler existed just
-    lack the block.  A runner that already returns a ``profile`` key, or
-    a non-dict payload, is left untouched.
+    the measurement attached as a ``profile`` block on the payload: part
+    of the cached *value*, never the cache key, because it measures the
+    host, not the simulation.  A runner that already returns a
+    ``profile`` key, or a non-dict payload, is left untouched.
     """
     from repro.obs.profile import TaskProfiler
 

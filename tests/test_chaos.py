@@ -26,38 +26,39 @@ import pytest
 from invariants import assert_document_invariants
 from repro.chaos import (
     ChaosInjector,
-    DOCUMENT_KEYS,
-    ENTRY_KEYS,
     FAULT_KINDS,
     FaultEvent,
     FaultSchedule,
-    SCALE_KEYS,
-    SCHEMA_VERSION,
     fault_schedule_preset,
     list_fault_presets,
     sampled_kill_schedule,
     schedule_fingerprint,
-    strip_wall_clock,
-    validate_document,
 )
-from repro.chaos.sweep import (
-    CHAOS_CLUSTER_COUNT,
-    QUICK_CHAOS_SCALE,
-    cell_schedule,
-    format_results,
-    run_chaos_cell,
-    run_chaos_sweep,
-    write_results,
-)
+from repro.chaos.grid import GRID
 from repro.cluster.specs import cluster_a_spec
 from repro.experiments.runner import ExperimentScale
 from repro.multicluster import make_multicluster_config
 from repro.multicluster.system import MultiClusterSystem
 from repro.policies import make_policy
 from repro.scenarios.registry import get_scenario
-from repro.scenarios.sweep import build_cell_config
 from repro.serving.config import ServingConfig
 from repro.serving.system import ClusterServingSystem
+from repro.sweeps.grid import (
+    SCALE_KEYS,
+    SCHEMA_VERSION,
+    build_cell_config,
+    document_keys,
+    format_results,
+    main,
+    materialise,
+    run_cell,
+    run_grid,
+    strip_wall_clock,
+    validate_document,
+    write_results,
+)
+
+QUICK_CHAOS_SCALE = GRID.scales["quick"]
 
 #: Scale small enough that a chaos cell completes in under a second
 #: (instances *per cluster*); the preset fault strikes at 1.25 s.
@@ -69,8 +70,15 @@ TINY_SCALE = ExperimentScale(
 )
 
 
+def chaos_cell(faults: str, migration: str, scale=TINY_SCALE, seed: int = 3):
+    return materialise(GRID, {
+        "scenario": "steady-poisson", "policy": "vllm", "faults": faults,
+        "migration": migration,
+    }, scale, seed)
+
+
 def tiny_cell(faults: str, migration: str, seed: int = 3):
-    return run_chaos_cell("steady-poisson", "vllm", faults, migration, TINY_SCALE, seed=seed)
+    return run_cell(chaos_cell(faults, migration, seed=seed))
 
 
 class TestFaultEvents:
@@ -190,15 +198,15 @@ class TestPresets:
         assert not none and none.name == "none"
 
     def test_churn_preset_is_seeded_and_cell_schedule_matches(self):
-        churn = cell_schedule("churn", QUICK_CHAOS_SCALE, seed=42)
+        churn = chaos_cell("churn", "sticky", QUICK_CHAOS_SCALE, seed=42).config.chaos
         assert churn == fault_schedule_preset(
             "churn",
             duration_s=QUICK_CHAOS_SCALE.trace_duration_s,
-            num_clusters=CHAOS_CLUSTER_COUNT,
+            num_clusters=2,  # the grid's fixed two-shard tier
             instances_per_cluster=QUICK_CHAOS_SCALE.num_instances,
             seed=42,
         )
-        assert churn != cell_schedule("churn", QUICK_CHAOS_SCALE, seed=43)
+        assert churn != chaos_cell("churn", "sticky", QUICK_CHAOS_SCALE, seed=43).config.chaos
 
 
 @pytest.mark.chaos
@@ -268,20 +276,18 @@ class TestInjector:
 class TestTierFaults:
     def test_instance_kill_recovers_within_the_shard(self):
         cell = tiny_cell("instance-kill", "sticky")
-        stats = cell.tier_stats
-        assert stats["instance_kills"] == 1
-        assert stats["lost_to_fault"] == 0  # in-shard recovery loses nothing
-        assert cell.finished > 0
-        assert cell.finished + int(stats["shed"]) <= cell.requests
+        assert cell["instance_kills"] == 1
+        assert cell["lost_to_fault"] == 0  # in-shard recovery loses nothing
+        assert cell["finished"] > 0
+        assert cell["finished"] + cell["shed"] <= cell["requests"]
 
     def test_wan_degrade_fires_and_restores(self):
         cell = tiny_cell("wan-degrade", "sticky")
-        assert cell.tier_stats["wan_degrades"] == 1
-        assert cell.tier_stats["lost_to_fault"] == 0
+        assert cell["wan_degrades"] == 1
+        assert cell["lost_to_fault"] == 0
 
     def test_cluster_outage_with_migration_reroutes_everything(self):
-        cell = tiny_cell("cluster-outage", "migrate")
-        stats = cell.tier_stats
+        stats = tiny_cell("cluster-outage", "migrate")
         assert stats["cluster_outages"] == 1
         assert stats["lost_to_fault"] == 0
         assert stats["rerouted"] > 0
@@ -290,12 +296,11 @@ class TestTierFaults:
         # Dead-home arrivals are counted once, in ``rerouted`` only.
         assert (
             stats["local_routed"] + stats["remote_routed"] + stats["rerouted"]
-            == cell.requests
+            == stats["requests"]
         )
 
     def test_cluster_outage_sticky_pays_per_request_wan_hops(self):
-        cell = tiny_cell("cluster-outage", "sticky")
-        stats = cell.tier_stats
+        stats = tiny_cell("cluster-outage", "sticky")
         assert stats["cluster_outages"] == 1
         assert stats["migrated_sessions"] == 0 and stats["migration_bytes"] == 0
         assert stats["rerouted"] > 0
@@ -307,7 +312,7 @@ class TestSchema:
         # The compatibility contract of CHAOS_results.json: keys may grow
         # in a new schema version but must never be renamed or removed.
         assert SCHEMA_VERSION == 1
-        assert set(DOCUMENT_KEYS) >= {
+        assert set(document_keys(GRID)) >= {
             "schema_version",
             "repro_version",
             "seed",
@@ -322,7 +327,7 @@ class TestSchema:
             "entries",
             "wall_s_total",
         }
-        assert set(ENTRY_KEYS) >= {
+        assert set(GRID.entry_fields) >= {
             "scenario",
             "policy",
             "policy_name",
@@ -368,7 +373,7 @@ class TestSchema:
         assert set(FAULT_KINDS) == {"instance_kill", "cluster_outage", "wan_degrade"}
 
     def test_validate_document_flags_missing_keys(self):
-        assert validate_document({}) != []
+        assert validate_document(GRID, {}) != []
 
     def test_strip_wall_clock_removes_only_wall_clock(self):
         document = {
@@ -390,13 +395,13 @@ class TestSchema:
 #: x sticky + migrate) at the quick scale ``python -m repro.chaos`` uses.
 @pytest.fixture(scope="module")
 def quick_document():
-    return run_chaos_sweep(scale=QUICK_CHAOS_SCALE, seed=42, max_workers=1)
+    return run_grid(GRID, scale=QUICK_CHAOS_SCALE, seed=42, max_workers=1)
 
 
 @pytest.mark.chaos
 class TestAcceptance:
     def test_document_is_valid_and_conserved(self, quick_document, tmp_path):
-        assert validate_document(quick_document) == []
+        assert validate_document(GRID, quick_document) == []
         entries = assert_document_invariants(quick_document)
         assert len(entries) == 4  # (none, cluster-outage) x (sticky, migrate)
         # The workload is identical across cells of one scenario.
@@ -407,12 +412,12 @@ class TestAcceptance:
                 == entry["requests"]
             )
 
-        path = write_results(quick_document, tmp_path / "CHAOS_results.json")
+        path = write_results(GRID, quick_document, tmp_path / "CHAOS_results.json")
         reloaded = json.loads(path.read_text())
-        assert validate_document(reloaded) == []
+        assert validate_document(GRID, reloaded) == []
         assert reloaded == quick_document
 
-        text = format_results(quick_document)
+        text = format_results(GRID, quick_document)
         assert "cluster-outage" in text and "migrate" in text
 
     def test_no_fault_baseline_is_clean(self, quick_document):
@@ -465,18 +470,18 @@ class TestSweep:
     )
 
     def test_sweep_is_deterministic_across_worker_counts(self):
-        sequential = run_chaos_sweep(
+        sequential = run_grid(GRID, 
             scale=TINY_SCALE, seed=2, max_workers=1, **self.GRID
         )
-        parallel = run_chaos_sweep(scale=TINY_SCALE, seed=2, max_workers=2, **self.GRID)
+        parallel = run_grid(GRID, scale=TINY_SCALE, seed=2, max_workers=2, **self.GRID)
         assert strip_wall_clock(parallel) == strip_wall_clock(sequential)
 
     def test_warm_rerun_is_served_from_cache_and_identical(self, tmp_path):
-        cold = run_chaos_sweep(
+        cold = run_grid(GRID, 
             scale=TINY_SCALE, seed=2, max_workers=1,
             use_cache=True, cache_dir=tmp_path, **self.GRID,
         )
-        warm = run_chaos_sweep(
+        warm = run_grid(GRID, 
             scale=TINY_SCALE, seed=2, max_workers=1,
             use_cache=True, cache_dir=tmp_path, **self.GRID,
         )
@@ -486,20 +491,20 @@ class TestSweep:
 
     def test_unknown_axis_values_are_rejected(self):
         with pytest.raises(KeyError):
-            run_chaos_sweep(scenarios=["nope"], scale=TINY_SCALE)
+            run_grid(GRID, scenarios=["nope"], scale=TINY_SCALE)
         with pytest.raises(KeyError):
-            run_chaos_sweep(faults=["nope"], scale=TINY_SCALE)
+            run_grid(GRID, faults=["nope"], scale=TINY_SCALE)
         with pytest.raises(KeyError):
-            run_chaos_sweep(migrations=["nope"], scale=TINY_SCALE)
+            run_grid(GRID, migrations=["nope"], scale=TINY_SCALE)
         with pytest.raises(ValueError):
-            run_chaos_sweep(faults=[], scale=TINY_SCALE)
+            run_grid(GRID, faults=[], scale=TINY_SCALE)
         with pytest.raises(ValueError):
-            run_chaos_sweep(scale=TINY_SCALE, max_workers=0)
+            run_grid(GRID, scale=TINY_SCALE, max_workers=0)
 
     @pytest.mark.slow
     def test_every_fault_preset_conserves_requests(self):
         # The wide grid: every preset x both migrations, property-style.
-        document = run_chaos_sweep(
+        document = run_grid(GRID, 
             scenarios=["steady-poisson"],
             policies=["vllm"],
             faults=list_fault_presets(),
@@ -508,7 +513,7 @@ class TestSweep:
             seed=4,
             max_workers=2,
         )
-        assert validate_document(document) == []
+        assert validate_document(GRID, document) == []
         entries = assert_document_invariants(document)
         assert len(entries) == 2 * len(list_fault_presets())
         by_cell = {(e["faults"], e["migration"]): e for e in entries}
@@ -520,10 +525,9 @@ class TestSweep:
 @pytest.mark.chaos
 class TestCLI:
     def test_cli_runs_grid_and_writes_results(self, tmp_path):
-        from repro.chaos.__main__ import main
-
         output = tmp_path / "CHAOS_results.json"
         code = main(
+            GRID,
             [
                 "--scenarios", "steady-poisson",
                 "--policies", "vllm",
@@ -536,31 +540,26 @@ class TestCLI:
         )
         assert code == 0
         document = json.loads(output.read_text())
-        assert validate_document(document) == []
+        assert validate_document(GRID, document) == []
         assert len(document["entries"]) == 1
         assert document["entries"][0]["faults"] == "none"
 
     def test_cli_lists_registries(self, capsys):
-        from repro.chaos.__main__ import main
-
-        assert main(["--list-faults"]) == 0
+        assert main(GRID, ["--list-faults"]) == 0
         assert "cluster-outage" in capsys.readouterr().out
-        assert main(["--list-migrations"]) == 0
+        assert main(GRID, ["--list-migrations"]) == 0
         assert "migrate" in capsys.readouterr().out
 
     def test_cli_rejects_unknown_axis(self, capsys):
-        from repro.chaos.__main__ import main
-
-        assert main(["--faults", "nope", "--sequential", "--no-cache"]) == 2
-        assert main(["--migrations", "nope", "--sequential", "--no-cache"]) == 2
+        assert main(GRID, ["--faults", "nope", "--sequential", "--no-cache"]) == 2
+        assert main(GRID, ["--migrations", "nope", "--sequential", "--no-cache"]) == 2
 
     @pytest.mark.slow
     def test_cli_streams_metrics(self, tmp_path, capsys):
-        from repro.chaos.__main__ import main
-
         output = tmp_path / "CHAOS_results.json"
         stream = tmp_path / "metrics.prom"
         code = main(
+            GRID,
             [
                 "--scenarios", "steady-poisson",
                 "--policies", "vllm",

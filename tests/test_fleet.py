@@ -22,30 +22,33 @@ from repro.fleet import (
     AdmissionConfig,
     AdmissionController,
     AutoscalerConfig,
-    DOCUMENT_KEYS,
-    ENTRY_KEYS,
     FleetConfig,
-    SCALE_KEYS,
-    SCHEMA_VERSION,
     fleet_preset,
     list_autoscaler_presets,
     list_routers,
     make_fleet_config,
     make_router,
     register_router,
+)
+from repro.fleet.grid import GRID
+from repro.fleet.routing import Router, _ROUTERS
+from repro.policies import make_policy
+from repro.scenarios.grid import GRID as SCENARIO_GRID
+from repro.scenarios.registry import get_scenario
+from repro.sweeps.grid import (
+    SCALE_KEYS,
+    SCHEMA_VERSION,
+    cell_task,
+    document_keys,
+    format_results,
+    main,
+    materialise,
+    run_cell,
+    run_grid,
     strip_wall_clock,
     validate_document,
-)
-from repro.fleet.routing import Router, _ROUTERS
-from repro.fleet.sweep import (
-    run_fleet_cell,
-    run_fleet_sweep,
     write_results,
-    format_results,
 )
-from repro.policies import make_policy
-from repro.scenarios.registry import get_scenario
-from repro.scenarios.sweep import run_cell
 from repro.serving.config import ServingConfig
 from repro.serving.system import ClusterServingSystem
 
@@ -468,26 +471,28 @@ class TestFleetFaultInjection:
 class TestServingIntegration:
     def test_fleet_runs_match_plain_dispatcher_when_permissive(self):
         """A permissive fixed fleet serves the same workload successfully."""
-        scale = TINY_SCALE
-        plain = run_cell("steady-poisson", "vllm", scale, seed=4)
-        fleet = run_cell("steady-poisson", "vllm", scale, seed=4, fleet="fixed")
-        assert fleet.requests == plain.requests
+        values = {"scenario": "steady-poisson", "policy": "vllm"}
+        plain = run_cell(materialise(SCENARIO_GRID, values, TINY_SCALE, seed=4))
+        fleet = run_cell(
+            materialise(SCENARIO_GRID, {**values, "fleet": "fixed"}, TINY_SCALE, seed=4)
+        )
+        assert fleet["requests"] == plain["requests"]
         # Admission is pass-through at defaults: nothing shed, all admitted.
-        assert fleet.finished == plain.finished
-        assert fleet.latencies == plain.latencies
+        assert fleet["finished"] == plain["finished"]
+        assert fleet["latencies"] == plain["latencies"]
 
     def test_every_policy_composes_with_the_fleet_layer(self):
         for policy in ("vllm", "infercept", "llumnix", "kunserve"):
-            cell = run_fleet_cell(
-                "steady-poisson", policy, "least_loaded", "elastic", TINY_SCALE, seed=5
-            )
-            assert cell.requests > 0
-            assert cell.finished > 0
+            cell = run_cell(materialise(GRID, {
+                "scenario": "steady-poisson", "policy": policy, "router": "least_loaded",
+                "autoscaler": "elastic", "faults": "none",
+            }, TINY_SCALE, seed=5))
+            assert cell["requests"] > 0
+            assert cell["finished"] > 0
 
     def test_scenario_sweep_fleet_axis_is_additive(self):
-        from repro.scenarios.sweep import run_sweep
-
-        document = run_sweep(
+        document = run_grid(
+            SCENARIO_GRID,
             scenarios=["steady-poisson"],
             policies=["vllm"],
             scale=TINY_SCALE,
@@ -496,11 +501,10 @@ class TestServingIntegration:
             fleet="elastic",
         )
         assert document["fleet"] == "elastic"
-        from repro.scenarios.schema import validate_document as validate_scenario
-
-        assert validate_scenario(document) == []
+        assert validate_document(SCENARIO_GRID, document) == []
         with pytest.raises(KeyError):
-            run_sweep(
+            run_grid(
+                SCENARIO_GRID,
                 scenarios=["steady-poisson"],
                 policies=["vllm"],
                 scale=TINY_SCALE,
@@ -514,7 +518,7 @@ class TestSchema:
         # The compatibility contract of FLEET_results.json: keys may grow
         # in a new schema version but must never be renamed or removed.
         assert SCHEMA_VERSION == 1
-        assert set(DOCUMENT_KEYS) >= {
+        assert set(document_keys(GRID)) >= {
             "schema_version",
             "repro_version",
             "seed",
@@ -527,7 +531,7 @@ class TestSchema:
             "entries",
             "wall_s_total",
         }
-        assert set(ENTRY_KEYS) >= {
+        assert set(GRID.entry_fields) >= {
             "scenario",
             "policy",
             "policy_name",
@@ -557,7 +561,7 @@ class TestSchema:
         assert set(SCALE_KEYS) == {"name", "num_instances", "trace_duration_s", "drain_timeout_s"}
 
     def test_validate_document_flags_missing_keys(self):
-        assert validate_document({}) != []
+        assert validate_document(GRID, {}) != []
 
     def test_strip_wall_clock_removes_only_wall_clock(self):
         document = {
@@ -581,8 +585,8 @@ class TestSweep:
     )
 
     def test_sequential_sweep_emits_valid_document(self, tmp_path):
-        document = run_fleet_sweep(scale=TINY_SCALE, seed=2, max_workers=1, **self.GRID)
-        assert validate_document(document) == []
+        document = run_grid(GRID, scale=TINY_SCALE, seed=2, max_workers=1, **self.GRID)
+        assert validate_document(GRID, document) == []
         assert len(document["entries"]) == 8  # 4 routers x 2 autoscalers
         assert document["routers"] == self.GRID["routers"]
         assert document["autoscalers"] == ["fixed", "elastic"]
@@ -598,31 +602,31 @@ class TestSweep:
                 assert entry["scale_up_events"] == 0
                 assert entry["initial_groups"] == TINY_SCALE.num_instances
 
-        path = write_results(document, tmp_path / "FLEET_results.json")
+        path = write_results(GRID, document, tmp_path / "FLEET_results.json")
         reloaded = json.loads(path.read_text())
-        assert validate_document(reloaded) == []
+        assert validate_document(GRID, reloaded) == []
         assert reloaded == document
 
-        text = format_results(document)
+        text = format_results(GRID, document)
         assert "power_of_two_choices" in text
         assert "elastic" in text
 
     def test_sweep_is_deterministic_modulo_wall_clock(self):
-        first = run_fleet_sweep(scale=TINY_SCALE, seed=2, max_workers=1, **self.GRID)
-        second = run_fleet_sweep(scale=TINY_SCALE, seed=2, max_workers=1, **self.GRID)
+        first = run_grid(GRID, scale=TINY_SCALE, seed=2, max_workers=1, **self.GRID)
+        second = run_grid(GRID, scale=TINY_SCALE, seed=2, max_workers=1, **self.GRID)
         assert strip_wall_clock(first) == strip_wall_clock(second)
 
     def test_parallel_sweep_matches_sequential(self):
-        sequential = run_fleet_sweep(scale=TINY_SCALE, seed=2, max_workers=1, **self.GRID)
-        parallel = run_fleet_sweep(scale=TINY_SCALE, seed=2, max_workers=2, **self.GRID)
+        sequential = run_grid(GRID, scale=TINY_SCALE, seed=2, max_workers=1, **self.GRID)
+        parallel = run_grid(GRID, scale=TINY_SCALE, seed=2, max_workers=2, **self.GRID)
         assert strip_wall_clock(parallel) == strip_wall_clock(sequential)
 
     def test_warm_rerun_is_served_from_cache_and_identical(self, tmp_path):
-        cold = run_fleet_sweep(
+        cold = run_grid(GRID, 
             scale=TINY_SCALE, seed=2, max_workers=1,
             use_cache=True, cache_dir=tmp_path, **self.GRID,
         )
-        warm = run_fleet_sweep(
+        warm = run_grid(GRID, 
             scale=TINY_SCALE, seed=2, max_workers=1,
             use_cache=True, cache_dir=tmp_path, **self.GRID,
         )
@@ -632,15 +636,15 @@ class TestSweep:
 
     def test_unknown_axis_values_are_rejected(self):
         with pytest.raises(KeyError):
-            run_fleet_sweep(scenarios=["nope"], scale=TINY_SCALE)
+            run_grid(GRID, scenarios=["nope"], scale=TINY_SCALE)
         with pytest.raises(KeyError):
-            run_fleet_sweep(routers=["nope"], scale=TINY_SCALE)
+            run_grid(GRID, routers=["nope"], scale=TINY_SCALE)
         with pytest.raises(KeyError):
-            run_fleet_sweep(autoscalers=["nope"], scale=TINY_SCALE)
+            run_grid(GRID, autoscalers=["nope"], scale=TINY_SCALE)
         with pytest.raises(ValueError):
-            run_fleet_sweep(routers=[], scale=TINY_SCALE)
+            run_grid(GRID, routers=[], scale=TINY_SCALE)
         with pytest.raises(ValueError):
-            run_fleet_sweep(scale=TINY_SCALE, max_workers=0)
+            run_grid(GRID, scale=TINY_SCALE, max_workers=0)
 
 
 class TestFaultsAxis:
@@ -652,14 +656,14 @@ class TestFaultsAxis:
     )
 
     def test_faults_axis_materialises_single_cluster_schedules(self):
-        document = run_fleet_sweep(
+        document = run_grid(GRID, 
             faults=["none", "instance-kill"],
             scale=TINY_SCALE,
             seed=2,
             max_workers=1,
             **self.GRID,
         )
-        assert validate_document(document) == []
+        assert validate_document(GRID, document) == []
         assert document["faults"] == ["none", "instance-kill"]
         entries = assert_document_invariants(document)
         by_faults = {entry["faults"]: entry for entry in entries}
@@ -670,7 +674,7 @@ class TestFaultsAxis:
         assert by_faults["instance-kill"]["finished"] > 0
 
     def test_default_axis_is_the_no_fault_baseline(self):
-        document = run_fleet_sweep(scale=TINY_SCALE, seed=2, max_workers=1, **self.GRID)
+        document = run_grid(GRID, scale=TINY_SCALE, seed=2, max_workers=1, **self.GRID)
         assert document["faults"] == ["none"]
         assert all(entry["faults"] == "none" for entry in document["entries"])
         assert all(entry["fault_events"] == 0 for entry in document["entries"])
@@ -679,38 +683,30 @@ class TestFaultsAxis:
         # cluster-outage / wan-degrade are valid chaos presets but a
         # standalone fleet has no tier to inject them into.
         with pytest.raises(KeyError):
-            run_fleet_sweep(faults=["cluster-outage"], scale=TINY_SCALE, **self.GRID)
+            run_grid(GRID, faults=["cluster-outage"], scale=TINY_SCALE, **self.GRID)
         with pytest.raises(KeyError):
-            run_fleet_sweep(faults=["nope"], scale=TINY_SCALE, **self.GRID)
+            run_grid(GRID, faults=["nope"], scale=TINY_SCALE, **self.GRID)
         with pytest.raises(ValueError):
-            run_fleet_sweep(faults=[], scale=TINY_SCALE, **self.GRID)
+            run_grid(GRID, faults=[], scale=TINY_SCALE, **self.GRID)
 
     def test_fault_schedule_is_part_of_the_cache_key(self):
-        from repro.fleet.sweep import fleet_cell_task
-        from repro.scenarios.registry import get_scenario
+        def schedule_key(faults, seed):
+            cell = materialise(GRID, {
+                "scenario": "steady-poisson", "policy": "vllm", "router": "least_loaded",
+                "autoscaler": "fixed", "faults": faults,
+            }, TINY_SCALE, seed)
+            return cell_task(cell).key["config"]["chaos"]
 
-        spec = get_scenario("steady-poisson")
-        baseline = fleet_cell_task(spec, "vllm", "least_loaded", "fixed", TINY_SCALE, 2)
-        faulted = fleet_cell_task(
-            spec, "vllm", "least_loaded", "fixed", TINY_SCALE, 2, "instance-kill"
-        )
-        assert baseline.key["faults"] != faulted.key["faults"]
+        assert schedule_key("none", 2) != schedule_key("instance-kill", 2)
         # churn is seed-dependent: a different seed is a different schedule.
-        churn_a = fleet_cell_task(
-            spec, "vllm", "least_loaded", "fixed", TINY_SCALE, 2, "churn"
-        )
-        churn_b = fleet_cell_task(
-            spec, "vllm", "least_loaded", "fixed", TINY_SCALE, 3, "churn"
-        )
-        assert churn_a.key["faults"] != churn_b.key["faults"]
+        assert schedule_key("churn", 2) != schedule_key("churn", 3)
 
 
 class TestCLI:
     def test_cli_runs_tiny_grid_and_writes_results(self, tmp_path, capsys):
-        from repro.fleet.__main__ import main
-
         output = tmp_path / "FLEET_results.json"
         code = main(
+            GRID,
             [
                 "--scenarios", "steady-poisson",
                 "--policies", "vllm",
@@ -722,21 +718,17 @@ class TestCLI:
         )
         assert code == 0
         document = json.loads(output.read_text())
-        assert validate_document(document) == []
+        assert validate_document(GRID, document) == []
         assert len(document["entries"]) == 2
 
     def test_cli_lists_registries(self, capsys):
-        from repro.fleet.__main__ import main
-
-        assert main(["--list-routers"]) == 0
+        assert main(GRID, ["--list-routers"]) == 0
         assert "power_of_two_choices" in capsys.readouterr().out
-        assert main(["--list-autoscalers"]) == 0
+        assert main(GRID, ["--list-autoscalers"]) == 0
         assert "elastic" in capsys.readouterr().out
-        assert main(["--list-faults"]) == 0
+        assert main(GRID, ["--list-faults"]) == 0
         assert "instance-kill" in capsys.readouterr().out
 
     def test_cli_rejects_unknown_axis(self, capsys):
-        from repro.fleet.__main__ import main
-
-        assert main(["--routers", "nope", "--sequential"]) == 2
-        assert main(["--faults", "cluster-outage", "--sequential"]) == 2
+        assert main(GRID, ["--routers", "nope", "--sequential"]) == 2
+        assert main(GRID, ["--faults", "cluster-outage", "--sequential"]) == 2

@@ -30,7 +30,7 @@ from repro.multicluster import make_multicluster_config
 from repro.multicluster.system import MultiClusterSystem
 from repro.policies import make_policy
 from repro.scenarios.registry import get_scenario
-from repro.scenarios.sweep import build_cell_config
+from repro.sweeps.grid import build_cell_config
 from repro.serving.config import ServingConfig
 from repro.serving.system import ClusterServingSystem
 from repro.simulation.event_loop import EventLoop
@@ -286,7 +286,7 @@ class TestSystemSources:
 
     @pytest.mark.chaos
     def test_tier_scrapes_expose_the_outage_and_migration_outcome(self, tmp_path):
-        from repro.chaos.sweep import cell_schedule
+        from repro.chaos.config import fault_schedule_preset
 
         spec = get_scenario("steady-poisson")
         # Generous drain: the final scrape should show recovery *finished*
@@ -301,7 +301,10 @@ class TestSystemSources:
             global_router="locality_affinity",
             session_migration="migrate",
         )
-        config.chaos = cell_schedule("cluster-outage", scale, seed=3)
+        config.chaos = fault_schedule_preset(
+            "cluster-outage", duration_s=scale.trace_duration_s, num_clusters=2,
+            instances_per_cluster=scale.num_instances, seed=3,
+        )
         system = MultiClusterSystem(config, lambda: make_policy("vllm"))
         monitor = system.attach_metrics(path=tmp_path / "tier.prom", interval_s=1.0)
         system.run(spec.build_workload(scale, 3))

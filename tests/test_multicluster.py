@@ -27,12 +27,8 @@ from repro.cluster.network import (
 from repro.engine.request import Request
 from repro.experiments.runner import ExperimentScale
 from repro.multicluster import (
-    DOCUMENT_KEYS,
-    ENTRY_KEYS,
     GlobalRouter,
     MultiClusterConfig,
-    SCALE_KEYS,
-    SCHEMA_VERSION,
     home_cluster_index,
     list_global_routers,
     list_placements,
@@ -41,22 +37,28 @@ from repro.multicluster import (
     make_placement,
     multicluster_preset,
     register_global_router,
-    strip_wall_clock,
-    validate_document,
 )
 from repro.multicluster.fabric import InterClusterFabric
+from repro.multicluster.grid import GRID
 from repro.multicluster.routing import _GLOBAL_ROUTERS
-from repro.multicluster.sweep import (
-    run_multicluster_cell,
-    run_multicluster_sweep,
-    tier_workload_scale,
-    write_results,
-    format_results,
-)
 from repro.multicluster.system import MultiClusterSystem
 from repro.policies import make_policy
-from repro.scenarios.sweep import build_cell_config
 from repro.scenarios.registry import get_scenario
+from repro.sweeps.grid import (
+    SCALE_KEYS,
+    SCHEMA_VERSION,
+    build_cell_config,
+    document_keys,
+    format_results,
+    main,
+    materialise,
+    run_cell,
+    run_grid,
+    strip_wall_clock,
+    tier_workload_scale,
+    validate_document,
+    write_results,
+)
 from repro.simulation.event_loop import EventLoop
 
 #: Scale small enough that a multicluster cell completes in about a second
@@ -304,6 +306,13 @@ class TestConfig:
             MultiClusterConfig(tick_interval_s=0.0)
 
 
+def tier_cell(router: str, placement: str, seed: int, policy: str = "vllm"):
+    return run_cell(materialise(GRID, {
+        "scenario": "steady-poisson", "policy": policy, "clusters": 2,
+        "router": router, "placement": placement,
+    }, TINY_SCALE, seed))
+
+
 class TestSystem:
     @staticmethod
     def build(router: str, seed: int = 3, cluster_count: int = 2, **tier):
@@ -358,31 +367,22 @@ class TestSystem:
         assert len(late) == system.stats()["remote_routed"]
 
     def test_locality_affinity_generates_zero_wan_traffic(self):
-        cell = run_multicluster_cell(
-            "steady-poisson", "vllm", 2, "locality_affinity", "spare_capacity_first",
-            TINY_SCALE, seed=3,
-        )
-        assert cell.tier_stats["remote_routed"] == 0
-        assert cell.tier_stats["cross_cluster_bytes"] == 0
+        cell = tier_cell("locality_affinity", "spare_capacity_first", seed=3)
+        assert cell["remote_routed"] == 0
+        assert cell["cross_cluster_bytes"] == 0
 
     def test_placement_directs_scale_up_to_a_sibling(self):
         # The pressured shard has no local spares by the time the burst
         # peaks; the placement tick activates a sibling's spare instead.
-        cell = run_multicluster_cell(
-            "steady-poisson", "vllm", 2, "locality_affinity", "spare_capacity_first",
-            TINY_SCALE, seed=3,
-        )
-        assert cell.tier_stats["scale_up_events"] >= 1
-        assert cell.tier_stats["remote_scale_ups"] >= 1
+        cell = tier_cell("locality_affinity", "spare_capacity_first", seed=3)
+        assert cell["scale_up_events"] >= 1
+        assert cell["remote_scale_ups"] >= 1
 
     def test_every_policy_composes_with_the_tier(self):
         for policy in ("vllm", "kunserve"):
-            cell = run_multicluster_cell(
-                "steady-poisson", policy, 2, "spillover", "cost_weighted",
-                TINY_SCALE, seed=5,
-            )
-            assert cell.requests > 0
-            assert cell.finished > 0
+            cell = tier_cell("spillover", "cost_weighted", seed=5, policy=policy)
+            assert cell["requests"] > 0
+            assert cell["finished"] > 0
 
 
 class TestSchema:
@@ -390,7 +390,7 @@ class TestSchema:
         # The compatibility contract of MULTICLUSTER_results.json: keys may
         # grow in a new schema version but must never be renamed or removed.
         assert SCHEMA_VERSION == 1
-        assert set(DOCUMENT_KEYS) >= {
+        assert set(document_keys(GRID)) >= {
             "schema_version",
             "repro_version",
             "seed",
@@ -403,7 +403,7 @@ class TestSchema:
             "entries",
             "wall_s_total",
         }
-        assert set(ENTRY_KEYS) >= {
+        assert set(GRID.entry_fields) >= {
             "scenario",
             "policy",
             "policy_name",
@@ -437,7 +437,7 @@ class TestSchema:
         assert set(SCALE_KEYS) == {"name", "num_instances", "trace_duration_s", "drain_timeout_s"}
 
     def test_validate_document_flags_missing_keys(self):
-        assert validate_document({}) != []
+        assert validate_document(GRID, {}) != []
 
     def test_strip_wall_clock_removes_only_wall_clock(self):
         document = {
@@ -463,10 +463,10 @@ class TestSweep:
     )
 
     def test_sequential_sweep_emits_valid_document(self, tmp_path):
-        document = run_multicluster_sweep(
+        document = run_grid(GRID, 
             scale=TINY_SCALE, seed=2, max_workers=1, **self.GRID
         )
-        assert validate_document(document) == []
+        assert validate_document(GRID, document) == []
         assert len(document["entries"]) == 2
         assert document["routers"] == self.GRID["routers"]
         assert document["cluster_counts"] == [2]
@@ -482,12 +482,12 @@ class TestSweep:
                 1.0 - entry["slo_violation_ratio"]
             )
 
-        path = write_results(document, tmp_path / "MULTICLUSTER_results.json")
+        path = write_results(GRID, document, tmp_path / "MULTICLUSTER_results.json")
         reloaded = json.loads(path.read_text())
-        assert validate_document(reloaded) == []
+        assert validate_document(GRID, reloaded) == []
         assert reloaded == document
 
-        text = format_results(document)
+        text = format_results(GRID, document)
         assert "locality_affinity" in text
         assert "spare_capacity_first" in text
 
@@ -495,7 +495,7 @@ class TestSweep:
         # The acceptance criterion, pinned: on the same sweep cell the
         # locality router moves strictly less traffic (and fewer bytes)
         # across clusters than weighted round-robin.
-        document = run_multicluster_sweep(
+        document = run_grid(GRID, 
             scale=TINY_SCALE, seed=2, max_workers=1, **self.GRID
         )
         by_router = {entry["router"]: entry for entry in document["entries"]}
@@ -507,25 +507,25 @@ class TestSweep:
         assert wrr["remote_routed"] > 0
 
     def test_sweep_is_deterministic_modulo_wall_clock(self):
-        first = run_multicluster_sweep(scale=TINY_SCALE, seed=2, max_workers=1, **self.GRID)
-        second = run_multicluster_sweep(scale=TINY_SCALE, seed=2, max_workers=1, **self.GRID)
+        first = run_grid(GRID, scale=TINY_SCALE, seed=2, max_workers=1, **self.GRID)
+        second = run_grid(GRID, scale=TINY_SCALE, seed=2, max_workers=1, **self.GRID)
         assert strip_wall_clock(first) == strip_wall_clock(second)
 
     def test_parallel_sweep_matches_sequential(self):
-        sequential = run_multicluster_sweep(
+        sequential = run_grid(GRID, 
             scale=TINY_SCALE, seed=2, max_workers=1, **self.GRID
         )
-        parallel = run_multicluster_sweep(
+        parallel = run_grid(GRID, 
             scale=TINY_SCALE, seed=2, max_workers=2, **self.GRID
         )
         assert strip_wall_clock(parallel) == strip_wall_clock(sequential)
 
     def test_warm_rerun_is_served_from_cache_and_identical(self, tmp_path):
-        cold = run_multicluster_sweep(
+        cold = run_grid(GRID, 
             scale=TINY_SCALE, seed=2, max_workers=1,
             use_cache=True, cache_dir=tmp_path, **self.GRID,
         )
-        warm = run_multicluster_sweep(
+        warm = run_grid(GRID, 
             scale=TINY_SCALE, seed=2, max_workers=1,
             use_cache=True, cache_dir=tmp_path, **self.GRID,
         )
@@ -535,25 +535,24 @@ class TestSweep:
 
     def test_unknown_axis_values_are_rejected(self):
         with pytest.raises(KeyError):
-            run_multicluster_sweep(scenarios=["nope"], scale=TINY_SCALE)
+            run_grid(GRID, scenarios=["nope"], scale=TINY_SCALE)
         with pytest.raises(KeyError):
-            run_multicluster_sweep(routers=["nope"], scale=TINY_SCALE)
+            run_grid(GRID, routers=["nope"], scale=TINY_SCALE)
         with pytest.raises(KeyError):
-            run_multicluster_sweep(placements=["nope"], scale=TINY_SCALE)
+            run_grid(GRID, placements=["nope"], scale=TINY_SCALE)
         with pytest.raises(ValueError):
-            run_multicluster_sweep(cluster_counts=[0], scale=TINY_SCALE)
+            run_grid(GRID, cluster_counts=[0], scale=TINY_SCALE)
         with pytest.raises(ValueError):
-            run_multicluster_sweep(routers=[], scale=TINY_SCALE)
+            run_grid(GRID, routers=[], scale=TINY_SCALE)
         with pytest.raises(ValueError):
-            run_multicluster_sweep(scale=TINY_SCALE, max_workers=0)
+            run_grid(GRID, scale=TINY_SCALE, max_workers=0)
 
 
 class TestCLI:
     def test_cli_runs_tiny_grid_and_writes_results(self, tmp_path):
-        from repro.multicluster.__main__ import main
-
         output = tmp_path / "MULTICLUSTER_results.json"
         code = main(
+            GRID,
             [
                 "--scenarios", "steady-poisson",
                 "--policies", "vllm",
@@ -567,18 +566,14 @@ class TestCLI:
         )
         assert code == 0
         document = json.loads(output.read_text())
-        assert validate_document(document) == []
+        assert validate_document(GRID, document) == []
         assert len(document["entries"]) == 1
 
     def test_cli_lists_registries(self, capsys):
-        from repro.multicluster.__main__ import main
-
-        assert main(["--list-routers"]) == 0
+        assert main(GRID, ["--list-routers"]) == 0
         assert "locality_affinity" in capsys.readouterr().out
-        assert main(["--list-placements"]) == 0
+        assert main(GRID, ["--list-placements"]) == 0
         assert "cost_weighted" in capsys.readouterr().out
 
     def test_cli_rejects_unknown_axis(self, capsys):
-        from repro.multicluster.__main__ import main
-
-        assert main(["--routers", "nope", "--sequential", "--no-cache"]) == 2
+        assert main(GRID, ["--routers", "nope", "--sequential", "--no-cache"]) == 2

@@ -54,6 +54,9 @@ from repro.obs import (
 )
 from repro.obs.__main__ import main as obs_main
 from repro.metrics.plot import parse_scrape_stream
+from repro.chaos.grid import GRID as CHAOS_GRID
+from repro.serve.grid import GRID as SERVE_GRID
+from repro.sweeps.grid import cell_task, materialise, run_cell, run_grid
 
 #: Chaos cells at this scale finish in well under a second each; the
 #: outage preset strikes at 1.25 s and the long drain lets the recovery
@@ -65,6 +68,13 @@ TINY_CHAOS_SCALE = ExperimentScale(
     trace_duration_s=5.0,
     drain_timeout_s=60.0,
 )
+
+
+def outage_cell(migration: str):
+    return materialise(CHAOS_GRID, {
+        "scenario": "steady-poisson", "policy": "vllm", "faults": "cluster-outage",
+        "migration": migration,
+    }, TINY_CHAOS_SCALE, 3)
 
 
 def synthetic_stream(samples):
@@ -347,16 +357,14 @@ class TestProfiler:
 class TestChaosAlerts:
     @pytest.fixture(scope="class")
     def outage_docs(self):
-        from repro.chaos.sweep import run_chaos_sweep
-
         kw = dict(
             scenarios=("steady-poisson",), policies=("vllm",),
             faults=("cluster-outage",), migrations=("sticky", "migrate"),
             scale=TINY_CHAOS_SCALE, seed=3, alerts=True,
         )
         return (
-            run_chaos_sweep(max_workers=1, **kw),
-            run_chaos_sweep(max_workers=2, **kw),
+            run_grid(CHAOS_GRID, max_workers=1, **kw),
+            run_grid(CHAOS_GRID, max_workers=2, **kw),
         )
 
     def test_recovery_transient_fires_sticky_only(self, outage_docs):
@@ -389,27 +397,16 @@ class TestChaosAlerts:
         )
 
     def test_timelines_bit_identical_across_reruns(self, outage_docs):
-        from repro.chaos.sweep import run_chaos_cell
-
-        cell = run_chaos_cell(
-            "steady-poisson", "vllm", "cluster-outage", "sticky",
-            TINY_CHAOS_SCALE, seed=3, alerts=True,
-        )
+        cell = run_cell(outage_cell("sticky"), alerts=True)
         document, _ = outage_docs
         by_migration = {e["migration"]: e for e in document["entries"]}
-        assert json.dumps(cell.alerts, sort_keys=True) == json.dumps(
+        assert json.dumps(cell["alerts"], sort_keys=True) == json.dumps(
             by_migration["sticky"]["alerts"], sort_keys=True
         )
 
     def test_cells_without_alerts_carry_no_block_and_same_cache_key(self):
-        from repro.chaos.sweep import chaos_cell_task
-        from repro.scenarios.registry import get_scenario
-
-        spec = get_scenario("steady-poisson")
-        plain = chaos_cell_task(spec, "vllm", "cluster-outage", "sticky",
-                                TINY_CHAOS_SCALE, 3)
-        alerting = chaos_cell_task(spec, "vllm", "cluster-outage", "sticky",
-                                   TINY_CHAOS_SCALE, 3, alerts=True)
+        plain = cell_task(outage_cell("sticky"))
+        alerting = cell_task(outage_cell("sticky"), alerts=True)
         # The opt-in axis keys only the cells that use it: a plain task's
         # key (hence its cache entry) is untouched by the feature.
         assert "alerts" not in plain.key
@@ -424,21 +421,21 @@ class TestChaosAlerts:
 class TestDiffDoctor:
     @pytest.fixture(scope="class")
     def serve_pair(self):
-        from repro.serve.sweep import run_serve_sweep
-
         kw = dict(
             scenarios=("spike-train",), policies=("vllm",), clients=("open",),
-            retries=("none",), backpressures=("off",), seed=7,
+            retries=("none",), backpressure=("off",), seed=7,
             max_workers=1, trace=True,
         )
-        quick = run_serve_sweep(
+        quick = run_grid(
+            SERVE_GRID,
             scale=ExperimentScale(
                 name="obs-serve-a", num_instances=2,
                 trace_duration_s=8.0, drain_timeout_s=8.0,
             ),
             **kw,
         )
-        longer = run_serve_sweep(
+        longer = run_grid(
+            SERVE_GRID,
             scale=ExperimentScale(
                 name="obs-serve-b", num_instances=2,
                 trace_duration_s=16.0, drain_timeout_s=16.0,

@@ -17,13 +17,8 @@ import pytest
 from repro.experiments.runner import ExperimentScale
 from repro.scenarios import (
     BUILTIN_SCENARIOS,
-    DOCUMENT_KEYS,
-    ENTRY_KEYS,
-    SCALE_KEYS,
-    SCHEMA_VERSION,
     ScenarioSpec,
     diurnal_trace,
-    format_results,
     get_scenario,
     list_scenarios,
     long_context_dataset,
@@ -32,15 +27,23 @@ from repro.scenarios import (
     multi_tenant_workload,
     poisson_trace,
     register_scenario,
-    run_cell,
-    run_sweep,
     spike_train_trace,
     stamp_sessions,
+)
+from repro.scenarios import registry as registry_module
+from repro.scenarios.grid import GRID
+from repro.sweeps.grid import (
+    SCALE_KEYS,
+    SCHEMA_VERSION,
+    document_keys,
+    format_results,
+    materialise,
+    run_cell,
+    run_grid,
     strip_wall_clock,
     validate_document,
     write_results,
 )
-from repro.scenarios import registry as registry_module
 from repro.workloads.datasets import BURSTGPT_DATASET, SHAREGPT_DATASET, build_workload
 from repro.workloads.upscaler import upscale_trace
 
@@ -297,12 +300,12 @@ class TestDeterminism:
         ]
 
     def test_simulation_metrics_are_bit_reproducible(self):
-        first = run_cell("burst-replay", "kunserve", TINY_SCALE, seed=9)
-        second = run_cell("burst-replay", "kunserve", TINY_SCALE, seed=9)
-        assert first.summary == second.summary
-        assert first.latencies == second.latencies
-        assert first.requests == second.requests
-        assert first.finished == second.finished
+        values = {"scenario": "burst-replay", "policy": "kunserve"}
+        first = run_cell(materialise(GRID, values, TINY_SCALE, seed=9))
+        second = run_cell(materialise(GRID, values, TINY_SCALE, seed=9))
+        first.pop("wall_s"), second.pop("wall_s")
+        assert first == second
+        assert first["latencies"] and first["finished"] > 0
 
     def test_upscale_trace_is_bit_reproducible(self):
         base = poisson_trace(rate=10.0, duration_s=30.0, seed=5)
@@ -316,7 +319,7 @@ class TestSchema:
         # The compatibility contract of SCENARIO_results.json: keys may grow
         # in a new schema version but must never be renamed or removed.
         assert SCHEMA_VERSION == 1
-        assert set(DOCUMENT_KEYS) >= {
+        assert set(document_keys(GRID)) >= {
             "schema_version",
             "repro_version",
             "seed",
@@ -326,7 +329,7 @@ class TestSchema:
             "entries",
             "wall_s_total",
         }
-        assert set(ENTRY_KEYS) >= {
+        assert set(GRID.entry_fields) >= {
             "scenario",
             "policy",
             "policy_name",
@@ -345,20 +348,20 @@ class TestSchema:
         assert set(SCALE_KEYS) == {"name", "num_instances", "trace_duration_s", "drain_timeout_s"}
 
     def test_validate_document_flags_missing_keys(self):
-        assert validate_document({}) != []
+        assert validate_document(GRID, {}) != []
 
     def test_pre_cache_v1_documents_stay_valid(self):
         # cache_hits/cache_misses are additive: a v1 document written
         # before they existed must still validate.
-        document = run_sweep(
-            scenarios=["steady-poisson"], policies=["vllm"],
+        document = run_grid(
+            GRID, scenarios=["steady-poisson"], policies=["vllm"],
             scale=TINY_SCALE, seed=2, max_workers=1,
         )
         legacy = {
             k: v for k, v in document.items()
             if k not in ("cache_hits", "cache_misses", "fleet")
         }
-        assert validate_document(legacy) == []
+        assert validate_document(GRID, legacy) == []
 
     def test_strip_wall_clock_removes_only_wall_clock(self):
         document = {
@@ -377,8 +380,8 @@ class TestSweep:
     GRID = dict(scenarios=["steady-poisson", "spike-train"], policies=["vllm", "kunserve"])
 
     def test_sequential_sweep_emits_valid_document(self, tmp_path):
-        document = run_sweep(scale=TINY_SCALE, seed=2, max_workers=1, **self.GRID)
-        assert validate_document(document) == []
+        document = run_grid(GRID, scale=TINY_SCALE, seed=2, max_workers=1, **self.GRID)
+        assert validate_document(GRID, document) == []
         assert len(document["entries"]) == 4
         assert document["scenarios"] == self.GRID["scenarios"]
         for entry in document["entries"]:
@@ -388,56 +391,56 @@ class TestSweep:
                 1.0 - entry["slo_violation_ratio"]
             )
 
-        path = write_results(document, tmp_path / "SCENARIO_results.json")
+        path = write_results(GRID, document, tmp_path / "SCENARIO_results.json")
         reloaded = json.loads(path.read_text())
-        assert validate_document(reloaded) == []
+        assert validate_document(GRID, reloaded) == []
         assert reloaded == document
 
-        text = format_results(document)
+        text = format_results(GRID, document)
         assert "spike-train" in text
         assert "kunserve" in text
 
     def test_sweep_is_deterministic_modulo_wall_clock(self):
-        first = run_sweep(scale=TINY_SCALE, seed=2, max_workers=1, **self.GRID)
-        second = run_sweep(scale=TINY_SCALE, seed=2, max_workers=1, **self.GRID)
+        first = run_grid(GRID, scale=TINY_SCALE, seed=2, max_workers=1, **self.GRID)
+        second = run_grid(GRID, scale=TINY_SCALE, seed=2, max_workers=1, **self.GRID)
         assert strip_wall_clock(first) == strip_wall_clock(second)
 
     def test_parallel_sweep_matches_sequential(self):
-        sequential = run_sweep(scale=TINY_SCALE, seed=2, max_workers=1, **self.GRID)
-        parallel = run_sweep(scale=TINY_SCALE, seed=2, max_workers=2, **self.GRID)
+        sequential = run_grid(GRID, scale=TINY_SCALE, seed=2, max_workers=1, **self.GRID)
+        parallel = run_grid(GRID, scale=TINY_SCALE, seed=2, max_workers=2, **self.GRID)
         assert strip_wall_clock(parallel) == strip_wall_clock(sequential)
 
     def test_unknown_scenario_or_empty_grid_is_rejected(self):
         with pytest.raises(KeyError):
-            run_sweep(scenarios=["nope"], scale=TINY_SCALE)
+            run_grid(GRID, scenarios=["nope"], scale=TINY_SCALE)
         with pytest.raises(ValueError):
-            run_sweep(scenarios=["steady-poisson"], policies=(), scale=TINY_SCALE)
+            run_grid(GRID, scenarios=["steady-poisson"], policies=(), scale=TINY_SCALE)
         with pytest.raises(ValueError):
-            run_sweep(scenarios=["steady-poisson"], scale=TINY_SCALE, max_workers=0)
+            run_grid(GRID, scenarios=["steady-poisson"], scale=TINY_SCALE, max_workers=0)
 
     def test_warm_rerun_is_served_from_cache_and_identical(self, tmp_path):
-        cold = run_sweep(
-            scale=TINY_SCALE, seed=2, max_workers=1,
+        cold = run_grid(
+            GRID, scale=TINY_SCALE, seed=2, max_workers=1,
             use_cache=True, cache_dir=tmp_path, **self.GRID,
         )
-        warm = run_sweep(
-            scale=TINY_SCALE, seed=2, max_workers=1,
+        warm = run_grid(
+            GRID, scale=TINY_SCALE, seed=2, max_workers=1,
             use_cache=True, cache_dir=tmp_path, **self.GRID,
         )
         assert cold["cache_hits"] == 0 and cold["cache_misses"] == 4
         assert warm["cache_hits"] == 4 and warm["cache_misses"] == 0
         assert strip_wall_clock(warm) == strip_wall_clock(cold)
         # ...and identical to an uncached sweep of the same grid.
-        plain = run_sweep(scale=TINY_SCALE, seed=2, max_workers=1, **self.GRID)
+        plain = run_grid(GRID, scale=TINY_SCALE, seed=2, max_workers=1, **self.GRID)
         assert strip_wall_clock(plain) == strip_wall_clock(cold)
 
     def test_seed_change_invalidates_cache(self, tmp_path):
-        run_sweep(
-            scale=TINY_SCALE, seed=2, max_workers=1,
+        run_grid(
+            GRID, scale=TINY_SCALE, seed=2, max_workers=1,
             use_cache=True, cache_dir=tmp_path, **self.GRID,
         )
-        other_seed = run_sweep(
-            scale=TINY_SCALE, seed=3, max_workers=1,
+        other_seed = run_grid(
+            GRID, scale=TINY_SCALE, seed=3, max_workers=1,
             use_cache=True, cache_dir=tmp_path, **self.GRID,
         )
         assert other_seed["cache_hits"] == 0
@@ -450,8 +453,8 @@ class TestSweep:
         )
         register_scenario(narrow)
         try:
-            document = run_sweep(
-                scenarios=["narrow-policies"], scale=TINY_SCALE, seed=2, max_workers=1
+            document = run_grid(
+                GRID, scenarios=["narrow-policies"], scale=TINY_SCALE, seed=2, max_workers=1
             )
             assert [e["policy"] for e in document["entries"]] == ["vllm"]
             assert document["policies"] == ["vllm"]

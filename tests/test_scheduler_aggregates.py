@@ -33,7 +33,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.chaos.sweep import run_chaos_cell
+from repro.chaos.grid import GRID as CHAOS_GRID
 from repro.engine.group import ServingGroup
 from repro.engine.request import Request
 from repro.engine.scheduler import (
@@ -48,10 +48,11 @@ from repro.experiments.runner import (
     run_policy_on_workload,
 )
 from repro.fleet.config import AutoscalerConfig
-from repro.fleet.sweep import run_fleet_cell
+from repro.fleet.grid import GRID as FLEET_GRID
 from repro.memory.paged_kv import PagedKVCache
 from repro.memory.unified import UnifiedMemoryManager
 from repro.policies import LlumnixPolicy, make_policy
+from repro.sweeps.grid import materialise, run_cell
 
 from tests.invariants import (
     assert_decode_summary,
@@ -157,19 +158,20 @@ class TestSystemRuns:
         assert checked_queries["kv_syncs"] > 0
 
     def test_fleet_elastic_instance_kill(self, checked_queries):
-        cell = run_fleet_cell(
-            "spike-train", "vllm", "least_loaded", "elastic", TINY_SCALE,
-            seed=2, faults="instance-kill",
-        )
-        assert cell.fault_events == 1
+        cell = run_cell(materialise(FLEET_GRID, {
+            "scenario": "spike-train", "policy": "vllm", "router": "least_loaded",
+            "autoscaler": "elastic", "faults": "instance-kill",
+        }, TINY_SCALE, seed=2))
+        assert cell["fault_events"] == 1
         assert checked_queries["queries"] > 0
 
     @pytest.mark.parametrize("migration", ["sticky", "migrate"])
     def test_chaos_cluster_outage(self, checked_queries, migration):
-        cell = run_chaos_cell(
-            "steady-poisson", "vllm", "cluster-outage", migration, TINY_SCALE, seed=1
-        )
-        assert cell.requests > 0
+        cell = run_cell(materialise(CHAOS_GRID, {
+            "scenario": "steady-poisson", "policy": "vllm", "faults": "cluster-outage",
+            "migration": migration,
+        }, TINY_SCALE, seed=1))
+        assert cell["requests"] > 0
         assert checked_queries["queries"] > 0
 
     def test_fault_tolerance_demo(self, checked_queries, capsys):

@@ -30,7 +30,6 @@ from invariants import assert_document_invariants, assert_serve_conservation
 from repro.experiments.runner import ExperimentScale
 from repro.policies import make_policy
 from repro.scenarios.registry import get_scenario
-from repro.scenarios.sweep import build_cell_config
 from repro.serve import (
     BACKPRESSURE_MODES,
     BackpressureConfig,
@@ -42,28 +41,27 @@ from repro.serve import (
     jsonl_arrivals,
     list_backpressure_modes,
     list_retry_policies,
-    run_serve_cell,
-    run_serve_sweep,
     synthetic_arrivals,
     workload_arrivals,
     write_jsonl_trace,
-    write_results,
 )
 from repro.serve.clients import partition_intents
-from repro.serve.schema import (
-    DOCUMENT_KEYS,
-    ENTRY_KEYS,
+from repro.serve.grid import GRID
+from repro.sweeps.grid import (
+    OPEN_LOOP,
     SCALE_KEYS,
     SCHEMA_VERSION,
+    build_cell_config,
+    document_keys,
+    format_results,
+    grid_cells,
+    main,
+    materialise,
+    run_cell,
+    run_grid,
     strip_wall_clock,
     validate_document,
-)
-from repro.serve.sweep import (
-    OPEN_LOOP,
-    QUICK_SERVE_SCALE,
-    cell_horizon_s,
-    format_results,
-    serve_grid,
+    write_results,
 )
 from repro.serving.system import ClusterServingSystem
 from repro.simulation.rng import SeededRNG
@@ -90,6 +88,13 @@ def tiny_system(seed: int = 1, fleet: bool = False) -> ClusterServingSystem:
 
 def tiny_workload(seed: int = 1) -> Workload:
     return get_scenario("steady-poisson").build_workload(TINY_SCALE, seed)
+
+
+def serve_cell(scenario, clients, retry, backpressure, scale=TINY_SCALE, seed=42):
+    return materialise(GRID, {
+        "scenario": scenario, "policy": "vllm", "clients": clients, "retry": retry,
+        "backpressure": backpressure,
+    }, scale, seed)
 
 
 class TestRetryPolicy:
@@ -308,7 +313,8 @@ class TestClients:
             seed=3,
         )
         assert population.offered == len(workload.requests)
-        system.run_online([population], until=cell_horizon_s("4", TINY_SCALE))
+        horizon = serve_cell("steady-poisson", "4", "backoff", "on").horizon_s
+        system.run_online([population], until=horizon)
         stats = population.stats()
         assert stats["finished"] > 0
         assert stats["submitted_attempts"] == stats["issued"] + stats["retries"]
@@ -324,11 +330,9 @@ class TestClients:
     def test_client_ttft_includes_retry_delay(self):
         # Client-perceived TTFT is measured from the *first* submission,
         # so it can only be >= the engine's per-attempt TTFT.
-        cell = run_serve_cell(
-            "spike-train", "vllm", 8, "backoff", "off", TINY_SCALE, seed=42
-        )
-        if cell.retries:  # overload scenario: retries do happen
-            assert cell.client_ttft_p99 >= cell.summary["ttft_p99"]
+        cell = run_cell(serve_cell("spike-train", 8, "backoff", "off"))
+        if cell["retries"]:  # overload scenario: retries do happen
+            assert cell["client_ttft_p99"] >= cell["ttft_p99"]
 
     def test_retry_without_admission_layer_is_rejected(self):
         system = tiny_system(fleet=False)
@@ -341,17 +345,13 @@ class TestClients:
 
     def test_open_loop_cells_reject_retry_and_backpressure(self):
         with pytest.raises(ValueError):
-            run_serve_cell(
-                "steady-poisson", "vllm", OPEN_LOOP, "backoff", "off", TINY_SCALE
-            )
+            serve_cell("steady-poisson", OPEN_LOOP, "backoff", "off")
         with pytest.raises(ValueError):
-            run_serve_cell(
-                "steady-poisson", "vllm", OPEN_LOOP, "none", "on", TINY_SCALE
-            )
+            serve_cell("steady-poisson", OPEN_LOOP, "none", "on")
         with pytest.raises(ValueError):
-            run_serve_cell("steady-poisson", "vllm", "zero", "none", "off", TINY_SCALE)
+            serve_cell("steady-poisson", "zero", "none", "off")
         with pytest.raises(ValueError):
-            run_serve_cell("steady-poisson", "vllm", 0, "none", "off", TINY_SCALE)
+            serve_cell("steady-poisson", 0, "none", "off")
 
 
 class TestSchema:
@@ -359,7 +359,7 @@ class TestSchema:
         # The compatibility contract of SERVE_results.json: keys may grow
         # in a new schema version but must never be renamed or removed.
         assert SCHEMA_VERSION == 1
-        assert set(DOCUMENT_KEYS) >= {
+        assert set(document_keys(GRID)) >= {
             "schema_version",
             "repro_version",
             "seed",
@@ -374,7 +374,7 @@ class TestSchema:
             "entries",
             "wall_s_total",
         }
-        assert set(ENTRY_KEYS) >= {
+        assert set(GRID.entry_fields) >= {
             "scenario",
             "policy",
             "policy_name",
@@ -417,7 +417,7 @@ class TestSchema:
         }
 
     def test_validate_document_flags_missing_keys(self):
-        assert validate_document({}) != []
+        assert validate_document(GRID, {}) != []
 
     def test_strip_wall_clock_removes_only_wall_clock(self):
         document = {
@@ -435,12 +435,13 @@ class TestSchema:
         assert document["wall_s_total"] == 3.2  # original untouched
 
     def test_grid_pins_open_loop_to_one_cell(self):
-        grid = serve_grid(
-            ["s"], ["p"], ["open", "8"], ["none", "backoff"], ["off", "on"]
+        _, cells = grid_cells(
+            GRID, TINY_SCALE, scenarios=["steady-poisson"], clients=["open", "8"],
+            retries=["none", "backoff"], backpressure=["off", "on"],
         )
-        open_cells = [cell for cell in grid if cell[2] == OPEN_LOOP]
-        assert open_cells == [("s", "p", "open", "none", "off")]
-        assert len(grid) == 1 + 4  # open + 8-clients x retry x backpressure
+        open_cells = [cell.values for cell in cells if cell.values["clients"] == OPEN_LOOP]
+        assert [(v["retry"], v["backpressure"]) for v in open_cells] == [("none", "off")]
+        assert len(cells) == 1 + 4  # open + 8-clients x retry x backpressure
 
 
 #: The acceptance document: the default serve grid (open baseline + one
@@ -448,13 +449,13 @@ class TestSchema:
 #: ``python -m repro.serve`` uses.
 @pytest.fixture(scope="module")
 def quick_document():
-    return run_serve_sweep(scale=QUICK_SERVE_SCALE, seed=42, max_workers=2)
+    return run_grid(GRID, scale=GRID.scales["quick"], seed=42, max_workers=2)
 
 
 @pytest.mark.serve
 class TestAcceptance:
     def test_document_is_valid_and_conserved(self, quick_document, tmp_path):
-        assert validate_document(quick_document) == []
+        assert validate_document(GRID, quick_document) == []
         entries = assert_document_invariants(quick_document)
         assert len(entries) == 5  # open + 64 clients x 2 retries x 2 modes
         # Every cell works through the same logical demand.
@@ -466,12 +467,12 @@ class TestAcceptance:
                 1.0 - entry["slo_violation_ratio"]
             )
 
-        path = write_results(quick_document, tmp_path / "SERVE_results.json")
+        path = write_results(GRID, quick_document, tmp_path / "SERVE_results.json")
         reloaded = json.loads(path.read_text())
-        assert validate_document(reloaded) == []
+        assert validate_document(GRID, reloaded) == []
         assert reloaded == quick_document
 
-        text = format_results(quick_document)
+        text = format_results(GRID, quick_document)
         assert "backoff" in text and "open" in text
 
     def test_open_loop_baseline_sheds_and_never_retries(self, quick_document):
@@ -533,22 +534,22 @@ class TestSweep:
         policies=["vllm"],
         clients=["open", "4"],
         retries=["backoff"],
-        backpressures=["on"],
+        backpressure=["on"],
     )
 
     def test_sweep_is_deterministic_across_worker_counts(self):
-        sequential = run_serve_sweep(scale=TINY_SCALE, seed=2, max_workers=1, **self.GRID)
-        parallel = run_serve_sweep(scale=TINY_SCALE, seed=2, max_workers=2, **self.GRID)
+        sequential = run_grid(GRID, scale=TINY_SCALE, seed=2, max_workers=1, **self.GRID)
+        parallel = run_grid(GRID, scale=TINY_SCALE, seed=2, max_workers=2, **self.GRID)
         assert strip_wall_clock(parallel) == strip_wall_clock(sequential)
-        assert validate_document(sequential) == []
+        assert validate_document(GRID, sequential) == []
         assert len(sequential["entries"]) == 2  # open pinned + one closed cell
 
     def test_warm_rerun_is_served_from_cache_and_identical(self, tmp_path):
-        cold = run_serve_sweep(
+        cold = run_grid(GRID, 
             scale=TINY_SCALE, seed=2, max_workers=1,
             use_cache=True, cache_dir=tmp_path, **self.GRID,
         )
-        warm = run_serve_sweep(
+        warm = run_grid(GRID, 
             scale=TINY_SCALE, seed=2, max_workers=1,
             use_cache=True, cache_dir=tmp_path, **self.GRID,
         )
@@ -557,12 +558,12 @@ class TestSweep:
         assert strip_wall_clock(warm) == strip_wall_clock(cold)
 
     def test_integer_client_tokens_are_canonicalised(self):
-        document = run_serve_sweep(
+        document = run_grid(GRID, 
             scenarios=["steady-poisson"],
             policies=["vllm"],
             clients=[4],
             retries=["none"],
-            backpressures=["off"],
+            backpressure=["off"],
             scale=TINY_SCALE,
             seed=2,
             max_workers=1,
@@ -572,17 +573,17 @@ class TestSweep:
 
     def test_unknown_axis_values_are_rejected(self):
         with pytest.raises(KeyError):
-            run_serve_sweep(scenarios=["nope"], scale=TINY_SCALE)
+            run_grid(GRID, scenarios=["nope"], scale=TINY_SCALE)
         with pytest.raises(KeyError):
-            run_serve_sweep(retries=["nope"], scale=TINY_SCALE)
+            run_grid(GRID, retries=["nope"], scale=TINY_SCALE)
         with pytest.raises(KeyError):
-            run_serve_sweep(backpressures=["nope"], scale=TINY_SCALE)
+            run_grid(GRID, backpressure=["nope"], scale=TINY_SCALE)
         with pytest.raises(ValueError):
-            run_serve_sweep(clients=["minus-one"], scale=TINY_SCALE)
+            run_grid(GRID, clients=["minus-one"], scale=TINY_SCALE)
         with pytest.raises(ValueError):
-            run_serve_sweep(clients=[], scale=TINY_SCALE)
+            run_grid(GRID, clients=[], scale=TINY_SCALE)
         with pytest.raises(ValueError):
-            run_serve_sweep(scale=TINY_SCALE, max_workers=0)
+            run_grid(GRID, scale=TINY_SCALE, max_workers=0)
 
     def test_cell_conservation_property_style(self):
         # Every frontend configuration satisfies the serve identities.
@@ -592,28 +593,16 @@ class TestSweep:
             ("4", "backoff", "off"),
             ("4", "backoff", "on"),
         ):
-            cell = run_serve_cell(
-                "spike-train", "vllm", clients, retry, backpressure, TINY_SCALE, seed=4
-            )
-            entry = {
-                key: getattr(cell, key)
-                for key in (
-                    "offered", "issued", "submitted", "finished", "shed",
-                    "retries", "retry_pending", "gave_up", "incomplete",
-                    "client_incomplete", "completion_ratio",
-                    "goodput_per_submitted", "clients", "retry", "backpressure",
-                )
-            }
-            assert_serve_conservation(entry)
+            cell = serve_cell("spike-train", clients, retry, backpressure, seed=4)
+            assert_serve_conservation({**run_cell(cell), **cell.values})
 
 
 @pytest.mark.serve
 class TestCLI:
     def test_cli_runs_grid_and_writes_results(self, tmp_path):
-        from repro.serve.__main__ import main
-
         output = tmp_path / "SERVE_results.json"
         code = main(
+            GRID,
             [
                 "--scenarios", "steady-poisson",
                 "--policies", "vllm",
@@ -625,32 +614,27 @@ class TestCLI:
         )
         assert code == 0
         document = json.loads(output.read_text())
-        assert validate_document(document) == []
+        assert validate_document(GRID, document) == []
         assert len(document["entries"]) == 1
         assert document["entries"][0]["mode"] == "open"
 
     def test_cli_lists_registries(self, capsys):
-        from repro.serve.__main__ import main
-
-        assert main(["--list-retries"]) == 0
+        assert main(GRID, ["--list-retries"]) == 0
         assert "backoff" in capsys.readouterr().out
-        assert main(["--list-backpressure"]) == 0
+        assert main(GRID, ["--list-backpressure"]) == 0
         assert "on" in capsys.readouterr().out
 
     def test_cli_rejects_unknown_axis(self, capsys):
-        from repro.serve.__main__ import main
-
-        assert main(["--retries", "nope", "--sequential", "--no-cache"]) == 2
-        assert main(["--clients", "zero", "--sequential", "--no-cache"]) == 2
-        assert main(["--scenarios", "nope", "--sequential", "--no-cache"]) == 2
+        assert main(GRID, ["--retries", "nope", "--sequential", "--no-cache"]) == 2
+        assert main(GRID, ["--clients", "zero", "--sequential", "--no-cache"]) == 2
+        assert main(GRID, ["--scenarios", "nope", "--sequential", "--no-cache"]) == 2
 
     @pytest.mark.slow
     def test_cli_streams_metrics_with_client_series(self, tmp_path, capsys):
-        from repro.serve.__main__ import main
-
         output = tmp_path / "SERVE_results.json"
         stream = tmp_path / "metrics.prom"
         code = main(
+            GRID,
             [
                 "--scenarios", "steady-poisson",
                 "--policies", "vllm",

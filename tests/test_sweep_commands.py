@@ -151,3 +151,14 @@ def test_burst_workload_imports_load_no_sweep_code():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("module", sorted(OPTIONS))
+def test_a_repeated_axis_value_exits_2(module, tmp_path, capsys):
+    output = tmp_path / "doc.json"
+    code = run_command(
+        module, ["--scenarios", "spike-train", "spike-train", *QUICK, "--output", str(output)]
+    )
+    assert code == 2
+    assert "repeated" in capsys.readouterr().err
+    assert not output.exists()

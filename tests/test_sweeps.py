@@ -75,7 +75,7 @@ class TestSourceFingerprint:
         assert source_fingerprint() == first
 
     def test_editing_another_module_changes_the_task_hash(self, tmp_path):
-        # The runner lives in repro.chaos.sweep; the edit is to the
+        # The runner lives in repro.sweeps.grid; the edit is to the
         # scheduler it calls into, in a copy of the package.
         shutil.copytree(
             pathlib.Path(repro.__file__).parent,
@@ -83,7 +83,7 @@ class TestSourceFingerprint:
             ignore=shutil.ignore_patterns("__pycache__"),
         )
         task = SweepTask(
-            runner="repro.chaos.sweep:run_chaos_cell_payload", params={}, key={"k": 1}
+            runner="repro.sweeps.grid:run_task", params={}, key={"k": 1}
         )
 
         def content_hash_in_copy() -> str:
@@ -254,18 +254,18 @@ class TestResultCache:
     def test_model_architecture_is_part_of_the_cell_key(self):
         import dataclasses as dc
 
-        from repro.scenarios.registry import get_scenario
-        from repro.scenarios.sweep import scenario_cell_task
+        from repro.scenarios.grid import GRID
+        from repro.sweeps.grid import build_cell_config, cell_task, materialise
 
-        spec = get_scenario("steady-poisson")
-        base = scenario_cell_task(spec, "vllm", TINY_SCALE, 1, None).content_hash()
-        same_name_other_arch = dc.replace(
-            spec, model=dc.replace(spec.model, num_layers=spec.model.num_layers + 1)
+        cell = materialise(GRID, {"scenario": "steady-poisson", "policy": "vllm"}, TINY_SCALE, 1)
+        base = cell_task(cell).content_hash()
+        spec = dc.replace(
+            cell.spec, model=dc.replace(cell.spec.model, num_layers=cell.spec.model.num_layers + 1)
         )
-        changed = scenario_cell_task(
-            same_name_other_arch, "vllm", TINY_SCALE, 1, None
-        ).content_hash()
-        assert changed != base
+        # Same scenario name, other architecture: the materialised config
+        # carries the model, so the key changes with it.
+        other = dc.replace(cell, spec=spec, config=build_cell_config(spec, TINY_SCALE, seed=1))
+        assert cell_task(other).content_hash() != base
 
     def test_default_dir_honours_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "elsewhere"))
@@ -304,14 +304,13 @@ class TestExecutor:
     def test_pooled_execution_matches_inline(self, tmp_path):
         # Real simulator cells through the shared warm pool: same payloads
         # as inline execution, in the same order.
-        from repro.scenarios.registry import get_scenario
-        from repro.scenarios.sweep import scenario_cell_task
+        from repro.scenarios.grid import GRID
+        from repro.sweeps.grid import cell_task, grid_cells
 
-        spec = get_scenario("steady-poisson")
-        tasks = [
-            scenario_cell_task(spec, policy, TINY_SCALE, 3, None)
-            for policy in ("vllm", "kunserve")
-        ]
+        _, cells = grid_cells(
+            GRID, TINY_SCALE, 3, scenarios=["steady-poisson"], policies=["vllm", "kunserve"]
+        )
+        tasks = [cell_task(cell) for cell in cells]
         inline = run_tasks(tasks, max_workers=1)
         pooled = run_tasks(tasks, max_workers=2)
         # wall_s and the profile block are wall-clock measurements — the
@@ -358,3 +357,41 @@ class TestWorkerSizing:
         assert executor_module._cgroup_cpu_quota() == 2  # ceil(1.5)
         readings["/sys/fs/cgroup/cpu.max"] = "max 100000"
         assert executor_module._cgroup_cpu_quota() is None
+
+
+class TestGrid:
+    """The grid engine's validation pass, on every command's grid."""
+
+    @staticmethod
+    def grids():
+        from repro.chaos.grid import GRID as CHAOS
+        from repro.fleet.grid import GRID as FLEET
+        from repro.multicluster.grid import GRID as MULTICLUSTER
+        from repro.scenarios.grid import GRID as SCENARIOS
+        from repro.serve.grid import GRID as SERVE
+
+        return (SCENARIOS, FLEET, MULTICLUSTER, CHAOS, SERVE)
+
+    def test_repeated_axis_values_are_rejected_on_every_grid(self):
+        from repro.sweeps.grid import grid_cells, run_grid
+
+        for grid in self.grids():
+            for axis in grid.axes:
+                if axis.single:
+                    continue
+                value = axis.defaults()[0]
+                with pytest.raises(ValueError, match="repeated"):
+                    grid_cells(grid, TINY_SCALE, **{axis.name: [value, value]})
+            # Nothing runs: the check comes before the first cell.
+            with pytest.raises(ValueError, match="repeated"):
+                run_grid(grid, scale=TINY_SCALE, scenarios=["spike-train"] * 2)
+        # Values repeat once canonicalised, too.
+        with pytest.raises(ValueError, match="repeated"):
+            grid_cells(self.grids()[-1], TINY_SCALE, clients=[4, "4"])
+
+    def test_unknown_axis_keywords_are_rejected(self):
+        from repro.sweeps.grid import run_grid
+
+        for grid in self.grids():
+            with pytest.raises(TypeError):
+                run_grid(grid, scale=TINY_SCALE, no_such_axis=["x"])

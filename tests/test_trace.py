@@ -20,7 +20,6 @@ Pins the ISSUE acceptance criteria end-to-end on real (tiny) runs:
 from __future__ import annotations
 
 import collections
-import dataclasses
 import json
 
 import pytest
@@ -39,8 +38,9 @@ from repro.metrics.plot import (
     render_ascii,
     render_svg,
 )
-from repro.chaos.sweep import run_chaos_cell
-from repro.serve.sweep import run_serve_cell
+from repro.chaos.grid import GRID as CHAOS_GRID
+from repro.serve.grid import GRID as SERVE_GRID
+from repro.sweeps.grid import materialise, run_cell
 from repro.simulation.event_loop import EventLoop
 from repro.trace import (
     DETAIL_NAMES,
@@ -69,16 +69,21 @@ TINY_SCALE = ExperimentScale(
     drain_timeout_s=12.0,
 )
 
-SERVE_CELL = ("spike-train", "vllm", "16", "backoff", "on")
+def serve_cell(clients="16", retry="backoff", backpressure="on"):
+    return materialise(SERVE_GRID, {
+        "scenario": "spike-train", "policy": "vllm", "clients": clients, "retry": retry,
+        "backpressure": backpressure,
+    }, TINY_SCALE, 42)
+
+
+SERVE_CELL = serve_cell()
 
 
 @pytest.fixture(scope="module")
 def traced_serve():
     """One traced closed-loop serve cell, shared across the module."""
     tracers = []
-    result = run_serve_cell(
-        *SERVE_CELL, TINY_SCALE, 42, trace=True, on_tracer=tracers.append
-    )
+    result = run_cell(SERVE_CELL, trace=True, on_tracer=tracers.append)
     return result, tracers[0]
 
 
@@ -86,16 +91,11 @@ def traced_serve():
 def traced_chaos():
     """One traced chaos cell (two-cluster tier, outage + migrate)."""
     tracers = []
-    result = run_chaos_cell(
-        "steady-poisson",
-        "vllm",
-        "cluster-outage",
-        "migrate",
-        TINY_SCALE,
-        42,
-        trace=True,
-        on_tracer=tracers.append,
-    )
+    cell = materialise(CHAOS_GRID, {
+        "scenario": "steady-poisson", "policy": "vllm", "faults": "cluster-outage",
+        "migration": "migrate",
+    }, TINY_SCALE, 42)
+    result = run_cell(cell, trace=True, on_tracer=tracers.append)
     return result, tracers[0]
 
 
@@ -107,7 +107,7 @@ class TestRecording:
         result, tracer = traced_serve
         assert tracer.requests_traced > 0
         assert tracer.requests_finished > 0
-        assert tracer.requests_finished == result.finished
+        assert tracer.requests_finished == result["finished"]
         spans = tracer.spans()
         roots = [s for s in spans if s.kind == "root"]
         stages = [s for s in spans if s.kind == "stage"]
@@ -134,7 +134,7 @@ class TestRecording:
         result, tracer = traced_serve
         details = {s.name for s in tracer.spans() if s.kind == "detail"}
         assert "route_decision" in details
-        if result.retries:
+        if result["retries"]:
             assert "retry_backoff" in details
 
     def test_iteration_spans_count_the_batch_decodes(self, monkeypatch):
@@ -150,7 +150,7 @@ class TestRecording:
 
         monkeypatch.setattr(Tracer, "on_iteration", recording)
         tracers = []
-        run_serve_cell(*SERVE_CELL, TINY_SCALE, 42, trace=True, on_tracer=tracers.append)
+        run_cell(SERVE_CELL, trace=True, on_tracer=tracers.append)
         recorded = {
             (span.track, span.start_s, span.end_s): (
                 span.meta["decode_tokens"], span.meta["prefill_tokens"]
@@ -163,17 +163,7 @@ class TestRecording:
 
     def test_open_loop_run_emits_gateway_pull_details(self):
         tracers = []
-        run_serve_cell(
-            "spike-train",
-            "vllm",
-            "open",
-            "none",
-            "off",
-            TINY_SCALE,
-            42,
-            trace=True,
-            on_tracer=tracers.append,
-        )
+        run_cell(serve_cell("open", "none", "off"), trace=True, on_tracer=tracers.append)
         details = {s.name for s in tracers[0].spans() if s.kind == "detail"}
         assert "gateway_pull" in details
 
@@ -194,7 +184,7 @@ class TestAttribution:
     def test_span_conservation_chaos(self, traced_chaos):
         result, tracer = traced_chaos
         checked = assert_span_conservation(tracer.spans())
-        assert checked == result.finished > 0
+        assert checked == result["finished"] > 0
 
     def test_attribution_reconciles(self, traced_serve):
         _, tracer = traced_serve
@@ -213,8 +203,8 @@ class TestAttribution:
     def test_stage_breakdown_block(self, traced_serve):
         result, tracer = traced_serve
         breakdown = LatencyAttribution.from_tracer(tracer).stage_breakdown()
-        assert result.stage_breakdown == breakdown
-        assert breakdown["requests"] == breakdown["reconciled"] == result.finished
+        assert result["stage_breakdown"] == breakdown
+        assert breakdown["requests"] == breakdown["reconciled"] == result["finished"]
         assert breakdown["ttft_p50"] <= breakdown["ttft_p99"]
         assert set(breakdown["stages"]) <= set(STAGE_ORDER)
         for stats in breakdown["stages"].values():
@@ -282,9 +272,7 @@ class TestChromeExport:
 class TestOverhead:
     def test_disabled_tracer_records_nothing(self):
         tracers = []
-        run_serve_cell(
-            *SERVE_CELL, TINY_SCALE, 42, trace="disabled", on_tracer=tracers.append
-        )
+        run_cell(SERVE_CELL, trace="disabled", on_tracer=tracers.append)
         tracer = tracers[0]
         assert not tracer.enabled
         assert tracer.requests_traced == 0
@@ -292,14 +280,11 @@ class TestOverhead:
         assert tracer.closed_stage_spans == []
 
     def test_disabled_tracer_results_identical_to_untraced(self):
-        untraced = run_serve_cell(*SERVE_CELL, TINY_SCALE, 42)
-        disabled = run_serve_cell(*SERVE_CELL, TINY_SCALE, 42, trace="disabled")
-        left = dataclasses.asdict(untraced)
-        right = dataclasses.asdict(disabled)
-        left.pop("wall_s"), right.pop("wall_s")
-        assert left == right
-        assert untraced.stage_breakdown is None
-        assert disabled.stage_breakdown is None
+        untraced = run_cell(SERVE_CELL)
+        disabled = run_cell(SERVE_CELL, trace="disabled")
+        untraced.pop("wall_s"), disabled.pop("wall_s")
+        assert untraced == disabled
+        assert "stage_breakdown" not in disabled
 
     def test_disabled_tracer_fires_only_on_submit(self, monkeypatch):
         # The overhead bound, counted instead of timed: with recording off,
@@ -312,8 +297,8 @@ class TestOverhead:
                 return _hook(self, *args, **kwargs)
 
             monkeypatch.setattr(Tracer, name, counted)
-        cell = run_serve_cell(*SERVE_CELL, TINY_SCALE, 42, trace="disabled")
-        assert dict(calls) == {"on_submit": cell.submitted}
+        cell = run_cell(SERVE_CELL, trace="disabled")
+        assert dict(calls) == {"on_submit": cell["submitted"]}
 
 
 # ----------------------------------------------------------------------
