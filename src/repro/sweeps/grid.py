@@ -355,6 +355,17 @@ def materialise(
     return cell
 
 
+def _checked(axis: Axis, given: Sequence[Any]) -> List[Any]:
+    """``given`` checked value by value; empty or repeating lists raise."""
+    values = [axis.check(value) for value in given]
+    if not values:
+        raise ValueError(f"the {axis.name} axis needs at least one value")
+    repeated = [value for index, value in enumerate(values) if value in values[:index]]
+    if repeated:
+        raise ValueError(f"repeated {axis.name} values {repeated}: each cell would run twice")
+    return values
+
+
 def _axis_values(axis: Axis, given: Any) -> Any:
     """An axis' checked values: a list, a single option's value, or
     ``None`` for a per-scenario axis left to its scenarios."""
@@ -364,13 +375,7 @@ def _axis_values(axis: Axis, given: Any) -> Any:
         if axis.by_scenario is not None:
             return None
         given = axis.defaults()
-    values = [axis.check(value) for value in given]
-    if not values:
-        raise ValueError(f"the {axis.name} axis needs at least one value")
-    repeated = [value for index, value in enumerate(values) if value in values[:index]]
-    if repeated:
-        raise ValueError(f"repeated {axis.name} values {repeated}: each cell would run twice")
-    return values
+    return _checked(axis, given)
 
 
 def grid_cells(
@@ -393,7 +398,7 @@ def grid_cells(
             if axis.single:
                 values = [values]
             elif values is None:
-                values = axis.by_scenario(get_scenario(combo["scenario"]))
+                values = _checked(axis, axis.by_scenario(get_scenario(combo["scenario"])))
             pin = axis.pinned(combo) if axis.pinned is not None else None
             if pin is not None:
                 values = [pin]

@@ -389,6 +389,23 @@ class TestGrid:
         with pytest.raises(ValueError, match="repeated"):
             grid_cells(self.grids()[-1], TINY_SCALE, clients=[4, "4"])
 
+    def test_a_scenario_policy_set_that_repeats_is_rejected(self):
+        import dataclasses as dc
+
+        from repro.scenarios import get_scenario, register_scenario
+        from repro.scenarios import registry as registry_module
+        from repro.sweeps.grid import grid_cells
+
+        twice = dc.replace(
+            get_scenario("steady-poisson"), name="policy-twice", policies=("vllm", "vllm")
+        )
+        register_scenario(twice)
+        try:
+            with pytest.raises(ValueError, match="repeated"):
+                grid_cells(self.grids()[0], TINY_SCALE, scenarios=["policy-twice"])
+        finally:
+            del registry_module._REGISTRY["policy-twice"]
+
     def test_unknown_axis_keywords_are_rejected(self):
         from repro.sweeps.grid import run_grid
 
