@@ -7,7 +7,8 @@ session policies compete on what the faults cost: requests lost, WAN bytes
 moved, and the recovery transient.  The tier is fixed (two shards,
 locality-affinity routing, spare-capacity-first placement), so with no
 fault the cells send nothing over the WAN and every cross-cluster byte of
-a fault cell is the fault's.  A cell's cache key holds its materialised
+a fault cell is the fault's.  The SLOs come from the best cell's P50, in
+practice the no-fault baseline.  A cell's cache key holds its materialised
 schedule, so retiming a preset invalidates exactly the cells that run it.
 """
 
@@ -20,6 +21,8 @@ from repro.multicluster.config import list_session_migrations
 from repro.sweeps.grid import (
     POLICIES,
     SCENARIOS,
+    SLO_KEYS,
+    SUMMARY_KEYS,
     SWEEP_ADMISSION,
     Axis,
     Grid,
@@ -113,14 +116,8 @@ GRID = Grid(
                                     # (horizon-bounded for never-finished)
         "admitted",                 # requests dispatched to a serving group
         "queue_peak",               # max per-cluster admission-queue peak
-        "ttft_p50", "ttft_p90", "ttft_p99",
-        "tpot_p50", "tpot_p90", "tpot_p99",
-        "throughput_tokens_per_s",
-        "slo_scale",                # scenario SLO factor (x best-cell P50,
-        "ttft_slo_s",               # in practice the no-fault baseline)
-        "tpot_slo_s",
-        "slo_violation_ratio",
-        "slo_attainment",
+        *SUMMARY_KEYS,
+        *SLO_KEYS,
         "wall_s",                   # host wall-clock of this cell
     ),
     listings=(

@@ -18,6 +18,8 @@ from repro.fleet.routing import list_routers
 from repro.sweeps.grid import (
     POLICIES,
     SCENARIOS,
+    SLO_KEYS,
+    SUMMARY_KEYS,
     SWEEP_ADMISSION,
     Axis,
     Grid,
@@ -73,14 +75,8 @@ GRID = Grid(
         "final_groups",             # routable groups when the run ended
         "finished",                 # requests finished before the horizon
         "completion_ratio",         # finished / requests (shed count against it)
-        "ttft_p50", "ttft_p90", "ttft_p99",     # seconds
-        "tpot_p50", "tpot_p90", "tpot_p99",     # seconds
-        "throughput_tokens_per_s",
-        "slo_scale",                # scenario SLO factor (x best-cell P50)
-        "ttft_slo_s",               # absolute TTFT SLO derived for the cell
-        "tpot_slo_s",               # absolute TPOT SLO derived for the cell
-        "slo_violation_ratio",
-        "slo_attainment",           # 1 - slo_violation_ratio
+        *SUMMARY_KEYS,
+        *SLO_KEYS,
         "wall_s",                   # host wall-clock of this cell
     ),
     listings=(

@@ -18,7 +18,15 @@ import dataclasses
 from repro.fleet.config import fleet_preset
 from repro.multicluster.config import multicluster_preset
 from repro.scenarios.registry import get_scenario, list_scenarios
-from repro.sweeps.grid import POLICIES, SCENARIOS, Axis, Grid, sweep_scales
+from repro.sweeps.grid import (
+    POLICIES,
+    SCENARIOS,
+    SLO_KEYS,
+    SUMMARY_KEYS,
+    Axis,
+    Grid,
+    sweep_scales,
+)
 
 
 def _preset(resolve):
@@ -71,14 +79,8 @@ GRID = Grid(
         "requests",                 # requests submitted
         "finished",                 # requests finished before the horizon
         "completion_ratio",         # finished / requests
-        "ttft_p50", "ttft_p90", "ttft_p99",     # seconds
-        "tpot_p50", "tpot_p90", "tpot_p99",     # seconds
-        "throughput_tokens_per_s",
-        "slo_scale",                # scenario SLO factor (x best-policy P50)
-        "ttft_slo_s",               # absolute TTFT SLO derived for the cell
-        "tpot_slo_s",               # absolute TPOT SLO derived for the cell
-        "slo_violation_ratio",
-        "slo_attainment",           # 1 - slo_violation_ratio
+        *SUMMARY_KEYS,
+        *SLO_KEYS,
         "wall_s",                   # host wall-clock of this cell
     ),
     listings=(

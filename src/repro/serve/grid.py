@@ -40,6 +40,8 @@ from repro.sweeps.grid import (
     OPEN_LOOP,
     POLICIES,
     SCENARIOS,
+    SLO_KEYS,
+    SUMMARY_KEYS,
     Axis,
     Grid,
     Setting,
@@ -163,16 +165,10 @@ GRID = Grid(
         "client_ttft_p90",          # submission -> first token, retry and
         "client_ttft_p99",          # backoff delay included), null if none
         "client_e2e_p50",           # first submission -> finish
-        "ttft_p50", "ttft_p90", "ttft_p99",     # server side
-        "tpot_p50", "tpot_p90", "tpot_p99",
-        "throughput_tokens_per_s",
+        *SUMMARY_KEYS,
         "admitted",                 # attempts dispatched to a serving group
         "queue_peak",               # admission-queue peak depth
-        "slo_scale",                # scenario SLO factor (x best-cell P50)
-        "ttft_slo_s",               # SLOs derived from client-perceived
-        "tpot_slo_s",               # latencies, so give-ups count as
-        "slo_violation_ratio",      # hard violations
-        "slo_attainment",
+        *SLO_KEYS,
         "wall_s",                   # host wall-clock of this cell
     ),
     listings=(

@@ -103,11 +103,15 @@ OPEN_LOOP = "open"
 #: dispatcher.
 SWEEP_ADMISSION = AdmissionConfig(max_queue_depth=512, max_group_waiting=64, ttft_shed_s=60.0)
 
-#: Latency summary fields every cell reports.
+#: Server-side latency percentiles (seconds) and throughput every cell reports.
 SUMMARY_KEYS = (
     "ttft_p50", "ttft_p90", "ttft_p99", "tpot_p50", "tpot_p90", "tpot_p99",
     "throughput_tokens_per_s",
 )
+#: The entry fields the engine derives per scenario: the SLO factor, the
+#: absolute TTFT and TPOT SLOs (factor x the scenario's best-cell P50),
+#: the share of requests violating either, and its complement.
+SLO_KEYS = ("slo_scale", "ttft_slo_s", "tpot_slo_s", "slo_violation_ratio", "slo_attainment")
 #: Fleet and tier counters, reported as integers; the byte counters stay floats.
 COUNT_STATS = (
     "admitted", "shed", "queue_peak", "scale_up_events", "scale_down_events",
@@ -575,7 +579,7 @@ def run_cell(
         measured["recovery_transient_s"] = system.recovery_transient_s(result.records)
     latencies = tuple((r.ttft, r.mean_tpot) for r in result.records)
     if frontend is not None:
-        latencies = _measure_clients(cell, result, frontend, measured)
+        latencies = _measure_clients(cell, result, frontend, measured, latencies)
     measured["latencies"] = latencies
     measured["wall_s"] = wall_s
     if tracer is not None and tracer.enabled:
@@ -591,9 +595,11 @@ def run_cell(
     return measured
 
 
-def _measure_clients(cell: Cell, result, frontend, measured: Dict[str, Any]) -> Tuple:
-    """Add what the clients of an online cell saw; returns one
-    ``(client_ttft, mean_tpot)`` pair per intent for the SLOs."""
+def _measure_clients(cell: Cell, result, frontend, measured: Dict[str, Any], latencies) -> Tuple:
+    """Add what the clients of an online cell saw, and return the latency
+    pairs its SLOs use: one ``(client_ttft, mean_tpot)`` pair per intent
+    for closed-loop clients, the per-request ``latencies`` when the loop
+    is open."""
     submitted, finished, shed = result.submitted_requests, result.finished_requests, measured["shed"]
     if cell.frontend == OPEN_LOOP:
         # One attempt per intent; every shed is abandoned on the spot
@@ -602,8 +608,6 @@ def _measure_clients(cell: Cell, result, frontend, measured: Dict[str, Any]) -> 
             "offered": submitted, "issued": submitted, "retries": 0, "retry_pending": 0,
             "gave_up": shed, "client_incomplete": submitted - finished - shed,
         }
-        latencies = tuple((r.ttft, r.mean_tpot) for r in result.records)
-        ttfts = [r.ttft for r in result.records if r.ttft is not None]
         e2es = [r.e2e_latency for r in result.records if r.e2e_latency is not None]
     else:
         stats = frontend.stats()
@@ -612,8 +616,8 @@ def _measure_clients(cell: Cell, result, frontend, measured: Dict[str, Any]) -> 
             for key in ("offered", "issued", "retries", "retry_pending", "gave_up", "client_incomplete")
         }
         latencies = frontend.client_latency_pairs()
-        ttfts = [ttft for ttft, _ in latencies if ttft is not None]
         e2es = list(frontend.client_e2e_latencies())
+    ttfts = [ttft for ttft, _ in latencies if ttft is not None]
     measured.update(
         mode=OPEN_LOOP if cell.frontend == OPEN_LOOP else "closed",
         horizon_s=cell.horizon_s,
