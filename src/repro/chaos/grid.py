@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.chaos.config import fault_schedule_preset, list_fault_presets
+from repro.chaos.config import list_fault_presets
 from repro.multicluster.config import list_session_migrations
 from repro.sweeps.grid import (
     POLICIES,
@@ -27,27 +27,10 @@ from repro.sweeps.grid import (
     Axis,
     Grid,
     Setting,
+    apply_faults,
     sweep_scales,
     tier_change,
 )
-
-
-def apply_faults(cell, name: str) -> None:
-    """Materialise a fault preset against the cell's topology.
-
-    Deterministic in (preset, scale, seed): strike times scale with the
-    trace and the ``churn`` preset samples its hazard process from the
-    cell seed.
-    """
-    tier = cell.config.multicluster
-    schedule = fault_schedule_preset(
-        name,
-        duration_s=cell.scale.trace_duration_s,
-        num_clusters=tier.num_clusters if tier is not None else 1,
-        instances_per_cluster=cell.scale.num_instances,
-        seed=cell.seed,
-    )
-    cell.config.chaos = schedule if schedule else None
 
 
 GRID = Grid(

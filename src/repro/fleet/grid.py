@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.chaos.grid import apply_faults
 from repro.fleet.config import AUTOSCALER_PRESETS, list_autoscaler_presets
 from repro.fleet.routing import list_routers
 from repro.sweeps.grid import (
@@ -23,6 +22,7 @@ from repro.sweeps.grid import (
     SWEEP_ADMISSION,
     Axis,
     Grid,
+    apply_faults,
     fleet_change,
     sweep_scales,
 )

@@ -65,6 +65,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+from repro.chaos.config import fault_schedule_preset
 from repro.cluster.specs import cluster_a_spec, cluster_b_spec
 from repro.experiments.runner import ExperimentScale
 from repro.fleet.config import AdmissionConfig, FleetConfig
@@ -171,6 +172,24 @@ def fleet_change(name: str, convert: Callable[[Any], Any] = lambda value: value)
 def tier_change(name: str) -> Apply:
     """An :data:`Apply` setting one field of the cell's multicluster tier."""
     return lambda cell, value: cell.tune_tier(**{name: value})
+
+
+def apply_faults(cell: Cell, name: str) -> None:
+    """An :data:`Apply` materialising a fault preset against the cell's topology.
+
+    Deterministic in (preset, scale, seed): strike times scale with the
+    trace and the ``churn`` preset samples its hazard process from the
+    cell seed.
+    """
+    tier = cell.config.multicluster
+    schedule = fault_schedule_preset(
+        name,
+        duration_s=cell.scale.trace_duration_s,
+        num_clusters=tier.num_clusters if tier is not None else 1,
+        instances_per_cluster=cell.scale.num_instances,
+        seed=cell.seed,
+    )
+    cell.config.chaos = schedule if schedule else None
 
 
 @dataclass(frozen=True)
@@ -444,6 +463,10 @@ def spec_fingerprint(spec: ScenarioSpec) -> Dict[str, Any]:
 
 
 def _system_kind(cell: Cell) -> str:
+    """The cell's label in its cache entry.  It adds nothing to the hash
+    (the config and frontend fix it); ``python -m repro.obs profile``
+    groups cells by it, totalling cost per kind and comparing a cell's
+    events/s only with cells of its kind."""
     if cell.frontend is not None:
         return "online"
     return "tier" if cell.config.multicluster is not None else "cluster"
@@ -501,6 +524,9 @@ def run_cell(
 
     The cell runs on the tier when its config has a ``multicluster``
     section, online when it has a frontend, and on one cluster otherwise.
+    Besides the entry fields it derives, the dict keeps the run's whole
+    ``summary`` and, for fleet and tier cells, the whole ``stats``; entries
+    read only their own fields, so neither block reaches a document.
     ``trace=True`` attaches a span tracer and adds a ``stage_breakdown``;
     ``trace="disabled"`` attaches it with recording off.  ``on_tracer``
     receives the tracer as it attaches.  ``alerts=True`` replays the
@@ -564,9 +590,11 @@ def run_cell(
         "initial_groups": initial_groups,
         "fault_events": len(config.chaos.events) if config.chaos else 0,
         **{key: result.summary[key] for key in SUMMARY_KEYS},
+        "summary": result.summary,
     }
     stats = system.stats() if tier else system.fleet.stats() if system.fleet else None
     if stats is not None:
+        measured["stats"] = stats
         measured.update({key: int(stats[key]) for key in COUNT_STATS if key in stats})
         measured.update({key: stats[key] for key in BYTE_STATS if key in stats})
         measured["incomplete"] = (

@@ -304,7 +304,9 @@ class TestDeterminism:
         first = run_cell(materialise(GRID, values, TINY_SCALE, seed=9))
         second = run_cell(materialise(GRID, values, TINY_SCALE, seed=9))
         first.pop("wall_s"), second.pop("wall_s")
+        # The whole run summary, the p999s and bubble fraction included.
         assert first == second
+        assert {"ttft_p999", "tpot_p999", "mean_bubble_fraction"} <= set(first["summary"])
         assert first["latencies"] and first["finished"] > 0
 
     def test_upscale_trace_is_bit_reproducible(self):

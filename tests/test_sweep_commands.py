@@ -154,6 +154,21 @@ def test_burst_workload_imports_load_no_sweep_code():
 
 
 @pytest.mark.parametrize("module", sorted(OPTIONS))
+def test_a_grid_loads_no_other_commands_grid(module):
+    # Cell changes two grids share live in the engine, so one command
+    # never builds another command's grid.
+    probe = (
+        f"import sys, {module}.grid; "
+        "print(sorted(m for m in sys.modules if m.endswith('.grid')))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == str(sorted([f"{module}.grid", "repro.sweeps.grid"]))
+
+
+@pytest.mark.parametrize("module", sorted(OPTIONS))
 def test_a_repeated_axis_value_exits_2(module, tmp_path, capsys):
     output = tmp_path / "doc.json"
     code = run_command(

@@ -283,7 +283,10 @@ class TestOverhead:
         untraced = run_cell(SERVE_CELL)
         disabled = run_cell(SERVE_CELL, trace="disabled")
         untraced.pop("wall_s"), disabled.pop("wall_s")
+        # The whole run summary and fleet counters, not only entry fields.
         assert untraced == disabled
+        assert {"ttft_p999", "tpot_p999", "mean_bubble_fraction"} <= set(disabled["summary"])
+        assert "spare_instances" in disabled["stats"]
         assert "stage_breakdown" not in disabled
 
     def test_disabled_tracer_fires_only_on_submit(self, monkeypatch):
