@@ -463,10 +463,10 @@ def spec_fingerprint(spec: ScenarioSpec) -> Dict[str, Any]:
 
 
 def _system_kind(cell: Cell) -> str:
-    """The cell's label in its cache entry.  It adds nothing to the hash
-    (the config and frontend fix it); ``python -m repro.obs profile``
-    groups cells by it, totalling cost per kind and comparing a cell's
-    events/s only with cells of its kind."""
+    """The cell's label in its cache entry.  The config and frontend
+    already determine it, so it adds nothing to the hash; ``python -m
+    repro.obs profile`` groups cells by it, totalling cost per kind and
+    comparing a cell's events/s only with cells of its kind."""
     if cell.frontend is not None:
         return "online"
     return "tier" if cell.config.multicluster is not None else "cluster"
