@@ -6,6 +6,19 @@ import hashlib
 import json
 import sys
 
+from repro.experiments.runner import (
+    ExperimentScale,
+    WORKLOAD_PRESETS,
+    build_preset_workload,
+    make_policies,
+    run_policy_on_workload,
+)
+
+#: Every policy replays a 45-second BurstGPT slice on a 2-instance
+#: cluster: small enough to run in seconds, large enough to exercise
+#: overload, preemption and (for KunServe) a parameter drop.
+CANONICAL_SCALE = ExperimentScale("bench-canonical", 2, 45.0, 45.0)
+
 
 def _scrub(obj):
     if isinstance(obj, dict):
@@ -28,21 +41,12 @@ def digest(obj) -> str:
 def main() -> None:
     out = {}
 
-    from repro.bench.harness import CANONICAL_SCALE, run_policy_benchmark
-    from repro.experiments.runner import (
-        WORKLOAD_PRESETS,
-        build_preset_workload,
-        build_system_config,
-        make_policies,
-    )
-    from repro.serving.system import ClusterServingSystem
-
     preset = WORKLOAD_PRESETS["burstgpt-14b"]
     workload = build_preset_workload(preset, CANONICAL_SCALE, seed=42)
     for policy in make_policies():
-        config = build_system_config(preset, CANONICAL_SCALE, seed=42)
-        system = ClusterServingSystem(config, policy)
-        result = system.run(workload)
+        result = run_policy_on_workload(
+            policy, preset, CANONICAL_SCALE, seed=42, workload=workload
+        )
         rows = [
             (
                 r.request_id,

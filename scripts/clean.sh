@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Purge generated caches: the sweep-engine result cache (.repro_cache/)
-# plus Python bytecode and pytest state.  Result documents
-# (BENCH/SCENARIO/FLEET_results.json) are tracked artifacts and are kept.
+# plus Python bytecode and pytest state.  The committed result documents
+# (*_results.json) are tracked artifacts and are kept.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -14,7 +14,7 @@ alert engine exists to surface:
   when sessions pin to their dead cluster, so a firing under ``migrate``
   means either the simulator or the rule regressed.
 
-Stdlib-only on purpose, like ``bench_compare.py``: it runs anywhere a
+Stdlib-only on purpose, like ``perf_gate.py``: it runs anywhere a
 checkout exists without ``PYTHONPATH`` setup.
 """
 

@@ -22,7 +22,6 @@ Memory Management for Efficient Memory Overloading Handling in LLM Serving*
 * ``repro.fleet`` -- elastic fleet layer (routing, admission, autoscaling).
 * ``repro.sweeps`` -- unified incremental sweep engine (result cache +
   shared warm worker pool) behind every sweep CLI.
-* ``repro.bench`` -- benchmark harness for the simulator itself.
 """
 
 from repro.version import __version__

@@ -44,7 +44,7 @@ except ImportError:  # pragma: no cover - non-POSIX
 from repro.simulation.event_loop import EventLoop
 
 #: Anomaly flag: a cell slower than this fraction of its kind's median
-#: events/s is reported (same spirit as bench_compare's events gate).
+#: events/s is reported.
 THROUGHPUT_ANOMALY_FRACTION = 0.5
 
 #: Kinds need at least this many profiled cells before throughput

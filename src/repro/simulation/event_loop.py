@@ -79,13 +79,13 @@ class EventLoop:
     (absolute time) and the loop runs them in timestamp order.
     """
 
-    #: process-wide count of events executed by every loop instance; the
-    #: benchmark harness reads deltas of this to meter simulated events/sec
-    #: around code (e.g. an experiment) that builds its own loops internally.
+    #: process-wide count of events executed by every loop instance;
+    #: :class:`~repro.obs.profile.TaskProfiler` reads deltas of this to
+    #: meter a sweep task that builds its own loops internally.
     lifetime_events: int = 0
 
     #: process-wide sum of simulated seconds advanced by every ``run()``
-    #: call (clock delta from entry to exit).  The benchmark harness reads
+    #: call (clock delta from entry to exit).  ``TaskProfiler`` reads
     #: deltas of this to report simulated time covered by code that builds
     #: its own loops internally, where a single loop's clock is unreachable.
     lifetime_sim_s: float = 0.0

@@ -1,11 +1,11 @@
 """Unified incremental sweep engine.
 
-One execution path for all six sweep users: the five sweep commands
-(``repro.scenarios``, ``repro.fleet``, ``repro.multicluster``,
-``repro.chaos``, ``repro.serve``), whose grids :mod:`repro.sweeps.grid`
-turns into :class:`~repro.sweeps.task.SweepTask` cells, and
-``repro.bench``.  :func:`~repro.sweeps.executor.run_tasks` serves
-unchanged cells from the content-addressed on-disk cache
+One execution path for the five sweep commands (``repro.scenarios``,
+``repro.fleet``, ``repro.multicluster``, ``repro.chaos``,
+``repro.serve``), whose grids :mod:`repro.sweeps.grid` turns into
+:class:`~repro.sweeps.task.SweepTask` cells.
+:func:`~repro.sweeps.executor.run_tasks` serves unchanged cells from the
+content-addressed on-disk cache
 (:class:`~repro.sweeps.cache.ResultCache`, ``.repro_cache/``) and fans
 the rest out over a shared warm worker pool that pre-imports the
 simulator once per worker.  The grid engine is not imported here: it

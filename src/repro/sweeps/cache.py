@@ -11,13 +11,15 @@ JSON file per task hash::
       "result": {...the runner's JSON payload...}
     }
 
-Because a task hash covers the full cell configuration, the seed, the
-``repro`` package version and the cache format version (see
-:mod:`repro.sweeps.task`), a hit is always safe to substitute for a fresh
-run of a deterministic runner.  Corrupted or unreadable entries are
-deleted and treated as misses, so a damaged cache degrades to recompute,
-never to failure.  Writes are atomic (temp file + ``os.replace``) so
-concurrent sweeps sharing a cache directory cannot observe torn entries.
+Because a task hash covers the runner, the full cell configuration, the
+seed, a fingerprint of every ``*.py`` file in the ``repro`` package, the
+package version and the cache format version
+(:meth:`~repro.sweeps.task.SweepTask.hash_material`), a hit is always
+safe to substitute for a fresh run of a deterministic runner, even after
+a code edit.  Corrupted or unreadable entries are deleted and treated as
+misses, so a damaged cache degrades to recompute, never to failure.
+Writes are atomic (temp file + ``os.replace``) so concurrent sweeps
+sharing a cache directory cannot observe torn entries.
 """
 
 from __future__ import annotations

@@ -1,16 +1,14 @@
 """Generic sweep executor: cache lookup + shared warm worker pool.
 
-:func:`run_tasks` is the single execution path all six sweep users (the
-five grid commands through :mod:`repro.sweeps.grid`, and ``repro.bench``)
-funnel through:
+:func:`run_tasks` is the single execution path the five grid commands
+funnel through (via :mod:`repro.sweeps.grid`):
 
 1. Every task's content hash is checked against the
    :class:`~repro.sweeps.cache.ResultCache` (when one is supplied); hits
    are returned without touching a worker.
-2. Misses run either inline (``max_workers=1`` — what the benchmark
-   harness uses so its event meter sees the simulated events) or on the
-   *shared warm pool*: one process-wide ``ProcessPoolExecutor`` that is
-   created once, pre-imports the heavy simulator modules in every worker
+2. Misses run either inline (``max_workers=1``) or on the *shared warm
+   pool*: one process-wide ``ProcessPoolExecutor`` that is created once,
+   pre-imports the heavy simulator modules in every worker
    (so each worker pays the import cost once rather than once per sweep),
    and is reused by subsequent sweeps in the same process.
 3. Fresh results are normalised through a JSON round-trip before they are
@@ -127,9 +125,9 @@ def _warm_worker(module_names: Sequence[str]) -> None:
 def shared_pool(workers: int) -> ProcessPoolExecutor:
     """The process-wide warm worker pool, (re)sized to at least ``workers``.
 
-    The pool persists across sweeps: a ``repro.bench`` run that executes a
-    scenario sweep and then a fleet sweep reuses the same warm workers
-    instead of paying pool spin-up plus simulator imports twice.  Asking
+    The pool persists across sweeps: a process that runs a scenario sweep
+    and then a fleet sweep reuses the same warm workers instead of paying
+    pool spin-up plus simulator imports twice.  Asking
     for more workers than the current pool holds recreates it larger;
     asking for fewer reuses the existing (idle workers are cheap, warm
     imports are not).
@@ -233,8 +231,7 @@ def run_tasks(
     Args:
         tasks: the grid, in the order results should come back.
         max_workers: ``1`` runs every miss inline in this process (no
-            pool — the benchmark harness depends on this to meter
-            simulated events); ``None`` sizes the pool to
+            pool); ``None`` sizes the pool to
             ``min(len(misses), effective_worker_count())``.
         cache: result cache consulted before and populated after
             execution; ``None`` disables caching entirely.

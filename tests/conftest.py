@@ -11,6 +11,17 @@ from repro.engine.latency_model import LatencyModel
 from repro.engine.metrics import MetricsCollector
 from repro.models.catalog import QWEN_2_5_14B
 from repro.simulation.event_loop import EventLoop
+from repro.sweeps.cache import CACHE_DIR_ENV
+
+
+@pytest.fixture(scope="session", autouse=True)
+def result_cache_dir(tmp_path_factory):
+    """Send every result cache the suite does not place itself to a
+    throwaway directory: the commands cache by default, and the checkout's
+    own ``.repro_cache/`` must not fill with entries from test runs."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv(CACHE_DIR_ENV, str(tmp_path_factory.mktemp("repro-cache")))
+        yield
 
 
 @pytest.fixture

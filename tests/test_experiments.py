@@ -4,6 +4,17 @@ from __future__ import annotations
 
 import pytest
 
+from repro.experiments import (
+    figure2,
+    figure5,
+    figure12,
+    figure13,
+    figure14,
+    figure15,
+    figure16,
+    figure17,
+    table1,
+)
 from repro.experiments.report import format_table, format_value
 from repro.experiments.runner import (
     ExperimentScale,
@@ -97,6 +108,43 @@ class TestFigure15:
 
     def test_format(self, results):
         assert "prefill with prefix" in format_figure15(results)
+
+
+#: Smallest run that still builds every system a figure compares: CI's
+#: fast tier skips ``benchmarks/`` and the slow tests, so this is its only
+#: run of most figures.
+SMOKE_SCALE = ExperimentScale(
+    name="smoke", num_instances=2, trace_duration_s=4.0, drain_timeout_s=4.0
+)
+
+#: Each figure/table rendered from a run at ``SMOKE_SCALE``, narrowed to
+#: one workload and the shallowest pipeline where the module allows it.
+SMOKE_RUNS = {
+    "figure2": lambda: figure2.format_figure2(figure2.run_figure2(SMOKE_SCALE, seed=42)),
+    "figure5": lambda: figure5.format_figure5(
+        figure5.run_figure5(SMOKE_SCALE, seed=42, max_degree=2)
+    ),
+    "figure12": lambda: figure12.format_figure12(
+        figure12.run_figure12(SMOKE_SCALE, seed=42, workload_keys=("burstgpt-14b",))
+    ),
+    "figure13": lambda: figure13.format_figure13(
+        figure13.run_figure13(SMOKE_SCALE, seed=42, workload_keys=("burstgpt-14b",))
+    ),
+    "figure14": lambda: figure14.format_figure14(figure14.run_figure14(SMOKE_SCALE, seed=42)),
+    "figure15": lambda: figure15.format_figure15(figure15.run_figure15()),
+    "figure16": lambda: figure16.format_figure16(
+        figure16.run_figure16(
+            SMOKE_SCALE, seed=42, duration_s=3 * SMOKE_SCALE.trace_duration_s
+        )
+    ),
+    "figure17": lambda: figure17.format_figure17(figure17.run_figure17(SMOKE_SCALE, seed=42)),
+    "table1": lambda: table1.format_table1(table1.run_table1()),
+}
+
+
+@pytest.mark.parametrize("experiment", list(SMOKE_RUNS))
+def test_every_experiment_runs_at_smoke_scale(experiment):
+    assert SMOKE_RUNS[experiment]().strip()
 
 
 @pytest.mark.slow

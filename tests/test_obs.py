@@ -276,22 +276,10 @@ class TestProfiler:
         assert block["wall_s"] > 0 and block["cpu_s"] >= 0
 
     def test_executor_attaches_profile_to_fresh_payloads(self, tmp_path):
-        from repro.sweeps import SweepTask, run_tasks
+        from repro.sweeps import run_tasks
         from repro.sweeps.cache import ResultCache
 
-        task = SweepTask(
-            runner="repro.bench.harness:run_experiment_payload",
-            params={
-                "scale": {
-                    "name": "obs-prof", "num_instances": 2,
-                    "trace_duration_s": 4.0, "drain_timeout_s": 4.0,
-                },
-                "experiment": "event_core",
-            },
-            key={"kind": "obs-profile-test"},
-            seed=1,
-            label="event_core",
-        )
+        task = cell_task(outage_cell("sticky"))
         cache = ResultCache(tmp_path)
         outcome = run_tasks([task], max_workers=1, cache=cache)
         payload = outcome.results[0]
@@ -304,7 +292,7 @@ class TestProfiler:
         # ... and the roll-up sees it.
         rows = collect_profiles(tmp_path)
         assert len(rows) == 1
-        assert rows[0]["kind"] == "obs-profile-test"
+        assert rows[0]["kind"] == task.key["kind"] == "tier-cell"
         assert validate_profile_block(rows[0]["profile"]) == []
         ranked = rank_cells(rows)
         assert ranked and ranked[0]["entry"] == rows[0]["entry"]
