@@ -113,12 +113,12 @@ class TestWork:
     def test_a_rise_named_by_an_added_changes_line_passes(self, tmp_path):
         base, head = tmp_path / "base", tmp_path / "head"
         base.mkdir(), head.mkdir()
-        (base / "CHANGES.md").write_text("PR 1: older entry naming burst-vllm cluster.calls\n")
+        (base / "CHANGES.md").write_text("- older entry naming burst-vllm cluster.calls\n")
         (head / "CHANGES.md").write_text(
-            "PR 1: older entry naming burst-vllm cluster.calls\n"
-            "PR 2: one more `multicluster.calls` on `burst-vllm`.\n"
-            "PR 2: `burst-vllm` `cluster.calls` rises by one: a new route.\n"
-            "PR 2: `tier-telemetry` `metrics.text_bytes` grows with the new series.\n"
+            "- older entry naming burst-vllm cluster.calls\n"
+            "- one more `multicluster.calls` on `burst-vllm`.\n"
+            "- `burst-vllm` `cluster.calls` rises by one: a new route.\n"
+            "- `tier-telemetry` `metrics.text_bytes` grows with the new series.\n"
         )
         added = perf_gate.added_lines(base, head)
         assert len(added) == 3
