@@ -14,6 +14,15 @@ alert engine exists to surface:
   when sessions pin to their dead cluster, so a firing under ``migrate``
   means either the simulator or the rule regressed.
 
+Given a second file — the ``alerts`` block ``python -m repro.obs alerts
+STREAM --format json`` replayed from the same command's ``--metrics-out``
+stream — it also asserts that the replay equals the in-sweep block of the
+cell that stream records, the grid's first cell (sticky).  Sweep cells
+evaluate their alerts over the monitor's typed samples, so this checks
+that those samples are the ones the text stream carries::
+
+    python scripts/obs_smoke.py CHAOS_alerts_smoke.json [ALERTS_timeline.json]
+
 Stdlib-only on purpose, like ``perf_gate.py``: it runs anywhere a
 checkout exists without ``PYTHONPATH`` setup.
 """
@@ -88,23 +97,51 @@ def check(document: dict) -> list:
     return failures
 
 
+def check_replay(document: dict, replayed: dict) -> list:
+    """Failures unless ``replayed`` equals the first entry's alerts block."""
+    entries = document.get("entries", [])
+    if not entries or not isinstance(entries[0].get("alerts"), dict):
+        return ["the first entry has no alerts block to compare the replay with"]
+    if not isinstance(replayed, dict):
+        return ["the replayed timeline is not an alerts block"]
+    entry = entries[0]
+    cell = "{scenario}/{policy}/{faults}/{migration}".format(**entry)
+    in_sweep = json.dumps(entry["alerts"], sort_keys=True)
+    if json.dumps(replayed, sort_keys=True) != in_sweep:
+        return [
+            f"{cell}: the alerts replayed from the metrics stream differ from the "
+            f"in-sweep block ({replayed.get('firing')} vs {entry['alerts']['firing']} "
+            f"firing, {len(replayed.get('events', []))} vs "
+            f"{len(entry['alerts']['events'])} events)"
+        ]
+    return []
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if len(argv) != 1:
-        print("usage: obs_smoke.py CHAOS_alerts_results.json", file=sys.stderr)
+    if len(argv) not in (1, 2):
+        print(
+            "usage: obs_smoke.py CHAOS_alerts_results.json [ALERTS_timeline.json]",
+            file=sys.stderr,
+        )
         return 2
     try:
-        document = json.loads(Path(argv[0]).read_text())
+        document, *replayed = [json.loads(Path(arg).read_text()) for arg in argv]
     except (OSError, json.JSONDecodeError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
 
     failures = check(document)
+    if replayed:
+        failures += check_replay(document, replayed[0])
     if failures:
         print("obs smoke FAILED:", *failures, sep="\n  ", file=sys.stderr)
         return 1
     cells = len(document.get("entries", []))
-    print(f"obs smoke passed: {cells} alert-annotated cells checked")
+    print(
+        f"obs smoke passed: {cells} alert-annotated cells checked"
+        + (", and the replayed timeline equals the first cell's" if replayed else "")
+    )
     return 0
 
 

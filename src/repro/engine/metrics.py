@@ -5,7 +5,7 @@ The paper reports, per experiment:
 * TTFT and TPOT percentiles (P50/P90/P99/P999) — Figure 13, 14, 16;
 * mean TTFT over time and token throughput over time — Figure 12, 16, 17;
 * memory usage/demand over time — Figure 2, 12, 16, 17;
-* bubble time (1 - GPU utilisation) over time — Figure 14;
+* pipeline bubble fraction (1 - GPU utilisation) — Figure 14;
 * SLO violation ratios at different scale factors — Figure 13.
 
 The :class:`MetricsCollector` gathers the raw material for all of these
@@ -28,6 +28,27 @@ def percentile(values: Sequence[float], p: float) -> float:
     if len(values) == 0:
         return 0.0
     return float(np.percentile(np.asarray(values, dtype=float), p))
+
+
+def sorted_percentile(ordered: Sequence[float], p: float) -> float:
+    """Percentile ``p`` (0-100) of an ascending sequence of floats.
+
+    Repeats numpy's default (``linear``) method operation for operation,
+    so it equals :func:`percentile` of the same values exactly, without
+    the array copy and partition per call.
+    """
+    n = len(ordered)
+    if n == 0:
+        return 0.0
+    index = (n - 1) * (p / 100)
+    if index >= n - 1:
+        return ordered[-1]
+    lo = int(index)
+    t = index - lo
+    a, b = ordered[lo], ordered[lo + 1]
+    if t < 0.5:
+        return a + (b - a) * t
+    return b - (b - a) * (1 - t)
 
 
 @dataclass
@@ -162,20 +183,26 @@ class IterationRecord:
 
 
 class MetricsCollector:
-    """Collects per-request records, iteration records and timelines."""
+    """Collects per-request records, iteration records and timelines.
+
+    ``record_request`` also keeps a running finished count and the TTFT
+    values, sorted lazily when a percentile is asked for, so the queries a
+    live metrics scrape makes cost O(new records), not O(all records).
+    """
 
     def __init__(self, timeline_window_s: float = 1.0) -> None:
         self.timeline_window_s = timeline_window_s
         self.records: List[RequestRecord] = []
         self.iterations: List[IterationRecord] = []
         self.throughput = TimelineSeries(timeline_window_s, mode="sum")
-        self.bubble_time = TimelineSeries(timeline_window_s, mode="mean")
         self.memory_used = TimelineSeries(timeline_window_s, mode="mean")
         self.memory_demand = TimelineSeries(timeline_window_s, mode="mean")
         self.memory_capacity = TimelineSeries(timeline_window_s, mode="mean")
-        self.queue_length = TimelineSeries(timeline_window_s, mode="mean")
         #: free-form event markers (drop start/end, restore start/end, ...)
         self.events: List[Dict[str, object]] = []
+        self._finished = 0
+        self._ttfts: List[float] = []
+        self._ttfts_sorted = True
 
     # ------------------------------------------------------------------
     # Recording
@@ -183,6 +210,11 @@ class MetricsCollector:
     def record_request(self, request: Request) -> RequestRecord:
         record = RequestRecord.from_request(request)
         self.records.append(record)
+        if record.finished:
+            self._finished += 1
+        if record.ttft is not None:
+            self._ttfts.append(float(record.ttft))
+            self._ttfts_sorted = False
         return record
 
     def record_iteration(
@@ -207,9 +239,7 @@ class MetricsCollector:
                 bubble_fraction=bubble_fraction,
             )
         )
-        end = start_time + duration
-        self.throughput.add(end, float(new_tokens))
-        self.bubble_time.add(end, bubble_fraction)
+        self.throughput.add(start_time + duration, float(new_tokens))
 
     def sample_memory(
         self, time: float, *, used_bytes: float, capacity_bytes: float, demand_bytes: float
@@ -217,9 +247,6 @@ class MetricsCollector:
         self.memory_used.add(time, used_bytes)
         self.memory_capacity.add(time, capacity_bytes)
         self.memory_demand.add(time, demand_bytes)
-
-    def sample_queue(self, time: float, queued_requests: int) -> None:
-        self.queue_length.add(time, float(queued_requests))
 
     def mark_event(self, time: float, kind: str, **details: object) -> None:
         self.events.append({"time": time, "kind": kind, **details})
@@ -243,7 +270,12 @@ class MetricsCollector:
         ]
 
     def ttft_percentile(self, p: float) -> float:
-        return percentile(self.ttft_values(), p)
+        """Equal to ``percentile(self.ttft_values(), p)``, from the running
+        TTFT list."""
+        if not self._ttfts_sorted:
+            self._ttfts.sort()
+            self._ttfts_sorted = True
+        return sorted_percentile(self._ttfts, p)
 
     def tpot_percentile(self, p: float) -> float:
         return percentile(self.tpot_values(), p)
@@ -260,7 +292,7 @@ class MetricsCollector:
         return sum(r.output_tokens for r in self.records)
 
     def finished_count(self) -> int:
-        return sum(1 for r in self.records if r.finished)
+        return self._finished
 
     def mean_bubble_fraction(self) -> float:
         multi_stage = [i.bubble_fraction for i in self.iterations if i.num_stages > 1]

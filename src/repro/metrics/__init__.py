@@ -2,12 +2,13 @@
 
 :mod:`repro.metrics.prometheus` implements a minimal registry (counter,
 gauge and histogram families) with deterministic text exposition;
-:mod:`repro.metrics.monitor` streams scrapes of it from the event loop to
-a file or callback while a run executes; :mod:`repro.metrics.sources`
-holds the canonical samplers for the serving systems.  Attach one with
-``system.attach_metrics(path=...)`` before ``run()``.
-:mod:`repro.metrics.plot` (``python -m repro.metrics.plot``) renders a
-recorded scrape stream back into per-series time series.
+:mod:`repro.metrics.monitor` samples it from the event loop while a run
+executes, into typed series in memory and, when asked, Prometheus text in
+a file; :mod:`repro.metrics.sources` holds the canonical samplers for the
+serving systems.  Attach one with ``system.attach_metrics(path=...)``
+before ``run()``.  :mod:`repro.metrics.plot` (``python -m
+repro.metrics.plot``) parses a recorded scrape stream back into the same
+per-series time series.
 """
 
 from repro.metrics.monitor import MetricsMonitor

@@ -1,18 +1,21 @@
-"""MetricsMonitor: stream simulator counters as Prometheus scrapes.
+"""MetricsMonitor: sample simulator counters into typed series.
 
 A :class:`MetricsMonitor` owns a :class:`~repro.metrics.prometheus.MetricsRegistry`
 and a :class:`~repro.simulation.process.PeriodicProcess` on the shared
 event loop.  Every tick it runs the registered *sources* — callables that
-read live simulator state into the registry — then renders one text-format
-scrape stamped with the *simulation* time and hands it to every sink
-(a callback, an append-mode file, or both).  ``stop()`` takes one final
-scrape, so the last scrape in the stream always equals the registry's
+read live simulator state into the registry — then appends every sample
+to :attr:`MetricsMonitor.series`, stamped with the *simulation* time.
+That typed store is the in-memory form the alert engine reads; Prometheus
+text is rendered only when a file or a text sink asks for it.  ``stop()``
+takes one final scrape, so the last scrape always equals the registry's
 final snapshot.
 
 Scrapes in a file stream are separated by ``# scrape <n> t=<sim_s>``
 comment lines; Prometheus parsers ignore unknown comments, and the
 marker lets offline tooling (and the test-suite's parser fixture) split
-the stream back into individual scrapes.
+the stream back into individual scrapes.  Parsing a file stream with
+:func:`~repro.metrics.plot.parse_scrape_stream` gives back
+:attr:`MetricsMonitor.series`.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Union
 
-from repro.metrics.prometheus import LabelKey, MetricsRegistry
+from repro.metrics.prometheus import LabelKey, MetricsRegistry, Series
 from repro.simulation.event_loop import EventLoop
 from repro.simulation.process import PeriodicProcess
 
@@ -32,7 +35,7 @@ MetricsSink = Callable[[str, float], None]
 
 
 class MetricsMonitor:
-    """Periodic sampler that renders the registry to file/callback sinks."""
+    """Periodic sampler into typed series, and text for file/text sinks."""
 
     def __init__(
         self,
@@ -41,7 +44,6 @@ class MetricsMonitor:
         interval_s: float = 1.0,
         registry: Optional[MetricsRegistry] = None,
         path: Optional[Union[str, Path]] = None,
-        callback: Optional[MetricsSink] = None,
     ) -> None:
         if interval_s <= 0:
             raise ValueError("interval_s must be positive")
@@ -49,10 +51,12 @@ class MetricsMonitor:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.path = Path(path) if path is not None else None
         self.scrapes = 0
+        #: Every scrape's samples, as :func:`~repro.metrics.plot.parse_scrape_stream`
+        #: reads them back from the file stream: times are the millisecond
+        #: stamps the text carries.
+        self.series: Series = {}
         self._sources: List[MetricsSource] = []
         self._sinks: List[MetricsSink] = []
-        if callback is not None:
-            self._sinks.append(callback)
         self._process = PeriodicProcess(
             loop, interval_s, self._tick, name="metrics-monitor"
         )
@@ -68,7 +72,7 @@ class MetricsMonitor:
         self._sources.append(source)
 
     def add_sink(self, sink: MetricsSink) -> None:
-        """Register an additional scrape consumer."""
+        """Register a consumer of each scrape's rendered text."""
         self._sinks.append(sink)
 
     # ------------------------------------------------------------------
@@ -88,10 +92,18 @@ class MetricsMonitor:
     def _tick(self, now: float) -> None:
         for source in self._sources:
             source(self.registry, now)
-        text = self.registry.expose(timestamp_ms=int(round(now * 1000)))
-        if not text:
+        families = self.registry.families()
+        if not families:
             return
         self.scrapes += 1
+        timestamp_ms = int(round(now * 1000))
+        t = timestamp_ms / 1000
+        for family in families:
+            for name, value in family.series_values():
+                self.series.setdefault(name, []).append((t, value))
+        if self.path is None and not self._sinks:
+            return
+        text = self.registry.expose(timestamp_ms=timestamp_ms)
         if self.path is not None:
             with self.path.open("a") as handle:
                 handle.write(f"# scrape {self.scrapes} t={now:.3f}\n")

@@ -33,8 +33,7 @@ import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-#: ``(t_seconds, value)`` points of one labelled series, scrape order.
-Series = Dict[str, List[Tuple[float, float]]]
+from repro.metrics.prometheus import Series
 
 #: One shaded overlay window: ``{kind, target, t_start_s, t_end_s}``.
 FaultWindow = Dict[str, object]

@@ -17,14 +17,24 @@ order and samples in sorted label order, so the output is deterministic
 for a deterministic simulation.  Timestamps are *simulation* milliseconds
 — the whole point of chaos observability is replaying what the simulated
 fleet looked like over simulated time.
+
+Each family lists its samples as ``(series name, value)`` pairs in
+exposition order (:meth:`MetricFamily.series_values`); the text renderer
+formats those pairs, and :class:`~repro.metrics.monitor.MetricsMonitor`
+keeps them as typed :data:`Series` without rendering text at all.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 #: A frozen label set: ``(("cluster", "0"), ...)`` sorted by label name.
 LabelKey = Tuple[Tuple[str, str], ...]
+
+#: ``(t_seconds, value)`` points per series, keyed by the series name as
+#: exposed (``repro_queue_depth{cluster="0"}``): the shape of a parsed
+#: scrape stream.
+Series = Dict[str, List[Tuple[float, float]]]
 
 _NAME_OK = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_:")
 
@@ -55,6 +65,15 @@ def format_value(value: float) -> str:
     return repr(float(value))
 
 
+def _series_name(base: str, key: LabelKey, extra: Optional[str] = None) -> str:
+    """``base{label="value",...}``, with ``extra`` (a histogram's ``le``)
+    after the sorted labels; the bare ``base`` when there are no labels."""
+    parts = [f'{name}="{escape_label_value(value)}"' for name, value in key]
+    if extra is not None:
+        parts.append(extra)
+    return f"{base}{{{','.join(parts)}}}" if parts else base
+
+
 class MetricFamily:
     """One named metric with labelled samples; base of counter and gauge."""
 
@@ -73,23 +92,27 @@ class MetricFamily:
         """All samples, keyed by frozen label set."""
         return dict(self._samples)
 
+    def series_values(self) -> Iterator[Tuple[str, float]]:
+        """``(series name, value)`` per sample, in exposition order.
+
+        Values are the floats a reader parses back from the text: ``-0.0``
+        renders as ``0``, so it is listed as ``0.0`` (``+ 0.0`` clears the
+        sign of a zero and leaves every other float as it is).
+        """
+        for key in sorted(self._samples):
+            yield _series_name(self.name, key), self._samples[key] + 0.0
+
     def render(self, timestamp_ms: Optional[int] = None) -> List[str]:
         """Exposition lines for this family (HELP, TYPE, then samples)."""
-        lines = [
+        suffix = f" {timestamp_ms}" if timestamp_ms is not None else ""
+        return [
             f"# HELP {self.name} {self.help}",
             f"# TYPE {self.name} {self.metric_type}",
+            *(
+                f"{series} {format_value(value)}{suffix}"
+                for series, value in self.series_values()
+            ),
         ]
-        suffix = f" {timestamp_ms}" if timestamp_ms is not None else ""
-        for key in sorted(self._samples):
-            if key:
-                label_text = ",".join(
-                    f'{name}="{escape_label_value(value)}"' for name, value in key
-                )
-                series = f"{self.name}{{{label_text}}}"
-            else:
-                series = self.name
-            lines.append(f"{series} {format_value(self._samples[key])}{suffix}")
-        return lines
 
 
 class CounterFamily(MetricFamily):
@@ -174,34 +197,17 @@ class HistogramFamily(MetricFamily):
         self._sums[key] = self._sums.get(key, 0.0) + float(value)
         self._samples[key] = self._samples.get(key, 0.0) + 1.0
 
-    def render(self, timestamp_ms: Optional[int] = None) -> List[str]:
-        lines = [
-            f"# HELP {self.name} {self.help}",
-            f"# TYPE {self.name} {self.metric_type}",
-        ]
-        suffix = f" {timestamp_ms}" if timestamp_ms is not None else ""
-
-        def series(base: str, key: LabelKey, extra: Optional[str] = None) -> str:
-            parts = [
-                f'{name}="{escape_label_value(value)}"' for name, value in key
-            ]
-            if extra is not None:
-                parts.append(extra)
-            return f"{base}{{{','.join(parts)}}}" if parts else base
-
-        for key in sorted(self._bucket_counts):
-            counts = self._bucket_counts[key]
-            for bound, count in zip(self.buckets, counts):
-                le = 'le="%s"' % format_value(bound)
-                bucket = series(self.name + "_bucket", key, le)
-                lines.append(f"{bucket} {count}{suffix}")
-            total = int(self._samples.get(key, 0.0))
-            inf_bucket = series(self.name + "_bucket", key, 'le="+Inf"')
-            lines.append(f"{inf_bucket} {total}{suffix}")
-            total_sum = format_value(self._sums.get(key, 0.0))
-            lines.append(f"{series(self.name + '_sum', key)} {total_sum}{suffix}")
-            lines.append(f"{series(self.name + '_count', key)} {total}{suffix}")
-        return lines
+    def series_values(self) -> Iterator[Tuple[str, float]]:
+        """Per label set: one ``_bucket`` per bound, the ``+Inf`` bucket,
+        ``_sum`` and ``_count`` (counts as floats, as a reader parses them)."""
+        bucket = self.name + "_bucket"
+        for key in sorted(self._samples):
+            for bound, count in zip(self.buckets, self._bucket_counts[key]):
+                yield _series_name(bucket, key, 'le="%s"' % format_value(bound)), float(count)
+            total = self._samples[key]
+            yield _series_name(bucket, key, 'le="+Inf"'), total
+            yield _series_name(self.name + "_sum", key), self._sums[key] + 0.0
+            yield _series_name(self.name + "_count", key), total
 
 
 class MetricsRegistry:

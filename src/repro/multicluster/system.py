@@ -560,15 +560,15 @@ class MultiClusterSystem:
         self,
         *,
         path=None,
-        callback=None,
         interval_s: Optional[float] = None,
         registry=None,
     ):
         """Install a :class:`repro.metrics.MetricsMonitor` over the tier.
 
-        Streams per-cluster queue/instance gauges plus tier-level fault
-        counters in Prometheus text format; :meth:`run` starts and stops
-        the monitor around the replay.
+        Samples per-cluster queue/instance gauges plus tier-level fault
+        counters into the monitor's typed ``series`` and, given a ``path``,
+        streams them there in Prometheus text format; :meth:`run` starts
+        and stops the monitor around the replay.
         """
         from repro.metrics import MetricsMonitor, tier_metrics_source
 
@@ -576,7 +576,6 @@ class MultiClusterSystem:
             self.loop,
             interval_s=interval_s or self.mc.tick_interval_s,
             path=path,
-            callback=callback,
             registry=registry,
         )
         monitor.add_source(tier_metrics_source(self))

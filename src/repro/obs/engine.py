@@ -1,10 +1,8 @@
-"""Alert engine: evaluate declarative rules over a recorded scrape stream.
+"""Alert engine: evaluate declarative rules over metric time series.
 
-The engine replays the per-series time series parsed by
-:func:`repro.metrics.plot.parse_scrape_stream` (the ``--metrics-out``
-format) through a list of :mod:`repro.obs.rules` and emits a
-deterministic **alerts timeline**: one event per state transition, with
-simulation-time stamps::
+The engine replays per-series time series through a list of
+:mod:`repro.obs.rules` and emits a deterministic **alerts timeline**: one
+event per state transition, with simulation-time stamps::
 
     {"rule": "recovery_transient", "severity": "warning",
      "series": "repro_displaced_pending", "state": "firing",
@@ -17,16 +15,20 @@ bit-identical across reruns and worker counts — the property
 the stable-schema block the ``--alerts`` sweep axis attaches to result
 entries (see :mod:`repro.obs.schema`).
 
-Because the sweep cells evaluate alerts *in the worker process* over an
-in-memory monitor, :func:`scrape_stream_text` reconstructs the exact
-file-sink byte stream (``# scrape <n> t=<sim_s>`` markers included) from
-callback-sink chunks, so in-sweep evaluation and offline
-``python -m repro.obs alerts`` replay see identical series.
+The series come in one typed shape from two places: a sweep cell
+evaluates its :class:`~repro.metrics.monitor.MetricsMonitor`'s
+``series`` in memory, and ``python -m repro.obs alerts`` parses a
+recorded ``--metrics-out`` stream with
+:func:`repro.metrics.plot.parse_scrape_stream`.  The monitor keeps its
+samples as that parser reads them back, so both timelines are equal.
+:func:`scrape_stream_text` and :func:`evaluate_monitor_chunks` still
+serve callers that hold a list of rendered text chunks.
 """
 
 from __future__ import annotations
 
 import bisect
+from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.metrics.plot import Series, parse_scrape_stream
@@ -46,13 +48,12 @@ ALERTS_SCHEMA_VERSION = 1
 
 
 def scrape_stream_text(chunks: Sequence[Tuple[str, float]]) -> str:
-    """Rebuild the ``--metrics-out`` file stream from callback chunks.
+    """Rebuild the ``--metrics-out`` file stream from text-sink chunks.
 
     The :class:`~repro.metrics.monitor.MetricsMonitor` file sink writes a
-    ``# scrape <n> t=<sim_s>`` marker before each exposition; the
-    callback sink hands over ``(text, now)`` without it.  Reconstructing
-    the marker here keeps in-memory evaluation byte-identical to
-    replaying a recorded file.
+    ``# scrape <n> t=<sim_s>`` marker before each exposition; a text sink
+    hands over ``(text, now)`` without it.  Reconstructing the marker here
+    makes the chunks byte-identical to the recorded file.
     """
     parts: List[str] = []
     for index, (text, now) in enumerate(chunks, start=1):
@@ -104,8 +105,7 @@ def _value_at(points: Sequence[Tuple[float, float]], t: float) -> float:
     """Step-interpolated value at time ``t`` (first value before the start)."""
     if not points:
         return 0.0
-    times = [p[0] for p in points]
-    index = bisect.bisect_right(times, t) - 1
+    index = bisect.bisect_right(points, t, key=itemgetter(0)) - 1
     return points[max(index, 0)][1]
 
 
@@ -298,7 +298,7 @@ def evaluate_monitor_chunks(
     chunks: Sequence[Tuple[str, float]],
     rules: Optional[Sequence[AlertRule]] = None,
 ) -> Dict[str, object]:
-    """One-call helper for sweep cells: callback chunks -> ``alerts`` block."""
+    """One-call helper: text-sink chunks -> ``alerts`` block."""
     engine = AlertEngine(rules)
     events = engine.evaluate_stream_text(scrape_stream_text(chunks))
     return alerts_block(events, engine.rules)

@@ -2,9 +2,9 @@
 
 Every ``interval`` seconds the monitor samples every active group's memory
 usage, demand (in-processing + head-of-line queued requests) and queue
-lengths, records them into the metrics timelines, and hands the snapshot to
-the configured overload policy (which may drop parameters, migrate
-requests, or do nothing).
+lengths, records the memory figures into the metrics timelines, and hands
+the snapshot to the configured overload policy (which may drop parameters,
+migrate requests, or do nothing).
 """
 
 from __future__ import annotations
@@ -55,11 +55,9 @@ class GlobalMonitor:
         used = sum(s["kv_used_bytes"] for s in snapshots)
         demand = sum(s["kv_demand_bytes"] for s in snapshots)
         capacity = sum(s["kv_capacity_bytes"] for s in snapshots)
-        queued = sum(int(s["num_waiting"]) for s in snapshots)
         self.metrics.sample_memory(
             now, used_bytes=used, capacity_bytes=capacity, demand_bytes=demand
         )
-        self.metrics.sample_queue(now, queued)
         if capacity > 0 and demand > capacity:
             self.overload_events += 1
         if self.callback is not None:

@@ -309,16 +309,15 @@ class ClusterServingSystem:
         self,
         *,
         path=None,
-        callback=None,
         interval_s: Optional[float] = None,
         registry=None,
     ):
         """Install a :class:`repro.metrics.MetricsMonitor` on this system.
 
         The monitor samples the fleet/dispatcher counters every
-        ``interval_s`` (default: the monitor interval) and streams
-        Prometheus text scrapes to ``path`` and/or ``callback``;
-        :meth:`run` starts and stops it around the replay.
+        ``interval_s`` (default: the monitor interval) into its typed
+        ``series`` and, given a ``path``, streams Prometheus text scrapes
+        there; :meth:`run` starts and stops it around the replay.
         """
         from repro.metrics import MetricsMonitor, fleet_metrics_source
 
@@ -326,7 +325,6 @@ class ClusterServingSystem:
             self.loop,
             interval_s=interval_s or self.config.monitor_interval_s,
             path=path,
-            callback=callback,
             registry=registry,
         )
         monitor.add_source(fleet_metrics_source(self))

@@ -529,8 +529,8 @@ def run_cell(
     read only their own fields, so neither block reaches a document.
     ``trace=True`` attaches a span tracer and adds a ``stage_breakdown``;
     ``trace="disabled"`` attaches it with recording off.  ``on_tracer``
-    receives the tracer as it attaches.  ``alerts=True`` replays the
-    default alert rules over the cell's scrape stream into an ``alerts``
+    receives the tracer as it attaches.  ``alerts=True`` evaluates the
+    default alert rules over the monitor's typed series into an ``alerts``
     block.  ``metrics_out`` streams the scrapes (with the stage histogram
     when tracing, and the client series for closed-loop clients) to a file
     and reports their count as ``scrapes``.
@@ -562,14 +562,10 @@ def run_cell(
         from repro.serve.clients import ClosedLoopPopulation
 
         frontend = ClosedLoopPopulation(system, workload, cell.frontend, seed=cell.seed)
-    chunks: List[Tuple[str, float]] = []
     if alerts or metrics_out is not None:
         from repro.metrics import client_metrics_source, trace_metrics_source
 
-        monitor = system.attach_metrics(
-            path=metrics_out,
-            callback=(lambda text, now: chunks.append((text, now))) if alerts else None,
-        )
+        monitor = system.attach_metrics(path=metrics_out)
         if metrics_out is not None and tracer is not None and tracer.enabled:
             monitor.add_source(trace_metrics_source(tracer))
         if frontend is not None and cell.frontend != OPEN_LOOP:
@@ -615,11 +611,12 @@ def run_cell(
 
         measured["stage_breakdown"] = LatencyAttribution.from_tracer(tracer).stage_breakdown()
     if alerts:
-        from repro.obs import evaluate_monitor_chunks
+        from repro.obs import AlertEngine, alerts_block
 
-        measured["alerts"] = evaluate_monitor_chunks(chunks)
+        engine = AlertEngine()
+        measured["alerts"] = alerts_block(engine.evaluate(monitor.series), engine.rules)
     if metrics_out is not None:
-        measured["scrapes"] = system.metrics_monitor.scrapes
+        measured["scrapes"] = monitor.scrapes
     return measured
 
 

@@ -42,7 +42,8 @@ class LatencyAttribution:
 
     @classmethod
     def from_tracer(cls, tracer: "Tracer") -> "LatencyAttribution":
-        return cls(tracer.spans())
+        # Detail spans are never read here: leave them out of the sort.
+        return cls(tracer.request_spans())
 
     @classmethod
     def from_jsonl(cls, path) -> "LatencyAttribution":
@@ -89,50 +90,14 @@ class LatencyAttribution:
         Returns human-readable problems; empty means every finished request
         reconciles (the tentpole acceptance criterion).
         """
-        problems: List[str] = []
-        for rid, entry in self.per_request().items():
-            stage_sum = sum(
-                value for name, value in entry.items() if name in STAGE_ORDER
-            )
-            ttft_sum = sum(
-                entry.get(name, 0.0) for name in TTFT_STAGES
-            )
-            for label, total, expected in (
-                ("e2e", stage_sum, entry["e2e_s"]),
-                ("ttft", ttft_sum, entry["ttft_s"]),
-            ):
-                tolerance = abs_tol + rel_tol * max(1.0, abs(expected))
-                if abs(total - expected) > tolerance:
-                    problems.append(
-                        f"request {rid}: stage {label} sum {total!r} != recorded "
-                        f"{expected!r}"
-                    )
-        return problems
+        return _reconcile(self.per_request(), rel_tol, abs_tol)
 
     # ------------------------------------------------------------------
     # Aggregation
     # ------------------------------------------------------------------
     def aggregate(self) -> Dict[str, Dict[str, float]]:
         """Per-stage ``{count, total_s, mean_s, p50_s, p90_s, p99_s}``."""
-        by_stage: Dict[str, List[float]] = {}
-        for entry in self.per_request().values():
-            for name in STAGE_ORDER:
-                if name in entry:
-                    by_stage.setdefault(name, []).append(entry[name])
-        aggregated: Dict[str, Dict[str, float]] = {}
-        for name in STAGE_ORDER:
-            values = by_stage.get(name)
-            if not values:
-                continue
-            aggregated[name] = {
-                "count": len(values),
-                "total_s": sum(values),
-                "mean_s": sum(values) / len(values),
-                "p50_s": _percentile(values, 50.0),
-                "p90_s": _percentile(values, 90.0),
-                "p99_s": _percentile(values, 99.0),
-            }
-        return aggregated
+        return _aggregate(self.per_request())
 
     def stage_breakdown(self) -> Dict:
         """The JSON block embedded in traced sweep entries."""
@@ -141,13 +106,59 @@ class LatencyAttribution:
         e2e_values = [entry["e2e_s"] for entry in per_request.values()]
         return {
             "requests": len(per_request),
-            "reconciled": len(per_request) - len(self.reconcile()),
+            "reconciled": len(per_request) - len(_reconcile(per_request)),
             "ttft_p50": _percentile(ttft_values, 50.0),
             "ttft_p99": _percentile(ttft_values, 99.0),
             "e2e_p50": _percentile(e2e_values, 50.0),
             "e2e_p99": _percentile(e2e_values, 99.0),
-            "stages": self.aggregate(),
+            "stages": _aggregate(per_request),
         }
+
+
+def _reconcile(
+    per_request: Dict[int, Dict[str, float]], rel_tol: float = 1e-9, abs_tol: float = 1e-6
+) -> List[str]:
+    problems: List[str] = []
+    for rid, entry in per_request.items():
+        stage_sum = sum(
+            value for name, value in entry.items() if name in STAGE_ORDER
+        )
+        ttft_sum = sum(
+            entry.get(name, 0.0) for name in TTFT_STAGES
+        )
+        for label, total, expected in (
+            ("e2e", stage_sum, entry["e2e_s"]),
+            ("ttft", ttft_sum, entry["ttft_s"]),
+        ):
+            tolerance = abs_tol + rel_tol * max(1.0, abs(expected))
+            if abs(total - expected) > tolerance:
+                problems.append(
+                    f"request {rid}: stage {label} sum {total!r} != recorded "
+                    f"{expected!r}"
+                )
+    return problems
+
+
+def _aggregate(per_request: Dict[int, Dict[str, float]]) -> Dict[str, Dict[str, float]]:
+    by_stage: Dict[str, List[float]] = {}
+    for entry in per_request.values():
+        for name in STAGE_ORDER:
+            if name in entry:
+                by_stage.setdefault(name, []).append(entry[name])
+    aggregated: Dict[str, Dict[str, float]] = {}
+    for name in STAGE_ORDER:
+        values = by_stage.get(name)
+        if not values:
+            continue
+        aggregated[name] = {
+            "count": len(values),
+            "total_s": sum(values),
+            "mean_s": sum(values) / len(values),
+            "p50_s": _percentile(values, 50.0),
+            "p90_s": _percentile(values, 90.0),
+            "p99_s": _percentile(values, 99.0),
+        }
+    return aggregated
 
 
 def diff_stage_breakdowns(

@@ -26,7 +26,7 @@ overlap the stage partition freely.
 from __future__ import annotations
 
 import re
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
 from repro.trace.spans import (
     DETAIL_GATEWAY_PULL,
@@ -407,16 +407,21 @@ class Tracer:
         """Stage spans of one closed request (empty while still open)."""
         return list(self._stage_spans.get(request_id, ()))
 
+    def _request_spans(self) -> Iterator[Span]:
+        for rid in sorted(self._states):
+            yield self._root_span(self._states[rid])
+            yield from self._stage_spans.get(rid, ())
+
     def spans(self) -> List[Span]:
         """Every recorded span in deterministic export order."""
-        spans: List[Span] = []
-        for rid in sorted(self._states):
-            state = self._states[rid]
-            spans.append(self._root_span(state))
-            spans.extend(self._stage_spans.get(rid, ()))
-        spans.extend(self._details)
+        spans = [*self._request_spans(), *self._details]
         spans.sort(key=span_sort_key)
         return spans
+
+    def request_spans(self) -> List[Span]:
+        """Root and stage spans only, in the order :meth:`spans` lists them
+        (the sort is stable, so leaving detail spans out keeps it)."""
+        return sorted(self._request_spans(), key=span_sort_key)
 
     def open_requests(self) -> int:
         """Traced requests still without a terminal state."""

@@ -7,6 +7,7 @@ import math
 import operator
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -16,7 +17,7 @@ from repro.core.cost_model import fit_from_latency_model
 from repro.core.lookahead import make_lookahead_former
 from repro.engine.chunked_prefill import split_into_n_microbatches, token_count_microbatches
 from repro.engine.latency_model import LatencyModel, LatencyModelConfig
-from repro.engine.metrics import MetricsCollector, TimelineSeries, percentile
+from repro.engine.metrics import MetricsCollector, TimelineSeries, percentile, sorted_percentile
 from repro.engine.pipeline import PipelineExecution
 from repro.engine.request import Request, RequestState
 from repro.engine.scheduler import ContinuousBatchingScheduler
@@ -536,3 +537,40 @@ class TestMetrics:
         assert len(points) == 2
         assert points[0].value == pytest.approx(1.5)
         assert points[1].value == pytest.approx(4.0)
+
+    #: A few values drawn again and again make ties; the rest spread over
+    #: twelve decades.
+    TTFTS = st.one_of(st.sampled_from([0.0, 0.25, 1.0, 3.0]), SPREAD_TIMES)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.one_of(st.none(), TTFTS), st.booleans()), max_size=60
+        )
+    )
+    def test_running_ttft_tail_and_finished_count_equal_a_rescan(self, requests):
+        collector = MetricsCollector()
+        for p in (0, 50, 99.9, 100):
+            assert collector.ttft_percentile(p) == 0.0
+        assert collector.finished_count() == 0
+        for ttft, finishes in requests:
+            # Arrival at 0 makes the recorded TTFT the token time exactly.
+            request = Request(
+                arrival_time=0.0, prompt_tokens=1, max_output_tokens=1 if finishes else 2
+            )
+            if ttft is not None:
+                request.record_output_token(ttft)
+            collector.record_request(request)
+            values = collector.ttft_values()
+            for p in (0, 50, 90, 99, 99.9, 100):
+                expected = float(np.percentile(values, p)) if values else 0.0
+                assert collector.ttft_percentile(p) == expected
+            assert collector.finished_count() == sum(1 for r in collector.records if r.finished)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.one_of(TTFTS, SPREAD_TIMES.map(lambda t: -t)), min_size=1, max_size=40),
+        st.floats(min_value=0.0, max_value=100.0),
+    )
+    def test_sorted_percentile_is_numpys_linear_method(self, values, p):
+        assert sorted_percentile(sorted(values), p) == float(np.percentile(values, p))

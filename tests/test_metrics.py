@@ -3,7 +3,8 @@
 Covers the Prometheus text-exposition primitives (value formatting,
 label escaping, counter monotonicity, the registry's get-or-create and
 type-conflict contracts), the :class:`MetricsMonitor` streaming
-lifecycle, and the canonical samplers end-to-end on real runs — all
+lifecycle and its typed series against its own file stream, and the
+canonical samplers end-to-end on real runs — all
 validated through a minimal Prometheus text-format parser fixture
 (:func:`parse_scrape`), so what we assert on is what a real scraper
 would read, not the renderer's internals.
@@ -257,6 +258,84 @@ class TestMonitor:
         assert flat == {key: value for key, (value, _) in samples.items()}
         # The final scrape is the end state: the clock gauge reads the horizon.
         assert flat[("sim_clock_s", ())] == pytest.approx(5.0)
+
+
+class TestTypedSeries:
+    """The monitor's typed series are what a reader parses back from its
+    own file stream, so alerts evaluated in memory see the same samples
+    as an offline replay of ``--metrics-out``."""
+
+    #: Values whose text forms are special: a signed zero (printed ``0``),
+    #: the first float printed in ``repr`` form, the largest exactly
+    #: representable integer, infinity and NaN.
+    ODD_VALUES = (-0.0, 1e15, 2.0 ** 53, float("inf"), float("nan"), 0.1, -3.0)
+
+    def run_hand_built(self, tmp_path, *, path=True):
+        loop = EventLoop()
+        monitor = MetricsMonitor(
+            loop, interval_s=0.37, path=tmp_path / "typed.prom" if path else None
+        )
+        seen = []
+
+        def source(registry, now):
+            tick = len(seen)
+            seen.append(now)
+            registry.counter("events_total", "cumulative").set_total(tick * 7.0)
+            gauge = registry.gauge("odd_values", "values with special text forms")
+            gauge.set(self.ODD_VALUES[tick % len(self.ODD_VALUES)], zone='a"b', path="c:\\d")
+            gauge.set(now, zone="line\nbreak", path="")
+            gauge.set(-now, zone="a b", path="x")
+            # "cluster" < "le" < "stage": ``le`` still comes after both.
+            registry.histogram("lat_seconds", "latency", buckets=(0.5, 2.0)).observe(
+                now, stage="prefill", cluster="0"
+            )
+
+        monitor.add_source(source)
+        monitor.start()
+        loop.run(until=4.0)
+        monitor.stop()
+        return monitor, seen
+
+    def test_series_equal_the_parsed_file_stream(self, tmp_path):
+        from repro.metrics.plot import parse_scrape_stream
+
+        monitor, _ = self.run_hand_built(tmp_path)
+        text = (tmp_path / "typed.prom").read_text()
+        assert 'le="0.5"} ' in text and 'lat_seconds_bucket{cluster="0",stage="prefill",le=' in text
+        assert 'zone="a\\"b"' in text and 'zone="line\\nbreak"' in text
+        parsed = parse_scrape_stream(text)
+        assert list(monitor.series) == list(parsed)
+        for name, points in parsed.items():
+            typed = monitor.series[name]
+            assert [t for t, _ in typed] == [t for t, _ in points]
+            for (_, value), (_, expected) in zip(typed, points):
+                if math.isnan(expected):
+                    assert math.isnan(value)
+                else:
+                    # ``==`` cannot tell 0.0 from -0.0; the sign must match too.
+                    assert value == expected
+                    assert math.copysign(1.0, value) == math.copysign(1.0, expected)
+        odd = [v for _, v in monitor.series['odd_values{path="c:\\\\d",zone="a\\"b"}']]
+        assert odd[: len(self.ODD_VALUES)].count(1e15) == 1 and math.isnan(odd[4])
+
+    def test_point_times_are_the_millisecond_stamps(self, tmp_path):
+        monitor, seen = self.run_hand_built(tmp_path)
+        assert len(seen) == monitor.scrapes
+        expected = [int(round(now * 1000)) / 1000 for now in seen]
+        assert [t for t, _ in monitor.series["events_total"]] == expected
+        assert any(t != now for t, now in zip(expected, seen))  # the stamps round
+
+    def test_no_text_is_rendered_without_a_file_or_text_sink(self, tmp_path, monkeypatch):
+        rendered = []
+        expose = MetricsRegistry.expose
+        monkeypatch.setattr(
+            MetricsRegistry, "expose", lambda self, *a, **k: rendered.append(1) or expose(self, *a, **k)
+        )
+        in_memory, _ = self.run_hand_built(tmp_path, path=False)
+        assert rendered == [] and in_memory.scrapes > 0
+        with_file, _ = self.run_hand_built(tmp_path)
+        assert len(rendered) == with_file.scrapes
+        assert in_memory.series.keys() == with_file.series.keys()
 
 
 class TestSystemSources:

@@ -4,10 +4,12 @@ Covers the declarative alert rules (validation, JSON round-trip), the
 alert engine over synthetic series (threshold hold semantics, multi-window
 burn rate, rate-of-change, timeline ordering and the stable ``alerts``
 block schema), the byte-exact reconstruction of the ``--metrics-out``
-stream from callback chunks, the per-task resource profiler (block
-schema, cache roll-up, anomaly flagging), the differential doctor
-(cell joins, wall-clock stripping, stage-level attribution), and the
-``python -m repro.obs`` CLI.
+stream from text-sink chunks, in-sweep alerts over typed samples against
+an offline replay of the same cell's ``--metrics-out`` file, the
+per-task resource profiler (block schema, cache roll-up, anomaly
+flagging), the differential doctor (cell joins, wall-clock stripping,
+stage-level attribution), and the ``python -m repro.obs`` CLI with
+``scripts/obs_smoke.py``.
 
 The ISSUE acceptance criteria are pinned here:
 
@@ -56,7 +58,7 @@ from repro.obs.__main__ import main as obs_main
 from repro.metrics.plot import parse_scrape_stream
 from repro.chaos.grid import GRID as CHAOS_GRID
 from repro.serve.grid import GRID as SERVE_GRID
-from repro.sweeps.grid import cell_task, materialise, run_cell, run_grid
+from repro.sweeps.grid import cell_task, grid_cells, materialise, run_cell, run_grid
 
 #: Chaos cells at this scale finish in well under a second each; the
 #: outage preset strikes at 1.25 s and the long drain lets the recovery
@@ -403,6 +405,44 @@ class TestChaosAlerts:
 
 
 # ----------------------------------------------------------------------
+# Typed samples against the text they replace
+# ----------------------------------------------------------------------
+#: The cells perfbench's ``tier-telemetry`` workload runs at quick scale,
+#: seed 1: the chaos outage cell under sticky sessions, with and without
+#: tracing (alerts fire and resolve), and the traced closed-loop serve
+#: cell (no alert fires).
+OUTAGE_STICKY = dict(
+    scenarios=["steady-poisson"], policies=["vllm"], faults=["cluster-outage"],
+    migrations=["sticky"],
+)
+TIER_CELLS = {
+    "chaos-sticky": (CHAOS_GRID, False, OUTAGE_STICKY),
+    "chaos-sticky-traced": (CHAOS_GRID, True, OUTAGE_STICKY),
+    "serve-closed-loop-traced": (SERVE_GRID, True, dict(
+        scenarios=["spike-train"], policies=["vllm"], clients=["16"], retries=["backoff"],
+        backpressure=["on"],
+    )),
+}
+
+
+@pytest.mark.chaos
+@pytest.mark.serve
+@pytest.mark.parametrize("name", sorted(TIER_CELLS))
+def test_in_sweep_alerts_equal_a_replay_of_the_metrics_out_file(name, tmp_path):
+    """The block a cell evaluates over its monitor's typed series equals
+    the one ``python -m repro.obs alerts`` replays from the same cell's
+    ``--metrics-out`` file (which tracing adds stage histograms to)."""
+    grid, trace, axes = TIER_CELLS[name]
+    _, (cell,) = grid_cells(grid, grid.scales["quick"], 1, **axes)
+    in_sweep = run_cell(cell, trace=trace, alerts=True)["alerts"]
+    path = tmp_path / "cell.prom"
+    run_cell(cell, trace=trace, metrics_out=path)
+    engine = AlertEngine()
+    replayed = alerts_block(engine.evaluate_stream_text(path.read_text()), engine.rules)
+    assert json.dumps(in_sweep, sort_keys=True) == json.dumps(replayed, sort_keys=True)
+
+
+# ----------------------------------------------------------------------
 # Differential doctor
 # ----------------------------------------------------------------------
 @pytest.mark.serve
@@ -533,3 +573,39 @@ class TestObsCli:
             {"schema_version": 1, "entries": [{"scenario": "s", "x": 2.0}]}
         ))
         assert obs_main(["diff", str(path), str(other), "--fail-on-findings"]) == 1
+
+    def test_obs_smoke_compares_a_replayed_timeline_with_the_first_cell(self, tmp_path, capsys):
+        import importlib.util
+        import pathlib
+
+        script = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "obs_smoke.py"
+        spec = importlib.util.spec_from_file_location("obs_smoke", script)
+        obs_smoke = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(obs_smoke)
+
+        def block(*events):
+            return alerts_block(list(events))
+
+        transient = {
+            "rule": "recovery_transient", "severity": "warning", "series": "s",
+            "state": "firing", "t_s": 4.0, "value": 9.0, "since_s": 2.0,
+        }
+        wan = {"rule": "wan_saturation", "severity": "warning", "series": "w", "t_s": 2.0,
+               "value": 1.0}
+        sticky = block({**wan, "state": "firing", "since_s": 2.0},
+                       {**wan, "state": "resolved", "t_s": 3.0}, transient)
+        document = {"entries": [
+            {"scenario": "s", "policy": "vllm", "faults": "cluster-outage",
+             "migration": migration, "alerts": alerts}
+            for migration, alerts in (("sticky", sticky), ("migrate", block()))
+        ]}
+        paths = {}
+        for name, payload in (("doc", document), ("same", sticky), ("other", block(transient))):
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(payload))
+        assert obs_smoke.main([str(paths["doc"])]) == 0
+        assert obs_smoke.main([str(paths["doc"]), str(paths["same"])]) == 0
+        assert "equals the first cell's" in capsys.readouterr().out
+        assert obs_smoke.main([str(paths["doc"]), str(paths["other"])]) == 1
+        assert "differ from the in-sweep block" in capsys.readouterr().err
+        assert obs_smoke.main([str(paths["doc"])] * 3) == 2

@@ -211,6 +211,18 @@ class TestAttribution:
             assert stats["count"] > 0
             assert stats["p50_s"] <= stats["p99_s"]
 
+    def test_readout_without_detail_spans_keeps_the_export_order(
+        self, traced_serve, traced_chaos
+    ):
+        for _, tracer in (traced_serve, traced_chaos):
+            spans = tracer.spans()
+            request_spans = tracer.request_spans()
+            assert request_spans == [s for s in spans if s.kind != "detail"]
+            assert len(request_spans) < len(spans)
+            assert LatencyAttribution.from_tracer(tracer).stage_breakdown() == (
+                LatencyAttribution(spans).stage_breakdown()
+            )
+
     def test_jsonl_round_trip_preserves_attribution(self, traced_serve, tmp_path):
         _, tracer = traced_serve
         path = tmp_path / "spans.jsonl"
