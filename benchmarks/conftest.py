@@ -2,8 +2,9 @@
 
 Every benchmark runs a scaled-down but structurally identical version of a
 paper experiment exactly once (simulations are deterministic, so repeated
-rounds only re-measure the same run) and prints the rows/series the paper
-reports so the output can be compared against EXPERIMENTS.md.
+rounds only re-measure the same run) and prints the rows the paper
+reports, to compare with FIGURES_results.json (full scale; see
+tests/test_paper_claims.py).
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Ablation benchmark: greedy drop-plan generation vs. naive alternatives.
 
-DESIGN.md calls out the drop-plan generator as a design choice: the greedy
-smallest-groups-first merge keeps pipeline depth minimal.  This bench
+ARCHITECTURE.md's drop_plan.py bullet: the greedy smallest-groups-first
+merge of the drop-plan generator keeps pipeline depth minimal.  This bench
 compares it against a naive "merge everything" plan on plan quality (number
 of pipeline stages created per byte freed) and measures planning latency,
 which must stay negligible (the paper argues O(N log N) is fast enough to

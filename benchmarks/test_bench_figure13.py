@@ -1,24 +1,20 @@
 """Benchmark: Figure 13 — latency percentiles and SLO violations."""
 
 from benchmarks.conftest import run_once
-from repro.experiments.figure13 import format_figure13, kunserve_speedup, run_figure13
+from repro.experiments.figure13 import format_figure13, tables
+from repro.experiments.grid import run_figures
 
 
 def test_bench_figure13(benchmark, bench_scale_overload):
-    results = run_once(
-        benchmark,
-        run_figure13,
-        bench_scale_overload,
-        workload_keys=("longbench-14b",),
-        include_pp=True,
-    )
-    print("\n" + format_figure13(results))
+    entries = run_once(benchmark, run_figures, bench_scale_overload, scenarios=("longbench-14b",))
+    print("\n" + format_figure13(entries))
+    results = tables(entries)
     latency = results["latency"]
     assert len(latency) == 5
     # KunServe's P99 TTFT beats the worst baseline (the paper reports up to
     # 12.7-72.2x; the simulated gap is smaller but in the same direction).
-    speedups = kunserve_speedup(latency)
-    assert all(s > 1.0 for s in speedups.values())
+    kunserve = next(r["ttft_p99"] for r in latency if r["system"] == "KunServe")
+    assert kunserve < max(r["ttft_p99"] for r in latency if r["system"] != "KunServe")
     # SLO violations decrease as the SLO scale grows, for every system.
     slo = results["slo"]
     by_system = {}

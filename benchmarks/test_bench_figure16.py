@@ -1,7 +1,8 @@
 """Benchmark: Figure 16 — dynamic parameter restoration over a long run."""
 
 from benchmarks.conftest import run_once
-from repro.experiments.figure16 import format_figure16, run_figure16
+from repro.experiments.figure16 import format_figure16, rows
+from repro.experiments.grid import run_figures
 from repro.experiments.runner import ExperimentScale
 
 SCALE = ExperimentScale(
@@ -10,9 +11,9 @@ SCALE = ExperimentScale(
 
 
 def test_bench_figure16_restoration(benchmark):
-    rows = run_once(benchmark, run_figure16, SCALE, duration_s=240.0, num_waves=2)
-    print("\n" + format_figure16(rows))
-    by_system = {r["system"]: r for r in rows}
+    entries = run_once(benchmark, run_figures, SCALE, scenarios=("burst-waves",))
+    print("\n" + format_figure16(entries))
+    by_system = {r["system"]: r for r in rows(entries)}
     assert set(by_system) == {"vLLM (DP)", "KunServe w/o restore", "KunServe"}
     # Restoration actually happens in the full system and never in the
     # no-restore variant.

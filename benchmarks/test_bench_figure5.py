@@ -1,7 +1,8 @@
 """Benchmark: Figure 5 — latency vs. degree of parameter dropping."""
 
 from benchmarks.conftest import run_once
-from repro.experiments.figure5 import format_figure5, run_figure5
+from repro.experiments.figure5 import SCENARIO, format_figure5, rows as figure5_rows
+from repro.experiments.grid import run_figures
 from repro.experiments.runner import ExperimentScale
 
 SCALE = ExperimentScale(
@@ -11,8 +12,9 @@ SCALE = ExperimentScale(
 
 
 def test_bench_figure5(benchmark):
-    rows = run_once(benchmark, run_figure5, SCALE, max_degree=4)
-    print("\n" + format_figure5(rows))
+    entries = run_once(benchmark, run_figures, SCALE, scenarios=(SCENARIO,))
+    print("\n" + format_figure5(entries))
+    rows = figure5_rows(entries)
     assert [r["pipeline_stages"] for r in rows] == [1, 2, 4]
     # The figure's headline holds strictly: dropping parameters makes
     # requests cross more pipeline stages, so first-token latency rises

@@ -6,13 +6,14 @@ import hashlib
 import json
 import sys
 
+from repro.experiments.figure12 import SYSTEMS
 from repro.experiments.runner import (
     ExperimentScale,
     WORKLOAD_PRESETS,
     build_preset_workload,
-    make_policies,
     run_policy_on_workload,
 )
+from repro.policies import make_policy
 
 #: Every policy replays a 45-second BurstGPT slice on a 2-instance
 #: cluster: small enough to run in seconds, large enough to exercise
@@ -43,7 +44,7 @@ def main() -> None:
 
     preset = WORKLOAD_PRESETS["burstgpt-14b"]
     workload = build_preset_workload(preset, CANONICAL_SCALE, seed=42)
-    for policy in make_policies():
+    for policy in map(make_policy, SYSTEMS):
         result = run_policy_on_workload(
             policy, preset, CANONICAL_SCALE, seed=42, workload=workload
         )

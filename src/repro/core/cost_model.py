@@ -40,9 +40,6 @@ class CostModelParams:
     gamma: float
     lam: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.alpha, self.beta, self.gamma, self.lam], dtype=float)
-
 
 @dataclass(frozen=True)
 class ProfilingSample:
@@ -106,13 +103,6 @@ class BatchCostModel:
             return 0.0
         total = sum(self.chunk_cost_of(chunk) for chunk in chunk_list)
         return total - (len(chunk_list) - 1) * self.params.lam
-
-    # ------------------------------------------------------------------
-    # Estimation helpers used by Figure 15
-    # ------------------------------------------------------------------
-    def estimate_prefill(self, prompt_tokens: int, prefix_tokens: int = 0) -> float:
-        """Estimated latency of prefilling ``prompt_tokens`` after a prefix."""
-        return self.chunk_cost(prefix_tokens, prompt_tokens)
 
 
 class NoAttentionCostModel(BatchCostModel):

@@ -154,14 +154,6 @@ class ServingGroup:
     def assignment(self) -> List[List[int]]:
         return [list(layers) for layers in self._assignment]
 
-    def stage_of_instance(self, instance: ServingInstance) -> int:
-        return self.instances.index(instance)
-
-    def set_assignment(self, assignment: List[List[int]]) -> None:
-        """Replace the per-stage layer assignment (after drop / restore)."""
-        self._assignment = [list(layers) for layers in assignment]
-        self._validate_assignment()
-
     # ------------------------------------------------------------------
     # KV capacity management
     # ------------------------------------------------------------------

@@ -302,10 +302,6 @@ class LatencyModel:
         """Convenience: full-model time of a decode iteration."""
         return self.batch_time([], decodes=(batch_size, batch_size * context_tokens))
 
-    def activation_transfer_bytes(self, total_tokens: int) -> int:
-        """Bytes of activations forwarded between two pipeline stages."""
-        return total_tokens * self.model.activation_bytes_per_token()
-
     def _jitter(self, duration: float) -> float:
         if self._rng is None or self.config.jitter_fraction <= 0:
             return duration

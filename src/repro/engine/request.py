@@ -157,10 +157,6 @@ class Request:
         """Final context length when the request completes."""
         return self.prompt_tokens + self.max_output_tokens
 
-    @property
-    def remaining_output_tokens(self) -> int:
-        return max(0, self.max_output_tokens - self.output_tokens)
-
     def is_stalled(self, now: float) -> bool:
         """Is the request blocked on a transfer at time ``now``?"""
         return now < self.stall_until
@@ -227,9 +223,3 @@ class Request:
             f"prompt={self.prompt_tokens}, out={self.output_tokens}/"
             f"{self.max_output_tokens})"
         )
-
-
-def reset_request_ids() -> None:
-    """Reset the auto-id counter (used by tests for deterministic ids)."""
-    global _request_counter
-    _request_counter = itertools.count()

@@ -1,35 +1,11 @@
 """Experiment reproductions: one module per paper table / figure.
 
-Every module exposes a ``run_*`` function returning plain data structures
-(dicts / lists) with the same rows or series the paper reports, plus a
-``format_*`` helper that renders them as text tables.  All experiments
-accept a :class:`~repro.experiments.runner.ExperimentScale` so the
-benchmark suite can run a scaled-down (but structurally identical) version
-in seconds while the full-scale version reproduces the paper's setup.
+The serving figures (2, 5, 12, 13, 14, 16 and 17) are cells of one grid,
+:mod:`repro.experiments.grid` (``python -m repro.experiments``, which
+writes ``FIGURES_results.json``); each figure module formats the entries
+it prints.  Figure 15 and Table 1 need no serving run: their modules keep
+a ``run_*`` function beside their ``format_*``.  Every run takes an
+:class:`~repro.experiments.runner.ExperimentScale`, so the benchmark suite
+runs a scaled-down (but structurally identical) version in seconds while
+the full-scale version reproduces the paper's setup.
 """
-
-from repro.experiments.runner import (
-    ExperimentScale,
-    QUICK_SCALE,
-    FULL_SCALE,
-    WorkloadPreset,
-    WORKLOAD_PRESETS,
-    build_preset_workload,
-    build_system_config,
-    make_policies,
-    run_policy_on_workload,
-)
-from repro.experiments.report import format_table
-
-__all__ = [
-    "ExperimentScale",
-    "QUICK_SCALE",
-    "FULL_SCALE",
-    "WorkloadPreset",
-    "WORKLOAD_PRESETS",
-    "build_preset_workload",
-    "build_system_config",
-    "make_policies",
-    "run_policy_on_workload",
-    "format_table",
-]

@@ -1,92 +1,43 @@
-"""Figure 12: end-to-end serving timelines (memory, mean TTFT, throughput).
+"""Figure 12: end-to-end serving results of the five systems.
 
 For each workload (BurstGPT / ShareGPT / LongBench x 14B and LongBench x
-72B) and each of the five systems, record the memory-usage timeline, the
-mean-TTFT timeline and the throughput timeline, plus the drop/restore
-events KunServe performed.
+72B) and each of the five systems: the mean and P99 TTFT, the token
+throughput, and the drop/restore operations KunServe performed.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
-from repro.experiments.runner import (
-    ExperimentScale,
-    QUICK_SCALE,
-    WORKLOAD_PRESETS,
-    build_preset_workload,
-    make_policies,
-    run_policy_on_workload,
-)
-from repro.experiments.report import format_table
+from repro.experiments.report import committed_entries, format_table
 
-DEFAULT_WORKLOADS = ("burstgpt-14b", "sharegpt-14b", "longbench-14b", "longbench-72b")
+#: The figure's scenarios in the figures grid: the four workload presets.
+WORKLOADS = ("burstgpt-14b", "sharegpt-14b", "longbench-14b", "longbench-72b")
+
+#: The five systems in the paper's order, by policy key.
+SYSTEMS = ("vllm", "vllm-pp", "infercept", "llumnix", "kunserve")
 
 
-def run_figure12(
-    scale: ExperimentScale = QUICK_SCALE,
-    *,
-    workload_keys: Sequence[str] = DEFAULT_WORKLOADS,
-    seed: int = 42,
-    timeline_window_s: float = 5.0,
-    include_pp: bool = True,
-) -> Dict[str, Dict[str, object]]:
-    """Run every system on every requested workload; return the panels."""
-    panels: Dict[str, Dict[str, object]] = {}
-    for key in workload_keys:
-        preset = WORKLOAD_PRESETS[key]
-        workload = build_preset_workload(preset, scale, seed=seed)
-        systems: Dict[str, object] = {}
-        for policy in make_policies(include_pp=include_pp):
-            result = run_policy_on_workload(policy, preset, scale, seed=seed, workload=workload)
-            metrics = result.metrics
-            systems[policy.name] = {
-                "memory_used_timeline": [(p.time, p.value) for p in metrics.memory_used.points()],
-                "memory_capacity_timeline": [
-                    (p.time, p.value) for p in metrics.memory_capacity.points()
-                ],
-                "mean_ttft_timeline": [
-                    (p.time, p.value) for p in metrics.mean_ttft_timeline(timeline_window_s)
-                ],
-                "throughput_timeline": [(p.time, p.value) for p in metrics.throughput.points()],
-                "mean_ttft": (
-                    sum(metrics.ttft_values()) / max(1, len(metrics.ttft_values()))
-                ),
-                "ttft_p99": metrics.ttft_percentile(99),
-                "throughput_tokens_per_s": result.summary["throughput_tokens_per_s"],
-                "drop_events": [e for e in metrics.events if e["kind"] == "drop"],
-                "restore_events": [e for e in metrics.events if e["kind"] == "restore_end"],
-                "finished": result.finished_requests,
-                "submitted": result.submitted_requests,
-            }
-        panels[preset.label] = {"workload_key": key, "num_requests": len(workload), "systems": systems}
-    return panels
+def rows(entries: Sequence[Dict[str, object]]) -> List[Dict[str, object]]:
+    """One row per (workload, system), in grid order."""
+    return [
+        {
+            "workload": cell["workload"],
+            "system": cell["policy_name"],
+            "mean_ttft_s": cell["mean_ttft"],
+            "ttft_p99_s": cell["ttft_p99"],
+            "throughput_tok_s": cell["throughput_tokens_per_s"],
+            "drops": cell["drops"],
+            "restores": cell["restores"],
+        }
+        for cell in entries
+        if cell["scenario"] in WORKLOADS
+    ]
 
 
-def summary_rows(panels: Dict[str, Dict[str, object]]) -> List[Dict[str, object]]:
-    """Flatten the panels into one row per (workload, system)."""
-    rows = []
-    for workload_label, panel in panels.items():
-        for system, data in panel["systems"].items():
-            rows.append(
-                {
-                    "workload": workload_label,
-                    "system": system,
-                    "mean_ttft_s": data["mean_ttft"],
-                    "ttft_p99_s": data["ttft_p99"],
-                    "throughput_tok_s": data["throughput_tokens_per_s"],
-                    "drops": len(data["drop_events"]),
-                    "restores": len(data["restore_events"]),
-                }
-            )
-    return rows
-
-
-def format_figure12(panels: Optional[Dict[str, Dict[str, object]]] = None) -> str:
-    if panels is None:
-        panels = run_figure12()
-    return format_table(summary_rows(panels))
+def format_figure12(entries: Sequence[Dict[str, object]]) -> str:
+    return format_table(rows(entries))
 
 
 if __name__ == "__main__":  # pragma: no cover - manual invocation
-    print(format_figure12())
+    print(format_figure12(committed_entries()))

@@ -1,87 +1,51 @@
 """Figure 13: end-to-end latency percentiles and SLO violations.
 
-P50/P99 TTFT, P50/P99 TPOT for every workload x system pair, plus the SLO
-violation ratio as a function of the SLO scale factor (the paper marks 5x
-for chat and 10x for summarisation).
+P50/P99 TTFT, P50/P99 TPOT for every workload x system pair of Figure 12,
+plus the SLO violation ratio as a function of the SLO scale factor (the
+paper marks 5x for chat and 10x for summarisation).  Each workload's SLO
+reference is the best P50 among its five systems.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
-from repro.engine.metrics import RequestRecord
-from repro.experiments.runner import (
-    ExperimentScale,
-    QUICK_SCALE,
-    WORKLOAD_PRESETS,
-    build_preset_workload,
-    make_policies,
-    run_policy_on_workload,
-)
-from repro.experiments.report import format_table
-from repro.workloads.slo import slo_violation_curve
+from repro.experiments.figure12 import WORKLOADS
+from repro.experiments.report import committed_entries, format_table
 
-DEFAULT_WORKLOADS = ("burstgpt-14b", "sharegpt-14b", "longbench-14b", "longbench-72b")
-DEFAULT_SLO_SCALES = (2, 4, 6, 8, 10)
+#: The SLO scale factors of the violation curve.
+SLO_FACTORS = (2, 4, 6, 8, 10)
 
 
-def run_figure13(
-    scale: ExperimentScale = QUICK_SCALE,
-    *,
-    workload_keys: Sequence[str] = DEFAULT_WORKLOADS,
-    slo_scales: Sequence[float] = DEFAULT_SLO_SCALES,
-    seed: int = 42,
-    include_pp: bool = True,
-) -> Dict[str, object]:
-    """Latency percentiles + SLO violation curves for every workload."""
-    latency_rows: List[Dict[str, object]] = []
-    slo_rows: List[Dict[str, object]] = []
-    for key in workload_keys:
-        preset = WORKLOAD_PRESETS[key]
-        workload = build_preset_workload(preset, scale, seed=seed)
-        records_by_system: Dict[str, List[RequestRecord]] = {}
-        for policy in make_policies(include_pp=include_pp):
-            result = run_policy_on_workload(policy, preset, scale, seed=seed, workload=workload)
-            records_by_system[policy.name] = result.records
-            metrics = result.metrics
-            latency_rows.append(
-                {
-                    "workload": preset.label,
-                    "system": policy.name,
-                    "ttft_p50": metrics.ttft_percentile(50),
-                    "ttft_p99": metrics.ttft_percentile(99),
-                    "tpot_p50": metrics.tpot_percentile(50),
-                    "tpot_p99": metrics.tpot_percentile(99),
-                }
-            )
-        for slo in slo_violation_curve(records_by_system, scales=slo_scales):
-            slo_rows.append(
-                {
-                    "workload": preset.label,
-                    "system": slo.system,
-                    "slo_scale": slo.scale,
-                    "violation_ratio_pct": 100.0 * slo.violation_ratio,
-                }
-            )
-    return {"latency": latency_rows, "slo": slo_rows}
+def tables(entries: Sequence[Dict[str, object]]) -> Dict[str, List[Dict[str, object]]]:
+    """The latency rows and the SLO-violation rows, in grid order."""
+    cells = [cell for cell in entries if cell["scenario"] in WORKLOADS]
+    latency = [
+        {
+            "workload": cell["workload"],
+            "system": cell["policy_name"],
+            "ttft_p50": cell["ttft_p50"],
+            "ttft_p99": cell["ttft_p99"],
+            "tpot_p50": cell["tpot_p50"],
+            "tpot_p99": cell["tpot_p99"],
+        }
+        for cell in cells
+    ]
+    slo = [
+        {
+            "workload": cell["workload"],
+            "system": cell["policy_name"],
+            "slo_scale": float(factor),
+            "violation_ratio_pct": 100.0 * cell[f"slo_violation_x{factor}"],
+        }
+        for cell in cells
+        for factor in SLO_FACTORS
+    ]
+    return {"latency": latency, "slo": slo}
 
 
-def kunserve_speedup(latency_rows: List[Dict[str, object]], metric: str = "ttft_p99") -> Dict[str, float]:
-    """Per-workload ratio of the worst baseline's metric to KunServe's."""
-    speedups: Dict[str, float] = {}
-    workloads = {row["workload"] for row in latency_rows}
-    for workload in workloads:
-        rows = [r for r in latency_rows if r["workload"] == workload]
-        kunserve = next((r[metric] for r in rows if r["system"] == "KunServe"), None)
-        baselines = [r[metric] for r in rows if r["system"] != "KunServe"]
-        if kunserve and kunserve > 0 and baselines:
-            speedups[workload] = max(baselines) / kunserve
-    return speedups
-
-
-def format_figure13(results: Optional[Dict[str, object]] = None) -> str:
-    if results is None:
-        results = run_figure13()
+def format_figure13(entries: Sequence[Dict[str, object]]) -> str:
+    results = tables(entries)
     parts = ["Figure 13 — latency percentiles", format_table(results["latency"])]
     parts.append("")
     parts.append("Figure 13 — SLO violations")
@@ -90,4 +54,4 @@ def format_figure13(results: Optional[Dict[str, object]] = None) -> str:
 
 
 if __name__ == "__main__":  # pragma: no cover - manual invocation
-    print(format_figure13())
+    print(format_figure13(committed_entries()))

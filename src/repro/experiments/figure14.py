@@ -8,83 +8,46 @@ TPOT percentiles and the mean pipeline bubble time.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Sequence
 
-from repro.core.kunserve import KunServeConfig
-from repro.experiments.runner import (
-    ExperimentScale,
-    QUICK_SCALE,
-    WORKLOAD_PRESETS,
-    build_preset_workload,
-    run_policy_on_workload,
-)
-from repro.experiments.report import format_table
-from repro.policies import KunServePolicy, VLLMPolicy
+from repro.experiments.report import committed_entries, format_table
+
+#: The figure's scenario in the figures grid: the LongBench x 14B preset.
+SCENARIO = "ablation"
+
+#: The rows, each adding one technique: policy key -> label.
+CONFIGS = {
+    "vllm": "vLLM (DP)",
+    "vllm-pp": "vLLM (PP)",
+    "kunserve-drop-only": "+Dynamic drop",
+    "kunserve-no-lookahead": "+Coordinated ex.",
+    "kunserve": "+Lookahead",
+}
 
 
-def _ablation_policies():
+def rows(entries: Sequence[Dict[str, object]]) -> List[Dict[str, object]]:
+    """One row per ablation step, in the figure's order."""
     return [
-        ("vLLM (DP)", VLLMPolicy()),
-        ("vLLM (PP)", VLLMPolicy(pp_degree=2)),
-        (
-            "+Dynamic drop",
-            KunServePolicy(
-                KunServeConfig(coordinated_exchange=False, use_lookahead=False),
-                label="+Dynamic drop",
-            ),
-        ),
-        (
-            "+Coordinated ex.",
-            KunServePolicy(
-                KunServeConfig(coordinated_exchange=True, use_lookahead=False),
-                label="+Coordinated ex.",
-            ),
-        ),
-        (
-            "+Lookahead",
-            KunServePolicy(
-                KunServeConfig(coordinated_exchange=True, use_lookahead=True),
-                label="+Lookahead",
-            ),
-        ),
+        {
+            "config": CONFIGS[cell["policy"]],
+            "ttft_p50": cell["ttft_p50"],
+            "ttft_p90": cell["ttft_p90"],
+            "ttft_p99": cell["ttft_p99"],
+            "ttft_p999": cell["ttft_p999"],
+            "tpot_p50": cell["tpot_p50"],
+            "tpot_p99": cell["tpot_p99"],
+            "mean_bubble_pct": 100.0 * cell["mean_bubble_fraction"],
+            "throughput_tok_s": cell["throughput_tokens_per_s"],
+            "drops": cell["drops"],
+        }
+        for cell in entries
+        if cell["scenario"] == SCENARIO and cell["policy"] in CONFIGS
     ]
 
 
-def run_figure14(
-    scale: ExperimentScale = QUICK_SCALE,
-    *,
-    seed: int = 42,
-    workload_key: str = "longbench-14b",
-) -> List[Dict[str, object]]:
-    """Incremental-technique ablation on the LongBench workload."""
-    preset = WORKLOAD_PRESETS[workload_key]
-    workload = build_preset_workload(preset, scale, seed=seed)
-    rows: List[Dict[str, object]] = []
-    for label, policy in _ablation_policies():
-        result = run_policy_on_workload(policy, preset, scale, seed=seed, workload=workload)
-        metrics = result.metrics
-        rows.append(
-            {
-                "config": label,
-                "ttft_p50": metrics.ttft_percentile(50),
-                "ttft_p90": metrics.ttft_percentile(90),
-                "ttft_p99": metrics.ttft_percentile(99),
-                "ttft_p999": metrics.ttft_percentile(99.9),
-                "tpot_p50": metrics.tpot_percentile(50),
-                "tpot_p99": metrics.tpot_percentile(99),
-                "mean_bubble_pct": 100.0 * metrics.mean_bubble_fraction(),
-                "throughput_tok_s": result.summary["throughput_tokens_per_s"],
-                "drops": len([e for e in metrics.events if e["kind"] == "drop"]),
-            }
-        )
-    return rows
-
-
-def format_figure14(rows: Optional[List[Dict[str, object]]] = None) -> str:
-    if rows is None:
-        rows = run_figure14()
-    return format_table(rows)
+def format_figure14(entries: Sequence[Dict[str, object]]) -> str:
+    return format_table(rows(entries))
 
 
 if __name__ == "__main__":  # pragma: no cover - manual invocation
-    print(format_figure14())
+    print(format_figure14(committed_entries()))

@@ -9,81 +9,44 @@ the *next* wave worse.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Sequence
 
-from repro.core.kunserve import KunServeConfig
-from repro.experiments.runner import (
-    ExperimentScale,
-    QUICK_SCALE,
-    WORKLOAD_PRESETS,
-    build_system_config,
-    run_policy_on_workload,
-)
-from repro.experiments.report import format_table
-from repro.policies import KunServePolicy, VLLMPolicy
-from repro.serving.system import ClusterServingSystem
-from repro.workloads.burstgpt import long_run_arrival_trace
-from repro.workloads.datasets import build_workload
+from repro.experiments.report import committed_entries, format_table
+
+#: The figure's scenario in the figures grid: the wave trace.
+SCENARIO = "burst-waves"
+
+#: The systems the figure compares: policy key -> label.
+SYSTEMS = {
+    "vllm": "vLLM (DP)",
+    "kunserve-no-restore": "KunServe w/o restore",
+    "kunserve": "KunServe",
+}
 
 
-def run_figure16(
-    scale: ExperimentScale = QUICK_SCALE,
-    *,
-    seed: int = 42,
-    duration_s: Optional[float] = None,
-    num_waves: int = 2,
-) -> List[Dict[str, object]]:
-    """Long-run comparison: vLLM, KunServe w/o restore, KunServe."""
-    preset = WORKLOAD_PRESETS["burstgpt-14b"]
-    if duration_s is None:
-        duration_s = max(4 * scale.trace_duration_s, 240.0)
-    total_rate = preset.base_rate_per_instance * scale.num_instances * scale.rate_fraction
-    trace = long_run_arrival_trace(
-        duration_s=duration_s,
-        base_rate=total_rate,
-        burst_factor=preset.burst_factor,
-        num_waves=num_waves,
-        seed=seed,
-    )
-    workload = build_workload(trace, preset.dataset, seed=seed, name="BurstGPT long run")
-
-    # "w/o restore" keeps the drop path but never restores (threshold 0 would
-    # be rejected, so use a threshold so low it never triggers).
-    no_restore_config = KunServeConfig(restore_threshold=1e-6)
-    systems = [
-        ("vLLM (DP)", VLLMPolicy()),
-        ("KunServe w/o restore", KunServePolicy(no_restore_config, label="KunServe w/o restore")),
-        ("KunServe", KunServePolicy()),
+def rows(entries: Sequence[Dict[str, object]]) -> List[Dict[str, object]]:
+    """One row per system: latency, throughput, operations, completions."""
+    return [
+        {
+            "system": SYSTEMS[cell["policy"]],
+            "ttft_p50": cell["ttft_p50"],
+            "ttft_p99": cell["ttft_p99"],
+            "tpot_p50": cell["tpot_p50"],
+            "tpot_p99": cell["tpot_p99"],
+            "throughput_tok_s": cell["throughput_tokens_per_s"],
+            "drops": cell["drops"],
+            "restores": cell["restores"],
+            "finished": cell["finished"],
+            "submitted": cell["requests"],
+        }
+        for cell in entries
+        if cell["scenario"] == SCENARIO and cell["policy"] in SYSTEMS
     ]
-    rows: List[Dict[str, object]] = []
-    for label, policy in systems:
-        config = build_system_config(preset, scale, seed=seed)
-        config = type(config)(**{**config.__dict__, "drain_timeout_s": scale.drain_timeout_s})
-        system = ClusterServingSystem(config, policy)
-        result = system.run(workload)
-        metrics = result.metrics
-        rows.append(
-            {
-                "system": label,
-                "ttft_p50": metrics.ttft_percentile(50),
-                "ttft_p99": metrics.ttft_percentile(99),
-                "tpot_p50": metrics.tpot_percentile(50),
-                "tpot_p99": metrics.tpot_percentile(99),
-                "throughput_tok_s": result.summary["throughput_tokens_per_s"],
-                "drops": len([e for e in metrics.events if e["kind"] == "drop"]),
-                "restores": len([e for e in metrics.events if e["kind"] == "restore_end"]),
-                "finished": result.finished_requests,
-                "submitted": result.submitted_requests,
-            }
-        )
-    return rows
 
 
-def format_figure16(rows: Optional[List[Dict[str, object]]] = None) -> str:
-    if rows is None:
-        rows = run_figure16()
-    return format_table(rows)
+def format_figure16(entries: Sequence[Dict[str, object]]) -> str:
+    return format_table(rows(entries))
 
 
 if __name__ == "__main__":  # pragma: no cover - manual invocation
-    print(format_figure16())
+    print(format_figure16(committed_entries()))

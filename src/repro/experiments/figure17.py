@@ -7,78 +7,42 @@ memory, and it keeps SLO-compliant TTFT until its (larger) limit is hit.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Sequence
 
-from repro.experiments.runner import (
-    ExperimentScale,
-    QUICK_SCALE,
-    WORKLOAD_PRESETS,
-    build_system_config,
-)
-from repro.experiments.report import format_table
-from repro.policies import KunServePolicy, VLLMPolicy
-from repro.serving.system import ClusterServingSystem
-from repro.workloads.burstgpt import extreme_burst_trace
-from repro.workloads.datasets import build_workload
+from repro.experiments.report import committed_entries, format_table
+
+#: The figure's scenario in the figures grid: the extreme-burst trace.
+SCENARIO = "extreme-burst"
+
+#: The systems the figure compares, by policy key.
+SYSTEMS = ("vllm", "kunserve")
 
 
-def _time_to_exhaustion(metrics, threshold: float = 0.98) -> Optional[float]:
-    """First time the used KV memory reaches ``threshold`` of capacity."""
-    capacity = {p.time: p.value for p in metrics.memory_capacity.points()}
-    for point in metrics.memory_used.points():
-        cap = capacity.get(point.time, 0.0)
-        if cap > 0 and point.value >= threshold * cap:
-            return point.time
-    return None
+def rows(entries: Sequence[Dict[str, object]]) -> List[Dict[str, object]]:
+    """One row per system: when memory ran out (NaN: never), and latency."""
+    return [
+        {
+            "system": cell["policy_name"],
+            "memory_exhausted_at_s": (
+                float("nan") if cell["memory_exhausted_at_s"] is None
+                else cell["memory_exhausted_at_s"]
+            ),
+            "stood_until_end": cell["memory_exhausted_at_s"] is None,
+            "capacity_peak_gb": cell["kv_capacity_peak_gb"],
+            "ttft_p50": cell["ttft_p50"],
+            "ttft_p99": cell["ttft_p99"],
+            "drops": cell["drops"],
+            "finished": cell["finished"],
+            "submitted": cell["requests"],
+        }
+        for cell in entries
+        if cell["scenario"] == SCENARIO and cell["policy"] in SYSTEMS
+    ]
 
 
-def run_figure17(
-    scale: ExperimentScale = QUICK_SCALE,
-    *,
-    seed: int = 42,
-    workload_key: str = "longbench-72b",
-    burst_start_fraction: float = 0.35,
-) -> List[Dict[str, object]]:
-    """Extreme-burst comparison of vLLM (DP) and KunServe."""
-    preset = WORKLOAD_PRESETS[workload_key]
-    total_rate = preset.base_rate_per_instance * scale.num_instances * scale.rate_fraction
-    duration = scale.trace_duration_s * 1.4
-    trace = extreme_burst_trace(
-        duration_s=duration,
-        base_rate=total_rate,
-        burst_factor=2.6,
-        burst_start_s=burst_start_fraction * duration,
-        seed=seed,
-    )
-    workload = build_workload(trace, preset.dataset, seed=seed, name="extreme burst")
-    rows: List[Dict[str, object]] = []
-    for policy in (VLLMPolicy(), KunServePolicy()):
-        config = build_system_config(preset, scale, seed=seed)
-        system = ClusterServingSystem(config, policy)
-        result = system.run(workload)
-        metrics = result.metrics
-        exhaustion = _time_to_exhaustion(metrics)
-        rows.append(
-            {
-                "system": policy.name,
-                "memory_exhausted_at_s": exhaustion if exhaustion is not None else float("nan"),
-                "stood_until_end": exhaustion is None,
-                "capacity_peak_gb": metrics.memory_capacity.max() / 1e9,
-                "ttft_p50": metrics.ttft_percentile(50),
-                "ttft_p99": metrics.ttft_percentile(99),
-                "drops": len([e for e in metrics.events if e["kind"] == "drop"]),
-                "finished": result.finished_requests,
-                "submitted": result.submitted_requests,
-            }
-        )
-    return rows
-
-
-def format_figure17(rows: Optional[List[Dict[str, object]]] = None) -> str:
-    if rows is None:
-        rows = run_figure17()
-    return format_table(rows)
+def format_figure17(entries: Sequence[Dict[str, object]]) -> str:
+    return format_table(rows(entries))
 
 
 if __name__ == "__main__":  # pragma: no cover - manual invocation
-    print(format_figure17())
+    print(format_figure17(committed_entries()))

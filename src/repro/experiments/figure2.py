@@ -1,72 +1,50 @@
 """Figure 2: TTFT spikes caused by memory overloading.
 
-(a) the BurstGPT request-rate timeline, (b) the KV memory demand against
-the cluster's capacity, and (c)-(e) the mean-TTFT timelines of the three
-KV-centric ways to handle overloading: drop/recompute (vLLM), swap
-(InferCept) and migrate (Llumnix).
+On the BurstGPT x 14B workload, the three KV-centric ways to handle
+overloading: drop/recompute (vLLM), swap (InferCept) and migrate
+(Llumnix).  Each row gives the peak KV demand against the cluster's KV
+capacity and the TTFT percentiles.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Sequence
 
-from repro.experiments.runner import (
-    ExperimentScale,
-    QUICK_SCALE,
-    WORKLOAD_PRESETS,
-    build_preset_workload,
-    run_policy_on_workload,
-)
-from repro.policies import InferCeptPolicy, LlumnixPolicy, VLLMPolicy
+from repro.experiments.report import committed_entries
+
+#: The figure's scenario in the figures grid.
+SCENARIO = "burstgpt-14b"
+
+#: The systems the figure compares: policy key -> label.
+SYSTEMS = {
+    "vllm": "Drop KVCache (vLLM)",
+    "infercept": "Swap KVCache (InferCept)",
+    "llumnix": "Migrate KVCache (Llumnix)",
+}
 
 
-def run_figure2(
-    scale: ExperimentScale = QUICK_SCALE,
-    *,
-    seed: int = 42,
-    timeline_window_s: float = 5.0,
-) -> Dict[str, object]:
-    """Reproduce Figure 2's panels on the BurstGPT x 14B workload."""
-    preset = WORKLOAD_PRESETS["burstgpt-14b"]
-    workload = build_preset_workload(preset, scale, seed=seed)
-    rate_timeline = workload.arrival_trace().rate_timeline(timeline_window_s)
-
-    panels: Dict[str, object] = {
-        "workload": workload.name,
-        "num_requests": len(workload),
-        "request_rate_timeline": rate_timeline,
-        "systems": {},
+def panels(entries: Sequence[Dict[str, object]]) -> Dict[str, object]:
+    """The figure's numbers, read from the figures grid's entries."""
+    cells = [c for c in entries if c["scenario"] == SCENARIO and c["policy"] in SYSTEMS]
+    return {
+        "workload": cells[0]["workload"],
+        "num_requests": cells[0]["requests"],
+        "systems": {
+            SYSTEMS[cell["policy"]]: {
+                "memory_capacity_gb": cell["kv_capacity_first_gb"],
+                "ttft_p50": cell["ttft_p50"],
+                "ttft_p99": cell["ttft_p99"],
+                "overload_ratio_peak": cell["peak_demand_ratio"],
+            }
+            for cell in cells
+        },
     }
-    policies = {
-        "Drop KVCache (vLLM)": VLLMPolicy(),
-        "Swap KVCache (InferCept)": InferCeptPolicy(),
-        "Migrate KVCache (Llumnix)": LlumnixPolicy(),
-    }
-    for label, policy in policies.items():
-        result = run_policy_on_workload(policy, preset, scale, seed=seed, workload=workload)
-        metrics = result.metrics
-        capacity = metrics.memory_capacity.points()
-        demand = metrics.memory_demand.points()
-        panels["systems"][label] = {
-            "mean_ttft_timeline": [(p.time, p.value) for p in metrics.mean_ttft_timeline(timeline_window_s)],
-            "memory_demand_timeline": [(p.time, p.value) for p in demand],
-            "memory_capacity_gb": capacity[0].value / 1e9 if capacity else 0.0,
-            "ttft_p50": metrics.ttft_percentile(50),
-            "ttft_p99": metrics.ttft_percentile(99),
-            "overload_ratio_peak": (
-                max((p.value for p in demand), default=0.0) / capacity[0].value
-                if capacity and capacity[0].value > 0
-                else 0.0
-            ),
-        }
-    return panels
 
 
-def format_figure2(panels: Optional[Dict[str, object]] = None) -> str:
-    if panels is None:
-        panels = run_figure2()
-    lines = [f"Figure 2 — {panels['workload']} ({panels['num_requests']} requests)"]
-    for label, data in panels["systems"].items():
+def format_figure2(entries: Sequence[Dict[str, object]]) -> str:
+    figure = panels(entries)
+    lines = [f"Figure 2 — {figure['workload']} ({figure['num_requests']} requests)"]
+    for label, data in figure["systems"].items():
         lines.append(
             f"  {label}: peak demand/capacity = {data['overload_ratio_peak']:.2f}, "
             f"P50 TTFT = {data['ttft_p50']:.2f}s, P99 TTFT = {data['ttft_p99']:.2f}s"
@@ -75,4 +53,4 @@ def format_figure2(panels: Optional[Dict[str, object]] = None) -> str:
 
 
 if __name__ == "__main__":  # pragma: no cover - manual invocation
-    print(format_figure2())
+    print(format_figure2(committed_entries()))

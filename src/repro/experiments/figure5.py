@@ -9,68 +9,44 @@ drop-plan generator minimises by merging as few instances as possible.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Sequence
 
-from repro.engine.metrics import percentile
-from repro.experiments.runner import (
-    ExperimentScale,
-    WORKLOAD_PRESETS,
-    build_preset_workload,
-    run_policy_on_workload,
+from repro.experiments.report import committed_entries, format_table
+
+#: The figure's scenario in the figures grid: the BurstGPT x 14B preset.
+SCENARIO = "drop-degree"
+
+#: (policy key, label, pipeline degree, fraction of parameters dropped per instance)
+DROP_CONFIGS = (
+    ("vllm", "DP (full params)", 1, 0.0),
+    ("vllm-pp", "Drop 50% layers", 2, 0.50),
+    ("vllm-pp4", "Drop 75% layers", 4, 0.75),
+    ("vllm-pp8", "Drop 88% layers", 8, 0.875),
 )
-from repro.experiments.report import format_table
-from repro.policies import VLLMPolicy
-
-#: (label, pipeline degree, fraction of parameters dropped per instance)
-DROP_CONFIGS = [
-    ("DP (full params)", 1, 0.0),
-    ("Drop 50% layers", 2, 0.50),
-    ("Drop 75% layers", 4, 0.75),
-    ("Drop 88% layers", 8, 0.875),
-]
 
 
-def run_figure5(
-    scale: Optional[ExperimentScale] = None,
-    *,
-    seed: int = 42,
-    max_degree: int = 4,
-) -> List[Dict[str, object]]:
+def rows(entries: Sequence[Dict[str, object]]) -> List[Dict[str, object]]:
     """TTFT / TPOT percentiles for increasing parameter-drop degrees."""
-    if scale is None:
-        scale = ExperimentScale(
-            name="figure5", num_instances=4, trace_duration_s=60.0, drain_timeout_s=60.0
-        )
-    preset = WORKLOAD_PRESETS["burstgpt-14b"]
-    workload = build_preset_workload(preset, scale, seed=seed)
-    rows: List[Dict[str, object]] = []
-    for label, degree, dropped_fraction in DROP_CONFIGS:
-        if degree > max_degree or degree > scale.num_instances:
-            continue
-        policy = VLLMPolicy(pp_degree=degree)
-        result = run_policy_on_workload(policy, preset, scale, seed=seed, workload=workload)
-        ttfts = result.metrics.ttft_values()
-        tpots = result.metrics.tpot_values()
-        rows.append(
-            {
-                "config": label,
-                "pipeline_stages": degree,
-                "params_dropped_pct": 100 * dropped_fraction,
-                "ttft_p50": percentile(ttfts, 50),
-                "ttft_p99": percentile(ttfts, 99),
-                "tpot_p50": percentile(tpots, 50),
-                "tpot_p99": percentile(tpots, 99),
-                "throughput_tokens_per_s": result.summary["throughput_tokens_per_s"],
-            }
-        )
-    return rows
+    cells = {cell["policy"]: cell for cell in entries if cell["scenario"] == SCENARIO}
+    return [
+        {
+            "config": label,
+            "pipeline_stages": degree,
+            "params_dropped_pct": 100 * dropped_fraction,
+            "ttft_p50": cells[key]["ttft_p50"],
+            "ttft_p99": cells[key]["ttft_p99"],
+            "tpot_p50": cells[key]["tpot_p50"],
+            "tpot_p99": cells[key]["tpot_p99"],
+            "throughput_tokens_per_s": cells[key]["throughput_tokens_per_s"],
+        }
+        for key, label, degree, dropped_fraction in DROP_CONFIGS
+        if key in cells
+    ]
 
 
-def format_figure5(rows=None) -> str:
-    if rows is None:
-        rows = run_figure5()
-    return format_table(rows)
+def format_figure5(entries: Sequence[Dict[str, object]]) -> str:
+    return format_table(rows(entries))
 
 
 if __name__ == "__main__":  # pragma: no cover - manual invocation
-    print(format_figure5())
+    print(format_figure5(committed_entries()))

@@ -2,7 +2,17 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
 from typing import Dict, List, Sequence
+
+#: The committed figures document (``python -m repro.experiments --scale full``).
+FIGURES_DOCUMENT = Path(__file__).resolve().parents[3] / "FIGURES_results.json"
+
+
+def committed_entries() -> List[Dict[str, object]]:
+    """The entries of the committed figures document."""
+    return json.loads(FIGURES_DOCUMENT.read_text())["entries"]
 
 
 def format_value(value) -> str:
@@ -36,11 +46,3 @@ def format_table(rows: Sequence[Dict[str, object]], columns: Sequence[str] = ())
         if index == 0:
             lines.append("  ".join("-" * widths[i] for i in range(len(columns))))
     return "\n".join(lines)
-
-
-def format_series(series: Sequence[tuple], label_x: str = "time", label_y: str = "value") -> str:
-    """Format an (x, y) series compactly (used for figure timelines)."""
-    if not series:
-        return "(empty series)"
-    parts = [f"{label_x}={x:g}:{label_y}={format_value(y)}" for x, y in series]
-    return "  ".join(parts)

@@ -1,4 +1,4 @@
-"""Shared experiment machinery: scales, workload presets, policy sets.
+"""Shared experiment machinery: scales, workload presets, serving configs.
 
 The paper's evaluation combines the BurstGPT arrival trace with three
 datasets on two clusters.  The presets below pin, per workload, the request
@@ -6,26 +6,19 @@ rates at which the simulated cluster sits at a moderate average memory load
 (the paper provisions KV memory at ~2x the average demand) and overloads
 during the burst — the regime §5 studies.  ``ExperimentScale`` lets every
 experiment run either at full scale (paper-like instance counts and trace
-lengths) or at a quick scale used by the benchmark suite.
+lengths) or at a quick scale used by the benchmark suite.  The figures
+themselves are cells of the figures grid (:mod:`repro.experiments.grid`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, Optional
 
-from repro.cluster.cluster import ClusterSpec
 from repro.cluster.specs import cluster_a_spec, cluster_b_spec
-from repro.core.kunserve import KunServeConfig
 from repro.models.catalog import QWEN_2_5_14B, QWEN_2_5_72B
 from repro.models.spec import ModelSpec
-from repro.policies import (
-    InferCeptPolicy,
-    KunServePolicy,
-    LlumnixPolicy,
-    OverloadPolicy,
-    VLLMPolicy,
-)
+from repro.policies import OverloadPolicy
 from repro.serving.config import ServingConfig
 from repro.serving.system import ClusterServingSystem, SimulationResult
 from repro.workloads.burstgpt import burstgpt_arrival_trace
@@ -80,24 +73,25 @@ FULL_SCALE = ExperimentScale(
 class WorkloadPreset:
     """Per-workload experiment parameters (rates tuned for the overload regime)."""
 
-    key: str
     dataset: DatasetSpec
     model: ModelSpec
     gpus_per_instance: int
     base_rate_per_instance: float
     burst_factor: float
     token_budget: int
-    uses_cluster_b: bool = False
 
     @property
     def label(self) -> str:
         suffix = "72B" if self.model is QWEN_2_5_72B else "14B"
         return f"{self.dataset.name} x {suffix}"
 
+    def total_rate(self, scale: ExperimentScale) -> float:
+        """Cluster-wide base request rate at ``scale``."""
+        return self.base_rate_per_instance * scale.num_instances * scale.rate_fraction
+
 
 WORKLOAD_PRESETS: Dict[str, WorkloadPreset] = {
     "burstgpt-14b": WorkloadPreset(
-        key="burstgpt-14b",
         dataset=BURSTGPT_DATASET,
         model=QWEN_2_5_14B,
         gpus_per_instance=1,
@@ -106,7 +100,6 @@ WORKLOAD_PRESETS: Dict[str, WorkloadPreset] = {
         token_budget=2048,
     ),
     "sharegpt-14b": WorkloadPreset(
-        key="sharegpt-14b",
         dataset=SHAREGPT_DATASET,
         model=QWEN_2_5_14B,
         gpus_per_instance=1,
@@ -115,7 +108,6 @@ WORKLOAD_PRESETS: Dict[str, WorkloadPreset] = {
         token_budget=2048,
     ),
     "longbench-14b": WorkloadPreset(
-        key="longbench-14b",
         dataset=LONGBENCH_DATASET,
         model=QWEN_2_5_14B,
         gpus_per_instance=1,
@@ -124,26 +116,44 @@ WORKLOAD_PRESETS: Dict[str, WorkloadPreset] = {
         token_budget=1024,
     ),
     "longbench-72b": WorkloadPreset(
-        key="longbench-72b",
         dataset=LONGBENCH_DATASET,
         model=QWEN_2_5_72B,
         gpus_per_instance=4,
         base_rate_per_instance=0.55,
         burst_factor=2.4,
         token_budget=1024,
-        uses_cluster_b=True,
     ),
 }
 
 
-def build_cluster_spec(preset: WorkloadPreset, scale: ExperimentScale) -> ClusterSpec:
-    """Cluster for the preset: cluster A for 14B runs, cluster B for 72B."""
-    if preset.uses_cluster_b:
-        # Cluster B has 8 GPUs per server; each 72B instance takes 4 GPUs.
-        instances_per_server = 8 // preset.gpus_per_instance
+def build_serving_config(
+    model: ModelSpec,
+    gpus_per_instance: int,
+    token_budget: int,
+    scale: ExperimentScale,
+    *,
+    seed: int = 42,
+) -> ServingConfig:
+    """ServingConfig for ``scale.num_instances`` instances of ``model``.
+
+    One-GPU instances run on cluster A (one GPU per server); multi-GPU
+    instances on cluster B (8 GPUs per server, so a 4-GPU 72B instance
+    takes half a server).
+    """
+    if gpus_per_instance > 1:
+        instances_per_server = max(1, 8 // gpus_per_instance)
         servers = max(1, -(-scale.num_instances // instances_per_server))
-        return cluster_b_spec(num_servers=servers)
-    return cluster_a_spec(num_servers=scale.num_instances)
+        cluster = cluster_b_spec(num_servers=servers)
+    else:
+        cluster = cluster_a_spec(num_servers=scale.num_instances)
+    return ServingConfig(
+        model=model,
+        cluster=cluster,
+        gpus_per_instance=gpus_per_instance,
+        token_budget=token_budget,
+        drain_timeout_s=scale.drain_timeout_s,
+        seed=seed,
+    )
 
 
 def build_system_config(
@@ -153,13 +163,8 @@ def build_system_config(
     seed: int = 42,
 ) -> ServingConfig:
     """ServingConfig for one preset at one scale."""
-    return ServingConfig(
-        model=preset.model,
-        cluster=build_cluster_spec(preset, scale),
-        gpus_per_instance=preset.gpus_per_instance,
-        token_budget=preset.token_budget,
-        drain_timeout_s=scale.drain_timeout_s,
-        seed=seed,
+    return build_serving_config(
+        preset.model, preset.gpus_per_instance, preset.token_budget, scale, seed=seed
     )
 
 
@@ -168,32 +173,15 @@ def build_preset_workload(
     scale: ExperimentScale,
     *,
     seed: int = 42,
-    burst_factor: Optional[float] = None,
 ) -> Workload:
     """Generate the preset's workload at the requested scale."""
-    total_rate = preset.base_rate_per_instance * scale.num_instances * scale.rate_fraction
     trace = burstgpt_arrival_trace(
         duration_s=scale.trace_duration_s,
-        base_rate=total_rate,
-        burst_factor=burst_factor if burst_factor is not None else preset.burst_factor,
+        base_rate=preset.total_rate(scale),
+        burst_factor=preset.burst_factor,
         seed=seed,
     )
     return build_workload(trace, preset.dataset, seed=seed, name=preset.label)
-
-
-def make_policies(
-    *,
-    include_pp: bool = True,
-    kunserve_config: Optional[KunServeConfig] = None,
-) -> List[OverloadPolicy]:
-    """The five systems of Figure 12/13 in the paper's order."""
-    policies: List[OverloadPolicy] = [VLLMPolicy()]
-    if include_pp:
-        policies.append(VLLMPolicy(pp_degree=2))
-    policies.append(InferCeptPolicy())
-    policies.append(LlumnixPolicy())
-    policies.append(KunServePolicy(kunserve_config))
-    return policies
 
 
 def run_policy_on_workload(

@@ -16,7 +16,8 @@ from repro.models.memory import param_bytes, parameter_memory_ratio
 #: Table 1 reports ratios against the marketing capacity (80 GB decimal).
 GPU_HBM_BYTES_DECIMAL = 80 * 10 ** 9
 
-#: The ratios Table 1 reports, for comparison in EXPERIMENTS.md / tests.
+#: The ratios Table 1 reports (tests/test_experiments.py and
+#: benchmarks/test_bench_table1.py compare the computed ones against them).
 PAPER_RATIOS = {
     "Qwen-2.5-14B": 34.4,
     "Qwen-2.5-72B": 42.3,

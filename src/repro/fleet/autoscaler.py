@@ -66,10 +66,6 @@ class Autoscaler:
         return group in self.draining
 
     @property
-    def pending_scale_ups(self) -> int:
-        return self._pending_scale_ups
-
-    @property
     def has_spare(self) -> bool:
         """Whether any cold instance is available to activate."""
         return bool(self.spare_instances)

@@ -21,9 +21,6 @@ class BlockTable:
     num_blocks: int = 0
     num_tokens: int = 0
 
-    def tokens_capacity(self, block_size: int) -> int:
-        return self.num_blocks * block_size
-
 
 class PagedKVCache:
     """Block-granular KV cache allocator for one serving instance / group.

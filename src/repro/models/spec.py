@@ -156,12 +156,6 @@ class ModelSpec:
         ffn = 3 * self.hidden_size * self.intermediate_size * self.moe_active_experts
         return 2 * (attn + ffn)
 
-    def attention_flops(self, context_tokens: int, new_tokens: int) -> float:
-        """FLOPs of attention score/value computation for ``new_tokens``
-        attending over ``context_tokens`` keys, summed over all layers."""
-        per_layer = 2 * 2 * new_tokens * context_tokens * self.q_dim
-        return per_layer * self.num_layers
-
     def activation_bytes_per_token(self) -> int:
         """Bytes of the residual-stream activation forwarded between
         pipeline stages for one token."""

@@ -28,6 +28,7 @@ from repro.obs.diff import (
     DEFAULT_REL_THRESHOLD,
     diff_documents,
     format_diff_report,
+    gate_failures,
     load_document,
 )
 from repro.obs.engine import AlertEngine, alerts_block, format_timeline
@@ -76,8 +77,9 @@ def _cmd_diff(args: argparse.Namespace) -> int:
         _emit(json.dumps(report, indent=2) + "\n", args.output)
     else:
         _emit(format_diff_report(report), args.output)
-    if args.fail_on_findings and report["findings"]:
-        print(f"{len(report['findings'])} finding(s)", file=sys.stderr)
+    failures = gate_failures(report)
+    if args.fail_on_findings and failures:
+        print(", ".join(failures), file=sys.stderr)
         return 1
     return 0
 
@@ -127,7 +129,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     diff.add_argument(
         "--fail-on-findings",
         action="store_true",
-        help="exit 1 when any finding is reported (for CI gates)",
+        help="exit 1 on any finding, any cell only one document has, or any "
+        "changed top-level field other than wall_s_total and the cache counts "
+        "(for CI regeneration gates)",
     )
     diff.set_defaults(func=_cmd_diff)
 

@@ -3,13 +3,15 @@
 ``python -m repro.obs diff A.json B.json`` joins the two documents'
 ``entries`` on their **cell key** — every string-valued entry field
 (scenario, policy, migration, router, ...), which together identify the
-swept configuration — and compares every numeric field, after stripping
+swept configuration — and compares every other field, after stripping
 wall-clock measurement noise (``wall_s``, ``profile`` blocks, cache
 counters): those legitimately differ between runs of identical
 simulations and must never count as a regression.
 
 A *finding* is a numeric field whose relative change exceeds the
-threshold (default 5%).  When **both** sides of a cell carry a
+threshold (default 5%), or any change to a field that is not a number on
+both sides (``null``, a bool, a list or a block; ``delta`` and ``rel``
+are then ``null``).  When **both** sides of a cell carry a
 ``stage_breakdown`` block (sweeps run with ``--trace``), each finding on
 a latency field is augmented with a stage-level attribution via
 :func:`repro.trace.attribution.diff_stage_breakdowns` — "serve p99
@@ -17,7 +19,9 @@ regressed 18%" becomes "decode mean_s +31%".
 
 Determinism makes the null case exact: a document diffed against itself
 reports **zero** findings (the CI smoke and ``tests/test_obs.py`` pin
-this), so any finding is a real behaviour change, not noise.
+this), so any finding is a real behaviour change, not noise.  A
+regeneration gate (``--fail-on-findings``) also fails on a cell only one
+document has and on a changed top-level field (:func:`gate_failures`).
 """
 
 from __future__ import annotations
@@ -69,6 +73,10 @@ def _index_entries(entries: Sequence[Dict[str, Any]]) -> Dict[CellKey, Dict[str,
 
 def _cell_label(key: CellKey) -> str:
     return " ".join(f"{name}={value}" for name, value in key) or "<unkeyed>"
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _finite(value: float) -> Optional[float]:
@@ -159,9 +167,12 @@ def _diff_cell(
         if field in WALL_CLOCK_FIELDS or field == "stage_breakdown":
             continue
         old, new = base.get(field), current.get(field)
-        if isinstance(old, bool) or isinstance(new, bool):
-            continue
-        if not isinstance(old, (int, float)) or not isinstance(new, (int, float)):
+        if not (_is_number(old) and _is_number(new)):
+            if old != new:
+                findings.append({
+                    "cell": label, "field": field, "base": old, "current": new,
+                    "delta": None, "rel": None,
+                })
             continue
         delta = float(new) - float(old)
         if abs(delta) <= abs_floor:
@@ -194,6 +205,17 @@ def _is_latency_field(field: str) -> bool:
     ) or field in ("slo_attainment", "slo_violation_ratio", "recovery_transient_s")
 
 
+def gate_failures(report: Dict[str, Any]) -> List[str]:
+    """Why ``report`` fails a regeneration gate (empty: it passes): any
+    finding, cell on one side only, or changed top-level ``context``."""
+    parts = (
+        ("findings", "finding(s)"), ("only_in_base", "cell(s) only in base"),
+        ("only_in_current", "cell(s) only in current"),
+        ("context", "changed top-level field(s)"),
+    )
+    return [f"{len(report[key])} {what}" for key, what in parts if report[key]]
+
+
 def load_document(path: Path) -> Dict[str, Any]:
     document = json.loads(Path(path).read_text())
     if not isinstance(document, dict):
@@ -220,6 +242,12 @@ def format_diff_report(report: Dict[str, Any]) -> str:
         return "\n".join(lines) + "\n"
     lines.append(f"{len(findings)} findings:")
     for finding in findings:
+        if finding["delta"] is None:
+            lines.append(
+                f"  {finding['cell']}: {finding['field']} "
+                f"{finding['base']!r} -> {finding['current']!r} (changed)"
+            )
+            continue
         rel = finding["rel"]
         rel_text = f"{rel:+.1%}" if rel is not None else "new"
         lines.append(

@@ -14,6 +14,7 @@ The baselines mirror the systems the paper compares against:
 * :class:`KunServePolicy` — the paper's parameter-centric approach.
 """
 
+from repro.core.kunserve import KunServeConfig
 from repro.policies.base import OverloadPolicy
 from repro.policies.recompute import VLLMPolicy
 from repro.policies.swap import InferCeptPolicy
@@ -30,17 +31,31 @@ __all__ = [
 
 
 def make_policy(name: str, **kwargs) -> OverloadPolicy:
-    """Construct a policy by name (used by experiment configuration)."""
+    """Construct a policy by name: the five systems, Figure 5's deeper
+    static pipelines and the KunServe variants of Figures 14 and 16."""
     registry = {
         "vllm": VLLMPolicy,
         "vllm-dp": VLLMPolicy,
         "vllm-pp": lambda **kw: VLLMPolicy(pp_degree=kw.pop("pp_degree", 2), **kw),
+        "vllm-pp4": lambda: VLLMPolicy(pp_degree=4),
+        "vllm-pp8": lambda: VLLMPolicy(pp_degree=8),
         "infercept": InferCeptPolicy,
         "llumnix": LlumnixPolicy,
         "kunserve": KunServePolicy,
+        "kunserve-drop-only": lambda: _kunserve(
+            "KunServe (drop only)", coordinated_exchange=False, use_lookahead=False
+        ),
+        "kunserve-no-lookahead": lambda: _kunserve("KunServe w/o lookahead", use_lookahead=False),
+        # Restoration triggers below a usage ratio; one this low never holds
+        # (a threshold of 0 is rejected).
+        "kunserve-no-restore": lambda: _kunserve("KunServe w/o restore", restore_threshold=1e-6),
     }
     key = name.lower()
     if key not in registry:
         known = ", ".join(sorted(registry))
         raise KeyError(f"unknown policy {name!r}; known policies: {known}")
     return registry[key](**kwargs)
+
+
+def _kunserve(label: str, **config) -> KunServePolicy:
+    return KunServePolicy(KunServeConfig(**config), label=label)

@@ -17,8 +17,8 @@ class OverloadPolicy(abc.ABC):
     **When selected:** never directly — this is the abstract contract.  A
     concrete policy is chosen per experiment run (one fresh
     :class:`~repro.serving.system.ClusterServingSystem` per policy), via
-    :func:`repro.policies.make_policy` or the experiment runners'
-    ``make_policies`` helper which yields the paper's five systems.
+    :func:`repro.policies.make_policy`, whose keys name the paper's five
+    systems and the variants its figures compare.
 
     **What it models:** the *mechanism/policy split* of the serving stack.
     The engine (scheduler, groups, KV cache, network) provides mechanisms;

@@ -71,9 +71,3 @@ class KunServePolicy(OverloadPolicy):
     @property
     def drop_reports(self):
         return self.controller.drop_reports
-
-    @property
-    def restore_reports(self):
-        if self.controller.restore_manager is None:
-            return []
-        return self.controller.restore_manager.reports

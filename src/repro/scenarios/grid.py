@@ -58,7 +58,7 @@ GRID = Grid(
     scales=sweep_scales("scenarios"),
     axes=(
         SCENARIOS,
-        dataclasses.replace(POLICIES, by_scenario=lambda spec: spec.policies),
+        dataclasses.replace(POLICIES, by_scenario=lambda spec, scale: spec.policies),
         Axis(
             "fleet", "fleet", apply=_use_fleet, parse=_preset(fleet_preset), single=True,
             metavar="PRESET", help="run every cell behind a fleet preset (e.g. 'elastic' "

@@ -2,9 +2,9 @@
 
 Entries live under ``.repro_cache/`` at the repository root (override with
 the ``REPRO_CACHE_DIR`` environment variable or an explicit ``root``), one
-JSON file per task hash::
+JSON file per task hash, named after the package source fingerprint too::
 
-    .repro_cache/<hash>.json
+    .repro_cache/<source fingerprint>-<hash>.json
     {
       "cache_format_version": 1,
       "task": {...hash material, for debugging...},
@@ -16,7 +16,10 @@ seed, a fingerprint of every ``*.py`` file in the ``repro`` package, the
 package version and the cache format version
 (:meth:`~repro.sweeps.task.SweepTask.hash_material`), a hit is always
 safe to substitute for a fresh run of a deterministic runner, even after
-a code edit.  Corrupted or unreadable entries are deleted and treated as
+a code edit.  An entry written under another source fingerprint can
+therefore never hit again: a cache's first store deletes every such entry
+(so two checkouts of different code sharing one root prune each other's
+entries).  Corrupted or unreadable entries are deleted and treated as
 misses, so a damaged cache degrades to recompute, never to failure.
 Writes are atomic (temp file + ``os.replace``) so concurrent sweeps
 sharing a cache directory cannot observe torn entries.
@@ -29,7 +32,7 @@ import os
 from pathlib import Path
 from typing import Any, Dict, Optional
 
-from repro.sweeps.task import CACHE_FORMAT_VERSION, SweepTask
+from repro.sweeps.task import CACHE_FORMAT_VERSION, SweepTask, source_fingerprint
 
 #: Environment variable overriding the default cache location.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -52,9 +55,10 @@ class ResultCache:
         self.hits = 0
         self.misses = 0
         self.stores = 0
+        self._pruned = False
 
     def path_for(self, task: SweepTask) -> Path:
-        return self.root / f"{task.content_hash()}.json"
+        return self.root / f"{source_fingerprint()}-{task.content_hash()}.json"
 
     def load(self, task: SweepTask) -> Optional[Dict[str, Any]]:
         """The cached payload for ``task``, or ``None`` on a miss.
@@ -113,6 +117,9 @@ class ResultCache:
             self._discard(tmp)
             return None
         self.stores += 1
+        if not self._pruned:
+            self._pruned = True
+            self._prune()
         return path
 
     def clear(self) -> int:
@@ -127,6 +134,13 @@ class ResultCache:
             except OSError:
                 pass
         return removed
+
+    def _prune(self) -> None:
+        """Delete the entries written under another source fingerprint."""
+        current = f"{source_fingerprint()}-"
+        for path in self.root.glob("*.json"):
+            if not path.name.startswith(current):
+                self._discard(path)
 
     def stats(self) -> Dict[str, int]:
         return {"hits": self.hits, "misses": self.misses, "stores": self.stores}

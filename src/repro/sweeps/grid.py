@@ -5,9 +5,10 @@ scales, the settings every cell shares and its :class:`Axis` list.  An axis
 carries its flag, its default, its known-value check and the change it
 applies to a cell's :class:`~repro.serving.config.ServingConfig` or
 frontend.  Each package (``repro.scenarios``, ``repro.fleet``,
-``repro.multicluster``, ``repro.chaos``, ``repro.serve``) keeps only its
-grid, in its ``grid`` module, and a ``__main__`` that hands the grid to
-:func:`main`.  This module does the rest once:
+``repro.multicluster``, ``repro.chaos``, ``repro.serve`` and the paper's
+figures in ``repro.experiments``) keeps only its grid, in its ``grid``
+module, and a ``__main__`` that hands the grid to :func:`main`.  This
+module does the rest once:
 
 * checks the axis values (unknown values raise :class:`KeyError`; empty
   axes, repeated values and malformed values raise :class:`ValueError`);
@@ -40,7 +41,8 @@ added)::
 
 Each grid module documents its own entry fields.  A cell's SLOs follow the
 paper's Figure 13 convention: within one scenario, the best cell's P50
-TTFT and TPOT, each scaled by the scenario's ``slo_scale``.
+TTFT and TPOT, each scaled by the scenario's ``slo_scale`` (and by each of
+the grid's ``slo_factors``, for figure 13's violation curve).
 
 Determinism: cells are seeded independently of execution order, results
 are normalised through JSON whether computed or served from the cache, and
@@ -66,8 +68,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.chaos.config import fault_schedule_preset
-from repro.cluster.specs import cluster_a_spec, cluster_b_spec
-from repro.experiments.runner import ExperimentScale
+from repro.experiments.runner import ExperimentScale, build_serving_config
 from repro.fleet.config import AdmissionConfig, FleetConfig
 from repro.multicluster.config import MultiClusterConfig
 from repro.policies import make_policy
@@ -78,7 +79,12 @@ from repro.sweeps.cache import ResultCache, default_cache_dir
 from repro.sweeps.executor import run_tasks
 from repro.sweeps.task import SweepTask
 from repro.version import __version__
-from repro.workloads.slo import LatencyRecord, baseline_p50, slo_violation_ratio
+from repro.workloads.slo import (
+    LatencyRecord,
+    baseline_p50,
+    slo_violation_curve,
+    slo_violation_ratio,
+)
 
 #: Current schema version of every sweep document.
 SCHEMA_VERSION = 1
@@ -121,6 +127,13 @@ COUNT_STATS = (
     "instance_kills", "cluster_outages", "wan_degrades",
 )
 BYTE_STATS = ("cross_cluster_bytes", "dispatch_bytes", "migration_bytes")
+#: What a single-cluster cell reports besides the summary keys, for the
+#: paper's figures (see :func:`_cluster_measures`).
+CLUSTER_KEYS = (
+    "ttft_p999", "mean_ttft", "mean_bubble_fraction", "drops", "restores", "migrations",
+    "kv_capacity_first_gb", "kv_capacity_peak_gb", "peak_demand_ratio",
+    "memory_exhausted_at_s",
+)
 
 #: Probe options a grid may offer, in command-line order.
 PROBES = ("metrics_out", "trace", "trace_out", "alerts")
@@ -217,7 +230,8 @@ class Axis:
             malformed one.
         pinned: ``pinned(values)`` gives the one value this axis takes in a
             cell whose earlier values are ``values``, or ``None``.
-        by_scenario: when no values are given, each scenario sweeps these.
+        by_scenario: when no values are given, ``by_scenario(spec, scale)``
+            gives the values each scenario sweeps at the grid's scale.
         single: an option taking one value (``None`` leaves it unset)
             instead of a list.
     """
@@ -229,7 +243,7 @@ class Axis:
     known: Optional[Callable[[], Sequence[Any]]] = None
     parse: Callable[[Any], Any] = str
     pinned: Optional[Callable[[Mapping[str, Any]], Any]] = None
-    by_scenario: Optional[Callable[[ScenarioSpec], Sequence[Any]]] = None
+    by_scenario: Optional[Callable[[ScenarioSpec, ExperimentScale], Sequence[Any]]] = None
     single: bool = False
     metavar: str = "NAME"
     help: str = ""
@@ -286,6 +300,10 @@ class Grid:
         replay: index of the cell ``--metrics-out``/``--trace-out`` replay.
         listings: the command's ``--list*`` options.
         columns: the printed table, ``(entry field, heading, format)``.
+        scenario: resolves a scenario name (default: the registry; a grid
+            with scenarios of its own resolves them itself).
+        slo_factors: SLO factors at which each entry also reports its
+            violation ratio, as ``slo_violation_x<factor>``.
     """
 
     name: str
@@ -300,6 +318,8 @@ class Grid:
     replay: int = 0
     listings: Tuple[Listing, ...] = ()
     columns: Tuple[Tuple[str, str, str], ...] = ()
+    scenario: Callable[[str], ScenarioSpec] = get_scenario
+    slo_factors: Tuple[int, ...] = ()
 
 
 def sweep_scales(name: str, *, quick_drain_s: float = 30.0, full_drain_s: float = 90.0):
@@ -314,21 +334,9 @@ def sweep_scales(name: str, *, quick_drain_s: float = 30.0, full_drain_s: float 
 # Materialising cells
 # ----------------------------------------------------------------------
 def build_cell_config(spec: ScenarioSpec, scale: ExperimentScale, *, seed: int = 42) -> ServingConfig:
-    """ServingConfig for one scenario at one scale (cluster A for 1-GPU
-    instances, cluster B for multi-GPU instances, mirroring the presets)."""
-    if spec.gpus_per_instance > 1:
-        instances_per_server = max(1, 8 // spec.gpus_per_instance)
-        servers = max(1, -(-scale.num_instances // instances_per_server))
-        cluster = cluster_b_spec(num_servers=servers)
-    else:
-        cluster = cluster_a_spec(num_servers=scale.num_instances)
-    return ServingConfig(
-        model=spec.model,
-        cluster=cluster,
-        gpus_per_instance=spec.gpus_per_instance,
-        token_budget=spec.token_budget,
-        drain_timeout_s=scale.drain_timeout_s,
-        seed=seed,
+    """ServingConfig for one scenario at one scale."""
+    return build_serving_config(
+        spec.model, spec.gpus_per_instance, spec.token_budget, scale, seed=seed
     )
 
 
@@ -360,7 +368,7 @@ def materialise(
                 f"{axis.field} {checked[axis.field]!r} does not apply to this cell, "
                 f"which takes {pin!r}"
             )
-    spec = get_scenario(checked["scenario"])
+    spec = grid.scenario(checked["scenario"])
     cell = Cell(
         values={**checked, **{setting.name: setting.value for setting in grid.fixed}},
         spec=spec,
@@ -421,7 +429,8 @@ def grid_cells(
             if axis.single:
                 values = [values]
             elif values is None:
-                values = _checked(axis, axis.by_scenario(get_scenario(combo["scenario"])))
+                spec = grid.scenario(combo["scenario"])
+                values = _checked(axis, axis.by_scenario(spec, scale))
             pin = axis.pinned(combo) if axis.pinned is not None else None
             if pin is not None:
                 values = [pin]
@@ -601,6 +610,8 @@ def run_cell(
         requests = measured["requests"]
         measured["cross_cluster_ratio"] = stats["remote_routed"] / requests if requests else 0.0
         measured["recovery_transient_s"] = system.recovery_transient_s(result.records)
+    if tier is None:
+        measured.update(_cluster_measures(result))
     latencies = tuple((r.ttft, r.mean_tpot) for r in result.records)
     if frontend is not None:
         latencies = _measure_clients(cell, result, frontend, measured, latencies)
@@ -618,6 +629,41 @@ def run_cell(
     if metrics_out is not None:
         measured["scrapes"] = monitor.scrapes
     return measured
+
+
+def _cluster_measures(result) -> Dict[str, Any]:
+    """The :data:`CLUSTER_KEYS` of a single-cluster run.
+
+    From the monitor's KV memory samples: the first and peak capacity,
+    the peak demand over the first capacity (0 without one), and the
+    first sample whose used memory reaches 98 % of its capacity (``None``:
+    never).  Migrations count every request move between groups.
+    """
+    metrics = result.metrics
+    ttfts = metrics.ttft_values()
+    capacity = metrics.memory_capacity.points()
+    first_capacity = capacity[0].value if capacity else 0.0
+    capacity_at = {point.time: point.value for point in capacity}
+    exhausted_at = next(
+        (p.time for p in metrics.memory_used.points()
+         if capacity_at.get(p.time, 0.0) > 0 and p.value >= 0.98 * capacity_at[p.time]),
+        None,
+    )
+    kinds = [event["kind"] for event in metrics.events]
+    return {
+        "ttft_p999": result.summary["ttft_p999"],
+        "mean_ttft": sum(ttfts) / max(1, len(ttfts)),
+        "mean_bubble_fraction": result.summary["mean_bubble_fraction"],
+        "drops": kinds.count("drop"),
+        "restores": kinds.count("restore_end"),
+        "migrations": sum(record.migration_count for record in result.records),
+        "kv_capacity_first_gb": first_capacity / 1e9,
+        "kv_capacity_peak_gb": metrics.memory_capacity.max() / 1e9,
+        "peak_demand_ratio": (
+            metrics.memory_demand.max() / first_capacity if first_capacity > 0 else 0.0
+        ),
+        "memory_exhausted_at_s": exhausted_at,
+    }
 
 
 def _measure_clients(cell: Cell, result, frontend, measured: Dict[str, Any], latencies) -> Tuple:
@@ -682,12 +728,17 @@ def _entries(grid: Grid, cells: Sequence[Cell], payloads: Sequence[Dict]) -> Lis
             "ttft_slo_s": slo_scale * best_ttft,
             "tpot_slo_s": slo_scale * best_tpot,
         }
-        for (cell, payload), cell_records in zip(group, records):
+        curves: Dict[int, Dict[str, float]] = {}
+        if grid.slo_factors:
+            for point in slo_violation_curve(dict(enumerate(records)), scales=grid.slo_factors):
+                field = f"slo_violation_x{point.scale:g}"
+                curves.setdefault(point.system, {})[field] = point.violation_ratio
+        for index, ((cell, payload), cell_records) in enumerate(zip(group, records)):
             violation = slo_violation_ratio(
                 cell_records, ttft_slo_s=slo["ttft_slo_s"], tpot_slo_s=slo["tpot_slo_s"]
             )
             values = {
-                **payload, **cell.values, **slo,
+                **payload, **cell.values, **slo, **curves.get(index, {}),
                 "slo_violation_ratio": violation, "slo_attainment": 1.0 - violation,
             }
             entry = {key: values[key] for key in grid.entry_fields}
@@ -877,8 +928,9 @@ def _parser(grid: Grid) -> argparse.ArgumentParser:
         "metrics_out": f"additionally replay the {replayed} grid cell inline, streaming "
         "live Prometheus text scrapes to FILE",
         "trace": "attach a per-request span tracer to every cell and add a "
-        "stage_breakdown block (per-stage latency attribution) to each entry; "
-        "with --metrics-out, also streams the stage-duration histogram",
+        "stage_breakdown block (per-stage latency attribution) to each entry"
+        + ("; with --metrics-out, also streams the stage-duration histogram"
+           if "metrics_out" in grid.probes else ""),
         "trace_out": f"additionally replay the {replayed} grid cell inline with "
         "tracing on and write its Chrome trace-event JSON to FILE",
         "alerts": "replay the default alert-rule pack (repro.obs) over every cell's "

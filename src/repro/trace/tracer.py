@@ -403,10 +403,6 @@ class Tracer:
             meta,
         )
 
-    def stage_spans(self, request_id: int) -> List[Span]:
-        """Stage spans of one closed request (empty while still open)."""
-        return list(self._stage_spans.get(request_id, ()))
-
     def _request_spans(self) -> Iterator[Span]:
         for rid in sorted(self._states):
             yield self._root_span(self._states[rid])
@@ -422,7 +418,3 @@ class Tracer:
         """Root and stage spans only, in the order :meth:`spans` lists them
         (the sort is stable, so leaving detail spans out keeps it)."""
         return sorted(self._request_spans(), key=span_sort_key)
-
-    def open_requests(self) -> int:
-        """Traced requests still without a terminal state."""
-        return sum(1 for state in self._states.values() if state.status is None)

@@ -1,6 +1,8 @@
-"""Tests for the experiment modules (table/figure reproductions)."""
+"""Tests for the experiment modules and the figures grid they read."""
 
 from __future__ import annotations
+
+import pickle
 
 import pytest
 
@@ -15,15 +17,17 @@ from repro.experiments import (
     figure17,
     table1,
 )
+from repro.experiments.grid import FIGURE_SCENARIOS, GRID, run_figures
 from repro.experiments.report import format_table, format_value
 from repro.experiments.runner import (
     ExperimentScale,
-    QUICK_SCALE,
     WORKLOAD_PRESETS,
     build_preset_workload,
     build_system_config,
-    make_policies,
 )
+from repro.policies import make_policy
+from repro.scenarios import list_scenarios
+from repro.sweeps.grid import grid_cells, materialise, run_cell, run_grid, strip_wall_clock
 from repro.experiments.table1 import PAPER_RATIOS, format_table1, run_table1
 from repro.experiments.figure15 import format_figure15, max_errors, run_figure15
 
@@ -67,10 +71,11 @@ class TestRunner:
         assert config_72b.gpus_per_instance == 4
         assert config_72b.cluster.gpus_per_server == 8
 
-    def test_make_policies_order(self):
-        names = [p.name for p in make_policies()]
+    def test_five_systems_in_the_papers_order(self):
+        names = [make_policy(key).name for key in figure12.SYSTEMS]
         assert names == ["vLLM (DP)", "vLLM (PP)", "InferCept", "Llumnix", "KunServe"]
-        assert len(make_policies(include_pp=False)) == 4
+        for key in figure12.WORKLOADS:
+            assert GRID.scenario(key).policies == figure12.SYSTEMS
 
 
 class TestTable1:
@@ -117,54 +122,79 @@ SMOKE_SCALE = ExperimentScale(
     name="smoke", num_instances=2, trace_duration_s=4.0, drain_timeout_s=4.0
 )
 
-#: Each figure/table rendered from a run at ``SMOKE_SCALE``, narrowed to
-#: one workload and the shallowest pipeline where the module allows it.
-SMOKE_RUNS = {
-    "figure2": lambda: figure2.format_figure2(figure2.run_figure2(SMOKE_SCALE, seed=42)),
-    "figure5": lambda: figure5.format_figure5(
-        figure5.run_figure5(SMOKE_SCALE, seed=42, max_degree=2)
-    ),
-    "figure12": lambda: figure12.format_figure12(
-        figure12.run_figure12(SMOKE_SCALE, seed=42, workload_keys=("burstgpt-14b",))
-    ),
-    "figure13": lambda: figure13.format_figure13(
-        figure13.run_figure13(SMOKE_SCALE, seed=42, workload_keys=("burstgpt-14b",))
-    ),
-    "figure14": lambda: figure14.format_figure14(figure14.run_figure14(SMOKE_SCALE, seed=42)),
-    "figure15": lambda: figure15.format_figure15(figure15.run_figure15()),
-    "figure16": lambda: figure16.format_figure16(
-        figure16.run_figure16(
-            SMOKE_SCALE, seed=42, duration_s=3 * SMOKE_SCALE.trace_duration_s
-        )
-    ),
-    "figure17": lambda: figure17.format_figure17(figure17.run_figure17(SMOKE_SCALE, seed=42)),
-    "table1": lambda: table1.format_table1(table1.run_table1()),
-}
+#: The figures grid at ``SMOKE_SCALE``, narrowed to one workload preset.
+#: Two instances leave out the 4- and 8-stage pipelines of Figure 5.
+SMOKE_SCENARIOS = ("burstgpt-14b", "drop-degree", "ablation", "burst-waves", "extreme-burst")
 
 
-@pytest.mark.parametrize("experiment", list(SMOKE_RUNS))
-def test_every_experiment_runs_at_smoke_scale(experiment):
-    assert SMOKE_RUNS[experiment]().strip()
+@pytest.fixture(scope="module")
+def smoke_entries():
+    return run_figures(SMOKE_SCALE, scenarios=SMOKE_SCENARIOS)
+
+
+@pytest.mark.parametrize(
+    "module",
+    [figure2, figure5, figure12, figure13, figure14, figure15, figure16, figure17, table1],
+    ids=lambda module: module.__name__.rpartition(".")[2],
+)
+def test_every_experiment_runs_at_smoke_scale(module, request):
+    name = module.__name__.rpartition(".")[2]
+    format_ = getattr(module, f"format_{name}")
+    if module in (figure15, table1):  # no serving run
+        text = format_(getattr(module, f"run_{name}")())
+    else:
+        text = format_(request.getfixturevalue("smoke_entries"))
+    assert text.strip()
+
+
+class TestFiguresGrid:
+    def test_figure_scenarios_stay_out_of_the_registry(self):
+        assert not {spec.name for spec in FIGURE_SCENARIOS} & set(list_scenarios())
+        with pytest.raises(KeyError):
+            grid_cells(GRID, SMOKE_SCALE, scenarios=("spike-train",))
+
+    def test_cells_pickle_and_name_their_factory_by_import_path(self):
+        _, cells = grid_cells(GRID, SMOKE_SCALE)
+        for cell in cells:
+            factory = cell.spec.workload_factory
+            assert factory.__module__ == "repro.experiments.grid"
+            assert "<" not in factory.__qualname__  # no lambda or closure
+            assert pickle.loads(pickle.dumps(cell)).spec == cell.spec
+
+    @pytest.mark.parametrize("instances, deepest", [(2, "vllm-pp"), (4, "vllm-pp4"), (8, "vllm-pp8")])
+    def test_pipelines_deeper_than_the_cluster_are_not_run(self, instances, deepest):
+        scale = ExperimentScale("fit", instances, 4.0, 4.0)
+        _, cells = grid_cells(GRID, scale, scenarios=(figure5.SCENARIO,))
+        assert cells[-1].policy == deepest
+
+    def test_a_traced_figure13_cell_has_a_stage_breakdown(self):
+        cell = materialise(GRID, {"scenario": "longbench-14b", "policy": "kunserve"}, SMOKE_SCALE)
+        assert run_cell(cell, trace=True)["stage_breakdown"]
+
+    def test_warm_rerun_is_served_from_cache_and_identical(self, tmp_path):
+        run = dict(scale=SMOKE_SCALE, scenarios=("extreme-burst",), max_workers=1,
+                   use_cache=True, cache_dir=tmp_path)
+        cold, warm = run_grid(GRID, **run), run_grid(GRID, **run)
+        assert (cold["cache_misses"], warm["cache_hits"], warm["cache_misses"]) == (2, 2, 0)
+        assert strip_wall_clock(warm) == strip_wall_clock(cold)
 
 
 @pytest.mark.slow
 class TestEndToEndExperiments:
     def test_figure5_more_drop_more_latency(self):
-        from repro.experiments.figure5 import run_figure5
-
         scale = ExperimentScale(
             name="tiny5", num_instances=4, trace_duration_s=20.0, drain_timeout_s=30.0,
             rate_fraction=0.6,
         )
-        rows = run_figure5(scale, max_degree=4)
+        rows = figure5.rows(run_figures(scale, scenarios=(figure5.SCENARIO,)))
         assert [r["pipeline_stages"] for r in rows] == [1, 2, 4]
         # Deeper pipelines never beat DP on P99 TPOT.
         assert rows[-1]["tpot_p99"] >= rows[0]["tpot_p99"] * 0.95
 
     def test_figure2_overload_and_spikes(self):
-        from repro.experiments.figure2 import run_figure2
-
-        panels = run_figure2(TINY_SCALE, seed=3)
+        panels = figure2.panels(run_figures(
+            TINY_SCALE, seed=3, scenarios=(figure2.SCENARIO,), policies=tuple(figure2.SYSTEMS)
+        ))
         assert set(panels["systems"]) == {
             "Drop KVCache (vLLM)", "Swap KVCache (InferCept)", "Migrate KVCache (Llumnix)",
         }
@@ -173,12 +203,10 @@ class TestEndToEndExperiments:
             assert data["memory_capacity_gb"] > 0
 
     def test_figure14_ablation_runs_all_configs(self):
-        from repro.experiments.figure14 import run_figure14
-
         scale = ExperimentScale(
             name="ablation", num_instances=4, trace_duration_s=90.0, drain_timeout_s=90.0
         )
-        rows = run_figure14(scale, seed=3)
+        rows = figure14.rows(run_figures(scale, seed=3, scenarios=(figure14.SCENARIO,)))
         assert [r["config"] for r in rows] == [
             "vLLM (DP)", "vLLM (PP)", "+Dynamic drop", "+Coordinated ex.", "+Lookahead",
         ]

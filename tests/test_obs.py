@@ -24,7 +24,9 @@ The ISSUE acceptance criteria are pinned here:
 
 from __future__ import annotations
 
+import copy
 import json
+import pathlib
 
 import pytest
 
@@ -59,6 +61,8 @@ from repro.metrics.plot import parse_scrape_stream
 from repro.chaos.grid import GRID as CHAOS_GRID
 from repro.serve.grid import GRID as SERVE_GRID
 from repro.sweeps.grid import cell_task, grid_cells, materialise, run_cell, run_grid
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 #: Chaos cells at this scale finish in well under a second each; the
 #: outage preset strikes at 1.25 s and the long drain lets the recovery
@@ -573,6 +577,53 @@ class TestObsCli:
             {"schema_version": 1, "entries": [{"scenario": "s", "x": 2.0}]}
         ))
         assert obs_main(["diff", str(path), str(other), "--fail-on-findings"]) == 1
+
+    @staticmethod
+    def gate(base, current, tmp_path) -> int:
+        """``obs diff --threshold 0 --fail-on-findings`` of two documents."""
+        paths = []
+        for name, document in (("base.json", base), ("current.json", current)):
+            paths.append(tmp_path / name)
+            paths[-1].write_text(json.dumps(document))
+        return obs_main(
+            ["diff", *map(str, paths), "--threshold", "0", "--fail-on-findings"]
+        )
+
+    @pytest.fixture
+    def scenario_document(self):
+        return json.loads((REPO_ROOT / "SCENARIO_results.json").read_text())
+
+    def test_gate_fails_on_a_cell_only_one_document_has(
+        self, scenario_document, tmp_path, capsys
+    ):
+        renamed = copy.deepcopy(scenario_document)
+        renamed["entries"][0]["policy_name"] = "renamed"
+        assert self.gate(scenario_document, renamed, tmp_path) == 1
+        assert "1 cell(s) only in base, 1 cell(s) only in current" in capsys.readouterr().err
+        shorter = copy.deepcopy(scenario_document)
+        del shorter["entries"][-1]
+        assert self.gate(scenario_document, shorter, tmp_path) == 1
+
+    def test_gate_fails_on_a_changed_top_level_field(self, scenario_document, tmp_path):
+        reseeded = dict(scenario_document, seed=scenario_document["seed"] + 1)
+        assert self.gate(scenario_document, reseeded, tmp_path) == 1
+        rerun = dict(scenario_document, wall_s_total=0.0, cache_hits=32, cache_misses=0)
+        assert self.gate(scenario_document, rerun, tmp_path) == 0
+
+    def test_gate_fails_on_a_changed_non_numeric_entry_field(self, tmp_path):
+        entry = {"scenario": "s", "exhausted_at_s": None, "stood": True,
+                 "alerts": {"firing": 1}, "wall_s": 1.0, "profile": {"wall_s": 1.0},
+                 "stage_breakdown": {"decode": {"mean_s": 1.0}}}
+        base = {"seed": 1, "entries": [entry]}
+        for field, value in (("exhausted_at_s", 12.0), ("stood", False),
+                             ("alerts", {"firing": 2})):
+            current = {"seed": 1, "entries": [dict(entry, **{field: value})]}
+            (finding,) = diff_documents(base, current)["findings"]
+            assert (finding["field"], finding["delta"], finding["rel"]) == (field, None, None)
+            assert self.gate(base, current, tmp_path) == 1
+        host = dict(entry, wall_s=2.0, profile={"wall_s": 2.0},
+                    stage_breakdown={"decode": {"mean_s": 2.0}})
+        assert self.gate(base, {"seed": 1, "entries": [host]}, tmp_path) == 0
 
     def test_obs_smoke_compares_a_replayed_timeline_with_the_first_cell(self, tmp_path, capsys):
         import importlib.util

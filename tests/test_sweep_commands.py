@@ -1,4 +1,4 @@
-"""The surfaces of the five sweep commands.
+"""The surfaces of the six grid commands.
 
 Each command is driven the way ``python -m`` drives it (through
 :mod:`runpy`), so these tests hold whatever the commands are built from:
@@ -29,6 +29,10 @@ COMMON_OPTIONS = ["--seed", "--workers", "--sequential", "--output"]
 
 #: Every command's option strings, in parser order.
 OPTIONS = {
+    "repro.experiments": [
+        "-h", "--help", "--scale", "--scenarios", "--policies", *COMMON_OPTIONS,
+        "--trace", *CACHE_OPTIONS,
+    ],
     "repro.scenarios": [
         "-h", "--help", "--scale", "--scenarios", "--policies", "--fleet",
         "--multicluster", *COMMON_OPTIONS, *CACHE_OPTIONS, "--list",
@@ -168,11 +172,16 @@ def test_a_grid_loads_no_other_commands_grid(module):
     assert out.stdout.strip() == str(sorted([f"{module}.grid", "repro.sweeps.grid"]))
 
 
+#: The figures grid has scenarios of its own; the others share the registry's.
+SCENARIO_OF = {"repro.experiments": "ablation"}
+
+
 @pytest.mark.parametrize("module", sorted(OPTIONS))
 def test_a_repeated_axis_value_exits_2(module, tmp_path, capsys):
     output = tmp_path / "doc.json"
+    scenario = SCENARIO_OF.get(module, "spike-train")
     code = run_command(
-        module, ["--scenarios", "spike-train", "spike-train", *QUICK, "--output", str(output)]
+        module, ["--scenarios", scenario, scenario, *QUICK, "--output", str(output)]
     )
     assert code == 2
     assert "repeated" in capsys.readouterr().err

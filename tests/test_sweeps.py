@@ -233,6 +233,14 @@ class TestResultCache:
         path.write_text(json.dumps(entry))
         assert cache.load(task) is None
 
+    def test_first_store_prunes_entries_of_other_source_fingerprints(self, tmp_path):
+        current = tmp_path / f"{source_fingerprint()}-{'0' * 24}.json"
+        stale = tmp_path / f"{'f' * 16}-{'0' * 24}.json"
+        for path in (current, stale):
+            path.write_text("{}")
+        ResultCache(tmp_path).store(make_task(), {"value": 1})
+        assert current.exists() and not stale.exists()
+
     def test_clear_purges_entries(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.store(make_task(), {"value": 1})
