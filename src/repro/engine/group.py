@@ -76,6 +76,11 @@ class ServingGroup:
         self._assignment: List[List[int]] = [list(layers) for layers in assignment]
         self._validate_assignment()
 
+        #: a single-stage group prices its passes on its one instance over
+        #: its one layer slice.
+        self._latency = self.instances[0].latency
+        self._stage_layers = len(self._assignment[0])
+
         self.kv = PagedKVCache(num_blocks=0, block_size=block_size)
         # A pipelined group keeps every stage busy by processing one token
         # budget's worth of work per stage per iteration, so the effective
@@ -107,6 +112,11 @@ class ServingGroup:
         self._busy: bool = False
         self._pending_kick: Optional[Event] = None
         self._inflight_completion: Optional[Event] = None
+        #: the pass in flight: its batch, start time and bubble fraction
+        #: (``None`` on a single stage).  A group runs one pass at a time.
+        self._pass: Optional[IterationBatch] = None
+        self._pass_start = 0.0
+        self._pass_bubble: Optional[float] = None
         # Event names are precomputed: kick/iteration events are scheduled
         # thousands of times per simulated second, and building an f-string
         # per event was a measurable share of the loop's allocations.
@@ -242,13 +252,12 @@ class ServingGroup:
         if batch.empty:
             self._schedule_wakeup(now)
             return
-        duration, bubble_fraction = self._execute(batch)
+        duration, self._pass_bubble = self._execute(batch)
         self._busy = True
-        start = now
-        self._inflight_completion = self.loop.schedule(
-            duration,
-            lambda: self._complete_iteration(batch, start, duration, bubble_fraction),
-            name=self._iter_name,
+        self._pass = batch
+        self._pass_start = now
+        self._inflight_completion = self.loop.schedule_at(
+            now + duration, self._complete_iteration, name=self._iter_name
         )
 
     def _schedule_wakeup(self, now: float) -> None:
@@ -262,18 +271,22 @@ class ServingGroup:
             expiry, self._run_iteration, name=self._wake_name
         )
 
-    def _execute(self, batch: IterationBatch) -> Tuple[float, float]:
-        """Compute the iteration's duration and bubble fraction."""
+    def _execute(self, batch: IterationBatch) -> Tuple[float, Optional[float]]:
+        """Compute the iteration's duration and bubble fraction (``None``
+        on a single stage, which has no bubble)."""
         # The chunk list is handed to the latency model without copying:
         # neither path mutates it, and the copy showed up per iteration.
-        if self.num_stages == 1:
-            instance = self.instances[0]
-            duration = instance.latency.batch_time(
+        if len(self.instances) == 1:
+            if not batch.chunks:
+                return self._latency.decode_batch_time(
+                    batch.decode_count, batch.decode_prefix_sum, self._stage_layers
+                ), None
+            duration = self._latency.batch_time(
                 batch.chunks,
-                num_layers=len(self._assignment[0]),
+                num_layers=self._stage_layers,
                 decodes=(batch.decode_count, batch.decode_prefix_sum),
             )
-            return duration, 0.0
+            return duration, None
 
         # The formers deal decodes from their prefix bases, which the
         # scheduler hands out only on request: the cohort it keeps them for
@@ -374,29 +387,28 @@ class ServingGroup:
         base = 5e-6 + activation_bytes / bandwidth
         return base + self.activation_interference_s
 
-    def _complete_iteration(
-        self, batch: IterationBatch, start: float, duration: float, bubble_fraction: float
-    ) -> None:
+    def _complete_iteration(self) -> None:
+        """The pass in flight ends now: apply it, record its tokens (and
+        bubble), tell the listeners, and form the next one."""
         now = self.loop.now
         self._inflight_completion = None
+        batch = self._pass
         finished = self.scheduler.complete_batch(batch, now)
         for request in finished:
             self.metrics.record_request(request)
             for listener in self.finish_listeners:
                 listener(request)
-        self.metrics.record_iteration(
-            group_id=self.group_id,
-            start_time=start,
-            duration=duration,
-            new_tokens=batch.total_new_tokens,
-            num_requests=batch.num_requests,
-            num_stages=self.num_stages,
-            bubble_fraction=bubble_fraction,
-        )
+        if self._pass_bubble is None:
+            self.metrics.throughput.add(now, float(batch.total_new_tokens))
+        else:
+            self.metrics.record_iteration(now, batch.total_new_tokens, self._pass_bubble)
         for listener in self.iteration_listeners:
             listener(self, batch, now)
-        if self.tracer is not None:
-            self.tracer.on_iteration(self, batch, start, now)
+        # Without detail spans, a pass matters to the tracer only for the
+        # first execution of its prefill chunks.
+        tracer = self.tracer
+        if tracer is not None and (batch.chunks or tracer.details):
+            tracer.on_iteration(self, batch, self._pass_start, now)
         self._busy = False
         if self.active:
             self._run_iteration()

@@ -88,22 +88,18 @@ class LatencyModel:
         self._layer_param_bytes = param_bytes_per_layer(model)
         self._kv_bytes_per_token_layer = kv_bytes_per_token_per_layer(model)
         self._flops_per_token_layer = model.flops_per_token_per_layer()
+        self._q_dim = model.q_dim
+        #: effective hardware rates aggregated over the TP group, fixed at
+        #: construction: every priced pass divides by them.
+        self.effective_flops: float = gpu.flops * self.config.compute_efficiency * tp_degree
+        self.effective_bandwidth: float = (
+            gpu.hbm_bandwidth * self.config.memory_efficiency * tp_degree
+        )
         #: memo of batch_time results keyed by the batch's shape signature.
         #: Iteration times depend only on chunk shapes, so identical batches
         #: (common in steady-state decode and in profiling sweeps) are
         #: computed once.  Skipped when jitter makes results stochastic.
         self._batch_time_cache: dict = {}
-
-    # ------------------------------------------------------------------
-    # Effective hardware rates (aggregated over the TP group)
-    # ------------------------------------------------------------------
-    @property
-    def effective_flops(self) -> float:
-        return self.gpu.flops * self.config.compute_efficiency * self.tp_degree
-
-    @property
-    def effective_bandwidth(self) -> float:
-        return self.gpu.hbm_bandwidth * self.config.memory_efficiency * self.tp_degree
 
     # ------------------------------------------------------------------
     # Per-chunk cost pieces
@@ -171,41 +167,32 @@ class LatencyModel:
         total_flops, total_bytes, total_tokens = self._chunk_totals(
             chunk_list, num_layers, decodes
         )
-
-        # Weights are streamed once per microbatch, shared by all chunks.
-        total_bytes += self._layer_param_bytes * num_layers
-        # Activations read/written per token per layer (two residual streams).
-        total_bytes += (
-            4.0 * total_tokens * self.model.hidden_size * self.model.dtype_bytes * num_layers
+        duration = self._roofline(
+            total_flops, total_bytes, total_tokens, len(chunk_list) + decodes[0],
+            num_layers, include_lm_head,
         )
-        if include_lm_head:
-            total_flops += 2.0 * total_tokens * self.model.vocab_size * self.model.hidden_size
-
-        compute_time = total_flops / self.effective_flops
-        memory_time = total_bytes / self.effective_bandwidth
-        comm_time = tp_layer_comm_time(
-            total_tokens,
-            self.model.hidden_size,
-            self.model.dtype_bytes,
-            self.gpu.nvlink_bandwidth,
-            self.tp_degree,
-        ) * num_layers
-
-        # Fixed overheads (scheduling, sampling, kernel launches) scale with
-        # the fraction of the model executed, so a pipeline stage holding
-        # half the layers pays roughly half the per-iteration overhead.
-        layer_fraction = num_layers / self.model.num_layers
-        overhead = (
-            self.config.iteration_overhead_s * layer_fraction
-            + self.config.per_chunk_overhead_s * (len(chunk_list) + decodes[0]) * layer_fraction
-            + self.config.per_layer_overhead_s * num_layers
-        )
-        duration = max(compute_time, memory_time) + comm_time + overhead
         if cache_key is not None:
             if len(self._batch_time_cache) >= self._CACHE_LIMIT:
                 self._batch_time_cache.clear()
             self._batch_time_cache[cache_key] = duration
         return self._jitter(duration)
+
+    def decode_batch_time(
+        self, count: int, prefix_sum: int, num_layers: int, *, include_lm_head: bool = True
+    ) -> float:
+        """Execution time of ``count >= 1`` decode steps alone, whose prefixes
+        sum to ``prefix_sum``: ``batch_time([], num_layers, decodes=(count,
+        prefix_sum))`` without the chunk-list handling, float for float.
+        A quiet decode pass is priced here."""
+        flops = (
+            count * self._flops_per_token_layer + 4 * (prefix_sum + count) * self._q_dim
+        ) * num_layers
+        kv_bytes = (prefix_sum + 2 * count) * self._kv_bytes_per_token_layer * num_layers
+        return self._jitter(
+            self._roofline(
+                float(flops), float(kv_bytes), count, count, num_layers, include_lm_head
+            )
+        )
 
     def batch_time_pair(
         self,
@@ -237,30 +224,50 @@ class LatencyModel:
         total_flops, total_bytes, total_tokens = self._chunk_totals(
             chunk_list, num_layers, decodes
         )
-        total_bytes += self._layer_param_bytes * num_layers
-        total_bytes += (
-            4.0 * total_tokens * self.model.hidden_size * self.model.dtype_bytes * num_layers
+        items = len(chunk_list) + decodes[0]
+        without_head = self._roofline(
+            total_flops, total_bytes, total_tokens, items, num_layers, False
         )
-        lm_head_flops = total_flops + 2.0 * total_tokens * self.model.vocab_size * self.model.hidden_size
-
-        effective_flops = self.effective_flops
-        memory_time = total_bytes / self.effective_bandwidth
-        comm_time = tp_layer_comm_time(
-            total_tokens,
-            self.model.hidden_size,
-            self.model.dtype_bytes,
-            self.gpu.nvlink_bandwidth,
-            self.tp_degree,
-        ) * num_layers
-        layer_fraction = num_layers / self.model.num_layers
-        overhead = (
-            self.config.iteration_overhead_s * layer_fraction
-            + self.config.per_chunk_overhead_s * (len(chunk_list) + decodes[0]) * layer_fraction
-            + self.config.per_layer_overhead_s * num_layers
-        )
-        without_head = max(total_flops / effective_flops, memory_time) + comm_time + overhead
-        with_head = max(lm_head_flops / effective_flops, memory_time) + comm_time + overhead
+        with_head = self._roofline(total_flops, total_bytes, total_tokens, items, num_layers, True)
         return self._jitter(without_head), self._jitter(with_head), total_tokens
+
+    def _roofline(
+        self,
+        flops: float,
+        kv_bytes: float,
+        tokens: int,
+        items: int,
+        num_layers: int,
+        include_lm_head: bool,
+    ) -> float:
+        """A microbatch's time, before jitter, from its chunk and decode
+        totals (``items`` counts the chunks and the decodes)."""
+        model = self.model
+        # Weights are streamed once per microbatch, shared by all chunks.
+        total_bytes = kv_bytes + self._layer_param_bytes * num_layers
+        # Activations read/written per token per layer (two residual streams).
+        total_bytes += 4.0 * tokens * model.hidden_size * model.dtype_bytes * num_layers
+        if include_lm_head:
+            flops += 2.0 * tokens * model.vocab_size * model.hidden_size
+        compute_time = flops / self.effective_flops
+        memory_time = total_bytes / self.effective_bandwidth
+        comm_time = 0.0  # tp_layer_comm_time(...) * num_layers with one GPU
+        if self.tp_degree > 1:
+            comm_time = tp_layer_comm_time(
+                tokens, model.hidden_size, model.dtype_bytes, self.gpu.nvlink_bandwidth,
+                self.tp_degree,
+            ) * num_layers
+        # Fixed overheads (scheduling, sampling, kernel launches) scale with
+        # the fraction of the model executed, so a pipeline stage holding
+        # half the layers pays roughly half the per-iteration overhead.
+        layer_fraction = num_layers / model.num_layers
+        config = self.config
+        overhead = (
+            config.iteration_overhead_s * layer_fraction
+            + config.per_chunk_overhead_s * items * layer_fraction
+            + config.per_layer_overhead_s * num_layers
+        )
+        return max(compute_time, memory_time) + comm_time + overhead
 
     def _chunk_totals(
         self, chunk_list: List[ScheduledChunk], num_layers: int, decodes: Tuple[int, int]
@@ -284,7 +291,7 @@ class LatencyModel:
             tokens += new_tokens
             attn_units += 2 * new_tokens * (2 * prefix + new_tokens + 1)
             kv_units += prefix + 2 * new_tokens
-        flops = (tokens * self._flops_per_token_layer + attn_units * self.model.q_dim) * num_layers
+        flops = (tokens * self._flops_per_token_layer + attn_units * self._q_dim) * num_layers
         kv_bytes = kv_units * self._kv_bytes_per_token_layer * num_layers
         return float(flops), float(kv_bytes), tokens
 

@@ -15,7 +15,7 @@ percentiles the experiment modules print.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -169,22 +169,12 @@ class TimelineSeries:
         return sum(values) / len(values)
 
 
-@dataclass
-class IterationRecord:
-    """One engine iteration of one serving group."""
-
-    group_id: int
-    start_time: float
-    duration: float
-    new_tokens: int
-    num_requests: int
-    num_stages: int
-    bubble_fraction: float
-
-
 class MetricsCollector:
-    """Collects per-request records, iteration records and timelines.
+    """Collects per-request records and timelines.
 
+    Of an engine pass it keeps only what its readers use: the new tokens
+    on the ``throughput`` timeline and, for a pipelined pass, the bubble
+    fraction (``bubble_fractions``, read by :meth:`mean_bubble_fraction`).
     ``record_request`` also keeps a running finished count and the TTFT
     values, sorted lazily when a percentile is asked for, so the queries a
     live metrics scrape makes cost O(new records), not O(all records).
@@ -193,7 +183,9 @@ class MetricsCollector:
     def __init__(self, timeline_window_s: float = 1.0) -> None:
         self.timeline_window_s = timeline_window_s
         self.records: List[RequestRecord] = []
-        self.iterations: List[IterationRecord] = []
+        #: one entry per completed pipelined (multi-stage) pass.  A list,
+        #: not a running sum: ``np.mean`` sums it pairwise.
+        self.bubble_fractions: List[float] = []
         self.throughput = TimelineSeries(timeline_window_s, mode="sum")
         self.memory_used = TimelineSeries(timeline_window_s, mode="mean")
         self.memory_demand = TimelineSeries(timeline_window_s, mode="mean")
@@ -217,29 +209,14 @@ class MetricsCollector:
             self._ttfts_sorted = False
         return record
 
-    def record_iteration(
-        self,
-        *,
-        group_id: int,
-        start_time: float,
-        duration: float,
-        new_tokens: int,
-        num_requests: int,
-        num_stages: int = 1,
-        bubble_fraction: float = 0.0,
-    ) -> None:
-        self.iterations.append(
-            IterationRecord(
-                group_id=group_id,
-                start_time=start_time,
-                duration=duration,
-                new_tokens=new_tokens,
-                num_requests=num_requests,
-                num_stages=num_stages,
-                bubble_fraction=bubble_fraction,
-            )
-        )
-        self.throughput.add(start_time + duration, float(new_tokens))
+    def record_iteration(self, end_time: float, new_tokens: int, bubble_fraction: float) -> None:
+        """A pipelined pass ending at ``end_time`` with ``new_tokens``.
+
+        A single-stage pass has no bubble: its group adds its tokens to
+        ``throughput`` directly.
+        """
+        self.bubble_fractions.append(bubble_fraction)
+        self.throughput.add(end_time, float(new_tokens))
 
     def sample_memory(
         self, time: float, *, used_bytes: float, capacity_bytes: float, demand_bytes: float
@@ -295,10 +272,9 @@ class MetricsCollector:
         return self._finished
 
     def mean_bubble_fraction(self) -> float:
-        multi_stage = [i.bubble_fraction for i in self.iterations if i.num_stages > 1]
-        if not multi_stage:
+        if not self.bubble_fractions:
             return 0.0
-        return float(np.mean(multi_stage))
+        return float(np.mean(self.bubble_fractions))
 
     def summary(self) -> Dict[str, float]:
         """Headline numbers used by tests and report printing."""

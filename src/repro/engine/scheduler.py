@@ -489,13 +489,19 @@ class ContinuousBatchingScheduler:
     # Batch formation
     # ------------------------------------------------------------------
     def form_batch(self, now: float) -> IterationBatch:
-        """Build the next iteration's batch (decodes first, then prefill)."""
+        """Build the next iteration's batch (decodes first, then prefill).
+
+        Each step runs only when it has something to walk, so a quiet
+        decode pass (no swapped, prefilling or waiting request) costs the
+        cohort's counters and its crossings.
+        """
         self.memory_blocked = False
         self._now = now
         batch = IterationBatch()
         budget = self.config.token_budget
 
-        self._try_swap_in(now)
+        if self.swapped:
+            self._try_swap_in(now)
         if self._stall_heap and self._stall_heap[0][0] <= now:
             self._wake_stalled(now)
         if self._bench or len(self._cohort) > budget:
@@ -507,8 +513,10 @@ class ContinuousBatchingScheduler:
         if self._cohort:
             self._form_decode_pass(batch, now)
             budget -= batch.decode_count
-        budget = self._schedule_running_prefills(batch, budget, now)
-        self._admit_waiting(batch, budget, now)
+        if self._prefilling:
+            budget = self._schedule_running_prefills(batch, budget, now)
+        if self.waiting:
+            self._admit_waiting(batch, budget, now)
         return batch
 
     def _form_decode_pass(self, batch: IterationBatch, now: float) -> None:
@@ -666,9 +674,7 @@ class ContinuousBatchingScheduler:
                 self.hooks.on_swap_out(victim)
 
     def _try_swap_in(self, now: float) -> None:
-        """Bring back swapped requests once memory has pressure has eased."""
-        if not self.swapped:
-            return
+        """Bring back swapped requests once memory pressure has eased."""
         watermark_blocks = int(self.kv.num_blocks * self.config.swap_in_watermark)
         candidates = sorted(self.swapped, key=_fcfs_key)
         for request in candidates:

@@ -53,6 +53,9 @@ class AdmissionController:
         #: ids of re-homed requests: shed-exempt, not re-counted as admitted.
         self._readmitted: set = set()
 
+        #: requests currently waiting in the admission queues, kept as
+        #: they enter and leave (every engine pass of every group reads it).
+        self.queued = 0
         self.admitted = 0
         self.shed = 0
         self.queue_peak = 0
@@ -66,11 +69,6 @@ class AdmissionController:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def queued(self) -> int:
-        """Requests currently waiting in the admission queues."""
-        return sum(len(q) for q in self._queues.values())
-
     def queued_for(self, tenant: str) -> int:
         queue = self._queues.get(tenant)
         return len(queue) if queue is not None else 0
@@ -95,8 +93,7 @@ class AdmissionController:
         if len(queue) >= self.config.max_queue_depth:
             self._shed(request)
             return "shed"
-        queue.append(request)
-        self.queue_peak = max(self.queue_peak, self.queued)
+        self._enqueue(queue, request)
         return "queued"
 
     def readmit(self, request: Request) -> str:
@@ -113,8 +110,7 @@ class AdmissionController:
             group.adopt_waiting(request)
             return "dispatched"
         self._readmitted.add(request.request_id)
-        self._queue(request.slo_class).append(request)
-        self.queue_peak = max(self.queue_peak, self.queued)
+        self._enqueue(self._queue(request.slo_class), request)
         return "queued"
 
     def evict_all(self) -> List[Request]:
@@ -131,6 +127,7 @@ class AdmissionController:
         for queue in self._queues.values():
             evicted.extend(queue)
             queue.clear()
+        self.queued = 0
         self._readmitted.clear()
         evicted.sort(key=lambda r: (r.arrival_time, r.request_id))
         return evicted
@@ -162,6 +159,7 @@ class AdmissionController:
                 group = self._accepting_group(queue[0])
                 if group is None:
                     return dispatched
+                self.queued -= 1
                 self._dispatch(queue.popleft(), group)
                 dispatched += 1
                 progressed = True
@@ -178,11 +176,17 @@ class AdmissionController:
                 # preserves FIFO order within the tenant.
                 if queue[0].request_id in self._readmitted:
                     break
+                self.queued -= 1
                 self._shed(queue.popleft())
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _enqueue(self, queue: Deque[Request], request: Request) -> None:
+        queue.append(request)
+        self.queued += 1
+        self.queue_peak = max(self.queue_peak, self.queued)
+
     def _queue(self, tenant: str) -> Deque[Request]:
         queue = self._queues.get(tenant)
         if queue is None:

@@ -30,7 +30,7 @@ from collections import deque
 
 from repro.engine.group import ServingGroup
 from repro.engine.instance import ServingInstance
-from repro.engine.metrics import percentile
+from repro.engine.metrics import sorted_percentile
 from repro.fleet.config import AutoscalerConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -270,7 +270,7 @@ class Autoscaler:
             recent.popleft()
         if len(recent) < 5:
             return None
-        return percentile([ttft for _, ttft in recent], 99)
+        return sorted_percentile(sorted(ttft for _, ttft in recent), 99)
 
     def _cooldown_passed(self, now: float) -> bool:
         return now - self._last_action_time >= self.config.cooldown_s

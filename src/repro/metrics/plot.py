@@ -48,11 +48,12 @@ def parse_scrape_stream(text: str) -> Series:
     (e.g. ``repro_queue_depth{cluster="0"}``) — label sets render in
     sorted order upstream, so the key is stable across scrapes.  Sample
     timestamps (milliseconds) win over the scrape marker time when both
-    are present.
+    are present.  Records end at ``\n`` only: the exposition escapes no
+    other line separator, so a label value may hold ``\r`` or ``\x85``.
     """
     series: Series = {}
     scrape_t = 0.0
-    for raw in text.splitlines():
+    for raw in text.split("\n"):
         line = raw.strip()
         if not line:
             continue
@@ -103,8 +104,11 @@ def _parse_sample(
 
 
 def read_scrape_stream(path) -> Series:
-    """Parse a ``--metrics-out`` file from disk."""
-    return parse_scrape_stream(Path(path).read_text())
+    """Parse a ``--metrics-out`` file from disk, its bytes untranslated
+    (universal newlines would turn a ``\r`` in a label value into a record
+    break)."""
+    with open(path, newline="") as handle:
+        return parse_scrape_stream(handle.read())
 
 
 def fault_windows(schedule, *, t_end_s: float) -> List[FaultWindow]:

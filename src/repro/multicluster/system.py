@@ -582,7 +582,7 @@ class MultiClusterSystem:
         self.metrics_monitor = monitor
         return monitor
 
-    def attach_tracer(self, tracer=None, *, enabled: bool = True):
+    def attach_tracer(self, tracer=None, *, enabled: bool = True, details: bool = True):
         """Install one shared per-request :class:`repro.trace.Tracer`.
 
         The tier and every cluster shard record into the same tracer, so a
@@ -592,7 +592,7 @@ class MultiClusterSystem:
         from repro.trace import Tracer
 
         if tracer is None:
-            tracer = Tracer(self.loop, enabled=enabled)
+            tracer = Tracer(self.loop, enabled=enabled, details=details)
         self.tracer = tracer
         if tracer.enabled:
             self.fabric.network.tracer = tracer

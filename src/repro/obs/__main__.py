@@ -24,6 +24,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
+from repro.metrics.plot import read_scrape_stream
 from repro.obs.diff import (
     DEFAULT_REL_THRESHOLD,
     diff_documents,
@@ -45,7 +46,7 @@ def _emit(text: str, output: Optional[str]) -> None:
 
 def _cmd_alerts(args: argparse.Namespace) -> int:
     engine = AlertEngine()
-    events = engine.evaluate_stream_text(Path(args.stream).read_text())
+    events = engine.evaluate(read_scrape_stream(args.stream))
     block = alerts_block(events, engine.rules)
     if args.format == "json":
         _emit(json.dumps(block, indent=2) + "\n", args.output)

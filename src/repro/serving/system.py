@@ -338,7 +338,7 @@ class ClusterServingSystem:
         group.tracer = self.tracer if self.tracer.enabled else None
         group.trace_track = f"cluster{self._trace_cluster}/group{group.group_id}"
 
-    def attach_tracer(self, tracer=None, *, enabled: bool = True):
+    def attach_tracer(self, tracer=None, *, enabled: bool = True, details: bool = True):
         """Install a :class:`repro.trace.Tracer` on this system.
 
         Wires the span-recording hooks through the whole stack: request
@@ -350,13 +350,15 @@ class ClusterServingSystem:
         group/fabric/admission hot paths, so a disabled tracer costs the
         same bare checks as an untraced run.
 
-        Pass an existing ``tracer`` to share one recorder across systems
-        (the multicluster tier shares its tracer with every shard).
+        ``details=False`` records no detail spans (see
+        :class:`repro.trace.Tracer`).  Pass an existing ``tracer`` to share
+        one recorder across systems (the multicluster tier shares its
+        tracer with every shard).
         """
         from repro.trace import Tracer
 
         if tracer is None:
-            tracer = Tracer(self.loop, enabled=enabled)
+            tracer = Tracer(self.loop, enabled=enabled, details=details)
         self.tracer = tracer
         for group in self.groups:
             self._wire_group_tracer(group)

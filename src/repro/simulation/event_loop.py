@@ -2,7 +2,9 @@
 
 Events are callbacks scheduled at absolute simulation times.  Ties are
 broken by (priority, insertion order) so the simulation is fully
-deterministic for a given seed and schedule of calls.
+deterministic for a given seed and schedule of calls.  The heap holds
+``(time, priority, seq, event)`` tuples: ``seq`` is unique, so C tuple
+comparison orders them and never reaches the event.
 """
 
 from __future__ import annotations
@@ -22,53 +24,25 @@ _NO_LIMIT = float("inf")
 class Event:
     """A scheduled callback.
 
-    Events compare by ``(time, priority, seq)`` which is what the heap uses
-    for ordering.  ``cancelled`` events stay in the heap but are skipped when
-    popped (lazy deletion).  Slotted, with a hand-written ``__lt__`` that
-    short-circuits on ``time``: heap siftup/siftdown compares events millions
-    of times per simulation, and the tuple allocation a generated dataclass
-    ``__lt__`` performs dominates otherwise.
+    The loop orders events by the ``(time, priority, seq)`` of their heap
+    entry.  ``cancelled`` events stay in the heap but are skipped when
+    popped (lazy deletion).
     """
 
-    __slots__ = ("time", "priority", "seq", "callback", "name", "cancelled")
+    __slots__ = ("time", "callback", "name", "cancelled")
 
-    def __init__(
-        self,
-        time: float,
-        priority: int,
-        seq: int,
-        callback: Callable[[], None],
-        name: str = "",
-        cancelled: bool = False,
-    ) -> None:
+    def __init__(self, time: float, callback: Callable[[], None], name: str = "") -> None:
         self.time = time
-        self.priority = priority
-        self.seq = seq
         self.callback = callback
         self.name = name
-        self.cancelled = cancelled
-
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        if self.priority != other.priority:
-            return self.priority < other.priority
-        return self.seq < other.seq
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Event):
-            return NotImplemented
-        return (self.time, self.priority, self.seq) == (other.time, other.priority, other.seq)
+        self.cancelled = False
 
     def cancel(self) -> None:
         """Mark the event so the loop skips it when its time comes."""
         self.cancelled = True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Event(time={self.time!r}, priority={self.priority}, seq={self.seq}, "
-            f"name={self.name!r}, cancelled={self.cancelled})"
-        )
+        return f"Event(time={self.time!r}, name={self.name!r}, cancelled={self.cancelled})"
 
 
 class EventLoop:
@@ -92,7 +66,8 @@ class EventLoop:
 
     def __init__(self, clock: Optional[Clock] = None) -> None:
         self.clock = clock if clock is not None else Clock()
-        self._heap: list[Event] = []
+        #: ``(time, priority, seq, event)`` entries.
+        self._heap: list[tuple[float, int, int, Event]] = []
         self._counter = itertools.count()
         self._events_executed = 0
         self._running = False
@@ -110,7 +85,7 @@ class EventLoop:
     @property
     def pending(self) -> int:
         """Number of live (non-cancelled) events still queued."""
-        return sum(1 for event in self._heap if not event.cancelled)
+        return sum(1 for entry in self._heap if not entry[3].cancelled)
 
     def schedule(
         self,
@@ -123,7 +98,7 @@ class EventLoop:
         """Schedule ``callback`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise ValueError(f"cannot schedule event in the past: delay={delay}")
-        return self.schedule_at(self.now + delay, callback, priority=priority, name=name)
+        return self.schedule_at(self.clock.now + delay, callback, priority=priority, name=name)
 
     def schedule_at(
         self,
@@ -134,14 +109,13 @@ class EventLoop:
         name: str = "",
     ) -> Event:
         """Schedule ``callback`` to run at absolute time ``timestamp``."""
-        if timestamp < self.now:
+        if timestamp < self.clock.now:
             raise ValueError(
                 f"cannot schedule event in the past: now={self.now}, at={timestamp}"
             )
-        # Positional construction: this allocates one Event per scheduled
-        # callback, which is the dominant remaining allocation of the loop.
-        event = Event(float(timestamp), priority, next(self._counter), callback, name)
-        heapq.heappush(self._heap, event)
+        time = float(timestamp)
+        event = Event(time, callback, name)
+        heapq.heappush(self._heap, (time, priority, next(self._counter), event))
         return event
 
     def peek_time(self) -> Optional[float]:
@@ -149,15 +123,15 @@ class EventLoop:
         self._discard_cancelled()
         if not self._heap:
             return None
-        return self._heap[0].time
+        return self._heap[0][0]
 
     def step(self) -> bool:
         """Run the single next event.  Returns False when nothing is queued."""
         self._discard_cancelled()
         if not self._heap:
             return False
-        event = heapq.heappop(self._heap)
-        self.clock.advance_to(event.time)
+        time, _, _, event = heapq.heappop(self._heap)
+        self.clock.advance_to(time)
         self._events_executed += 1
         EventLoop.lifetime_events += 1
         event.callback()
@@ -184,11 +158,11 @@ class EventLoop:
         limit = max_events if max_events is not None else _NO_LIMIT
         try:
             while executed < limit:
-                while heap and heap[0].cancelled:
+                while heap and heap[0][3].cancelled:
                     pop(heap)
                 if not heap:
                     break
-                batch_time = heap[0].time
+                batch_time = heap[0][0]
                 if batch_time > horizon:
                     # Nothing else happens inside the horizon; park the clock
                     # at the horizon so callers observe a consistent end time.
@@ -203,12 +177,11 @@ class EventLoop:
                 # simultaneous events that zero-delay scheduling produces.
                 advance(batch_time)
                 while executed < limit:
-                    event = pop(heap)
-                    event.callback()
+                    pop(heap)[3].callback()
                     executed += 1
-                    while heap and heap[0].cancelled:
+                    while heap and heap[0][3].cancelled:
                         pop(heap)
-                    if not heap or heap[0].time != batch_time:
+                    if not heap or heap[0][0] != batch_time:
                         break
         finally:
             self._running = False
@@ -218,7 +191,7 @@ class EventLoop:
         return executed
 
     def _discard_cancelled(self) -> None:
-        while self._heap and self._heap[0].cancelled:
+        while self._heap and self._heap[0][3].cancelled:
             heapq.heappop(self._heap)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

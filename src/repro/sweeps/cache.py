@@ -111,7 +111,7 @@ class ResultCache:
         tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
         try:
             self.root.mkdir(parents=True, exist_ok=True)
-            tmp.write_text(json.dumps(entry, indent=1) + "\n")
+            tmp.write_text(json.dumps(entry, separators=(",", ":")) + "\n")
             os.replace(tmp, path)
         except OSError:
             self._discard(tmp)

@@ -538,7 +538,8 @@ def run_cell(
     read only their own fields, so neither block reaches a document.
     ``trace=True`` attaches a span tracer and adds a ``stage_breakdown``;
     ``trace="disabled"`` attaches it with recording off.  ``on_tracer``
-    receives the tracer as it attaches.  ``alerts=True`` evaluates the
+    receives the tracer as it attaches; without it nothing can export the
+    spans, so the tracer records no detail spans.  ``alerts=True`` evaluates the
     default alert rules over the monitor's typed series into an ``alerts``
     block.  ``metrics_out`` streams the scrapes (with the stage histogram
     when tracing, and the client series for closed-loop clients) to a file
@@ -558,7 +559,9 @@ def run_cell(
         initial_groups = len(system.groups)
     tracer = None
     if trace:
-        tracer = system.attach_tracer(enabled=trace != "disabled")
+        tracer = system.attach_tracer(
+            enabled=trace != "disabled", details=on_tracer is not None
+        )
         if on_tracer is not None:
             on_tracer(tracer)
     frontend = None

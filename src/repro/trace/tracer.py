@@ -18,9 +18,12 @@ WAN delivery, dispatch, first execution, first token, terminal state).
 When a request reaches a terminal state the boundary list is folded into
 stage spans that partition ``[arrival, end]`` — which is what makes the
 span-conservation invariant (stage durations sum to E2E) hold by
-construction rather than by luck.  Detail spans (chunk execution, fabric
-transfers, migrations, retries) are appended as they complete and may
-overlap the stage partition freely.
+construction rather than by luck.  Detail spans (chunk execution, engine
+passes, fabric transfers, migrations, retries) are appended as they
+complete and may overlap the stage partition freely.  Only an export
+reads them, so a tracer built with ``details=False`` records none: a
+sweep cell whose spans nobody exports keeps its stage breakdown and
+skips the one ``iteration`` span per engine pass.
 """
 
 from __future__ import annotations
@@ -90,9 +93,11 @@ class _RequestState:
 class Tracer:
     """Records a span tree per request from instrumented hook points."""
 
-    def __init__(self, loop: "EventLoop", *, enabled: bool = True) -> None:
+    def __init__(self, loop: "EventLoop", *, enabled: bool = True, details: bool = True) -> None:
         self.loop = loop
         self.enabled = enabled
+        #: whether detail spans are recorded (for :meth:`spans` exports).
+        self.details = details
         self._states: Dict[int, _RequestState] = {}
         self._details: List[Span] = []
         self._pending_wan: Dict[int, float] = {}
@@ -111,7 +116,7 @@ class Tracer:
     # ------------------------------------------------------------------
     def on_gateway(self, request: "Request") -> None:
         """A gateway pulled ``request`` from its stream (pre-submission)."""
-        if not self.enabled:
+        if not self.enabled or not self.details:
             return
         now = self.loop.now
         self._details.append(
@@ -143,7 +148,7 @@ class Tracer:
 
     def on_route(self, request: "Request", target: object, scope: str = "fleet") -> None:
         """A router picked ``target`` — an instantaneous decision span."""
-        if not self.enabled:
+        if not self.enabled or not self.details:
             return
         now = self.loop.now
         self._details.append(
@@ -183,7 +188,7 @@ class Tracer:
             return
         if state.first_exec is None:
             state.boundaries.append((STAGE_WAN_TRANSFER, self.loop.now))
-        elif started is not None:
+        elif started is not None and self.details:
             self._details.append(
                 Span(
                     DETAIL_KV_MIGRATION,
@@ -215,13 +220,14 @@ class Tracer:
         if not self.enabled:
             return
         track = getattr(group, "trace_track", "engine")
+        details = self.details
         # Only prefill chunks are listed; a decoding request ran a prefill
         # chunk before, which already marked its first execution.
         prefill_tokens = 0
         for chunk in batch.chunks:
             state = self._states.get(chunk.request.request_id)
             prefill_tokens += chunk.new_tokens
-            if state is not None:
+            if state is not None and details:
                 self._details.append(
                     Span(
                         DETAIL_PREFILL_CHUNK,
@@ -239,6 +245,8 @@ class Tracer:
             if state is not None and state.status is None and state.first_exec is None:
                 state.first_exec = start_s
                 state.boundaries.append((STAGE_SCHEDULER_QUEUE, start_s))
+        if not details:
+            return
         self._details.append(
             Span(
                 DETAIL_ITERATION,
@@ -308,7 +316,7 @@ class Tracer:
 
     def on_retry_backoff(self, request: "Request", delay_s: float) -> None:
         """A shed attempt scheduled its retry ``delay_s`` from now."""
-        if not self.enabled:
+        if not self.enabled or not self.details:
             return
         now = self.loop.now
         self._details.append(
@@ -327,7 +335,7 @@ class Tracer:
         self, request: "Request", src_track: str, dst_track: str
     ) -> None:
         """A running request's KV started moving to another group."""
-        if not self.enabled:
+        if not self.enabled or not self.details:
             return
         self._pending_migrations[request.request_id] = (
             self.loop.now,
@@ -357,7 +365,7 @@ class Tracer:
 
     def on_transfer(self, transfer: "Transfer") -> None:
         """A fabric transfer finished (swap / migrate / WAN delivery)."""
-        if not self.enabled:
+        if not self.enabled or not self.details:
             return
         self._details.append(
             Span(

@@ -319,6 +319,27 @@ class TestClosedFormRoofline:
             reference.batch_time_pair(chunks, num_layers)
         )
 
+    @settings(max_examples=120, deadline=None)
+    @given(
+        model=st.sampled_from(sorted(MODEL_CATALOG.values(), key=lambda m: m.name)),
+        # Tensor parallelism needs NVLink, which only the H800 has.
+        gpu_tp=st.sampled_from([(A800_80GB, 1)] + [(H800_80GB, tp) for tp in (1, 2, 4, 8)]),
+        layer_fraction=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+        count=st.integers(1, 4096),
+        prefix_sum=st.integers(0, 4096 * 300_000),
+        head=st.booleans(),
+    )
+    def test_decode_only_price_matches_batch_time(
+        self, model, gpu_tp, layer_fraction, count, prefix_sum, head
+    ):
+        """A quiet pass's price is ``batch_time([], ...)`` bit for bit."""
+        gpu, tp_degree = gpu_tp
+        latency = LatencyModel(gpu, model, tp_degree=tp_degree)
+        num_layers = max(1, int(model.num_layers * layer_fraction))
+        assert latency.decode_batch_time(
+            count, prefix_sum, num_layers, include_lm_head=head
+        ) == latency.batch_time([], num_layers, include_lm_head=head, decodes=(count, prefix_sum))
+
     @pytest.mark.parametrize("batch_size", [0, 1, 7, 64])
     def test_decode_time_matches_the_chunk_loop(self, batch_size):
         fast = LatencyModel(A800_80GB, QWEN_2_5_14B)
@@ -517,12 +538,12 @@ class TestMetrics:
 
     def test_collector_iteration_and_memory(self):
         collector = MetricsCollector()
-        collector.record_iteration(group_id=0, start_time=0.0, duration=0.1, new_tokens=100,
-                                   num_requests=2, num_stages=2, bubble_fraction=0.25)
+        collector.record_iteration(0.1, 100, 0.25)
         collector.sample_memory(0.5, used_bytes=10.0, capacity_bytes=100.0, demand_bytes=20.0)
         collector.mark_event(0.7, "drop", freed_bytes=5)
         summary = collector.summary()
         assert summary["mean_bubble_fraction"] == pytest.approx(0.25)
+        assert summary["throughput_tokens_per_s"] == 100.0
         assert collector.memory_capacity.max() == 100.0
         assert collector.events[0]["kind"] == "drop"
 

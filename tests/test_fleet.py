@@ -11,11 +11,14 @@ parallel vs. sequential execution (modulo ``wall_s*``).
 from __future__ import annotations
 
 import json
+import random
+from types import SimpleNamespace
 
 import pytest
 
 from invariants import assert_document_invariants
 from repro.cluster.specs import cluster_a_spec
+from repro.engine.metrics import percentile
 from repro.engine.request import Request
 from repro.experiments.runner import ExperimentScale
 from repro.fleet import (
@@ -30,6 +33,7 @@ from repro.fleet import (
     make_router,
     register_router,
 )
+from repro.fleet.autoscaler import Autoscaler
 from repro.fleet.grid import GRID
 from repro.fleet.routing import Router, _ROUTERS
 from repro.policies import make_policy
@@ -245,6 +249,46 @@ class TestAdmissionControl:
         assert admission.queued == 0 and admission.admitted == 0
         assert len(group.enqueued) == 1
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_queued_count_equals_the_tenant_queues(self, seed):
+        """The maintained ``queued`` count equals the tenant queues' total
+        after every step of a random submit / drain / expiry shed /
+        readmit / ``evict_all`` sequence."""
+
+        class AdoptingGroup(StubGroup):
+            def adopt_waiting(self, request):
+                self.enqueued.append(request)
+
+        tenants = ("chat", "summary", "batch")
+        rng = random.Random(seed)
+        group = AdoptingGroup(0, waiting=100)
+        config = AdmissionConfig(max_queue_depth=2, max_group_waiting=10, ttft_shed_s=3.0)
+        admission = self.controller(config, [group])
+        now = 0.0
+        seen = set()
+        for _ in range(300):
+            now += rng.random()
+            action = rng.choice(("submit", "submit", "readmit", "drain", "evict_all"))
+            # Flip the group between accepting and full so every action
+            # takes both of its routes.
+            group.scheduler.num_waiting = rng.choice((0, 100, 100, 100))
+            arrival = now - 6.0 * rng.random()
+            fresh = Request(arrival_time=arrival, prompt_tokens=8, max_output_tokens=4,
+                            slo_class=rng.choice(tenants))
+            shed = admission.shed
+            if action == "submit":
+                seen.add(admission.submit(fresh, now))
+            elif action == "readmit":
+                seen.add(admission.readmit(fresh))
+            elif action == "drain":
+                admission.drain(now)
+            else:
+                admission.evict_all()
+            if admission.shed > shed and action == "drain":
+                seen.add("expiry shed")
+            assert admission.queued == sum(admission.queued_for(t) for t in tenants)
+        assert {"dispatched", "queued", "shed", "expiry shed"} <= seen
+
     def test_round_robin_fairness_under_multi_tenant_pressure(self):
         """A flooding tenant cannot starve sparse tenants of drain slots.
 
@@ -305,6 +349,25 @@ class TestAdmissionControl:
         # Tenants alternate while both have work, regardless of arrival order.
         assert order[:4] in (["chat", "summary"] * 2, ["summary", "chat"] * 2)
         assert sorted(order) == ["chat"] * 4 + ["summary"] * 2
+
+
+class TestAutoscalerTTFTTail:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_tail_equals_numpy_percentile(self, seed):
+        """The scale-up trigger's TTFT P99 over a window of 5-200 finishes,
+        repeated values included, is ``percentile`` of the window."""
+        rng = random.Random(seed)
+        size = rng.randint(5, 200)
+        pool = [rng.uniform(0.0, 5.0) for _ in range(rng.randint(1, size))]
+        ttfts = [rng.choice(pool) for _ in range(size)]
+        # One finish 15 s back falls out of the 10-tick window.
+        records = [SimpleNamespace(ttft=99.0, finish_time=35.0)] + [
+            SimpleNamespace(ttft=ttft, finish_time=45.0 + index * 0.01)
+            for index, ttft in enumerate(ttfts)
+        ]
+        controller = SimpleNamespace(config=SimpleNamespace(tick_interval_s=1.0))
+        autoscaler = Autoscaler(AutoscalerConfig(), controller)
+        assert autoscaler._ttft_p99(50.0, records) == percentile(ttfts, 99)
 
 
 class TestAutoscalerEndToEnd:

@@ -318,6 +318,43 @@ class TestTypedSeries:
         odd = [v for _, v in monitor.series['odd_values{path="c:\\\\d",zone="a\\"b"}']]
         assert odd[: len(self.ODD_VALUES)].count(1e15) == 1 and math.isnan(odd[4])
 
+    #: Characters ``str.splitlines`` and universal newlines break lines
+    #: at; the exposition escapes only ``\n``, so a label value keeps them.
+    LINE_SEPARATORS = ("\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+    @pytest.mark.parametrize("separator", LINE_SEPARATORS, ids=ascii)
+    def test_label_values_with_line_separators_survive_the_file(
+        self, separator, tmp_path, monkeypatch
+    ):
+        from repro.metrics.plot import read_scrape_stream
+        from repro.obs import __main__ as obs_cli
+        from repro.obs.engine import AlertEngine
+
+        loop = EventLoop()
+        path = tmp_path / f"sep-{ord(separator):x}.prom"
+        monitor = MetricsMonitor(loop, interval_s=0.5, path=path)
+
+        def source(registry, now):
+            gauge = registry.gauge("queue_depth", "depth")
+            gauge.set(now, zone=f"a{separator}b")
+            gauge.set(-now, zone=f"{separator}", path=f"x{separator}")
+
+        monitor.add_source(source)
+        monitor.start()
+        loop.run(until=2.0)
+        monitor.stop()
+        assert separator in path.read_bytes().decode()
+        assert len(monitor.series) == 2
+        assert read_scrape_stream(path) == monitor.series
+
+        replayed = []
+        evaluate = AlertEngine.evaluate
+        monkeypatch.setattr(
+            AlertEngine, "evaluate", lambda engine, series: replayed.append(series) or evaluate(engine, series)
+        )
+        assert obs_cli.main(["alerts", str(path), "--output", str(tmp_path / "alerts.txt")]) == 0
+        assert replayed == [monitor.series]
+
     def test_point_times_are_the_millisecond_stamps(self, tmp_path):
         monitor, seen = self.run_hand_built(tmp_path)
         assert len(seen) == monitor.scrapes

@@ -222,12 +222,16 @@ class TestServingGroup:
             instances, loop, small_cluster.fabric, metrics, assignment=[list(r) for r in ranges]
         )
         assert group.num_stages == 2
+        passes = []
+        group.iteration_listeners.append(lambda g, batch, end: passes.append(end))
         for _ in range(6):
             group.enqueue(Request(arrival_time=0.0, prompt_tokens=500, max_output_tokens=10))
         loop.run(until=60)
         assert metrics.finished_count() == 6
-        # Pipelined iterations record a stage count of 2.
-        assert any(i.num_stages == 2 for i in metrics.iterations)
+        # Every pipelined pass records its bubble fraction.
+        assert len(metrics.bubble_fractions) == len(passes) > 0
+        assert all(0.0 <= bubble < 1.0 for bubble in metrics.bubble_fractions)
+        assert metrics.mean_bubble_fraction() > 0.0
 
     def test_assignment_must_cover_model(self, loop, small_cluster, metrics, two_instances):
         with pytest.raises(ValueError):
@@ -237,14 +241,40 @@ class TestServingGroup:
 
     def test_deactivate_stops_serving(self, loop, small_cluster, metrics, two_instances):
         group = build_group([two_instances[0]], loop, small_cluster.fabric, metrics)
-        group.enqueue(Request(arrival_time=0.0, prompt_tokens=100, max_output_tokens=50))
+        completed = []
+        group.iteration_listeners.append(lambda g, batch, end: completed.append(end))
+        request = Request(arrival_time=0.0, prompt_tokens=100, max_output_tokens=50)
+        group.enqueue(request)
         loop.run(max_events=3)
+        assert completed and not request.finished
+        passes = len(completed)
         group.deactivate()
         assert not group.active
-        events_before = loop.events_executed
         loop.run(until=loop.now + 10)
-        # No further iterations run for a retired group.
-        assert all(i.group_id != 0 or i.start_time <= loop.now for i in metrics.iterations)
+        # No pass of a retired group completes, the one in flight included.
+        assert len(completed) == passes
+        assert not request.finished
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known defect: kick() returns while a stall-expiry wake-up is pending, "
+        "so work enqueued on an idle group waits for that wake-up",
+    )
+    def test_enqueue_on_a_stalled_idle_group_runs_at_once(
+        self, loop, small_cluster, metrics, two_instances
+    ):
+        group = build_group([two_instances[0]], loop, small_cluster.fabric, metrics)
+        stalled = Request(arrival_time=0.0, prompt_tokens=64, max_output_tokens=1000)
+        group.enqueue(stalled)
+        # The group's only request stalls until t = 5 s, so the group idles
+        # with a wake-up at 5 s; a fresh request arrives at t = 1 s.
+        loop.schedule_at(0.1, lambda: group.stall_request(stalled, 5.0))
+        fresh = Request(arrival_time=1.0, prompt_tokens=64, max_output_tokens=4)
+        loop.schedule_at(1.0, lambda: group.enqueue(fresh))
+        loop.run(until=6.0)
+        assert fresh.ttft is not None
+        # Its prefill alone takes about 20 ms; it waits for the 5 s wake-up.
+        assert fresh.ttft < 0.5
 
     def test_migration_between_groups(self, loop, small_cluster, metrics, two_instances):
         source = build_group([two_instances[0]], loop, small_cluster.fabric, metrics)

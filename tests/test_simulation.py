@@ -123,6 +123,29 @@ class TestEventLoop:
         loop.run()
         assert loop.events_executed == 2
 
+    @pytest.mark.parametrize("drive", ["run", "step"])
+    def test_equal_times_pop_by_priority_then_seq_skipping_cancelled(self, drive):
+        loop = EventLoop()
+        order = []
+        loop.schedule_at(2.0, lambda: order.append("later"))
+        for name, priority in [("a1", 1), ("b0", 0), ("c1", 1), ("d-1", -1), ("e0", 0)]:
+            loop.schedule_at(1.0, lambda n=name: order.append(n), priority=priority)
+        loop.schedule_at(1.0, lambda: order.append("cancelled"), priority=-2).cancel()
+        loop.schedule_at(0.5, lambda: order.append("first"), priority=9)
+        # A callback at t=1 scheduling more work at t=1 queues it behind
+        # every event already there with its priority.
+        loop.schedule_at(
+            1.0, lambda: loop.schedule_at(1.0, lambda: order.append("f0")), priority=0
+        )
+        assert loop.pending == 8
+        if drive == "run":
+            loop.run()
+        else:
+            while loop.step():
+                pass
+        assert order == ["first", "d-1", "b0", "e0", "f0", "a1", "c1", "later"]
+        assert loop.pending == 0 and loop.peek_time() is None
+
     @given(st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=50))
     def test_property_events_fire_in_nondecreasing_time(self, delays):
         loop = EventLoop()

@@ -77,6 +77,10 @@ def serve_cell(clients="16", retry="backoff", backpressure="on"):
 
 
 SERVE_CELL = serve_cell()
+CHAOS_CELL = materialise(CHAOS_GRID, {
+    "scenario": "steady-poisson", "policy": "vllm", "faults": "cluster-outage",
+    "migration": "migrate",
+}, TINY_SCALE, 42)
 
 
 @pytest.fixture(scope="module")
@@ -91,11 +95,7 @@ def traced_serve():
 def traced_chaos():
     """One traced chaos cell (two-cluster tier, outage + migrate)."""
     tracers = []
-    cell = materialise(CHAOS_GRID, {
-        "scenario": "steady-poisson", "policy": "vllm", "faults": "cluster-outage",
-        "migration": "migrate",
-    }, TINY_SCALE, 42)
-    result = run_cell(cell, trace=True, on_tracer=tracers.append)
+    result = run_cell(CHAOS_CELL, trace=True, on_tracer=tracers.append)
     return result, tracers[0]
 
 
@@ -160,6 +160,36 @@ class TestRecording:
         }
         assert recorded == seen
         assert sum(decodes for decodes, _ in seen.values()) > 0
+
+    @pytest.mark.parametrize("traced", ["traced_serve", "traced_chaos"])
+    def test_exported_cell_records_iteration_spans(self, traced, request):
+        _, tracer = request.getfixturevalue(traced)
+        assert tracer.details
+        assert any(span.name == DETAIL_ITERATION for span in tracer.spans())
+
+    @pytest.mark.parametrize("cell, traced", [
+        (SERVE_CELL, "traced_serve"), (CHAOS_CELL, "traced_chaos"),
+    ])
+    def test_unexported_cell_records_no_detail_spans(self, cell, traced, request, monkeypatch):
+        """Without ``on_tracer`` nothing can export a cell's spans: its
+        tracer records no detail span, and the stage breakdown is the one
+        the exporting run gives."""
+        created = []
+        original = Tracer.__init__
+
+        def init(tracer, *args, **kwargs):
+            original(tracer, *args, **kwargs)
+            created.append(tracer)
+
+        monkeypatch.setattr(Tracer, "__init__", init)
+        result = run_cell(cell, trace=True)
+        (tracer,) = created
+        assert not tracer.details
+        spans = tracer.spans()
+        assert spans and all(span.kind != "detail" for span in spans)
+        exported, _ = request.getfixturevalue(traced)
+        assert result["stage_breakdown"] == exported["stage_breakdown"]
+        assert result["stage_breakdown"]["requests"] > 0
 
     def test_open_loop_run_emits_gateway_pull_details(self):
         tracers = []
