@@ -1,7 +1,16 @@
-"""Dev-only: fingerprint simulation outputs to gate bit-identical refactors.
+"""Fingerprint simulation outputs to gate bit-identical refactors.
 
-Usage: PYTHONPATH=src python scripts/_fingerprint.py OUT.json
+Digests every policy at a canonical scale plus five sweep grids (10
+digests, a few seconds).  ``scripts/fingerprints.json`` holds the digests
+of the current results; CI checks them.
+
+Usage:
+  PYTHONPATH=src python scripts/_fingerprint.py OUT.json       # write them
+  PYTHONPATH=src python scripts/_fingerprint.py --check FILE   # compare
+
+``--check`` exits 1 and names each digest that differs from FILE's.
 """
+import argparse
 import hashlib
 import json
 import sys
@@ -39,7 +48,7 @@ def digest(obj) -> str:
     ).hexdigest()
 
 
-def main() -> None:
+def fingerprints() -> dict:
     out = {}
 
     preset = WORKLOAD_PRESETS["burstgpt-14b"]
@@ -93,10 +102,36 @@ def main() -> None:
     }
     for name, (grid, axes) in grids.items():
         out[name] = digest(run_grid(grid, seed=42, max_workers=1, **axes))
+    return out
 
-    json.dump(out, open(sys.argv[1], "w"), indent=1)
-    print(json.dumps(out, indent=1))
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("output", nargs="?", help="write the digests to this JSON file")
+    parser.add_argument("--check", metavar="FILE", help="compare the digests with FILE's")
+    args = parser.parse_args()
+    if (args.output is None) == (args.check is None):
+        parser.error("give either OUT.json or --check FILE")
+    out = fingerprints()
+    text = json.dumps(out, indent=1) + "\n"
+    if args.output is not None:
+        with open(args.output, "w") as handle:
+            handle.write(text)
+        print(text, end="")
+        return 0
+    with open(args.check) as handle:
+        expected = json.load(handle)
+    differing = [
+        name for name in sorted(expected.keys() | out.keys())
+        if expected.get(name) != out.get(name)
+    ]
+    for name in differing:
+        print(f"{name}: expected {expected.get(name)}, got {out.get(name)}")
+    if differing:
+        return 1
+    print(f"all {len(out)} digests match {args.check}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

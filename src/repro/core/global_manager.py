@@ -26,6 +26,10 @@ from repro.engine.group import MicrobatchFormer, ServingGroup
 from repro.engine.instance import ServingInstance
 from repro.models.memory import param_bytes
 
+#: Capacity targeted beyond the bare demand, as a fraction of the current
+#: KV capacity, so decode growth does not instantly re-overload the system.
+HEADROOM_FRACTION = 0.10
+
 
 @dataclass
 class DropExecutionReport:
@@ -49,14 +53,10 @@ class GlobalMemoryManager:
         exchange: KVExchangeCoordinator,
         *,
         lookahead_former: Optional[MicrobatchFormer] = None,
-        headroom_fraction: float = 0.10,
     ) -> None:
-        if not 0 <= headroom_fraction < 1:
-            raise ValueError("headroom_fraction must be in [0, 1)")
         self.system = system
         self.exchange = exchange
         self.lookahead_former = lookahead_former
-        self.headroom_fraction = headroom_fraction
         self.reports: List[DropExecutionReport] = []
 
     # ------------------------------------------------------------------
@@ -77,7 +77,7 @@ class GlobalMemoryManager:
                 continue
             total_capacity += group.kv_capacity_bytes()
             total_demand += group.kv_demand_bytes()
-        headroom = int(self.headroom_fraction * total_capacity)
+        headroom = int(HEADROOM_FRACTION * total_capacity)
         return max(0, total_demand + headroom - total_capacity)
 
     # ------------------------------------------------------------------

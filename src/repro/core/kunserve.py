@@ -26,40 +26,34 @@ from repro.core.restore import RestoreManager
 from repro.engine.group import MicrobatchFormer
 from repro.models.memory import kv_bytes_per_token
 
+#: Demand / capacity ratio above which a drop is triggered (the paper
+#: triggers when queued requests cannot fit).
+OVERLOAD_THRESHOLD = 0.92
+#: Minimum spacing, in seconds, between successive drop operations.
+DROP_COOLDOWN_S = 10.0
+#: Minimum time, in seconds, after a drop before restoration is considered
+#: (avoids drop/restore oscillation).
+RESTORE_COOLDOWN_S = 20.0
+
 
 @dataclass
 class KunServeConfig:
-    """Tunables of the KunServe controller.
+    """The switches the paper's ablations turn (Figures 14 and 16).
 
     Attributes:
-        overload_threshold: demand / capacity ratio above which a drop is
-            triggered (the paper triggers when queued requests cannot fit).
-        headroom_fraction: extra capacity targeted beyond the bare demand so
-            decode growth does not instantly re-overload the system.
         restore_threshold: usage / undropped-capacity ratio below which
             parameters are restored (the paper uses 50 %).
         coordinated_exchange: enable the coordinated KV exchange of §4.2
             (disable only for the ablation).
         use_lookahead: enable the lookahead batch formulation of §4.3
             (disable only for the ablation).
-        lookahead_min_tokens: floor for the MIN threshold of Figure 11.
-        drop_cooldown_s: minimum spacing between successive drop operations.
-        restore_cooldown_s: minimum time after a drop before restoration is
-            considered (avoids drop/restore oscillation).
     """
 
-    overload_threshold: float = 0.92
-    headroom_fraction: float = 0.10
     restore_threshold: float = 0.5
     coordinated_exchange: bool = True
     use_lookahead: bool = True
-    lookahead_min_tokens: int = 256
-    drop_cooldown_s: float = 10.0
-    restore_cooldown_s: float = 20.0
 
     def __post_init__(self) -> None:
-        if not 0 < self.overload_threshold <= 1.5:
-            raise ValueError("overload_threshold must be in (0, 1.5]")
         if not 0 < self.restore_threshold <= 1:
             raise ValueError("restore_threshold must be in (0, 1]")
 
@@ -93,14 +87,9 @@ class KunServeController:
         )
         self.cost_model = self._fit_cost_model(system)
         if self.config.use_lookahead and self.cost_model is not None:
-            self.lookahead_former = make_lookahead_former(
-                self.cost_model, min_tokens_floor=self.config.lookahead_min_tokens
-            )
+            self.lookahead_former = make_lookahead_former(self.cost_model)
         self.global_manager = GlobalMemoryManager(
-            system,
-            self.exchange,
-            lookahead_former=self.lookahead_former,
-            headroom_fraction=self.config.headroom_fraction,
+            system, self.exchange, lookahead_former=self.lookahead_former
         )
         self.restore_manager = RestoreManager(
             system, self.exchange, usage_threshold=self.config.restore_threshold
@@ -123,13 +112,13 @@ class KunServeController:
         if self.system is None or self.global_manager is None:
             raise RuntimeError("controller is not attached to a serving system")
         if self._is_overloaded(snapshots):
-            if now - self._last_drop_time >= self.config.drop_cooldown_s:
+            if now - self._last_drop_time >= DROP_COOLDOWN_S:
                 report = self.global_manager.handle_overload(now)
                 if report is not None:
                     self._last_drop_time = now
                     self.drop_reports.append(report)
             return
-        if now - self._last_drop_time >= self.config.restore_cooldown_s:
+        if now - self._last_drop_time >= RESTORE_COOLDOWN_S:
             assert self.restore_manager is not None
             self.restore_manager.maybe_restore(now)
 
@@ -139,7 +128,7 @@ class KunServeController:
         total_demand = sum(s["kv_demand_bytes"] for s in snapshots)
         if total_capacity <= 0:
             return False
-        if total_demand > self.config.overload_threshold * total_capacity:
+        if total_demand > OVERLOAD_THRESHOLD * total_capacity:
             return True
         # A scheduler already blocked on memory with queued work is an
         # overload even if the aggregate ratio looks fine (fragmentation

@@ -22,6 +22,10 @@ from repro.core.cost_model import BatchCostModel
 from repro.engine.batch import IterationBatch, MicroBatch, ScheduledChunk
 from repro.engine.group import MicrobatchFormer
 
+#: Floor of the ``MIN`` threshold of Figure 11 a KunServe merged group
+#: forms its lookahead microbatches with, in tokens.
+LOOKAHEAD_MIN_TOKENS = 256
+
 
 def _split_chunk_by_cost(
     chunk: ScheduledChunk, target_cost: float, cost_model: BatchCostModel
@@ -139,7 +143,7 @@ def lookahead_microbatches(
 def make_lookahead_former(
     cost_model: BatchCostModel,
     *,
-    min_tokens_floor: int = 256,
+    min_tokens_floor: int = LOOKAHEAD_MIN_TOKENS,
     microbatches_per_stage: int = 1,
 ) -> MicrobatchFormer:
     """Build a :class:`MicrobatchFormer` for serving groups.

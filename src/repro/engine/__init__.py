@@ -11,7 +11,7 @@ memory timelines).
 
 from repro.engine.request import Request, RequestState
 from repro.engine.batch import IterationBatch, MicroBatch, ScheduledChunk
-from repro.engine.latency_model import LatencyModel, LatencyModelConfig
+from repro.engine.latency_model import LatencyModel
 from repro.engine.tensor_parallel import allreduce_time
 from repro.engine.pipeline import PipelineExecution, PipelineStats
 from repro.engine.chunked_prefill import token_count_microbatches
@@ -27,7 +27,6 @@ __all__ = [
     "MicroBatch",
     "ScheduledChunk",
     "LatencyModel",
-    "LatencyModelConfig",
     "allreduce_time",
     "PipelineExecution",
     "PipelineStats",

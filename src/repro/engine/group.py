@@ -32,7 +32,7 @@ from repro.engine.scheduler import (
     SchedulerConfig,
     SchedulerHooks,
 )
-from repro.memory.paged_kv import PagedKVCache
+from repro.memory.paged_kv import KV_BLOCK_SIZE, PagedKVCache
 from repro.models.memory import kv_bytes_per_token
 from repro.models.spec import ModelSpec
 from repro.simulation.event_loop import Event, EventLoop
@@ -58,7 +58,6 @@ class ServingGroup:
         scheduler_config: Optional[SchedulerConfig] = None,
         assignment: Optional[List[List[int]]] = None,
         microbatch_former: Optional[MicrobatchFormer] = None,
-        block_size: int = 64,
     ) -> None:
         if not instances:
             raise ValueError("a serving group needs at least one instance")
@@ -68,7 +67,6 @@ class ServingGroup:
         self.loop = loop
         self.fabric = fabric
         self.metrics = metrics
-        self.block_size = block_size
         self._kv_token_bytes = kv_bytes_per_token(model)
 
         if assignment is None:
@@ -76,12 +74,13 @@ class ServingGroup:
         self._assignment: List[List[int]] = [list(layers) for layers in assignment]
         self._validate_assignment()
 
-        #: a single-stage group prices its passes on its one instance over
-        #: its one layer slice.
+        #: every pass is priced on the first instance's latency model: a
+        #: ClusterSpec is homogeneous, so each stage's would price it alike.
+        #: A single-stage group prices over its one layer slice.
         self._latency = self.instances[0].latency
         self._stage_layers = len(self._assignment[0])
 
-        self.kv = PagedKVCache(num_blocks=0, block_size=block_size)
+        self.kv = PagedKVCache(num_blocks=0, block_size=KV_BLOCK_SIZE)
         # A pipelined group keeps every stage busy by processing one token
         # budget's worth of work per stage per iteration, so the effective
         # iteration budget scales with the number of stages.
@@ -90,7 +89,6 @@ class ServingGroup:
             token_budget=base_config.token_budget * max(1, len(self.instances)),
             max_running_requests=base_config.max_running_requests,
             preemption_mode=base_config.preemption_mode,
-            swap_in_watermark=base_config.swap_in_watermark,
         )
         self.scheduler = ContinuousBatchingScheduler(
             self.kv,
@@ -177,7 +175,7 @@ class ServingGroup:
         return self.kv.used_tokens
 
     def kv_used_bytes(self) -> int:
-        return self.kv.used_blocks * self.block_size * self._kv_token_bytes
+        return self.kv.used_blocks * KV_BLOCK_SIZE * self._kv_token_bytes
 
     def kv_demand_bytes(self) -> int:
         """In-processing + head-of-line memory demand (paper's load metric)."""
@@ -185,7 +183,7 @@ class ServingGroup:
 
     def sync_kv_capacity(self) -> None:
         """Align the group KV cache with the instances' mapped KV memory."""
-        target_blocks = self.kv_capacity_bytes() // (self.block_size * self._kv_token_bytes)
+        target_blocks = self.kv_capacity_bytes() // (KV_BLOCK_SIZE * self._kv_token_bytes)
         if target_blocks > self.kv.num_blocks:
             self.kv.grow(target_blocks - self.kv.num_blocks)
         elif target_blocks < self.kv.num_blocks:
@@ -298,66 +296,33 @@ class ServingGroup:
         stage_times: List[List[float]] = []
         comm_times: List[List[float]] = []
         last_stage = self.num_stages - 1
-        # When every stage runs on identical hardware with deterministic
-        # latency (no jitter), batch_time is a pure function of
-        # (microbatch, num_layers, include_lm_head) — stages holding the same
-        # layer count produce bit-identical times, so each distinct
-        # (num_layers, lm_head) pair is computed once per microbatch instead
-        # of once per stage.  Jitter disables this: memoizing would change
-        # how many RNG draws happen and perturb every later sample.
-        lat0 = self.instances[0].latency
-        uniform_stages = all(
-            inst.latency.gpu is lat0.gpu
-            and inst.latency.model is lat0.model
-            and inst.latency.tp_degree == lat0.tp_degree
-            and inst.latency.config == lat0.config
-            and (inst.latency._rng is None or inst.latency.config.jitter_fraction <= 0)
-            for inst in self.instances
-        )
+        # A stage's time depends only on its layer count and whether it
+        # runs the lm head, so each distinct layer count is priced once per
+        # microbatch, both head flags in one pass over the chunks.
         for microbatch in microbatches:
-            mb_chunks = microbatch.chunks
             decodes = (microbatch.decode_count, microbatch.decode_prefix_sum)
             row = []
-            mb_tokens = -1
-            if uniform_stages:
-                stage_memo: Dict[Tuple[int, bool], float] = {}
-                for stage in range(self.num_stages):
-                    key = (max(1, len(self._assignment[stage])), stage == last_stage)
-                    duration = stage_memo.get(key)
-                    if duration is None:
-                        without_head, with_head, mb_tokens = lat0.batch_time_pair(
-                            mb_chunks, num_layers=key[0], decodes=decodes
-                        )
-                        stage_memo[(key[0], False)] = without_head
-                        stage_memo[(key[0], True)] = with_head
-                        duration = stage_memo[key]
-                    row.append(duration)
-            else:
-                for stage, instance in enumerate(self.instances):
-                    row.append(
-                        instance.latency.batch_time(
-                            mb_chunks,
-                            num_layers=max(1, len(self._assignment[stage])),
-                            include_lm_head=(stage == last_stage),
-                            decodes=decodes,
-                        )
+            stage_memo: Dict[Tuple[int, bool], float] = {}
+            for stage in range(self.num_stages):
+                key = (max(1, len(self._assignment[stage])), stage == last_stage)
+                duration = stage_memo.get(key)
+                if duration is None:
+                    without_head, with_head, mb_tokens = self._latency.batch_time_pair(
+                        microbatch.chunks, num_layers=key[0], decodes=decodes
                     )
+                    stage_memo[(key[0], False)] = without_head
+                    stage_memo[(key[0], True)] = with_head
+                    duration = stage_memo[key]
+                row.append(duration)
             stage_times.append(row)
-            # One token-count sum per microbatch, not one per stage link —
-            # the uniform-stage path gets the count from batch_time_pair's
-            # aggregation pass for free.
-            if mb_tokens < 0:
-                mb_tokens = microbatch.total_new_tokens
-            comm_row = []
-            for stage in range(self.num_stages - 1):
-                comm_row.append(
-                    self._activation_transfer_time(
-                        self.instances[stage],
-                        self.instances[stage + 1],
-                        mb_tokens,
-                    )
+            # The first stage always prices, so ``mb_tokens`` is this
+            # microbatch's token count.
+            comm_times.append([
+                self._activation_transfer_time(
+                    self.instances[stage], self.instances[stage + 1], mb_tokens
                 )
-            comm_times.append(comm_row)
+                for stage in range(last_stage)
+            ])
         stats = PipelineExecution.makespan(stage_times, comm_times=comm_times)
         # Steady-state correction: across consecutive iterations the pipeline
         # stays full (the next iteration's first microbatches enter while the

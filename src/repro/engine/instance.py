@@ -11,30 +11,19 @@ a group is one or more instances cooperating via pipeline parallelism.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import Iterable, List
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.gpu import GPU
-from repro.engine.latency_model import LatencyModel, LatencyModelConfig
+from repro.engine.latency_model import LatencyModel
 from repro.memory.unified import UnifiedMemoryManager
 from repro.models.spec import ModelSpec
-from repro.simulation.rng import SeededRNG
 
 
 class ServingInstance:
     """One model replica's worth of GPUs plus its local memory manager."""
 
-    def __init__(
-        self,
-        instance_id: int,
-        model: ModelSpec,
-        gpus: List[GPU],
-        *,
-        block_size: int = 64,
-        runtime_reserve_fraction: float = 0.10,
-        latency_config: Optional[LatencyModelConfig] = None,
-        rng: Optional[SeededRNG] = None,
-    ) -> None:
+    def __init__(self, instance_id: int, model: ModelSpec, gpus: List[GPU]) -> None:
         if not gpus:
             raise ValueError("an instance needs at least one GPU")
         self.instance_id = instance_id
@@ -42,20 +31,8 @@ class ServingInstance:
         self.gpus = list(gpus)
         self.server_id = gpus[0].server_id
         self.tp_degree = len(gpus)
-        total_hbm = sum(gpu.hbm_bytes for gpu in gpus)
-        self.memory = UnifiedMemoryManager(
-            model,
-            total_hbm,
-            block_size=block_size,
-            runtime_reserve_fraction=runtime_reserve_fraction,
-        )
-        self.latency = LatencyModel(
-            gpus[0].spec,
-            model,
-            tp_degree=self.tp_degree,
-            config=latency_config,
-            rng=rng,
-        )
+        self.memory = UnifiedMemoryManager(model, sum(gpu.hbm_bytes for gpu in gpus))
+        self.latency = LatencyModel(gpus[0].spec, model, tp_degree=self.tp_degree)
         #: set by fault-injection tests / the fault-tolerance module.
         self.failed: bool = False
 

@@ -33,7 +33,6 @@ once, to the float nearest the exact total.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
 from repro.cluster.gpu import GPUSpec
@@ -41,24 +40,20 @@ from repro.engine.batch import ScheduledChunk
 from repro.engine.tensor_parallel import tp_layer_comm_time
 from repro.models.memory import kv_bytes_per_token_per_layer, param_bytes_per_layer
 from repro.models.spec import ModelSpec
-from repro.simulation.rng import SeededRNG
 
 
-@dataclass(frozen=True)
-class LatencyModelConfig:
-    """Tunable constants of the roofline model.
+# The roofline's constants, calibrated so that a Qwen-2.5-14B on an A800
+# matches the magnitudes the paper reports (§5.3): ~220 ms for a typical
+# LongBench prefill and ~60 ms decode iterations at large batch sizes.
 
-    The defaults are calibrated so that a Qwen-2.5-14B on an A800 matches the
-    magnitudes the paper reports (§5.3): ~220 ms for a typical LongBench
-    prefill and ~60 ms decode iterations at large batch sizes.
-    """
-
-    compute_efficiency: float = 0.85
-    memory_efficiency: float = 0.80
-    iteration_overhead_s: float = 0.004
-    per_chunk_overhead_s: float = 0.00005
-    per_layer_overhead_s: float = 1.5e-5
-    jitter_fraction: float = 0.0
+#: Fractions of the GPU's peak FLOP/s and HBM bandwidth a pass attains.
+COMPUTE_EFFICIENCY = 0.85
+MEMORY_EFFICIENCY = 0.80
+#: Fixed seconds per full-model pass, per chunk or decode step in it, and
+#: per layer it executes.
+ITERATION_OVERHEAD_S = 0.004
+PER_CHUNK_OVERHEAD_S = 0.00005
+PER_LAYER_OVERHEAD_S = 1.5e-5
 
 
 class LatencyModel:
@@ -69,36 +64,24 @@ class LatencyModel:
     #: not grow without bound over long simulations).
     _CACHE_LIMIT = 65536
 
-    def __init__(
-        self,
-        gpu: GPUSpec,
-        model: ModelSpec,
-        *,
-        tp_degree: int = 1,
-        config: Optional[LatencyModelConfig] = None,
-        rng: Optional[SeededRNG] = None,
-    ) -> None:
+    def __init__(self, gpu: GPUSpec, model: ModelSpec, *, tp_degree: int = 1) -> None:
         if tp_degree < 1:
             raise ValueError("tp_degree must be >= 1")
         self.gpu = gpu
         self.model = model
         self.tp_degree = tp_degree
-        self.config = config if config is not None else LatencyModelConfig()
-        self._rng = rng
         self._layer_param_bytes = param_bytes_per_layer(model)
         self._kv_bytes_per_token_layer = kv_bytes_per_token_per_layer(model)
         self._flops_per_token_layer = model.flops_per_token_per_layer()
         self._q_dim = model.q_dim
         #: effective hardware rates aggregated over the TP group, fixed at
         #: construction: every priced pass divides by them.
-        self.effective_flops: float = gpu.flops * self.config.compute_efficiency * tp_degree
-        self.effective_bandwidth: float = (
-            gpu.hbm_bandwidth * self.config.memory_efficiency * tp_degree
-        )
+        self.effective_flops: float = gpu.flops * COMPUTE_EFFICIENCY * tp_degree
+        self.effective_bandwidth: float = gpu.hbm_bandwidth * MEMORY_EFFICIENCY * tp_degree
         #: memo of batch_time results keyed by the batch's shape signature.
         #: Iteration times depend only on chunk shapes, so identical batches
         #: (common in steady-state decode and in profiling sweeps) are
-        #: computed once.  Skipped when jitter makes results stochastic.
+        #: computed once.
         self._batch_time_cache: dict = {}
 
     # ------------------------------------------------------------------
@@ -154,7 +137,7 @@ class LatencyModel:
         # (admission bursts, profiling sweeps, cost-model calibration) do
         # repeat and keep the memo.
         cache_key = None
-        if (self._rng is None or self.config.jitter_fraction <= 0) and not decodes[0]:
+        if not decodes[0]:
             cache_key = (
                 num_layers,
                 include_lm_head,
@@ -175,7 +158,7 @@ class LatencyModel:
             if len(self._batch_time_cache) >= self._CACHE_LIMIT:
                 self._batch_time_cache.clear()
             self._batch_time_cache[cache_key] = duration
-        return self._jitter(duration)
+        return duration
 
     def decode_batch_time(
         self, count: int, prefix_sum: int, num_layers: int, *, include_lm_head: bool = True
@@ -188,10 +171,8 @@ class LatencyModel:
             count * self._flops_per_token_layer + 4 * (prefix_sum + count) * self._q_dim
         ) * num_layers
         kv_bytes = (prefix_sum + 2 * count) * self._kv_bytes_per_token_layer * num_layers
-        return self._jitter(
-            self._roofline(
-                float(flops), float(kv_bytes), count, count, num_layers, include_lm_head
-            )
+        return self._roofline(
+            float(flops), float(kv_bytes), count, count, num_layers, include_lm_head
         )
 
     def batch_time_pair(
@@ -209,9 +190,6 @@ class LatencyModel:
         with bit-identical arithmetic to two separate calls.  The
         batch's total new-token count falls out of the same pass and is
         returned so callers sizing activation transfers do not re-sum.
-        Callers must not use this when jitter is active: it draws the two
-        jitter samples in a fixed order regardless of how many stages
-        consume them.
         """
         chunk_list = chunks if type(chunks) is list else list(chunks)
         if num_layers is None:
@@ -229,7 +207,7 @@ class LatencyModel:
             total_flops, total_bytes, total_tokens, items, num_layers, False
         )
         with_head = self._roofline(total_flops, total_bytes, total_tokens, items, num_layers, True)
-        return self._jitter(without_head), self._jitter(with_head), total_tokens
+        return without_head, with_head, total_tokens
 
     def _roofline(
         self,
@@ -240,8 +218,8 @@ class LatencyModel:
         num_layers: int,
         include_lm_head: bool,
     ) -> float:
-        """A microbatch's time, before jitter, from its chunk and decode
-        totals (``items`` counts the chunks and the decodes)."""
+        """A microbatch's time from its chunk and decode totals (``items``
+        counts the chunks and the decodes)."""
         model = self.model
         # Weights are streamed once per microbatch, shared by all chunks.
         total_bytes = kv_bytes + self._layer_param_bytes * num_layers
@@ -261,11 +239,10 @@ class LatencyModel:
         # the fraction of the model executed, so a pipeline stage holding
         # half the layers pays roughly half the per-iteration overhead.
         layer_fraction = num_layers / model.num_layers
-        config = self.config
         overhead = (
-            config.iteration_overhead_s * layer_fraction
-            + config.per_chunk_overhead_s * items * layer_fraction
-            + config.per_layer_overhead_s * num_layers
+            ITERATION_OVERHEAD_S * layer_fraction
+            + PER_CHUNK_OVERHEAD_S * items * layer_fraction
+            + PER_LAYER_OVERHEAD_S * num_layers
         )
         return max(compute_time, memory_time) + comm_time + overhead
 
@@ -308,9 +285,3 @@ class LatencyModel:
     def decode_time(self, context_tokens: int, batch_size: int = 1) -> float:
         """Convenience: full-model time of a decode iteration."""
         return self.batch_time([], decodes=(batch_size, batch_size * context_tokens))
-
-    def _jitter(self, duration: float) -> float:
-        if self._rng is None or self.config.jitter_fraction <= 0:
-            return duration
-        factor = 1.0 + self.config.jitter_fraction * float(self._rng.normal(0.0, 1.0))
-        return duration * max(0.5, factor)

@@ -15,12 +15,16 @@ percentiles the experiment modules print.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.engine.request import Request
+
+#: Bucket width, in simulated seconds, of a collector's timelines.
+TIMELINE_WINDOW_S = 1.0
 
 
 def percentile(values: Sequence[float], p: float) -> float:
@@ -49,6 +53,18 @@ def sorted_percentile(ordered: Sequence[float], p: float) -> float:
     if t < 0.5:
         return a + (b - a) * t
     return b - (b - a) * (1 - t)
+
+
+def nearest_rank(values: Sequence[float], q: float) -> Optional[float]:
+    """Nearest-rank percentile ``q`` (0-100) of ``values``: the
+    ``ceil(q / 100 * n)``-th smallest (at least the first); ``None`` on
+    an empty sample.  The convention of the sweep documents' client
+    percentiles and the trace stage breakdown."""
+    if not values:
+        return None
+    ordered = sorted(values)
+    rank = max(1, math.ceil(q / 100.0 * len(ordered)))
+    return ordered[min(rank, len(ordered)) - 1]
 
 
 @dataclass
@@ -180,16 +196,15 @@ class MetricsCollector:
     live metrics scrape makes cost O(new records), not O(all records).
     """
 
-    def __init__(self, timeline_window_s: float = 1.0) -> None:
-        self.timeline_window_s = timeline_window_s
+    def __init__(self) -> None:
         self.records: List[RequestRecord] = []
         #: one entry per completed pipelined (multi-stage) pass.  A list,
         #: not a running sum: ``np.mean`` sums it pairwise.
         self.bubble_fractions: List[float] = []
-        self.throughput = TimelineSeries(timeline_window_s, mode="sum")
-        self.memory_used = TimelineSeries(timeline_window_s, mode="mean")
-        self.memory_demand = TimelineSeries(timeline_window_s, mode="mean")
-        self.memory_capacity = TimelineSeries(timeline_window_s, mode="mean")
+        self.throughput = TimelineSeries(TIMELINE_WINDOW_S, mode="sum")
+        self.memory_used = TimelineSeries(TIMELINE_WINDOW_S, mode="mean")
+        self.memory_demand = TimelineSeries(TIMELINE_WINDOW_S, mode="mean")
+        self.memory_capacity = TimelineSeries(TIMELINE_WINDOW_S, mode="mean")
         #: free-form event markers (drop start/end, restore start/end, ...)
         self.events: List[Dict[str, object]] = []
         self._finished = 0
@@ -289,6 +304,6 @@ class MetricsCollector:
             "tpot_p90": self.tpot_percentile(90),
             "tpot_p99": self.tpot_percentile(99),
             "tpot_p999": self.tpot_percentile(99.9),
-            "throughput_tokens_per_s": self.throughput.mean() / self.timeline_window_s,
+            "throughput_tokens_per_s": self.throughput.mean() / TIMELINE_WINDOW_S,
             "mean_bubble_fraction": self.mean_bubble_fraction(),
         }

@@ -28,6 +28,10 @@ from repro.engine.batch import IterationBatch, ScheduledChunk
 from repro.engine.request import Request, RequestState
 from repro.memory.paged_kv import BlockTable, PagedKVCache
 
+#: Fraction of KV blocks that must stay free after a swapped-out request
+#: is brought back (swap preemption, InferCept).
+SWAP_IN_WATERMARK = 0.05
+
 
 def _fcfs_key(request: Request) -> tuple:
     """FCFS priority: earlier arrivals first, ties broken by id."""
@@ -77,22 +81,17 @@ class SchedulerConfig:
             prefill budget).
         max_running_requests: cap on concurrently admitted requests.
         preemption_mode: recompute (vLLM default) or swap (InferCept).
-        swap_in_watermark: fraction of KV blocks that must be free before a
-            swapped-out request is brought back.
     """
 
     token_budget: int = 1024
     max_running_requests: int = 512
     preemption_mode: PreemptionMode = PreemptionMode.RECOMPUTE
-    swap_in_watermark: float = 0.05
 
     def __post_init__(self) -> None:
         if self.token_budget <= 0:
             raise ValueError("token_budget must be positive")
         if self.max_running_requests <= 0:
             raise ValueError("max_running_requests must be positive")
-        if not 0 <= self.swap_in_watermark < 1:
-            raise ValueError("swap_in_watermark must be in [0, 1)")
 
 
 @dataclass
@@ -675,7 +674,7 @@ class ContinuousBatchingScheduler:
 
     def _try_swap_in(self, now: float) -> None:
         """Bring back swapped requests once memory pressure has eased."""
-        watermark_blocks = int(self.kv.num_blocks * self.config.swap_in_watermark)
+        watermark_blocks = int(self.kv.num_blocks * SWAP_IN_WATERMARK)
         candidates = sorted(self.swapped, key=_fcfs_key)
         for request in candidates:
             if request.is_stalled(now):

@@ -12,6 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+#: KV-cache block size in tokens of every serving group (the paper tunes
+#: 64); the unified memory manager counts its KV blocks in the same unit.
+KV_BLOCK_SIZE = 64
+
 
 @dataclass(slots=True)
 class BlockTable:

@@ -18,10 +18,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Set
 
+from repro.memory.paged_kv import KV_BLOCK_SIZE
 from repro.memory.physical import ChunkRun, PhysicalMemoryPool
 from repro.memory.virtual_memory import VirtualAddressSpace, VirtualRange
 from repro.models.memory import kv_bytes_per_token, param_bytes_per_layer
 from repro.models.spec import ModelSpec
+
+#: Fraction of an instance's HBM reserved for activations, CUDA graphs and
+#: framework overheads and never handed to parameters or the KV cache
+#: (vLLM's ``gpu_memory_utilization`` complement).
+RUNTIME_RESERVE_FRACTION = 0.10
 
 
 @dataclass
@@ -47,30 +53,17 @@ class UnifiedMemoryManager:
 
     Args:
         spec: the model served by the instance.
-        total_hbm_bytes: aggregate HBM across the instance's GPUs.
-        block_size: KV-cache block size in tokens (the paper tunes 64).
-        runtime_reserve_fraction: fraction of HBM reserved for activations,
-            CUDA graphs and framework overheads and never handed to the KV
-            cache (vLLM's ``gpu_memory_utilization`` complement).
+        total_hbm_bytes: aggregate HBM across the instance's GPUs, of which
+            :data:`RUNTIME_RESERVE_FRACTION` is held back.
     """
 
-    def __init__(
-        self,
-        spec: ModelSpec,
-        total_hbm_bytes: int,
-        *,
-        block_size: int = 64,
-        runtime_reserve_fraction: float = 0.10,
-    ) -> None:
-        if not 0 <= runtime_reserve_fraction < 1:
-            raise ValueError("runtime_reserve_fraction must be in [0, 1)")
+    def __init__(self, spec: ModelSpec, total_hbm_bytes: int) -> None:
         self.spec = spec
         self.total_hbm_bytes = int(total_hbm_bytes)
-        self.block_size = int(block_size)
         self.kv_token_bytes = kv_bytes_per_token(spec)
-        self.block_bytes = self.block_size * self.kv_token_bytes
+        self.block_bytes = KV_BLOCK_SIZE * self.kv_token_bytes
         self.layer_param_bytes = param_bytes_per_layer(spec)
-        self.runtime_reserve_bytes = int(total_hbm_bytes * runtime_reserve_fraction)
+        self.runtime_reserve_bytes = int(total_hbm_bytes * RUNTIME_RESERVE_FRACTION)
 
         usable = self.total_hbm_bytes - self.runtime_reserve_bytes
         if usable <= 0:
@@ -137,7 +130,7 @@ class UnifiedMemoryManager:
 
     @property
     def kv_capacity_tokens(self) -> int:
-        return self.kv_blocks * self.block_size
+        return self.kv_blocks * KV_BLOCK_SIZE
 
     # ------------------------------------------------------------------
     # Drop / restore

@@ -42,13 +42,12 @@ class MetricsMonitor:
         loop: EventLoop,
         *,
         interval_s: float = 1.0,
-        registry: Optional[MetricsRegistry] = None,
         path: Optional[Union[str, Path]] = None,
     ) -> None:
         if interval_s <= 0:
             raise ValueError("interval_s must be positive")
         self.loop = loop
-        self.registry = registry if registry is not None else MetricsRegistry()
+        self.registry = MetricsRegistry()
         self.path = Path(path) if path is not None else None
         self.scrapes = 0
         #: Every scrape's samples, as :func:`~repro.metrics.plot.parse_scrape_stream`

@@ -32,7 +32,7 @@ import dataclasses
 from typing import Callable, Dict, List, Optional
 
 from repro.cluster.network import InterClusterLinkSpec
-from repro.engine.metrics import RequestRecord, percentile
+from repro.engine.metrics import TIMELINE_WINDOW_S, RequestRecord, percentile
 from repro.engine.request import Request
 from repro.fleet.config import make_fleet_config
 from repro.models.memory import kv_bytes_per_token
@@ -237,6 +237,11 @@ class MultiClusterSystem:
         self._session_adoptions: Dict[str, int] = {}
         #: request_id -> time of the fault that displaced it.
         self._displacements: Dict[int, float] = {}
+        #: per shard, how many of its (append-only) records
+        #: :meth:`displaced_pending` has read, and how many displaced
+        #: requests it found finished there.
+        self._record_cursors = [0] * self.mc.num_clusters
+        self._displaced_finished = 0
         #: fault-lost requests owned by the tier (not by any shard) —
         #: recorded as unfinished when the run ends.
         self._lost_requests: List[Request] = []
@@ -519,15 +524,23 @@ class MultiClusterSystem:
     # Fault reporting
     # ------------------------------------------------------------------
     def displaced_pending(self) -> int:
-        """Displaced requests that have not finished yet (live metric)."""
-        if not self._displacements:
+        """Displaced requests that have not finished yet (live metric).
+
+        Reads only the records appended since the previous call.  A
+        request is displaced only while queued or running, and finishes
+        at most once, so no record read earlier can count later.
+        """
+        displacements = self._displacements
+        if not displacements:
             return 0
-        finished = 0
-        for system in self.systems:
-            for record in system.metrics.records:
-                if record.finished and record.request_id in self._displacements:
-                    finished += 1
-        return len(self._displacements) - finished
+        for index, system in enumerate(self.systems):
+            records = system.metrics.records
+            for position in range(self._record_cursors[index], len(records)):
+                record = records[position]
+                if record.finished and record.request_id in displacements:
+                    self._displaced_finished += 1
+            self._record_cursors[index] = len(records)
+        return len(displacements) - self._displaced_finished
 
     def recovery_transient_s(self, records: List[RequestRecord]) -> float:
         """Worst-case time from a fault to its displaced requests finishing.
@@ -556,33 +569,22 @@ class MultiClusterSystem:
     # ------------------------------------------------------------------
     # Metrics streaming
     # ------------------------------------------------------------------
-    def attach_metrics(
-        self,
-        *,
-        path=None,
-        interval_s: Optional[float] = None,
-        registry=None,
-    ):
+    def attach_metrics(self, *, path=None):
         """Install a :class:`repro.metrics.MetricsMonitor` over the tier.
 
         Samples per-cluster queue/instance gauges plus tier-level fault
-        counters into the monitor's typed ``series`` and, given a ``path``,
-        streams them there in Prometheus text format; :meth:`run` starts
-        and stops the monitor around the replay.
+        counters into the monitor's typed ``series`` every controller tick
+        and, given a ``path``, streams them there in Prometheus text
+        format; :meth:`run` starts and stops the monitor around the replay.
         """
         from repro.metrics import MetricsMonitor, tier_metrics_source
 
-        monitor = MetricsMonitor(
-            self.loop,
-            interval_s=interval_s or self.mc.tick_interval_s,
-            path=path,
-            registry=registry,
-        )
+        monitor = MetricsMonitor(self.loop, interval_s=self.mc.tick_interval_s, path=path)
         monitor.add_source(tier_metrics_source(self))
         self.metrics_monitor = monitor
         return monitor
 
-    def attach_tracer(self, tracer=None, *, enabled: bool = True, details: bool = True):
+    def attach_tracer(self, tracer=None, *, details: bool = True):
         """Install one shared per-request :class:`repro.trace.Tracer`.
 
         The tier and every cluster shard record into the same tracer, so a
@@ -592,10 +594,9 @@ class MultiClusterSystem:
         from repro.trace import Tracer
 
         if tracer is None:
-            tracer = Tracer(self.loop, enabled=enabled, details=details)
+            tracer = Tracer(self.loop, details=details)
         self.tracer = tracer
-        if tracer.enabled:
-            self.fabric.network.tracer = tracer
+        self.fabric.network.tracer = tracer
         for handle in self.handles:
             handle.system._trace_cluster = str(handle.index)
             handle.system.attach_tracer(tracer)
@@ -695,8 +696,7 @@ class MultiClusterSystem:
     def _summary(self, records: List[RequestRecord]) -> Dict[str, float]:
         """Tier-level summary (see :func:`summarize_records`)."""
         throughput = sum(
-            s.metrics.throughput.mean() / s.metrics.timeline_window_s
-            for s in self.systems
+            s.metrics.throughput.mean() / TIMELINE_WINDOW_S for s in self.systems
         )
         return summarize_records(records, throughput)
 

@@ -53,7 +53,6 @@ class KunServePolicy(OverloadPolicy):
             token_budget=base.token_budget,
             max_running_requests=base.max_running_requests,
             preemption_mode=PreemptionMode.RECOMPUTE,
-            swap_in_watermark=base.swap_in_watermark,
         )
 
     def attach(self, system: "ClusterServingSystem") -> None:

@@ -62,5 +62,4 @@ class VLLMPolicy(OverloadPolicy):
             token_budget=base.token_budget,
             max_running_requests=base.max_running_requests,
             preemption_mode=PreemptionMode.RECOMPUTE,
-            swap_in_watermark=base.swap_in_watermark,
         )

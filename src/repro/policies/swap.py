@@ -23,21 +23,17 @@ class InferCeptPolicy(OverloadPolicy):
     SWAP — a full KV cache evicts the latest-arrived running request by
     writing its cache to host DRAM over PCIe (a stall on the victim, plus
     PCIe occupancy in the network fabric) and swaps it back in once free
-    blocks rise above ``swap_in_watermark`` of capacity.  Compared with
-    recompute it trades GPU FLOPs for PCIe bandwidth; compared with
-    KunServe it creates no *new* memory, so queueing delays under a
-    cluster-wide burst remain.
+    blocks rise above the scheduler's ``SWAP_IN_WATERMARK`` (5 %) of
+    capacity.  Compared with recompute it trades GPU FLOPs for PCIe
+    bandwidth; compared with KunServe it creates no *new* memory, so
+    queueing delays under a cluster-wide burst remain.
     """
 
     name = "InferCept"
-
-    def __init__(self, swap_in_watermark: float = 0.05) -> None:
-        self.swap_in_watermark = swap_in_watermark
 
     def scheduler_config(self, base: SchedulerConfig) -> SchedulerConfig:
         return SchedulerConfig(
             token_budget=base.token_budget,
             max_running_requests=base.max_running_requests,
             preemption_mode=PreemptionMode.SWAP,
-            swap_in_watermark=self.swap_in_watermark,
         )

@@ -8,7 +8,6 @@ from typing import Optional
 from repro.chaos.config import FaultSchedule
 from repro.cluster.cluster import ClusterSpec
 from repro.cluster.specs import cluster_a_spec
-from repro.engine.latency_model import LatencyModelConfig
 from repro.fleet.config import FleetConfig
 from repro.models.catalog import QWEN_2_5_14B
 from repro.models.spec import ModelSpec
@@ -19,22 +18,20 @@ from repro.multicluster.config import MultiClusterConfig
 class ServingConfig:
     """Everything needed to build a :class:`ClusterServingSystem`.
 
+    Properties of the testbed (KV block size, HBM reserve, running-request
+    cap, monitor period, timeline window, roofline constants) are constants
+    of the modules that read them, listed in ARCHITECTURE.md.
+
     Attributes:
         model: the model being served (one replica per instance).
         cluster: the hardware (servers, GPUs, network).
         gpus_per_instance: GPUs per serving instance (tensor parallelism
             degree inside an instance; 1 for the 14B model, 4 for the 72B).
-        block_size: KV-cache block size in tokens.
         token_budget: chunked-prefill token budget per iteration.
-        max_running_requests: cap on concurrently admitted requests.
-        runtime_reserve_fraction: HBM fraction reserved for activations and
-            framework overheads (not usable by parameters or KV).
-        monitor_interval_s: global monitor tick period.
-        timeline_window_s: bucketing window of the recorded timelines.
         drain_timeout_s: how long past the last arrival the simulation keeps
             running to let in-flight requests finish.
-        latency_config: overrides for the roofline latency model.
-        seed: experiment seed (latency jitter, workload sampling).
+        seed: experiment seed of the randomised routers (a multicluster
+            tier derives each shard's seed from it).
         fleet: optional elastic-fleet layer (router strategy, admission
             control, autoscaler); ``None`` keeps the classic fixed fleet
             behind the plain dispatcher.
@@ -53,14 +50,8 @@ class ServingConfig:
     model: ModelSpec = field(default_factory=lambda: QWEN_2_5_14B)
     cluster: ClusterSpec = field(default_factory=cluster_a_spec)
     gpus_per_instance: int = 1
-    block_size: int = 64
     token_budget: int = 1024
-    max_running_requests: int = 512
-    runtime_reserve_fraction: float = 0.10
-    monitor_interval_s: float = 1.0
-    timeline_window_s: float = 1.0
     drain_timeout_s: float = 120.0
-    latency_config: Optional[LatencyModelConfig] = None
     seed: int = 42
     fleet: Optional[FleetConfig] = None
     multicluster: Optional[MultiClusterConfig] = None
@@ -74,8 +65,6 @@ class ServingConfig:
                 f"gpus_per_instance={self.gpus_per_instance} exceeds the cluster's "
                 f"{self.cluster.total_gpus} GPUs"
             )
-        if self.monitor_interval_s <= 0:
-            raise ValueError("monitor_interval_s must be positive")
         if self.drain_timeout_s < 0:
             raise ValueError("drain_timeout_s must be >= 0")
 

@@ -1,10 +1,11 @@
 """Global monitor: periodic load collection and overload detection.
 
-Every ``interval`` seconds the monitor samples every active group's memory
-usage, demand (in-processing + head-of-line queued requests) and queue
-lengths, records the memory figures into the metrics timelines, and hands
-the snapshot to the configured overload policy (which may drop parameters,
-migrate requests, or do nothing).
+Every :data:`MONITOR_INTERVAL_S` (1 s of simulated time) the monitor
+samples every active group's memory usage, demand (in-processing +
+head-of-line queued requests) and queue lengths, records the memory
+figures into the metrics timelines, and hands the snapshot to the
+configured overload policy (which may drop parameters, migrate requests,
+or do nothing).
 """
 
 from __future__ import annotations
@@ -19,6 +20,10 @@ from repro.simulation.process import PeriodicProcess
 #: Signature of the policy callback: (snapshots, now) -> None.
 MonitorCallback = Callable[[List[Dict[str, float]], float], None]
 
+#: Seconds of simulated time between two monitor ticks; also the default
+#: sampling period of a system's live metrics stream.
+MONITOR_INTERVAL_S = 1.0
+
 
 class GlobalMonitor:
     """Collects usage information and triggers the overload policy."""
@@ -29,19 +34,19 @@ class GlobalMonitor:
         metrics: MetricsCollector,
         group_provider: Callable[[], List[ServingGroup]],
         *,
-        interval_s: float = 1.0,
         callback: Optional[MonitorCallback] = None,
     ) -> None:
         self.loop = loop
         self.metrics = metrics
         self._group_provider = group_provider
-        self.interval_s = interval_s
         self.callback = callback
-        self._process = PeriodicProcess(loop, interval_s, self._tick, name="global-monitor")
+        self._process = PeriodicProcess(
+            loop, MONITOR_INTERVAL_S, self._tick, name="global-monitor"
+        )
         self.overload_events = 0
 
     def start(self) -> None:
-        self._process.start(initial_delay=self.interval_s)
+        self._process.start(initial_delay=MONITOR_INTERVAL_S)
 
     def stop(self) -> None:
         self._process.stop()

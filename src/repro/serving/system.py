@@ -24,9 +24,8 @@ from repro.models.spec import ModelSpec
 from repro.policies.base import OverloadPolicy
 from repro.serving.config import ServingConfig
 from repro.serving.dispatcher import Dispatcher
-from repro.serving.monitor import GlobalMonitor
+from repro.serving.monitor import MONITOR_INTERVAL_S, GlobalMonitor
 from repro.simulation.event_loop import EventLoop
-from repro.simulation.rng import SeededRNG
 from repro.workloads.trace import Workload
 
 
@@ -68,10 +67,9 @@ class ClusterServingSystem:
         self.loop = loop if loop is not None else EventLoop()
         self.cluster = Cluster(config.cluster, self.loop)
         self.fabric = self.cluster.fabric
-        self.metrics = MetricsCollector(timeline_window_s=config.timeline_window_s)
+        self.metrics = MetricsCollector()
         self.model: ModelSpec = config.model
         self.kv_token_bytes = kv_bytes_per_token(config.model)
-        self._rng = SeededRNG(config.seed, "system")
         self._group_counter = itertools.count()
 
         self.instances: List[ServingInstance] = self._build_instances()
@@ -97,7 +95,6 @@ class ClusterServingSystem:
             self.loop,
             self.metrics,
             group_provider=lambda: self.groups,
-            interval_s=config.monitor_interval_s,
             callback=self._on_monitor_tick,
         )
         self._submitted = 0
@@ -112,20 +109,10 @@ class ClusterServingSystem:
     # Construction
     # ------------------------------------------------------------------
     def _build_instances(self) -> List[ServingInstance]:
-        instances = []
-        for index, gpus in enumerate(self.cluster.gpu_groups(self.config.gpus_per_instance)):
-            instances.append(
-                ServingInstance(
-                    instance_id=index,
-                    model=self.model,
-                    gpus=gpus,
-                    block_size=self.config.block_size,
-                    runtime_reserve_fraction=self.config.runtime_reserve_fraction,
-                    latency_config=self.config.latency_config,
-                    rng=self._rng.child(f"latency-{index}"),
-                )
-            )
-        return instances
+        return [
+            ServingInstance(index, self.model, gpus)
+            for index, gpus in enumerate(self.cluster.gpu_groups(self.config.gpus_per_instance))
+        ]
 
     def _build_initial_groups(self) -> None:
         # The fleet's autoscaler may hold back instances as spare capacity;
@@ -146,11 +133,7 @@ class ClusterServingSystem:
             self.create_group(members, assignment=assignment)
 
     def _scheduler_config(self) -> SchedulerConfig:
-        base = SchedulerConfig(
-            token_budget=self.config.token_budget,
-            max_running_requests=self.config.max_running_requests,
-        )
-        return self.policy.scheduler_config(base)
+        return self.policy.scheduler_config(SchedulerConfig(token_budget=self.config.token_budget))
 
     # ------------------------------------------------------------------
     # Group lifecycle (also used by the KunServe core)
@@ -171,7 +154,6 @@ class ClusterServingSystem:
             scheduler_config=self._scheduler_config(),
             assignment=assignment,
             microbatch_former=microbatch_former,
-            block_size=self.config.block_size,
         )
         self.groups.append(group)
         group.finish_listeners.append(self._notify_finished)
@@ -305,50 +287,33 @@ class ClusterServingSystem:
                 spares.remove(instance)
         self.fault_manager.fail_instance(instance)
 
-    def attach_metrics(
-        self,
-        *,
-        path=None,
-        interval_s: Optional[float] = None,
-        registry=None,
-    ):
+    def attach_metrics(self, *, path=None):
         """Install a :class:`repro.metrics.MetricsMonitor` on this system.
 
-        The monitor samples the fleet/dispatcher counters every
-        ``interval_s`` (default: the monitor interval) into its typed
-        ``series`` and, given a ``path``, streams Prometheus text scrapes
-        there; :meth:`run` starts and stops it around the replay.
+        The monitor samples the fleet/dispatcher counters every monitor
+        interval into its typed ``series`` and, given a ``path``, streams
+        Prometheus text scrapes there; :meth:`run` starts and stops it
+        around the replay.
         """
         from repro.metrics import MetricsMonitor, fleet_metrics_source
 
-        monitor = MetricsMonitor(
-            self.loop,
-            interval_s=interval_s or self.config.monitor_interval_s,
-            path=path,
-            registry=registry,
-        )
+        monitor = MetricsMonitor(self.loop, interval_s=MONITOR_INTERVAL_S, path=path)
         monitor.add_source(fleet_metrics_source(self))
         self.metrics_monitor = monitor
         return monitor
 
     def _wire_group_tracer(self, group: ServingGroup) -> None:
-        # A disabled tracer is never wired into the per-iteration hot
-        # path: the group keeps ``tracer = None`` so its hook sites stay
-        # a bare ``is None`` check, as in an untraced run.
-        group.tracer = self.tracer if self.tracer.enabled else None
+        group.tracer = self.tracer
         group.trace_track = f"cluster{self._trace_cluster}/group{group.group_id}"
 
-    def attach_tracer(self, tracer=None, *, enabled: bool = True, details: bool = True):
+    def attach_tracer(self, tracer=None, *, details: bool = True):
         """Install a :class:`repro.trace.Tracer` on this system.
 
         Wires the span-recording hooks through the whole stack: request
         submission, admission (dispatch / shed / route), every serving
         group's iteration loop and migration mechanism, and the
         intra-cluster network fabric.  Tracing is off by default — an
-        unattached system pays one ``is not None`` check per hook site —
-        and ``enabled=False`` attaches the tracer without wiring the
-        group/fabric/admission hot paths, so a disabled tracer costs the
-        same bare checks as an untraced run.
+        unattached system pays one ``is not None`` check per hook site.
 
         ``details=False`` records no detail spans (see
         :class:`repro.trace.Tracer`).  Pass an existing ``tracer`` to share
@@ -358,15 +323,14 @@ class ClusterServingSystem:
         from repro.trace import Tracer
 
         if tracer is None:
-            tracer = Tracer(self.loop, enabled=enabled, details=details)
+            tracer = Tracer(self.loop, details=details)
         self.tracer = tracer
         for group in self.groups:
             self._wire_group_tracer(group)
-        if tracer.enabled:
-            self.fabric.tracer = tracer
-            if self.fleet is not None:
-                self.fleet.admission.tracer = tracer
-            self.add_completion_listener(tracer.on_finished)
+        self.fabric.tracer = tracer
+        if self.fleet is not None:
+            self.fleet.admission.tracer = tracer
+        self.add_completion_listener(tracer.on_finished)
         return tracer
 
     # ------------------------------------------------------------------

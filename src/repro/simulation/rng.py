@@ -1,8 +1,9 @@
 """Deterministic random number generation for simulations.
 
-Every stochastic component (trace generation, dataset sampling, jitter in
-the latency model) draws from a :class:`SeededRNG` derived from a single
-experiment seed, so repeated runs of an experiment are bit-identical.
+Every stochastic component (trace generation, dataset sampling, routing,
+client think times and retries) draws from a :class:`SeededRNG` derived
+from a single experiment seed, so repeated runs of an experiment are
+bit-identical.
 """
 
 from __future__ import annotations

@@ -57,16 +57,19 @@ class ResultCache:
         self.stores = 0
         self._pruned = False
 
-    def path_for(self, task: SweepTask) -> Path:
-        return self.root / f"{source_fingerprint()}-{task.content_hash()}.json"
+    def path_for(self, task: SweepTask, digest: Optional[str] = None) -> Path:
+        """Where ``task``'s entry lives; ``digest`` is its content hash, for
+        a caller that has it already."""
+        return self.root / f"{source_fingerprint()}-{digest or task.content_hash()}.json"
 
-    def load(self, task: SweepTask) -> Optional[Dict[str, Any]]:
-        """The cached payload for ``task``, or ``None`` on a miss.
+    def load(self, task: SweepTask, digest: Optional[str] = None) -> Optional[Dict[str, Any]]:
+        """The cached payload for ``task`` (content hash ``digest``, when
+        given), or ``None`` on a miss.
 
         Any unreadable, unparsable or wrong-format entry is deleted and
         reported as a miss (corruption recovery: fall back to recompute).
         """
-        path = self.path_for(task)
+        path = self.path_for(task, digest)
         try:
             text = path.read_text()
         except FileNotFoundError:
@@ -94,15 +97,18 @@ class ResultCache:
         self.hits += 1
         return entry["result"]
 
-    def store(self, task: SweepTask, payload: Dict[str, Any]) -> Optional[Path]:
-        """Persist ``payload`` for ``task`` atomically; returns the path.
+    def store(
+        self, task: SweepTask, payload: Dict[str, Any], digest: Optional[str] = None
+    ) -> Optional[Path]:
+        """Persist ``payload`` for ``task`` (content hash ``digest``, when
+        given) atomically; returns the path.
 
         An unwritable cache (read-only checkout, full disk, bad
         ``REPRO_CACHE_DIR``) is not an error: the result was already
         computed, so storing degrades to a no-op (``None``) and the sweep
         carries on — matching ``load``'s degrade-to-recompute contract.
         """
-        path = self.path_for(task)
+        path = self.path_for(task, digest)
         entry = {
             "cache_format_version": CACHE_FORMAT_VERSION,
             "task": task.hash_material(),

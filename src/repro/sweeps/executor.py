@@ -6,9 +6,10 @@ funnel through (via :mod:`repro.sweeps.grid`):
 1. Every task's content hash is checked against the
    :class:`~repro.sweeps.cache.ResultCache` (when one is supplied); hits
    are returned without touching a worker.
-2. Misses run either inline (``max_workers=1``) or on the *shared warm
-   pool*: one process-wide ``ProcessPoolExecutor`` that is created once,
-   pre-imports the heavy simulator modules in every worker
+2. Misses with equal content hashes run once, and every such task gets
+   the payload.  Misses run either inline (``max_workers=1``) or on the
+   *shared warm pool*: one process-wide ``ProcessPoolExecutor`` that is
+   created once, pre-imports the heavy simulator modules in every worker
    (so each worker pays the import cost once rather than once per sweep),
    and is reused by subsequent sweeps in the same process.
 3. Fresh results are normalised through a JSON round-trip before they are
@@ -228,49 +229,55 @@ def run_tasks(
 ) -> SweepOutcome:
     """Execute ``tasks``, serving cache hits and fanning misses out.
 
+    Each task is hashed once.  Tasks with equal hashes run once and share
+    the payload (each gets its own copy); hits and misses are still
+    counted per task.
+
     Args:
         tasks: the grid, in the order results should come back.
         max_workers: ``1`` runs every miss inline in this process (no
             pool); ``None`` sizes the pool to
-            ``min(len(misses), effective_worker_count())``.
+            ``min(distinct misses, effective_worker_count())``.
         cache: result cache consulted before and populated after
             execution; ``None`` disables caching entirely.
     """
     if max_workers is not None and max_workers < 1:
         raise ValueError("max_workers must be >= 1")
     outcome = SweepOutcome(results=[None] * len(tasks))
-    miss_indices: List[int] = []
+    # content hash -> the indices of the tasks the cache did not hold
+    misses: Dict[str, List[int]] = {}
     for index, task in enumerate(tasks):
-        payload = cache.load(task) if cache is not None else None
+        digest = task.content_hash()
+        payload = cache.load(task, digest) if cache is not None else None
         if payload is not None:
             outcome.results[index] = payload
             outcome.cache_hits += 1
         else:
-            miss_indices.append(index)
-    outcome.cache_misses = len(miss_indices)
-    if not miss_indices:
+            misses.setdefault(digest, []).append(index)
+    outcome.cache_misses = sum(len(indices) for indices in misses.values())
+    if not misses:
         return outcome
 
-    misses = [tasks[i] for i in miss_indices]
+    runs = [tasks[indices[0]] for indices in misses.values()]
     workers = min(
         max_workers if max_workers is not None else effective_worker_count(),
-        len(misses),
+        len(runs),
     )
     if workers <= 1:
-        payloads = [execute_task(task) for task in misses]
+        payloads = [execute_task(task) for task in runs]
     else:
         try:
-            payloads = _map_bounded(shared_pool(workers), misses, workers)
+            payloads = _map_bounded(shared_pool(workers), runs, workers)
         except BrokenProcessPool:
             # A dead worker poisons a ProcessPoolExecutor permanently;
             # discard the broken pool and retry once on a fresh one so a
             # transient kill (OOM, signal) doesn't fail every later sweep
             # in this process.
             shutdown_shared_pool()
-            payloads = _map_bounded(shared_pool(workers), misses, workers)
-    for index, payload in zip(miss_indices, payloads):
-        normalized = _normalize(payload)
+            payloads = _map_bounded(shared_pool(workers), runs, workers)
+    for (digest, indices), payload in zip(misses.items(), payloads):
+        for index in indices:
+            outcome.results[index] = _normalize(payload)
         if cache is not None:
-            cache.store(tasks[index], normalized)
-        outcome.results[index] = normalized
+            cache.store(tasks[indices[0]], outcome.results[indices[0]], digest)
     return outcome

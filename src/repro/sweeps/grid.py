@@ -13,8 +13,9 @@ module does the rest once:
 * checks the axis values (unknown values raise :class:`KeyError`; empty
   axes, repeated values and malformed values raise :class:`ValueError`);
 * materialises each cell (:func:`materialise`) and derives the cell's cache
-  key from what it materialised: the scenario, the policy, the whole
-  ``ServingConfig``, the frontend and the scale (:func:`cell_task`);
+  key from what it materialised: the scenario's workload factory, the
+  policy, the whole ``ServingConfig``, the frontend and the scale
+  (:func:`cell_task`), so cells with equal keys run once;
 * runs a cell on the single-cluster, tier or online system, with the span
   tracer, the in-sweep alerts and the ``--metrics-out`` stream wired here
   (:func:`run_cell`);
@@ -59,7 +60,6 @@ import dataclasses
 import enum
 import itertools
 import json
-import math
 import re
 import sys
 import time
@@ -68,6 +68,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.chaos.config import fault_schedule_preset
+from repro.engine.metrics import nearest_rank
 from repro.experiments.runner import ExperimentScale, build_serving_config
 from repro.fleet.config import AdmissionConfig, FleetConfig
 from repro.multicluster.config import MultiClusterConfig
@@ -456,16 +457,17 @@ def _jsonable(value: Any) -> Any:
 
 def spec_fingerprint(spec: ScenarioSpec) -> Dict[str, Any]:
     """JSON-able fingerprint of what a scenario adds to its cells' config:
-    its name and its workload factory's import path.
+    its workload factory's import path.
 
-    The model and the serving knobs are in the cell's ``ServingConfig``;
-    the SLO factor enters only when the document is assembled; and code
-    changes inside a factory are covered by the package source fingerprint
-    every task hash carries (:func:`repro.sweeps.task.source_fingerprint`).
+    The name is left out: two scenarios with one factory run the same cell
+    under the same policy, config and scale.  The model and the serving
+    knobs are in the cell's ``ServingConfig``; the SLO factor enters only
+    when the document is assembled; and code changes inside a factory are
+    covered by the package source fingerprint every task hash carries
+    (:func:`repro.sweeps.task.source_fingerprint`).
     """
     factory = spec.workload_factory
     return {
-        "name": spec.name,
         "factory": f"{getattr(factory, '__module__', '?')}:"
         f"{getattr(factory, '__qualname__', repr(factory))}",
     }
@@ -481,7 +483,7 @@ def _system_kind(cell: Cell) -> str:
     return "tier" if cell.config.multicluster is not None else "cluster"
 
 
-def cell_task(cell: Cell, *, trace: Any = False, alerts: bool = False) -> SweepTask:
+def cell_task(cell: Cell, *, trace: bool = False, alerts: bool = False) -> SweepTask:
     """One cell as a cacheable sweep task, keyed by what it materialised.
 
     The trace and alerts probes key only the cells that use them, so a
@@ -512,19 +514,10 @@ def cell_task(cell: Cell, *, trace: Any = False, alerts: bool = False) -> SweepT
 # ----------------------------------------------------------------------
 # Running cells
 # ----------------------------------------------------------------------
-def _percentile(values: Sequence[float], q: float) -> Optional[float]:
-    """Nearest-rank percentile; ``None`` on an empty sample."""
-    if not values:
-        return None
-    ordered = sorted(values)
-    rank = max(1, math.ceil(q / 100.0 * len(ordered)))
-    return ordered[min(rank, len(ordered)) - 1]
-
-
 def run_cell(
     cell: Cell,
     *,
-    trace: Any = False,
+    trace: bool = False,
     alerts: bool = False,
     metrics_out: Optional[Path] = None,
     on_tracer: Optional[Callable[[Any], None]] = None,
@@ -536,14 +529,14 @@ def run_cell(
     Besides the entry fields it derives, the dict keeps the run's whole
     ``summary`` and, for fleet and tier cells, the whole ``stats``; entries
     read only their own fields, so neither block reaches a document.
-    ``trace=True`` attaches a span tracer and adds a ``stage_breakdown``;
-    ``trace="disabled"`` attaches it with recording off.  ``on_tracer``
-    receives the tracer as it attaches; without it nothing can export the
-    spans, so the tracer records no detail spans.  ``alerts=True`` evaluates the
-    default alert rules over the monitor's typed series into an ``alerts``
-    block.  ``metrics_out`` streams the scrapes (with the stage histogram
-    when tracing, and the client series for closed-loop clients) to a file
-    and reports their count as ``scrapes``.
+    ``trace=True`` attaches a span tracer and adds a ``stage_breakdown``.
+    ``on_tracer`` receives the tracer as it attaches; without it nothing
+    can export the spans, so the tracer records no detail spans.
+    ``alerts=True`` evaluates the default alert rules over the monitor's
+    typed series into an ``alerts`` block.  ``metrics_out`` streams the
+    scrapes (with the stage histogram when tracing, and the client series
+    for closed-loop clients) to a file and reports their count as
+    ``scrapes``.
     """
     tier = cell.config.multicluster
     workload_scale = tier_workload_scale(cell.scale, tier.num_clusters) if tier else cell.scale
@@ -559,9 +552,7 @@ def run_cell(
         initial_groups = len(system.groups)
     tracer = None
     if trace:
-        tracer = system.attach_tracer(
-            enabled=trace != "disabled", details=on_tracer is not None
-        )
+        tracer = system.attach_tracer(details=on_tracer is not None)
         if on_tracer is not None:
             on_tracer(tracer)
     frontend = None
@@ -578,7 +569,7 @@ def run_cell(
         from repro.metrics import client_metrics_source, trace_metrics_source
 
         monitor = system.attach_metrics(path=metrics_out)
-        if metrics_out is not None and tracer is not None and tracer.enabled:
+        if metrics_out is not None and tracer is not None:
             monitor.add_source(trace_metrics_source(tracer))
         if frontend is not None and cell.frontend != OPEN_LOOP:
             monitor.add_source(client_metrics_source(frontend))
@@ -620,7 +611,7 @@ def run_cell(
         latencies = _measure_clients(cell, result, frontend, measured, latencies)
     measured["latencies"] = latencies
     measured["wall_s"] = wall_s
-    if tracer is not None and tracer.enabled:
+    if tracer is not None:
         from repro.trace import LatencyAttribution
 
         measured["stage_breakdown"] = LatencyAttribution.from_tracer(tracer).stage_breakdown()
@@ -698,10 +689,10 @@ def _measure_clients(cell: Cell, result, frontend, measured: Dict[str, Any], lat
         submitted=submitted,
         **counts,
         goodput_per_submitted=finished / submitted if submitted else 1.0,
-        client_ttft_p50=_percentile(ttfts, 50),
-        client_ttft_p90=_percentile(ttfts, 90),
-        client_ttft_p99=_percentile(ttfts, 99),
-        client_e2e_p50=_percentile(e2es, 50),
+        client_ttft_p50=nearest_rank(ttfts, 50),
+        client_ttft_p90=nearest_rank(ttfts, 90),
+        client_ttft_p99=nearest_rank(ttfts, 99),
+        client_e2e_p50=nearest_rank(e2es, 50),
     )
     return latencies
 

@@ -11,21 +11,13 @@ sweeps embed when run with ``--trace``.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Iterable, List
 
+from repro.engine.metrics import nearest_rank
 from repro.trace.spans import STAGE_DECODE, STAGE_ORDER, TTFT_STAGES, Span
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.trace.tracer import Tracer
-
-
-def _percentile(values: Sequence[float], q: float) -> Optional[float]:
-    """Nearest-rank percentile (same convention as the sweep summaries)."""
-    if not values:
-        return None
-    ordered = sorted(values)
-    rank = max(1, int(round(q / 100.0 * len(ordered))))
-    return ordered[min(rank, len(ordered)) - 1]
 
 
 class LatencyAttribution:
@@ -107,10 +99,10 @@ class LatencyAttribution:
         return {
             "requests": len(per_request),
             "reconciled": len(per_request) - len(_reconcile(per_request)),
-            "ttft_p50": _percentile(ttft_values, 50.0),
-            "ttft_p99": _percentile(ttft_values, 99.0),
-            "e2e_p50": _percentile(e2e_values, 50.0),
-            "e2e_p99": _percentile(e2e_values, 99.0),
+            "ttft_p50": nearest_rank(ttft_values, 50.0),
+            "ttft_p99": nearest_rank(ttft_values, 99.0),
+            "e2e_p50": nearest_rank(e2e_values, 50.0),
+            "e2e_p99": nearest_rank(e2e_values, 99.0),
             "stages": _aggregate(per_request),
         }
 
@@ -154,9 +146,9 @@ def _aggregate(per_request: Dict[int, Dict[str, float]]) -> Dict[str, Dict[str, 
             "count": len(values),
             "total_s": sum(values),
             "mean_s": sum(values) / len(values),
-            "p50_s": _percentile(values, 50.0),
-            "p90_s": _percentile(values, 90.0),
-            "p99_s": _percentile(values, 99.0),
+            "p50_s": nearest_rank(values, 50.0),
+            "p90_s": nearest_rank(values, 90.0),
+            "p99_s": nearest_rank(values, 99.0),
         }
     return aggregated
 

@@ -4,14 +4,9 @@ The tracer is attached with ``system.attach_tracer(...)`` (single-cluster
 and multicluster systems both expose it) and is **off by default**: an
 unattached system keeps every ``tracer`` attribute ``None`` and each hook
 site is a single ``is not None`` check, so the untraced hot path pays one
-pointer comparison per lifecycle event and nothing else.  An attached
-tracer constructed with ``enabled=False`` stays visible on the system but
-is **not wired into the hot per-iteration hooks** (``attach_tracer``
-skips them), so a disabled tracer costs the same bare ``is None`` checks
-as an untraced run (``tests/test_trace.py`` counts the hooks a
-disabled tracer still fires: ``on_submit`` only).  Every hook also
-early-returns when ``enabled`` is false, so the per-request hooks that do
-still fire record nothing.
+pointer comparison per lifecycle event and nothing else.  Attaching one
+changes no simulated result (``tests/test_trace.py`` compares a traced
+cell's whole result with the untraced run's).
 
 Recording model: hooks append lifecycle *boundaries* per request (submit,
 WAN delivery, dispatch, first execution, first token, terminal state).
@@ -93,9 +88,8 @@ class _RequestState:
 class Tracer:
     """Records a span tree per request from instrumented hook points."""
 
-    def __init__(self, loop: "EventLoop", *, enabled: bool = True, details: bool = True) -> None:
+    def __init__(self, loop: "EventLoop", *, details: bool = True) -> None:
         self.loop = loop
-        self.enabled = enabled
         #: whether detail spans are recorded (for :meth:`spans` exports).
         self.details = details
         self._states: Dict[int, _RequestState] = {}
@@ -116,7 +110,7 @@ class Tracer:
     # ------------------------------------------------------------------
     def on_gateway(self, request: "Request") -> None:
         """A gateway pulled ``request`` from its stream (pre-submission)."""
-        if not self.enabled or not self.details:
+        if not self.details:
             return
         now = self.loop.now
         self._details.append(
@@ -133,8 +127,6 @@ class Tracer:
 
     def on_submit(self, request: "Request") -> None:
         """``request`` entered a serving system (root span opens)."""
-        if not self.enabled:
-            return
         rid = request.request_id
         if rid in self._states:
             # Re-submission of a WAN-delivered request at its target shard;
@@ -148,7 +140,7 @@ class Tracer:
 
     def on_route(self, request: "Request", target: object, scope: str = "fleet") -> None:
         """A router picked ``target`` — an instantaneous decision span."""
-        if not self.enabled or not self.details:
+        if not self.details:
             return
         now = self.loop.now
         self._details.append(
@@ -165,8 +157,6 @@ class Tracer:
 
     def on_wan_start(self, request: "Request", source: int, target: int) -> None:
         """Per-request context left on the inter-cluster fabric."""
-        if not self.enabled:
-            return
         self._pending_wan[request.request_id] = self.loop.now
 
     def on_wan_end(self, request: "Request") -> None:
@@ -180,8 +170,6 @@ class Tracer:
         overlaps prefill/decode and recording it as a stage boundary
         would break the TTFT partition; it becomes a detail span instead.
         """
-        if not self.enabled:
-            return
         started = self._pending_wan.pop(request.request_id, None)
         state = self._states.get(request.request_id)
         if state is None or state.status is not None:
@@ -203,8 +191,6 @@ class Tracer:
 
     def on_enqueued(self, request: "Request", group_id: int) -> None:
         """``request`` was dispatched to a serving group's scheduler queue."""
-        if not self.enabled:
-            return
         state = self._states.get(request.request_id)
         if state is None or state.status is not None:
             return
@@ -217,8 +203,6 @@ class Tracer:
         self, group: object, batch: "IterationBatch", start_s: float, end_s: float
     ) -> None:
         """A group completed an iteration executing ``batch`` over the window."""
-        if not self.enabled:
-            return
         track = getattr(group, "trace_track", "engine")
         details = self.details
         # Only prefill chunks are listed; a decoding request ran a prefill
@@ -265,8 +249,6 @@ class Tracer:
 
     def on_finished(self, request: "Request") -> None:
         """``request`` produced its last token; fold boundaries into stages."""
-        if not self.enabled:
-            return
         state = self._states.get(request.request_id)
         if state is None or state.status is not None:
             return
@@ -290,8 +272,6 @@ class Tracer:
 
     def on_shed(self, request: "Request") -> None:
         """Admission rejected ``request``; the root closes unfinished."""
-        if not self.enabled:
-            return
         state = self._states.get(request.request_id)
         if state is None or state.status is not None:
             return
@@ -302,8 +282,6 @@ class Tracer:
 
     def on_lost(self, request: "Request") -> None:
         """A fault dropped ``request`` (e.g. its WAN target died in flight)."""
-        if not self.enabled:
-            return
         state = self._states.get(request.request_id)
         if state is None or state.status is not None:
             return
@@ -316,7 +294,7 @@ class Tracer:
 
     def on_retry_backoff(self, request: "Request", delay_s: float) -> None:
         """A shed attempt scheduled its retry ``delay_s`` from now."""
-        if not self.enabled or not self.details:
+        if not self.details:
             return
         now = self.loop.now
         self._details.append(
@@ -335,7 +313,7 @@ class Tracer:
         self, request: "Request", src_track: str, dst_track: str
     ) -> None:
         """A running request's KV started moving to another group."""
-        if not self.enabled or not self.details:
+        if not self.details:
             return
         self._pending_migrations[request.request_id] = (
             self.loop.now,
@@ -345,8 +323,6 @@ class Tracer:
 
     def on_migration_end(self, request: "Request") -> None:
         """The KV migration transfer completed."""
-        if not self.enabled:
-            return
         pending = self._pending_migrations.pop(request.request_id, None)
         if pending is None:
             return
@@ -365,7 +341,7 @@ class Tracer:
 
     def on_transfer(self, transfer: "Transfer") -> None:
         """A fabric transfer finished (swap / migrate / WAN delivery)."""
-        if not self.enabled or not self.details:
+        if not self.details:
             return
         self._details.append(
             Span(

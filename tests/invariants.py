@@ -44,6 +44,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional
 
+from repro.memory.paged_kv import KV_BLOCK_SIZE
 from repro.models.memory import kv_bytes_per_token
 
 
@@ -504,7 +505,7 @@ def assert_memory_conservation(manager) -> None:
         assert any(first <= run.first and run.end <= end for first, end in spans), (
             f"run {run} is not inside an allocated span"
         )
-    block_bytes = manager.block_size * manager.kv_token_bytes
+    block_bytes = KV_BLOCK_SIZE * manager.kv_token_bytes
     expected = kv_range.mapped_pages * pool.chunk_bytes // block_bytes
     assert manager.kv_blocks == expected, (
         f"{manager.kv_blocks} KV blocks, mapped KV memory holds {expected}"
@@ -513,7 +514,7 @@ def assert_memory_conservation(manager) -> None:
 
 def assert_group_kv_capacity(group) -> None:
     """A group's paged cache holds no more blocks than its instances back."""
-    block_bytes = group.block_size * kv_bytes_per_token(group.model)
+    block_bytes = KV_BLOCK_SIZE * kv_bytes_per_token(group.model)
     backed = sum(inst.memory.kv_range.mapped_bytes for inst in group.instances) // block_bytes
     assert group.kv.num_blocks <= backed, (
         f"group {group.group_id} has {group.kv.num_blocks} KV blocks, its "

@@ -306,6 +306,29 @@ class TestTierFaults:
         assert stats["rerouted"] > 0
         assert stats["dispatch_bytes"] > 0
 
+    @pytest.mark.parametrize("migration", ["sticky", "migrate"])
+    def test_displaced_pending_equals_a_full_rescan(self, migration, monkeypatch):
+        # The live metric reads only new records; after every scrape it
+        # must equal a rescan of every shard's records.
+        incremental = MultiClusterSystem.displaced_pending
+        seen = []
+
+        def checked(tier):
+            pending = incremental(tier)
+            finished = sum(
+                1
+                for system in tier.systems
+                for record in system.metrics.records
+                if record.finished and record.request_id in tier._displacements
+            )
+            assert pending == len(tier._displacements) - finished
+            seen.append(pending)
+            return pending
+
+        monkeypatch.setattr(MultiClusterSystem, "displaced_pending", checked)
+        run_cell(chaos_cell("cluster-outage", migration), alerts=True)
+        assert len(seen) > 10 and max(seen) > 0
+
 
 class TestSchema:
     def test_schema_contract_is_pinned(self):

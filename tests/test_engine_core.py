@@ -16,8 +16,14 @@ from repro.engine.batch import IterationBatch, MicroBatch, ScheduledChunk
 from repro.core.cost_model import fit_from_latency_model
 from repro.core.lookahead import make_lookahead_former
 from repro.engine.chunked_prefill import split_into_n_microbatches, token_count_microbatches
-from repro.engine.latency_model import LatencyModel, LatencyModelConfig
-from repro.engine.metrics import MetricsCollector, TimelineSeries, percentile, sorted_percentile
+from repro.engine.latency_model import LatencyModel
+from repro.engine.metrics import (
+    MetricsCollector,
+    TimelineSeries,
+    nearest_rank,
+    percentile,
+    sorted_percentile,
+)
 from repro.engine.pipeline import PipelineExecution
 from repro.engine.request import Request, RequestState
 from repro.engine.scheduler import ContinuousBatchingScheduler
@@ -226,11 +232,6 @@ class TestLatencyModel:
         model = LatencyModel(A800_80GB, QWEN_2_5_14B)
         with pytest.raises(ValueError):
             model.batch_time([make_chunk()], num_layers=0)
-
-    def test_jitter_disabled_by_default(self):
-        model = LatencyModel(A800_80GB, QWEN_2_5_14B)
-        chunk = [make_chunk(tokens=128)]
-        assert model.batch_time(chunk) == model.batch_time(chunk)
 
     def test_config_validation_via_tp(self):
         with pytest.raises(ValueError):
@@ -595,3 +596,13 @@ class TestMetrics:
     )
     def test_sorted_percentile_is_numpys_linear_method(self, values, p):
         assert sorted_percentile(sorted(values), p) == float(np.percentile(values, p))
+
+    def test_nearest_rank_reads_the_ceil_rank(self):
+        # The k-th smallest of n values, k = ceil(q n / 100) and at least 1:
+        # the p50 of five values is the third.
+        assert nearest_rank([], 50) is None
+        assert nearest_rank([5.0, 1.0, 4.0, 2.0, 3.0], 50) == 3.0
+        for n in range(1, 200):
+            descending = [float(v) for v in range(n, 0, -1)]
+            for q in (0, 50, 90, 99, 100):
+                assert nearest_rank(descending, q) == max(1, -(-q * n // 100))

@@ -20,6 +20,7 @@ from repro.experiments import (
 from repro.experiments.grid import FIGURE_SCENARIOS, GRID, run_figures
 from repro.experiments.report import format_table, format_value
 from repro.experiments.runner import (
+    FULL_SCALE,
     ExperimentScale,
     WORKLOAD_PRESETS,
     build_preset_workload,
@@ -27,7 +28,14 @@ from repro.experiments.runner import (
 )
 from repro.policies import make_policy
 from repro.scenarios import list_scenarios
-from repro.sweeps.grid import grid_cells, materialise, run_cell, run_grid, strip_wall_clock
+from repro.sweeps.grid import (
+    cell_task,
+    grid_cells,
+    materialise,
+    run_cell,
+    run_grid,
+    strip_wall_clock,
+)
 from repro.experiments.table1 import PAPER_RATIOS, format_table1, run_table1
 from repro.experiments.figure15 import format_figure15, max_errors, run_figure15
 
@@ -166,6 +174,18 @@ class TestFiguresGrid:
         scale = ExperimentScale("fit", instances, 4.0, 4.0)
         _, cells = grid_cells(GRID, scale, scenarios=(figure5.SCENARIO,))
         assert cells[-1].policy == deepest
+
+    def test_cells_of_one_workload_and_policy_run_once(self):
+        # Figures 5 and 14 reuse the burstgpt-14b and longbench-14b
+        # workloads: five of the 34 full-scale cells repeat another's key.
+        _, cells = grid_cells(GRID, FULL_SCALE)
+        hashes = [cell_task(cell).content_hash() for cell in cells]
+        assert (len(hashes), len(set(hashes))) == (34, 29)
+        pair = [
+            materialise(GRID, {"scenario": name, "policy": "kunserve"}, FULL_SCALE)
+            for name in ("longbench-14b", "ablation")
+        ]
+        assert len({cell_task(cell).content_hash() for cell in pair}) == 1
 
     def test_a_traced_figure13_cell_has_a_stage_breakdown(self):
         cell = materialise(GRID, {"scenario": "longbench-14b", "policy": "kunserve"}, SMOKE_SCALE)

@@ -7,7 +7,7 @@ import pytest
 from repro.cluster.specs import cluster_a_spec
 from repro.core.fault_tolerance import FaultToleranceManager
 from repro.core.global_manager import GlobalMemoryManager
-from repro.core.kunserve import KunServeConfig, KunServeController
+from repro.core.kunserve import RESTORE_COOLDOWN_S, KunServeConfig, KunServeController
 from repro.core.kv_exchange import KVExchangeCoordinator
 from repro.core.local_manager import LocalMemoryManager
 from repro.core.restore import RestoreManager
@@ -227,7 +227,7 @@ class TestKunServeCore:
             merged.scheduler.remove_request(request)
         controller.on_monitor_tick(
             [g.load_snapshot() for g in system.groups],
-            now=max(system.loop.now, 1.0 + controller.config.restore_cooldown_s + 1.0),
+            now=max(system.loop.now, 1.0 + RESTORE_COOLDOWN_S + 1.0),
         )
         assert controller.restore_manager.restoring_group_ids == [merged.group_id]
         system.loop.run(until=system.loop.now + 120)
@@ -245,8 +245,6 @@ class TestKunServeCore:
             RestoreManager(system, exchange, usage_threshold=0.0)
 
     def test_kunserve_config_validation(self):
-        with pytest.raises(ValueError):
-            KunServeConfig(overload_threshold=0.0)
         with pytest.raises(ValueError):
             KunServeConfig(restore_threshold=1.5)
 

@@ -380,7 +380,7 @@ class TestSystemSources:
         spec = get_scenario("steady-poisson")
         config = ServingConfig(cluster=cluster_a_spec(num_servers=2), drain_timeout_s=10.0)
         system = ClusterServingSystem(config, make_policy("vllm"))
-        monitor = system.attach_metrics(path=tmp_path / "cluster.prom", interval_s=1.0)
+        monitor = system.attach_metrics(path=tmp_path / "cluster.prom")
         result = system.run(spec.build_workload(TINY_SCALE, 1))
 
         scrapes = split_scrapes((tmp_path / "cluster.prom").read_text())
@@ -422,7 +422,7 @@ class TestSystemSources:
             instances_per_cluster=scale.num_instances, seed=3,
         )
         system = MultiClusterSystem(config, lambda: make_policy("vllm"))
-        monitor = system.attach_metrics(path=tmp_path / "tier.prom", interval_s=1.0)
+        monitor = system.attach_metrics(path=tmp_path / "tier.prom")
         system.run(spec.build_workload(scale, 3))
 
         scrapes = split_scrapes((tmp_path / "tier.prom").read_text())

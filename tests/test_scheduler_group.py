@@ -14,7 +14,7 @@ from repro.engine.scheduler import (
     PreemptionMode,
     SchedulerConfig,
 )
-from repro.memory.paged_kv import PagedKVCache
+from repro.memory.paged_kv import KV_BLOCK_SIZE, PagedKVCache
 from repro.models.catalog import QWEN_2_5_14B
 
 
@@ -208,7 +208,7 @@ class TestServingGroup:
 
     def test_group_kv_capacity_matches_instances(self, loop, small_cluster, metrics, two_instances):
         group = build_group([two_instances[0]], loop, small_cluster.fabric, metrics)
-        expected = two_instances[0].kv_capacity_bytes // (group.block_size * group._kv_token_bytes)
+        expected = two_instances[0].kv_capacity_bytes // (KV_BLOCK_SIZE * group._kv_token_bytes)
         assert group.kv.num_blocks == expected
 
     def test_pipelined_group_serves_requests(self, loop, small_cluster, metrics):

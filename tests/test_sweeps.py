@@ -305,6 +305,23 @@ class TestExecutor:
         assert outcome.cache_hits == 2 and outcome.cache_misses == 1
         assert outcome.results[1]["echo"] == {"x": 99}
 
+    def test_equal_tasks_run_once_and_count_per_task(self, tmp_path, monkeypatch):
+        ran = []
+        execute = executor_module.execute_task
+        monkeypatch.setattr(
+            executor_module, "execute_task", lambda task: ran.append(task) or execute(task)
+        )
+        cache = ResultCache(tmp_path)
+        tasks = [make_task(payload={"x": x}) for x in (1, 2, 1)]
+        cold = run_tasks(tasks, max_workers=1, cache=cache)
+        assert len(ran) == 2
+        assert (cold.cache_hits, cold.cache_misses) == (0, 3)
+        assert cold.results[2] == cold.results[0] and cold.results[2] is not cold.results[0]
+        warm = run_tasks(tasks, max_workers=1, cache=cache)
+        assert len(ran) == 2
+        assert (warm.cache_hits, warm.cache_misses) == (3, 0)
+        assert warm.results == cold.results
+
     def test_rejects_nonpositive_workers(self):
         with pytest.raises(ValueError):
             run_tasks([make_task()], max_workers=0)

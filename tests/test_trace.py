@@ -1,6 +1,6 @@
 """Tests for per-request span tracing (``repro.trace``).
 
-Pins the ISSUE acceptance criteria end-to-end on real (tiny) runs:
+Pins, end to end on real (tiny) runs:
 
 * the Chrome trace-event export validates and JSON round-trips, with the
   expected process/stage vocabulary;
@@ -9,9 +9,9 @@ Pins the ISSUE acceptance criteria end-to-end on real (tiny) runs:
   spans-JSONL round trip;
 * the span-conservation invariant (``tests/invariants.py``) holds over
   serve *and* chaos (multicluster tier) trace output;
-* a wired-but-disabled tracer changes nothing: identical sweep results,
-  zero recorded spans, and no hook call but one ``on_submit`` per
-  submitted attempt;
+* tracing changes no result: a traced serve or chaos cell's whole result,
+  run summary and fleet counters included, equals the untraced run's
+  apart from its ``stage_breakdown``;
 * the supporting metrics surface: ``HistogramFamily`` exposition, the
   ``trace_metrics_source`` sampler, and the ``repro.metrics.plot``
   scrape-stream renderer.
@@ -19,7 +19,6 @@ Pins the ISSUE acceptance criteria end-to-end on real (tiny) runs:
 
 from __future__ import annotations
 
-import collections
 import json
 
 import pytest
@@ -309,41 +308,23 @@ class TestChromeExport:
 
 
 # ----------------------------------------------------------------------
-# Off-by-default / disabled-tracer guarantees
+# Tracing changes no result
 # ----------------------------------------------------------------------
-class TestOverhead:
-    def test_disabled_tracer_records_nothing(self):
+class TestTracingChangesNoResult:
+    @pytest.mark.parametrize("exported", [False, True], ids=["stages", "details"])
+    @pytest.mark.parametrize("cell", [SERVE_CELL, CHAOS_CELL], ids=["serve", "chaos"])
+    def test_traced_cell_equals_the_untraced_run(self, cell, exported):
+        untraced = run_cell(cell)
         tracers = []
-        run_cell(SERVE_CELL, trace="disabled", on_tracer=tracers.append)
-        tracer = tracers[0]
-        assert not tracer.enabled
-        assert tracer.requests_traced == 0
-        assert tracer.spans() == []
-        assert tracer.closed_stage_spans == []
-
-    def test_disabled_tracer_results_identical_to_untraced(self):
-        untraced = run_cell(SERVE_CELL)
-        disabled = run_cell(SERVE_CELL, trace="disabled")
-        untraced.pop("wall_s"), disabled.pop("wall_s")
-        # The whole run summary and fleet counters, not only entry fields.
-        assert untraced == disabled
-        assert {"ttft_p999", "tpot_p999", "mean_bubble_fraction"} <= set(disabled["summary"])
-        assert "spare_instances" in disabled["stats"]
-        assert "stage_breakdown" not in disabled
-
-    def test_disabled_tracer_fires_only_on_submit(self, monkeypatch):
-        # The overhead bound, counted instead of timed: with recording off,
-        # the only hook the simulation still calls is ``on_submit`` (which
-        # returns at once), once per submitted attempt.
-        calls = collections.Counter()
-        for name in [n for n in vars(Tracer) if n.startswith("on_")]:
-            def counted(self, *args, _name=name, _hook=getattr(Tracer, name), **kwargs):
-                calls[_name] += 1
-                return _hook(self, *args, **kwargs)
-
-            monkeypatch.setattr(Tracer, name, counted)
-        cell = run_cell(SERVE_CELL, trace="disabled")
-        assert dict(calls) == {"on_submit": cell["submitted"]}
+        traced = run_cell(cell, trace=True, on_tracer=tracers.append if exported else None)
+        assert traced.pop("stage_breakdown")
+        if exported:
+            assert any(span.kind == "detail" for span in tracers[0].spans())
+        untraced.pop("wall_s"), traced.pop("wall_s")
+        # The whole run summary and fleet or tier counters, not only the
+        # entry fields.
+        assert {"summary", "stats"} <= set(traced)
+        assert traced == untraced
 
 
 # ----------------------------------------------------------------------
