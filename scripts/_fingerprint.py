@@ -1,6 +1,6 @@
 """Fingerprint simulation outputs to gate bit-identical refactors.
 
-Digests every policy at a canonical scale plus five sweep grids (10
+Digests every policy at a canonical scale plus seven sweep grids (12
 digests, a few seconds).  ``scripts/fingerprints.json`` holds the digests
 of the current results; CI checks them.
 
@@ -98,6 +98,16 @@ def fingerprints() -> dict:
         "serve": (SERVE, dict(
             scenarios=("spike-train",), policies=("vllm",), clients=("open", "16"),
             retries=("backoff",), backpressure=("on",),
+        )),
+        # The fault paths no committed document runs: instance kills on
+        # one cluster, and instance kills and WAN degradation on the tier.
+        "fleet-faults": (FLEET, dict(
+            scenarios=("steady-poisson",), policies=("vllm",), routers=("least_loaded",),
+            autoscalers=("fixed", "elastic"), faults=("instance-kill", "churn"),
+        )),
+        "chaos-faults": (CHAOS, dict(
+            scenarios=("steady-poisson",), policies=("vllm",),
+            faults=("instance-kill", "wan-degrade"), migrations=("sticky", "migrate"),
         )),
     }
     for name, (grid, axes) in grids.items():

@@ -22,7 +22,6 @@ from repro.fleet.autoscaler import Autoscaler
 from repro.fleet.config import (
     AUTOSCALER_PRESETS,
     AdmissionConfig,
-    AutoscalerConfig,
     FleetConfig,
     fleet_preset,
     list_autoscaler_presets,
@@ -46,7 +45,6 @@ __all__ = [
     "AdmissionConfig",
     "AdmissionController",
     "Autoscaler",
-    "AutoscalerConfig",
     "FleetConfig",
     "FleetController",
     "LeastLoadedRouter",

@@ -1,56 +1,74 @@
 """Autoscaler: grow and drain serving groups from spare cluster capacity.
 
-The serving system holds back ``reserve_instances`` of the cluster's
+An elastic fleet holds back :data:`RESERVE_INSTANCES` of the cluster's
 instances as *spare capacity*: they exist (GPUs are provisioned) but hold
 no model weights and serve nothing.  On a scale-up trigger the autoscaler
-takes a spare, waits ``cold_start_s`` simulated seconds (weight loading —
-elasticity is not free), then loads the full model onto it and creates a
-fresh single-instance serving group that immediately joins the routable
-set.  On sustained calm it *drains* the youngest single-instance group:
-routing stops, queued requests are re-homed through the router, and once
-the last running request finishes the group retires and its instance
-returns to the spare pool.
+takes a spare, waits :data:`COLD_START_S` simulated seconds (weight
+loading — elasticity is not free), then loads the full model onto it and
+creates a fresh single-instance serving group that immediately joins the
+routable set.  On sustained calm it *drains* the youngest single-instance
+group: routing stops, queued requests are re-homed through the router,
+and once the last running request finishes the group retires and its
+instance returns to the spare pool.
 
 Triggers are OR-ed and evaluated on the fleet controller's tick, entirely
 inside the deterministic event loop:
 
-* queue depth — (admission queue + group backlogs) per active group;
-* memory pressure — cluster KV demand / capacity;
-* tail latency — TTFT P99 over a sliding window of recent finishes.
+* queue depth — (admission queue + group backlogs) per routable group;
+* memory pressure — cluster KV demand / capacity.
 
+A fleet with no routable group left (its last one died) meets both, so
+it scales up whenever it holds a spare and the cooldown has passed.
 Scale-down only touches single-instance groups, so groups a policy merged
 into pipelines (KunServe drops) are never torn down underneath it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Deque, List, Optional, TYPE_CHECKING
-
-from collections import deque
+from typing import List, TYPE_CHECKING
 
 from repro.engine.group import ServingGroup
 from repro.engine.instance import ServingInstance
-from repro.engine.metrics import sorted_percentile
-from repro.fleet.config import AutoscalerConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.fleet.controller import FleetController
 
+#: Instances an elastic fleet holds back from its initial deployment as
+#: spare capacity (clamped so at least one instance serves).
+RESERVE_INSTANCES = 1
+#: Never drain below this many routable groups.
+MIN_GROUPS = 1
+#: Scale up when (admission queue + group backlogs) per routable group
+#: reaches this...
+SCALE_UP_QUEUE_DEPTH = 8
+#: ...or when cluster KV demand / capacity reaches this.
+SCALE_UP_MEMORY_RATIO = 0.90
+#: A tick is calm when demand / capacity is at or below this and nothing
+#: is queued.
+SCALE_DOWN_MEMORY_RATIO = 0.30
+#: Consecutive calm ticks before a group is drained.
+SCALE_DOWN_IDLE_TICKS = 4
+#: Delay between a scale-up decision and the new group serving (weight
+#: loading, container start).
+COLD_START_S = 5.0
+#: Minimum time between two scaling actions.
+COOLDOWN_S = 8.0
+
 
 class Autoscaler:
-    """Adds/drains serving groups on queue, latency and memory triggers."""
+    """Adds/drains serving groups on queue and memory triggers.
 
-    def __init__(self, config: AutoscalerConfig, controller: "FleetController") -> None:
-        self.config = config
+    ``enabled`` is the preset's flag: a disabled autoscaler (the ``fixed``
+    preset) never acts, and the fleet tick still runs admission control.
+    """
+
+    def __init__(self, enabled: bool, controller: "FleetController") -> None:
+        self.enabled = enabled
         self.controller = controller
         self.spare_instances: List[ServingInstance] = []
         self.draining: List[ServingGroup] = []
-        self._pending_scale_ups = 0
         self._last_action_time = float("-inf")
         self._calm_ticks = 0
-        #: (finish_time, ttft) of recent finishes for the TTFT P99 trigger.
-        self._recent_ttfts: Deque[tuple] = deque()
-        self._record_cursor = 0
 
         self.scale_up_events = 0
         self.scale_down_events = 0
@@ -74,76 +92,48 @@ class Autoscaler:
     # Tick
     # ------------------------------------------------------------------
     def tick(self, now: float) -> None:
-        if not self.config.enabled:
+        if not self.enabled:
             return
         self._finish_drains()
-        inputs = self._pressure_inputs(now)
-        if inputs is None:
-            return
-        num_groups, backlog, memory_ratio, ttft_p99 = inputs
+        num_groups, backlog, memory_ratio = self._pressure_inputs()
 
-        if self._should_scale_up(num_groups, backlog, memory_ratio, ttft_p99):
+        if self.spare_instances and self._triggered(num_groups, backlog, memory_ratio):
             if self._cooldown_passed(now):
                 self._scale_up(now)
             return
 
-        calm = (
-            backlog == 0
-            and memory_ratio <= self.config.scale_down_memory_ratio
-        )
+        calm = backlog == 0 and memory_ratio <= SCALE_DOWN_MEMORY_RATIO
         self._calm_ticks = self._calm_ticks + 1 if calm else 0
-        if (
-            self._calm_ticks >= self.config.scale_down_idle_ticks
-            and self._cooldown_passed(now)
-        ):
+        if self._calm_ticks >= SCALE_DOWN_IDLE_TICKS and self._cooldown_passed(now):
             self._scale_down(now)
 
     # ------------------------------------------------------------------
     # Scale up
     # ------------------------------------------------------------------
-    def _pressure_inputs(self, now: float):
-        """The trigger inputs ``(num_groups, backlog, memory_ratio,
-        ttft_p99)`` over the routable groups, or ``None`` with none.
+    def _pressure_inputs(self):
+        """The trigger inputs ``(num_groups, backlog, memory_ratio)`` over
+        the routable groups.
 
         The single definition of "pressure" shared by the local tick and
         the multicluster placement tier (:meth:`wants_capacity`), so the
-        two can never disagree about when a cluster is overloaded.
+        two can never disagree about when a cluster is overloaded.  With
+        no routable group the backlog is the admission queue, the ratio of
+        no capacity is infinite, and both triggers hold.
         """
         groups = self.controller.routable_groups()
         if not groups:
-            return None
-        backlog = self.controller.backlog()
-        memory_ratio = self.controller.kv_ratio()
-        ttft_p99 = self._ttft_p99(now, self.controller.system.metrics.records)
-        return len(groups), backlog, memory_ratio, ttft_p99
+            return 0, self.controller.admission.queued, float("inf")
+        return len(groups), self.controller.backlog(), self.controller.kv_ratio()
 
-    def _triggered(
-        self, num_groups: int, backlog: int, memory_ratio: float, ttft_p99: Optional[float]
-    ) -> bool:
+    @staticmethod
+    def _triggered(num_groups: int, backlog: int, memory_ratio: float) -> bool:
         """Whether any scale-up trigger currently holds (triggers only)."""
-        if backlog >= self.config.scale_up_queue_depth * num_groups:
-            return True
-        if memory_ratio >= self.config.scale_up_memory_ratio:
-            return True
-        if (
-            self.config.scale_up_ttft_p99_s is not None
-            and ttft_p99 is not None
-            and ttft_p99 > self.config.scale_up_ttft_p99_s
-        ):
-            return True
-        return False
+        return (
+            backlog >= SCALE_UP_QUEUE_DEPTH * num_groups
+            or memory_ratio >= SCALE_UP_MEMORY_RATIO
+        )
 
-    def _should_scale_up(
-        self, num_groups: int, backlog: int, memory_ratio: float, ttft_p99: Optional[float]
-    ) -> bool:
-        if not self.spare_instances:
-            return False
-        target = num_groups + self._pending_scale_ups
-        if self.config.max_groups is not None and target >= self.config.max_groups:
-            return False
-        return self._triggered(num_groups, backlog, memory_ratio, ttft_p99)
-
-    def wants_capacity(self, now: float) -> bool:
+    def wants_capacity(self) -> bool:
         """Whether a scale-up trigger holds, spare availability aside.
 
         The multicluster placement tier polls this on clusters that have
@@ -151,26 +141,18 @@ class Autoscaler:
         ``False`` is exactly the situation where a sibling cluster should
         absorb the scale-up.
         """
-        if not self.config.enabled:
-            return False
-        inputs = self._pressure_inputs(now)
-        if inputs is None:
-            return False
-        return self._triggered(*inputs)
+        return self.enabled and self._triggered(*self._pressure_inputs())
 
     def force_scale_up(self, now: float) -> bool:
         """Externally-directed scale-up (the multicluster placement tier).
 
         Activates one spare regardless of this cluster's own triggers —
         the *caller* observed the pressure, possibly on a sibling cluster.
-        Still respects the spare pool, ``max_groups`` and the cooldown, so
-        placement cannot thrash a cluster faster than its own autoscaler
-        could.  Returns whether a scale-up was started.
+        Still respects the spare pool and the cooldown, so placement cannot
+        thrash a cluster faster than its own autoscaler could.  Returns
+        whether a scale-up was started.
         """
-        if not self.config.enabled or not self.spare_instances:
-            return False
-        target = len(self.controller.routable_groups()) + self._pending_scale_ups
-        if self.config.max_groups is not None and target >= self.config.max_groups:
+        if not self.enabled or not self.spare_instances:
             return False
         if not self._cooldown_passed(now):
             return False
@@ -179,24 +161,22 @@ class Autoscaler:
 
     def _scale_up(self, now: float) -> None:
         instance = self.spare_instances.pop(0)
-        self._pending_scale_ups += 1
         self._last_action_time = now
         self.scale_up_events += 1
         self._calm_ticks = 0
         system = self.controller.system
         system.metrics.mark_event(
             now, "fleet-scale-up", instance_id=instance.instance_id,
-            cold_start_s=self.config.cold_start_s,
+            cold_start_s=COLD_START_S,
         )
         system.loop.schedule(
-            self.config.cold_start_s,
+            COLD_START_S,
             lambda: self._activate(instance),
             name="fleet-cold-start",
         )
 
     def _activate(self, instance: ServingInstance) -> None:
         """Cold start finished: load weights, join the fleet, absorb queue."""
-        self._pending_scale_ups -= 1
         system = self.controller.system
         if instance.num_resident_layers < system.model.num_layers:
             instance.load_full_model()
@@ -212,8 +192,7 @@ class Autoscaler:
     # ------------------------------------------------------------------
     def _scale_down(self, now: float) -> None:
         groups = self.controller.routable_groups()
-        floor = max(self.config.min_groups, 1)
-        if len(groups) <= floor:
+        if len(groups) <= MIN_GROUPS:
             return
         candidates = [g for g in groups if len(g.instances) == 1]
         if not candidates:
@@ -254,23 +233,5 @@ class Autoscaler:
                 still_draining.append(group)
         self.draining = still_draining
 
-    # ------------------------------------------------------------------
-    # Triggers
-    # ------------------------------------------------------------------
-    def _ttft_p99(self, now: float, records) -> Optional[float]:
-        """TTFT P99 over finishes in the last ~10 ticks (sliding window)."""
-        window_s = 10.0 * self.controller.config.tick_interval_s
-        for record in records[self._record_cursor:]:
-            if record.ttft is not None and record.finish_time is not None:
-                self._recent_ttfts.append((record.finish_time, record.ttft))
-        self._record_cursor = len(records)
-        horizon = now - window_s
-        recent = self._recent_ttfts
-        while recent and recent[0][0] < horizon:
-            recent.popleft()
-        if len(recent) < 5:
-            return None
-        return sorted_percentile(sorted(ttft for _, ttft in recent), 99)
-
     def _cooldown_passed(self, now: float) -> bool:
-        return now - self._last_action_time >= self.config.cooldown_s
+        return now - self._last_action_time >= COOLDOWN_S

@@ -8,13 +8,13 @@ A :class:`FleetConfig` describes the elastic-fleet layer that sits *in
 front of* the memory-overload policies the paper studies: which router
 strategy dispatches requests (:mod:`repro.fleet.routing`), how the
 admission controller bounds queues and sheds load
-(:class:`AdmissionConfig`), and whether/how the autoscaler grows and
-shrinks the set of serving groups (:class:`AutoscalerConfig`).
+(:class:`AdmissionConfig`), and whether the autoscaler grows and shrinks
+the set of serving groups (:data:`AUTOSCALER_PRESETS`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 
@@ -53,75 +53,12 @@ class AdmissionConfig:
             raise ValueError("ttft_shed_s must be positive when set")
 
 
-@dataclass(frozen=True)
-class AutoscalerConfig:
-    """Elastic capacity: when to add or drain serving groups.
-
-    Scale-up fires when *any* trigger holds (queue depth per group, memory
-    pressure, or TTFT P99); a new group only starts serving after
-    ``cold_start_s`` simulated seconds (model-load time), so elasticity
-    has a realistic cost.  Scale-down requires ``scale_down_idle_ticks``
-    consecutive calm ticks, drains the youngest single-instance group
-    (stops routing to it, re-homes its queued requests) and retires it
-    once its last running request finishes.
-
-    Attributes:
-        enabled: whether the autoscaler acts at all (``False`` = fixed
-            fleet; the fleet tick still runs admission control).
-        reserve_instances: instances held back from the initial deployment
-            as spare capacity the autoscaler can activate (clamped so at
-            least one instance serves from the start).
-        min_groups: never drain below this many active groups.
-        max_groups: cap on active groups (``None`` = bounded only by
-            spare capacity).
-        scale_up_queue_depth: scale up when (admission queue + per-group
-            waiting) per active group reaches this.
-        scale_up_memory_ratio: scale up when cluster KV demand/capacity
-            reaches this.
-        scale_up_ttft_p99_s: scale up when the TTFT P99 over the recent
-            window exceeds this (``None`` disables the trigger).
-        scale_down_memory_ratio: a tick is "calm" only when demand/capacity
-            is at or below this and no requests are queued.
-        scale_down_idle_ticks: consecutive calm ticks required before
-            draining a group.
-        cold_start_s: delay between the scale-up decision and the new
-            group serving (weight loading / container start).
-        cooldown_s: minimum time between scaling actions.
-    """
-
-    enabled: bool = False
-    reserve_instances: int = 0
-    min_groups: int = 1
-    max_groups: Optional[int] = None
-    scale_up_queue_depth: int = 8
-    scale_up_memory_ratio: float = 0.90
-    scale_up_ttft_p99_s: Optional[float] = None
-    scale_down_memory_ratio: float = 0.30
-    scale_down_idle_ticks: int = 4
-    cold_start_s: float = 5.0
-    cooldown_s: float = 8.0
-
-    def __post_init__(self) -> None:
-        if self.reserve_instances < 0:
-            raise ValueError("reserve_instances must be >= 0")
-        if self.min_groups < 1:
-            raise ValueError("min_groups must be >= 1")
-        if self.max_groups is not None and self.max_groups < self.min_groups:
-            raise ValueError("max_groups must be >= min_groups")
-        if self.scale_up_queue_depth <= 0:
-            raise ValueError("scale_up_queue_depth must be positive")
-        if not 0.0 < self.scale_up_memory_ratio:
-            raise ValueError("scale_up_memory_ratio must be positive")
-        if self.scale_up_ttft_p99_s is not None and self.scale_up_ttft_p99_s <= 0:
-            raise ValueError("scale_up_ttft_p99_s must be positive when set")
-        if self.scale_down_memory_ratio < 0:
-            raise ValueError("scale_down_memory_ratio must be >= 0")
-        if self.scale_down_idle_ticks < 1:
-            raise ValueError("scale_down_idle_ticks must be >= 1")
-        if self.cold_start_s < 0:
-            raise ValueError("cold_start_s must be >= 0")
-        if self.cooldown_s < 0:
-            raise ValueError("cooldown_s must be >= 0")
+#: Named autoscaler presets (the fleet sweep's elasticity axis), each
+#: mapped to whether the autoscaler acts.  "fixed" pins the fleet (the
+#: paper's deployment); "elastic" holds spare capacity back and scales on
+#: queue depth and memory pressure (:mod:`repro.fleet.autoscaler` holds
+#: its thresholds, reserve and cold start).
+AUTOSCALER_PRESETS: Dict[str, bool] = {"fixed": False, "elastic": True}
 
 
 @dataclass(frozen=True)
@@ -131,42 +68,19 @@ class FleetConfig:
     Attributes:
         router: router strategy name (:func:`repro.fleet.routing.list_routers`).
         admission: admission-control parameters.
-        autoscaler: elastic-capacity parameters.
-        tick_interval_s: period of the fleet controller's decision tick.
+        autoscaler: autoscaler preset name (:data:`AUTOSCALER_PRESETS`).
     """
 
     router: str = "least_loaded"
     admission: AdmissionConfig = field(default_factory=AdmissionConfig)
-    autoscaler: AutoscalerConfig = field(default_factory=AutoscalerConfig)
-    tick_interval_s: float = 1.0
+    autoscaler: str = "fixed"
 
     def __post_init__(self) -> None:
         if not self.router:
             raise ValueError("router must be non-empty")
-        if self.tick_interval_s <= 0:
-            raise ValueError("tick_interval_s must be positive")
-
-
-# ----------------------------------------------------------------------
-# Named autoscaler presets (the fleet sweep's elasticity axis)
-# ----------------------------------------------------------------------
-#: "fixed" pins the fleet (no elasticity, the paper's deployment);
-#: "elastic" reserves one instance as spare capacity and scales on queue
-#: depth / memory pressure with a 5 s cold start.
-AUTOSCALER_PRESETS: Dict[str, AutoscalerConfig] = {
-    "fixed": AutoscalerConfig(enabled=False),
-    "elastic": AutoscalerConfig(
-        enabled=True,
-        reserve_instances=1,
-        min_groups=1,
-        scale_up_queue_depth=8,
-        scale_up_memory_ratio=0.90,
-        scale_down_memory_ratio=0.30,
-        scale_down_idle_ticks=4,
-        cold_start_s=5.0,
-        cooldown_s=8.0,
-    ),
-}
+        if self.autoscaler not in AUTOSCALER_PRESETS:
+            known = ", ".join(AUTOSCALER_PRESETS)
+            raise KeyError(f"unknown autoscaler preset {self.autoscaler!r}; known: {known}")
 
 
 def list_autoscaler_presets() -> List[str]:
@@ -179,7 +93,6 @@ def make_fleet_config(
     autoscaler: str = "fixed",
     *,
     admission: Optional[AdmissionConfig] = None,
-    tick_interval_s: float = 1.0,
 ) -> FleetConfig:
     """Build a :class:`FleetConfig` from a router name and a preset name."""
     # Local import: this module stays import-light for the sweep workers,
@@ -189,14 +102,10 @@ def make_fleet_config(
     if router not in list_routers():
         known = ", ".join(list_routers())
         raise KeyError(f"unknown router {router!r}; known routers: {known}")
-    if autoscaler not in AUTOSCALER_PRESETS:
-        known = ", ".join(AUTOSCALER_PRESETS)
-        raise KeyError(f"unknown autoscaler preset {autoscaler!r}; known: {known}")
     return FleetConfig(
         router=router,
         admission=admission if admission is not None else AdmissionConfig(),
-        autoscaler=AUTOSCALER_PRESETS[autoscaler],
-        tick_interval_s=tick_interval_s,
+        autoscaler=autoscaler,
     )
 
 
@@ -216,18 +125,11 @@ def fleet_preset(name: str) -> FleetConfig:
     return make_fleet_config(router=router, autoscaler=scaler)
 
 
-def with_fleet(config, fleet: FleetConfig):
-    """Return a copy of a ``ServingConfig``-like dataclass with ``fleet`` set."""
-    return replace(config, fleet=fleet)
-
-
 __all__: Tuple[str, ...] = (
     "AdmissionConfig",
-    "AutoscalerConfig",
     "AUTOSCALER_PRESETS",
     "FleetConfig",
     "fleet_preset",
     "list_autoscaler_presets",
     "make_fleet_config",
-    "with_fleet",
 )

@@ -19,13 +19,17 @@ from typing import Dict, List, TYPE_CHECKING
 from repro.engine.group import ServingGroup
 from repro.engine.request import Request
 from repro.fleet.admission import AdmissionController
-from repro.fleet.autoscaler import Autoscaler
-from repro.fleet.config import FleetConfig
+from repro.fleet.autoscaler import RESERVE_INSTANCES, Autoscaler
+from repro.fleet.config import AUTOSCALER_PRESETS, FleetConfig
 from repro.fleet.routing import make_router
 from repro.simulation.process import PeriodicProcess
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.serving.system import ClusterServingSystem
+
+#: Period of the fleet controller's decision tick (admission drain and
+#: autoscaler), and of the multicluster tier's placement tick.
+TICK_INTERVAL_S = 1.0
 
 
 class FleetController:
@@ -38,9 +42,9 @@ class FleetController:
         self.admission = AdmissionController(
             config.admission, self.router, groups_provider=self.routable_groups
         )
-        self.autoscaler = Autoscaler(config.autoscaler, self)
+        self.autoscaler = Autoscaler(AUTOSCALER_PRESETS[config.autoscaler], self)
         self._process = PeriodicProcess(
-            system.loop, config.tick_interval_s, self._tick, name="fleet-controller"
+            system.loop, TICK_INTERVAL_S, self._tick, name="fleet-controller"
         )
 
     # ------------------------------------------------------------------
@@ -54,9 +58,9 @@ class FleetController:
 
     def reserve_instances(self, num_instances: int) -> int:
         """How many instances to hold back as spare (≥1 must keep serving)."""
-        if not self.config.autoscaler.enabled:
+        if not self.autoscaler.enabled:
             return 0
-        return min(self.config.autoscaler.reserve_instances, num_instances - 1)
+        return min(RESERVE_INSTANCES, num_instances - 1)
 
     def on_group_created(self, group: ServingGroup) -> None:
         """Hook from the serving system: every new group drains the queue.

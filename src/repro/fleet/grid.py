@@ -44,8 +44,7 @@ GRID = Grid(
             default=list_routers, metavar="ROUTER", help="router strategies",
         ),
         Axis(
-            "autoscalers", "autoscaler",
-            apply=fleet_change("autoscaler", AUTOSCALER_PRESETS.__getitem__),
+            "autoscalers", "autoscaler", apply=fleet_change("autoscaler"),
             known=list_autoscaler_presets, default=list_autoscaler_presets,
             metavar="PRESET", help="autoscaler presets",
         ),
@@ -84,7 +83,7 @@ GRID = Grid(
         (
             "--list-autoscalers", "autoscaler presets",
             lambda: (
-                f"{name:<10} {'elastic' if AUTOSCALER_PRESETS[name].enabled else 'fixed fleet'}"
+                f"{name:<10} {'elastic' if AUTOSCALER_PRESETS[name] else 'fixed fleet'}"
                 for name in list_autoscaler_presets()
             ),
         ),

@@ -10,9 +10,11 @@ per-cluster fleet layer: how many :class:`~repro.cluster.cluster.Cluster`
 shards exist, which global router distributes arrivals across them
 (:mod:`repro.multicluster.routing`), which placement policy decides the
 cluster that absorbs an autoscaler scale-up
-(:mod:`repro.multicluster.placement`), and the WAN link parameters of the
-inter-cluster fabric (:class:`repro.cluster.network.InterClusterLinkSpec`
-is built from the plain floats kept here).
+(:mod:`repro.multicluster.placement`), each shard's admission control and
+what happens to sessions whose home cluster is down.  The shards' fleet
+router and autoscaler preset and the WAN link are constants of
+:mod:`repro.multicluster.system`; the tier ticks with the fleet
+controller (:data:`repro.fleet.controller.TICK_INTERVAL_S`).
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ def list_session_migrations() -> List[str]:
 
 @dataclass(frozen=True)
 class MultiClusterConfig:
-    """The fleet-of-fleets tier: sharding, global routing, placement, WAN.
+    """The fleet-of-fleets tier: sharding, global routing, placement.
 
     Attributes:
         num_clusters: number of cluster shards; each is a full
@@ -45,20 +47,7 @@ class MultiClusterConfig:
         placement: placement policy name deciding which cluster absorbs a
             scale-up when the pressured cluster has no local spare capacity
             (:func:`repro.multicluster.placement.list_placements`).
-        cluster_router: intra-cluster fleet router used inside every shard
-            (:func:`repro.fleet.routing.list_routers`).
-        cluster_autoscaler: autoscaler preset applied to every shard
-            (:func:`repro.fleet.config.list_autoscaler_presets`).
         admission: per-cluster admission-control parameters.
-        wan_bandwidth: per-cluster unidirectional WAN uplink, bytes/s.
-            The 10 Gbps default sits two orders of magnitude below the
-            intra-cluster RDMA NICs, as real geo-sharded deployments do.
-        wan_latency_s: one-way propagation delay of every WAN transfer.
-        spill_queue_depth: per-group backlog at which the ``spillover``
-            global router considers the home cluster overloaded.
-        tick_interval_s: period of the multicluster controller's decision
-            tick (placement runs on it); also used for the per-cluster
-            fleet ticks so the tiers observe a consistent cadence.
         session_migration: what happens to sessions whose home cluster is
             down (see :mod:`repro.chaos`).  ``"sticky"`` keeps the dead
             home: every affected arrival is rerouted to an alive sibling
@@ -74,13 +63,7 @@ class MultiClusterConfig:
     num_clusters: int = 2
     global_router: str = "least_loaded_cluster"
     placement: str = "spare_capacity_first"
-    cluster_router: str = "least_loaded"
-    cluster_autoscaler: str = "elastic"
     admission: AdmissionConfig = field(default_factory=AdmissionConfig)
-    wan_bandwidth: float = 10e9 / 8
-    wan_latency_s: float = 0.030
-    spill_queue_depth: int = 8
-    tick_interval_s: float = 1.0
     session_migration: str = "sticky"
 
     def __post_init__(self) -> None:
@@ -90,14 +73,6 @@ class MultiClusterConfig:
             raise ValueError("global_router must be non-empty")
         if not self.placement:
             raise ValueError("placement must be non-empty")
-        if self.wan_bandwidth <= 0:
-            raise ValueError("wan_bandwidth must be positive")
-        if self.wan_latency_s < 0:
-            raise ValueError("wan_latency_s must be >= 0")
-        if self.spill_queue_depth < 1:
-            raise ValueError("spill_queue_depth must be >= 1")
-        if self.tick_interval_s <= 0:
-            raise ValueError("tick_interval_s must be positive")
         if self.session_migration not in SESSION_MIGRATION_POLICIES:
             known = ", ".join(SESSION_MIGRATION_POLICIES)
             raise ValueError(
@@ -110,20 +85,12 @@ def make_multicluster_config(
     global_router: str = "least_loaded_cluster",
     placement: str = "spare_capacity_first",
     *,
-    cluster_router: str = "least_loaded",
-    cluster_autoscaler: str = "elastic",
     admission: Optional[AdmissionConfig] = None,
-    wan_bandwidth: float = 10e9 / 8,
-    wan_latency_s: float = 0.030,
-    spill_queue_depth: int = 8,
-    tick_interval_s: float = 1.0,
     session_migration: str = "sticky",
 ) -> MultiClusterConfig:
     """Build a :class:`MultiClusterConfig`, failing fast on unknown names."""
     # Local imports: this module stays import-light for the sweep workers,
-    # but router / placement / preset typos should fail at configure time.
-    from repro.fleet.config import list_autoscaler_presets
-    from repro.fleet.routing import list_routers
+    # but router and placement typos should fail at configure time.
     from repro.multicluster.placement import list_placements
     from repro.multicluster.routing import list_global_routers
 
@@ -133,23 +100,11 @@ def make_multicluster_config(
     if placement not in list_placements():
         known = ", ".join(list_placements())
         raise KeyError(f"unknown placement policy {placement!r}; known: {known}")
-    if cluster_router not in list_routers():
-        known = ", ".join(list_routers())
-        raise KeyError(f"unknown cluster router {cluster_router!r}; known: {known}")
-    if cluster_autoscaler not in list_autoscaler_presets():
-        known = ", ".join(list_autoscaler_presets())
-        raise KeyError(f"unknown autoscaler preset {cluster_autoscaler!r}; known: {known}")
     return MultiClusterConfig(
         num_clusters=num_clusters,
         global_router=global_router,
         placement=placement,
-        cluster_router=cluster_router,
-        cluster_autoscaler=cluster_autoscaler,
         admission=admission if admission is not None else AdmissionConfig(),
-        wan_bandwidth=wan_bandwidth,
-        wan_latency_s=wan_latency_s,
-        spill_queue_depth=spill_queue_depth,
-        tick_interval_s=tick_interval_s,
         session_migration=session_migration,
     )
 

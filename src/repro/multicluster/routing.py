@@ -33,6 +33,10 @@ from repro.fleet.routing import SessionAffinityRouter
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.multicluster.system import ClusterHandle
 
+#: Per-group backlog at which the ``spillover`` router considers the home
+#: cluster overloaded (the autoscaler's queue-depth trigger, per group).
+SPILL_QUEUE_DEPTH = 8
+
 
 def home_cluster_index(request: Request, num_clusters: int) -> int:
     """The request's home cluster: stable hash of its session key.
@@ -57,15 +61,11 @@ class GlobalRouter(abc.ABC):
 
     ``route`` receives every cluster handle (in shard order, never empty)
     and must return one of them.  Routers may keep state (WRR counters)
-    but must be deterministic for a fixed seed and call sequence.
+    but must be deterministic for a fixed call sequence.
     """
 
     #: registry name, set by ``register_global_router``.
     name: str = "base"
-
-    def __init__(self, *, seed: int = 0, spill_queue_depth: int = 8) -> None:
-        self.seed = seed
-        self.spill_queue_depth = spill_queue_depth
 
     @abc.abstractmethod
     def route(self, request: Request, clusters: Sequence["ClusterHandle"]) -> "ClusterHandle":
@@ -95,8 +95,7 @@ class WeightedRoundRobinRouter(GlobalRouter):
     makes it the natural traffic-cost baseline for ``locality_affinity``.
     """
 
-    def __init__(self, *, seed: int = 0, spill_queue_depth: int = 8) -> None:
-        super().__init__(seed=seed, spill_queue_depth=spill_queue_depth)
+    def __init__(self) -> None:
         self._current: Dict[int, float] = {}
 
     def route(self, request: Request, clusters: Sequence["ClusterHandle"]) -> "ClusterHandle":
@@ -131,7 +130,7 @@ class SpilloverRouter(GlobalRouter):
     """Home cluster first; overflow to the cheapest remote when it sheds.
 
     Keeps locality while the home cluster is healthy.  Once the home's
-    per-group backlog reaches ``spill_queue_depth`` (the regime where its
+    per-group backlog reaches :data:`SPILL_QUEUE_DEPTH` (the regime where its
     admission controller queues and ultimately sheds), the request
     overflows to the cheapest remote cluster — cost-model-weighted, i.e.
     the lowest fitted per-token execution cost scaled by current KV
@@ -141,7 +140,7 @@ class SpilloverRouter(GlobalRouter):
     def route(self, request: Request, clusters: Sequence["ClusterHandle"]) -> "ClusterHandle":
         home = clusters[home_cluster_index(request, len(clusters))]
         groups = max(1, home.routable_group_count())
-        if home.backlog() < self.spill_queue_depth * groups:
+        if home.backlog() < SPILL_QUEUE_DEPTH * groups:
             return home
         remote = [cluster for cluster in clusters if cluster is not home]
         if not remote:
@@ -171,14 +170,12 @@ def register_global_router(
     return router_class
 
 
-def make_global_router(
-    name: str, *, seed: int = 0, spill_queue_depth: int = 8
-) -> GlobalRouter:
+def make_global_router(name: str) -> GlobalRouter:
     """Instantiate a registered global router by name."""
     if name not in _GLOBAL_ROUTERS:
         known = ", ".join(list_global_routers())
         raise KeyError(f"unknown global router {name!r}; known routers: {known}")
-    return _GLOBAL_ROUTERS[name](seed=seed, spill_queue_depth=spill_queue_depth)
+    return _GLOBAL_ROUTERS[name]()
 
 
 def list_global_routers() -> List[str]:

@@ -35,6 +35,7 @@ from repro.cluster.network import InterClusterLinkSpec
 from repro.engine.metrics import TIMELINE_WINDOW_S, RequestRecord, percentile
 from repro.engine.request import Request
 from repro.fleet.config import make_fleet_config
+from repro.fleet.controller import TICK_INTERVAL_S
 from repro.models.memory import kv_bytes_per_token
 from repro.multicluster.fabric import InterClusterFabric
 from repro.multicluster.placement import make_placement
@@ -49,6 +50,16 @@ from repro.workloads.trace import Workload
 #: Builds one fresh policy instance per cluster shard (policies attach to
 #: exactly one serving system, so shards cannot share an instance).
 PolicyFactory = Callable[[], OverloadPolicy]
+
+#: The fleet router and autoscaler preset inside every shard.
+CLUSTER_ROUTER = "least_loaded"
+CLUSTER_AUTOSCALER = "elastic"
+#: Per-cluster unidirectional WAN uplink, bytes/s: 10 Gbps, two orders of
+#: magnitude below the intra-cluster RDMA NICs, as in real geo-sharded
+#: deployments.
+WAN_BANDWIDTH = 10e9 / 8
+#: One-way propagation delay of every WAN transfer, seconds.
+WAN_LATENCY_S = 0.030
 
 
 class ClusterHandle:
@@ -170,23 +181,13 @@ class MultiClusterSystem:
         self.fabric = InterClusterFabric(
             self.loop,
             self.mc.num_clusters,
-            InterClusterLinkSpec(
-                bandwidth=self.mc.wan_bandwidth, latency_s=self.mc.wan_latency_s
-            ),
+            InterClusterLinkSpec(bandwidth=WAN_BANDWIDTH, latency_s=WAN_LATENCY_S),
         )
-        self.router = make_global_router(
-            self.mc.global_router,
-            seed=config.seed,
-            spill_queue_depth=self.mc.spill_queue_depth,
-        )
+        self.router = make_global_router(self.mc.global_router)
         self.placement = make_placement(self.mc.placement)
-        fleet = make_fleet_config(
-            router=self.mc.cluster_router,
-            autoscaler=self.mc.cluster_autoscaler,
-            admission=self.mc.admission,
-            tick_interval_s=self.mc.tick_interval_s,
+        self._fleet_config = make_fleet_config(
+            router=CLUSTER_ROUTER, autoscaler=CLUSTER_AUTOSCALER, admission=self.mc.admission
         )
-        self._fleet_config = fleet
         self.handles: List[ClusterHandle] = []
         for index in range(self.mc.num_clusters):
             # Every shard is a full serving system on the shared loop, with
@@ -198,10 +199,7 @@ class MultiClusterSystem:
             self.handles.append(ClusterHandle(index, system))
         self._kv_token_bytes = kv_bytes_per_token(config.model)
         self._tick_process = PeriodicProcess(
-            self.loop,
-            self.mc.tick_interval_s,
-            self._tick,
-            name="multicluster-controller",
+            self.loop, TICK_INTERVAL_S, self._tick, name="multicluster-controller"
         )
 
         self.local_routed = 0
@@ -415,9 +413,11 @@ class MultiClusterSystem:
     ) -> None:
         """Kill one instance of one shard; the shard recovers in place.
 
-        Delegates to the shard's :class:`FaultToleranceManager` (survivor
-        restore + displaced re-dispatch stay *inside* the cluster), and
-        tracks the displaced requests for the recovery-transient metric.
+        Delegates to the shard's
+        :meth:`~repro.serving.system.ClusterServingSystem.kill_instance`
+        (survivor restore + displaced re-dispatch stay *inside* the
+        cluster), and tracks the displaced requests for the
+        recovery-transient metric.
         """
         if now is None:
             now = self.loop.now
@@ -425,17 +425,9 @@ class MultiClusterSystem:
         if not handle.alive:
             return  # the whole cluster is already down
         system = handle.system
-        victim = system.instances[instance]
-        if victim.failed:
+        report = system.kill_instance(system.instances[instance], now)
+        if report is None:
             return
-        spares = system.fleet.autoscaler.spare_instances
-        if victim in spares:
-            spares.remove(victim)
-        if system.fault_manager is None:
-            from repro.core.fault_tolerance import FaultToleranceManager
-
-            system.fault_manager = FaultToleranceManager(system)
-        report = system.fault_manager.fail_instance(victim, now)
         self.instance_kills += 1
         self.fault_times.append(now)
         for request_id in report.displaced_request_ids:
@@ -579,7 +571,7 @@ class MultiClusterSystem:
         """
         from repro.metrics import MetricsMonitor, tier_metrics_source
 
-        monitor = MetricsMonitor(self.loop, interval_s=self.mc.tick_interval_s, path=path)
+        monitor = MetricsMonitor(self.loop, interval_s=TICK_INTERVAL_S, path=path)
         monitor.add_source(tier_metrics_source(self))
         self.metrics_monitor = monitor
         return monitor
@@ -611,9 +603,9 @@ class MultiClusterSystem:
             if not handle.alive:
                 continue
             scaler = handle.system.fleet.autoscaler
-            if not scaler.config.enabled or scaler.has_spare:
+            if scaler.has_spare:
                 continue  # local spares: the shard's own autoscaler acts
-            if not scaler.wants_capacity(now):
+            if not scaler.wants_capacity():
                 continue
             candidates = [
                 c

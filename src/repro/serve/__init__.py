@@ -24,9 +24,7 @@ from repro.serve.clients import ClosedLoopPopulation
 from repro.serve.config import (
     BACKPRESSURE_MODES,
     RETRY_POLICIES,
-    BackpressureConfig,
     ClientPopulationConfig,
-    RetryPolicy,
     list_backpressure_modes,
     list_retry_policies,
 )
@@ -40,12 +38,10 @@ from repro.serve.sources import (
 
 __all__ = [
     "BACKPRESSURE_MODES",
-    "BackpressureConfig",
     "ClientPopulationConfig",
     "ClosedLoopPopulation",
     "OnlineGateway",
     "RETRY_POLICIES",
-    "RetryPolicy",
     "jsonl_arrivals",
     "list_backpressure_modes",
     "list_retry_policies",

@@ -39,6 +39,41 @@ from repro.serve.config import ClientPopulationConfig
 from repro.simulation.rng import SeededRNG
 from repro.workloads.trace import Workload
 
+#: Mean of the exponential think time between a client's resolved
+#: (finished or abandoned) intent and its next issue, seconds.
+THINK_TIME_MEAN_S = 0.5
+#: Clients stagger their first issue uniformly over this window, so the
+#: population does not arrive as one synchronized burst at t = 0.
+STARTUP_WINDOW_S = 1.0
+#: Retry backoff (:func:`backoff_delay_s`): base delay, growth factor per
+#: retry, cap, and the half-width of the multiplicative jitter.
+BACKOFF_BASE_S = 0.5
+BACKOFF_FACTOR = 2.0
+BACKOFF_CAP_S = 8.0
+JITTER_FRACTION = 0.25
+#: Backpressure: while the fleet backlog is at least
+#: ``BACKLOG_THRESHOLD`` requests, or a shed was seen within the last
+#: ``SHED_WINDOW_S`` seconds, every client-side delay (think time, retry
+#: backoff) is stretched by ``THROTTLE_FACTOR``.
+BACKLOG_THRESHOLD = 16
+SHED_WINDOW_S = 5.0
+THROTTLE_FACTOR = 4.0
+
+
+def backoff_delay_s(retry_index: int, rng) -> float:
+    """Backoff before the ``retry_index``-th retry (1-based), jittered::
+
+        min(BACKOFF_CAP_S, BACKOFF_BASE_S * BACKOFF_FACTOR ** (k - 1))
+
+    scaled by a seeded factor uniform in ``[1 - JITTER_FRACTION,
+    1 + JITTER_FRACTION]``.
+    """
+    if retry_index < 1:
+        raise ValueError("retry_index is 1-based")
+    base = min(BACKOFF_CAP_S, BACKOFF_BASE_S * BACKOFF_FACTOR ** (retry_index - 1))
+    jitter = 1.0 + JITTER_FRACTION * (2.0 * rng.uniform() - 1.0)
+    return base * jitter
+
 
 @dataclasses.dataclass(frozen=True)
 class Intent:
@@ -151,7 +186,7 @@ class ClosedLoopPopulation:
         self._client_latencies: List[Tuple[float, Optional[float]]] = []
         self._client_e2es: List[float] = []
 
-        if config.retry.retries_enabled or config.backpressure.enabled:
+        if config.max_attempts > 1 or config.backpressure:
             # add_shed_listener raises without a fleet; surface the why.
             if system.fleet is None:
                 raise ValueError(
@@ -170,7 +205,7 @@ class ClosedLoopPopulation:
         for client in self.clients:
             if client.done:
                 continue
-            delay = float(client.rng.uniform(0.0, self.config.startup_window_s))
+            delay = float(client.rng.uniform(0.0, STARTUP_WINDOW_S))
             self._schedule_issue(client, delay)
 
     @property
@@ -274,9 +309,8 @@ class ClosedLoopPopulation:
             return
         self.sheds_observed += 1
         self._last_shed_time = self.system.loop.now
-        policy = self.config.retry
-        if client.attempts < policy.max_attempts:
-            delay = policy.delay_s(client.attempts, client.rng) * self._pressure_factor()
+        if client.attempts < self.config.max_attempts:
+            delay = backoff_delay_s(client.attempts, client.rng) * self._pressure_factor()
             if self.system.tracer is not None:
                 self.system.tracer.on_retry_backoff(request, delay)
             self.retry_pending += 1
@@ -297,17 +331,14 @@ class ClosedLoopPopulation:
         self._schedule_issue(client, self._think_delay(client))
 
     def _think_delay(self, client: _Client) -> float:
-        mean = self.config.think_time_mean_s
-        base = float(client.rng.exponential(mean)) if mean > 0 else 0.0
-        return base * self._pressure_factor()
+        return float(client.rng.exponential(THINK_TIME_MEAN_S)) * self._pressure_factor()
 
     def _pressure_factor(self) -> float:
         """How much to stretch client-side delays right now."""
-        bp = self.config.backpressure
-        if not bp.enabled:
+        if not self.config.backpressure:
             return 1.0
         now = self.system.loop.now
-        pressured = (now - self._last_shed_time) <= bp.shed_window_s
+        pressured = (now - self._last_shed_time) <= SHED_WINDOW_S
         if not pressured and self.system.fleet is not None:
-            pressured = self.system.fleet.backlog() >= bp.backlog_threshold
-        return bp.throttle_factor if pressured else 1.0
+            pressured = self.system.fleet.backlog() >= BACKLOG_THRESHOLD
+        return THROTTLE_FACTOR if pressured else 1.0

@@ -1,9 +1,8 @@
 """Client-behaviour configuration for the online serving frontend.
 
-Import-light on purpose (mirrors :mod:`repro.fleet.config`): these
-dataclasses travel inside sweep-task cache keys via
-:func:`dataclasses.asdict`, so they must stay frozen, JSON-able and free
-of heavy imports.
+Import-light on purpose (mirrors :mod:`repro.fleet.config`): the
+population config travels inside sweep-task cache keys, so it must stay
+frozen, JSON-able and free of heavy imports.
 
 Retry accounting vocabulary (used consistently by
 :mod:`repro.serve.clients`, the ``SERVE_results.json`` schema and
@@ -19,121 +18,43 @@ Retry accounting vocabulary (used consistently by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded exponential backoff with multiplicative jitter.
+#: Named retry policies the sweep grid accepts (``--retries``), each the
+#: number of submissions a client makes per intent: ``1`` means no
+#: retries.  The backoff between attempts is
+#: :func:`repro.serve.clients.backoff_delay_s`.
+RETRY_POLICIES: Dict[str, int] = {"none": 1, "backoff": 4}
 
-    ``max_attempts`` counts *submissions*, so ``1`` means no retries.
-    The delay before retry ``k`` (1-based) is::
-
-        min(backoff_cap_s, backoff_base_s * backoff_factor ** (k - 1))
-
-    scaled by a seeded jitter factor uniform in
-    ``[1 - jitter_fraction, 1 + jitter_fraction]``.
-    """
-
-    max_attempts: int = 1
-    backoff_base_s: float = 0.5
-    backoff_factor: float = 2.0
-    backoff_cap_s: float = 8.0
-    jitter_fraction: float = 0.25
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1 (1 means no retries)")
-        if self.backoff_base_s < 0 or self.backoff_cap_s < 0:
-            raise ValueError("backoff delays must be non-negative")
-        if not 0.0 <= self.jitter_fraction < 1.0:
-            raise ValueError("jitter_fraction must be in [0, 1)")
-
-    @property
-    def retries_enabled(self) -> bool:
-        return self.max_attempts > 1
-
-    def delay_s(self, retry_index: int, rng) -> float:
-        """Backoff before the ``retry_index``-th retry (1-based), jittered."""
-        if retry_index < 1:
-            raise ValueError("retry_index is 1-based")
-        base = min(
-            self.backoff_cap_s,
-            self.backoff_base_s * self.backoff_factor ** (retry_index - 1),
-        )
-        jitter = 1.0 + self.jitter_fraction * (2.0 * rng.uniform() - 1.0)
-        return base * jitter
-
-
-@dataclass(frozen=True)
-class BackpressureConfig:
-    """Client-side throttle driven by shed / queue-depth signals.
-
-    While the channel reports pressure — the fleet backlog is at or above
-    ``backlog_threshold``, or an admission shed was observed within the
-    last ``shed_window_s`` — every client-side delay (think time, retry
-    backoff) is stretched by ``throttle_factor``.  Disabled clients
-    ignore the signals entirely.
-    """
-
-    enabled: bool = False
-    backlog_threshold: int = 16
-    shed_window_s: float = 5.0
-    throttle_factor: float = 4.0
-
-    def __post_init__(self) -> None:
-        if self.backlog_threshold < 0:
-            raise ValueError("backlog_threshold must be non-negative")
-        if self.shed_window_s < 0:
-            raise ValueError("shed_window_s must be non-negative")
-        if self.throttle_factor < 1.0:
-            raise ValueError("throttle_factor must be >= 1 (it stretches delays)")
+#: Named backpressure modes the sweep grid accepts (``--backpressure``),
+#: each whether clients throttle on shed and queue-depth signals (see
+#: :mod:`repro.serve.clients`).
+BACKPRESSURE_MODES: Dict[str, bool] = {"off": False, "on": True}
 
 
 @dataclass(frozen=True)
 class ClientPopulationConfig:
-    """One closed-loop client population: size, pacing, retry, backpressure."""
+    """One closed-loop client population: size, retry budget, backpressure.
+
+    Attributes:
+        num_clients: clients in the population.
+        max_attempts: submissions per intent, the first included (a
+            :data:`RETRY_POLICIES` value).
+        backpressure: whether client-side delays stretch under pressure
+            (a :data:`BACKPRESSURE_MODES` value).
+    """
 
     num_clients: int = 8
-    #: mean of the exponential think-time distribution between a client's
-    #: completed (or abandoned) intent and its next issue.
-    think_time_mean_s: float = 1.0
-    #: clients stagger their very first issue uniformly over this window so
-    #: the population does not arrive as one synchronized burst at t=0.
-    startup_window_s: float = 1.0
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
-    backpressure: BackpressureConfig = field(default_factory=BackpressureConfig)
+    max_attempts: int = 1
+    backpressure: bool = False
 
     def __post_init__(self) -> None:
         if self.num_clients < 1:
             raise ValueError("num_clients must be >= 1")
-        if self.think_time_mean_s < 0 or self.startup_window_s < 0:
-            raise ValueError("client pacing times must be non-negative")
-
-
-#: Named retry policies the sweep grid accepts (``--retries``).
-RETRY_POLICIES: Dict[str, RetryPolicy] = {
-    "none": RetryPolicy(max_attempts=1),
-    "backoff": RetryPolicy(
-        max_attempts=4,
-        backoff_base_s=0.5,
-        backoff_factor=2.0,
-        backoff_cap_s=8.0,
-        jitter_fraction=0.25,
-    ),
-}
-
-#: Named backpressure modes the sweep grid accepts (``--backpressure``).
-BACKPRESSURE_MODES: Dict[str, BackpressureConfig] = {
-    "off": BackpressureConfig(enabled=False),
-    "on": BackpressureConfig(
-        enabled=True,
-        backlog_threshold=16,
-        shed_window_s=5.0,
-        throttle_factor=4.0,
-    ),
-}
+        if self.max_attempts < 1:
+            raise ValueError("max_attempts must be >= 1 (1 means no retries)")
 
 
 def list_retry_policies() -> List[str]:

@@ -28,7 +28,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Union
 
-from repro.fleet.config import AUTOSCALER_PRESETS, AdmissionConfig
+from repro.fleet.config import AdmissionConfig
 from repro.serve.config import (
     BACKPRESSURE_MODES,
     RETRY_POLICIES,
@@ -82,9 +82,7 @@ def _use_clients(cell, token: str) -> None:
         cell.frontend = OPEN_LOOP
         cell.horizon_s = scale.trace_duration_s + scale.drain_timeout_s
     else:
-        cell.frontend = ClientPopulationConfig(
-            num_clients=int(token), think_time_mean_s=0.5, startup_window_s=1.0
-        )
+        cell.frontend = ClientPopulationConfig(num_clients=int(token))
         cell.horizon_s = scale.trace_duration_s * CLOSED_HORIZON_FACTOR + scale.drain_timeout_s
 
 
@@ -115,7 +113,7 @@ GRID = Grid(
             help="client axis: 'open' and/or counts",
         ),
         Axis(
-            "retries", "retry", apply=_population_change("retry", RETRY_POLICIES),
+            "retries", "retry", apply=_population_change("max_attempts", RETRY_POLICIES),
             known=list_retry_policies, default=("none", "backoff"),
             pinned=_open_loop_takes("none"), metavar="POLICY", help="retry policies",
         ),
@@ -128,7 +126,7 @@ GRID = Grid(
     ),
     fixed=(
         Setting("router", "least_loaded", fleet_change("router")),
-        Setting("autoscaler", "fixed", fleet_change("autoscaler", AUTOSCALER_PRESETS.__getitem__)),
+        Setting("autoscaler", "fixed", fleet_change("autoscaler")),
     ),
     base=lambda cell: cell.tune_fleet(admission=SERVE_ADMISSION),
     probes=("metrics_out", "trace", "trace_out", "alerts"),

@@ -99,7 +99,7 @@ class ClusterServingSystem:
         )
         self._submitted = 0
         self._all_requests: List[Request] = []
-        #: set lazily by :meth:`_arm_chaos` / chaos tests.
+        #: built by the first :meth:`kill_instance`.
         self.fault_manager = None
         #: optional live-metrics stream (see :meth:`attach_metrics`).
         self.metrics_monitor = None
@@ -258,10 +258,6 @@ class ClusterServingSystem:
                 f"single-cluster runs support instance_kill faults only, "
                 f"got {', '.join(unsupported)} (use a multicluster config)"
             )
-        from repro.core.fault_tolerance import FaultToleranceManager
-
-        if self.fault_manager is None:
-            self.fault_manager = FaultToleranceManager(self)
         for event in schedule.events:
             if event.at_s >= horizon:
                 continue
@@ -273,19 +269,32 @@ class ClusterServingSystem:
             victim = self.instances[event.instance]
             self.loop.schedule_at(
                 event.at_s,
-                lambda v=victim: self._chaos_kill(v),
+                lambda v=victim: self.kill_instance(v),
                 name="chaos-instance-kill",
             )
 
-    def _chaos_kill(self, instance: ServingInstance) -> None:
+    def kill_instance(self, instance: ServingInstance, now: Optional[float] = None):
+        """Fail ``instance`` and recover the cluster in place.
+
+        The one instance-kill path of single-cluster chaos and of the
+        multicluster tier: a spare leaves the autoscaler's pool for good,
+        and the fault-tolerance manager (built on first use) restores the
+        survivors and re-dispatches the displaced requests.  Returns its
+        :class:`~repro.core.fault_tolerance.FailureReport`, or ``None``
+        when the instance had already failed.
+        """
         if instance.failed:
-            return
+            return None
         if self.fleet is not None:
             # A failed spare must never be re-activated by the autoscaler.
             spares = self.fleet.autoscaler.spare_instances
             if instance in spares:
                 spares.remove(instance)
-        self.fault_manager.fail_instance(instance)
+        if self.fault_manager is None:
+            from repro.core.fault_tolerance import FaultToleranceManager
+
+            self.fault_manager = FaultToleranceManager(self)
+        return self.fault_manager.fail_instance(instance, now)
 
     def attach_metrics(self, *, path=None):
         """Install a :class:`repro.metrics.MetricsMonitor` on this system.
@@ -359,34 +368,10 @@ class ClusterServingSystem:
                 every request finished or the drain timeout expires.
         """
         requests = self.schedule_workload(workload)
-        self.monitor.start()
-        if self.fleet is not None:
-            self.fleet.start()
         horizon = until
         if horizon is None:
             horizon = workload.duration + (self.config.drain_timeout_s if drain else 0.0)
-        self._arm_chaos(horizon)
-        if self.metrics_monitor is not None:
-            self.metrics_monitor.start()
-        self.loop.run(until=horizon)
-        self.monitor.stop()
-        if self.fleet is not None:
-            self.fleet.stop()
-        if self.metrics_monitor is not None:
-            self.metrics_monitor.stop()
-        self._finalize_unfinished()
-        summary = self.metrics.summary()
-        result = SimulationResult(
-            system_name=self.policy.name,
-            workload_name=workload.name,
-            metrics=self.metrics,
-            records=list(self.metrics.records),
-            duration_s=self.loop.now,
-            submitted_requests=len(requests),
-            finished_requests=self.metrics.finished_count(),
-            summary=summary,
-        )
-        return result
+        return self._serve(horizon, workload.name, submitted=len(requests))
 
     def run_online(
         self,
@@ -405,15 +390,28 @@ class ClusterServingSystem:
         time advances.  ``submitted_requests`` therefore counts what was
         actually submitted by the horizon, not a pre-materialised trace.
         """
+        return self._serve(until, workload_name, frontends=frontends)
+
+    def _serve(
+        self,
+        horizon: float,
+        workload_name: str,
+        *,
+        frontends=(),
+        submitted: Optional[int] = None,
+    ) -> SimulationResult:
+        """Run the loop to ``horizon`` with every process started, then
+        stop them, record the unfinished requests and collect the result.
+        ``submitted`` defaults to the requests submitted by the horizon."""
         self.monitor.start()
         if self.fleet is not None:
             self.fleet.start()
-        self._arm_chaos(until)
+        self._arm_chaos(horizon)
         if self.metrics_monitor is not None:
             self.metrics_monitor.start()
         for frontend in frontends:
             frontend.start()
-        self.loop.run(until=until)
+        self.loop.run(until=horizon)
         self.monitor.stop()
         if self.fleet is not None:
             self.fleet.stop()
@@ -427,7 +425,7 @@ class ClusterServingSystem:
             metrics=self.metrics,
             records=list(self.metrics.records),
             duration_s=self.loop.now,
-            submitted_requests=self._submitted,
+            submitted_requests=self._submitted if submitted is None else submitted,
             finished_requests=self.metrics.finished_count(),
             summary=summary,
         )

@@ -178,9 +178,9 @@ class Cell:
 Apply = Callable[[Cell, Any], None]
 
 
-def fleet_change(name: str, convert: Callable[[Any], Any] = lambda value: value) -> Apply:
+def fleet_change(name: str) -> Apply:
     """An :data:`Apply` setting one field of the cell's fleet layer."""
-    return lambda cell, value: cell.tune_fleet(**{name: convert(value)})
+    return lambda cell, value: cell.tune_fleet(**{name: value})
 
 
 def tier_change(name: str) -> Apply:

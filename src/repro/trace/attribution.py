@@ -34,7 +34,7 @@ class LatencyAttribution:
 
     @classmethod
     def from_tracer(cls, tracer: "Tracer") -> "LatencyAttribution":
-        # Detail spans are never read here: leave them out of the sort.
+        # Detail spans are never read here: leave them out.
         return cls(tracer.request_spans())
 
     @classmethod

@@ -399,6 +399,7 @@ class Tracer:
         return spans
 
     def request_spans(self) -> List[Span]:
-        """Root and stage spans only, in the order :meth:`spans` lists them
-        (the sort is stable, so leaving detail spans out keeps it)."""
-        return sorted(self._request_spans(), key=span_sort_key)
+        """Root and stage spans only, by request id and each request's
+        spans in record order (:meth:`spans` sorts them for export; the
+        per-request stage sums do not depend on the order)."""
+        return list(self._request_spans())

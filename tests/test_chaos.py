@@ -306,6 +306,22 @@ class TestTierFaults:
         assert stats["rerouted"] > 0
         assert stats["dispatch_bytes"] > 0
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known defect: an instance kill that leaves its shard no active group "
+        "re-dispatches the displaced requests nowhere, so they never finish",
+    )
+    def test_instance_kill_that_empties_a_shard_loses_no_request(self):
+        # Each shard serves from one instance with one spare; the kill takes
+        # the serving one, and its new group comes up 0.5 s later.
+        incomplete = [
+            run_cell(chaos_cell("instance-kill", migration, QUICK_CHAOS_SCALE, seed=42))[
+                "incomplete"
+            ]
+            for migration in ("sticky", "migrate")
+        ]
+        assert incomplete == [0, 0]
+
     @pytest.mark.parametrize("migration", ["sticky", "migrate"])
     def test_displaced_pending_equals_a_full_rescan(self, migration, monkeypatch):
         # The live metric reads only new records; after every scrape it

@@ -47,7 +47,6 @@ from repro.experiments.runner import (
     ExperimentScale,
     run_policy_on_workload,
 )
-from repro.fleet.config import AutoscalerConfig
 from repro.fleet.grid import GRID as FLEET_GRID
 from repro.memory.paged_kv import PagedKVCache
 from repro.memory.unified import UnifiedMemoryManager
@@ -180,9 +179,7 @@ class TestSystemRuns:
         assert checked_queries["queries"] > 0
 
     def test_autoscaler_rehomes_a_draining_queue(self, checked_queries):
-        system = build_system(
-            num_servers=2, autoscaler=AutoscalerConfig(enabled=True, min_groups=1)
-        )
+        system = build_system(num_servers=3, autoscaler="elastic")
         draining, other = system.groups
         for index in range(5):
             draining.enqueue(Request(arrival_time=0.0, prompt_tokens=100 + index,

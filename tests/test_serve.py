@@ -32,12 +32,10 @@ from repro.policies import make_policy
 from repro.scenarios.registry import get_scenario
 from repro.serve import (
     BACKPRESSURE_MODES,
-    BackpressureConfig,
     ClientPopulationConfig,
     ClosedLoopPopulation,
     OnlineGateway,
     RETRY_POLICIES,
-    RetryPolicy,
     jsonl_arrivals,
     list_backpressure_modes,
     list_retry_policies,
@@ -45,7 +43,14 @@ from repro.serve import (
     workload_arrivals,
     write_jsonl_trace,
 )
-from repro.serve.clients import partition_intents
+from repro.serve.clients import (
+    BACKOFF_BASE_S,
+    BACKOFF_CAP_S,
+    BACKOFF_FACTOR,
+    JITTER_FRACTION,
+    backoff_delay_s,
+    partition_intents,
+)
 from repro.serve.grid import GRID
 from repro.sweeps.grid import (
     OPEN_LOOP,
@@ -100,51 +105,35 @@ def serve_cell(scenario, clients, retry, backpressure, scale=TINY_SCALE, seed=42
 class TestRetryPolicy:
     def test_validation(self):
         with pytest.raises(ValueError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(backoff_base_s=-1.0)
-        with pytest.raises(ValueError):
-            RetryPolicy(jitter_fraction=1.0)
-        assert not RetryPolicy(max_attempts=1).retries_enabled
-        assert RetryPolicy(max_attempts=2).retries_enabled
+            ClientPopulationConfig(max_attempts=0)
+        assert ClientPopulationConfig().max_attempts == 1  # no retries
 
     def test_backoff_grows_exponentially_and_caps(self):
-        policy = RetryPolicy(
-            max_attempts=8,
-            backoff_base_s=0.5,
-            backoff_factor=2.0,
-            backoff_cap_s=4.0,
-            jitter_fraction=0.0,  # exact delays
-        )
-        rng = SeededRNG(0, "test")
-        delays = [policy.delay_s(k, rng) for k in range(1, 6)]
-        assert delays == [0.5, 1.0, 2.0, 4.0, 4.0]  # doubles, then the cap
+        rng, twin = SeededRNG(0, "test"), SeededRNG(0, "test")
+        delays = [backoff_delay_s(k, rng) for k in range(1, 7)]
+        bases = [min(BACKOFF_CAP_S, BACKOFF_BASE_S * BACKOFF_FACTOR ** (k - 1))
+                 for k in range(1, 7)]
+        assert bases == [0.5, 1.0, 2.0, 4.0, 8.0, 8.0]  # doubles, then the cap
+        jitters = [1.0 + JITTER_FRACTION * (2.0 * twin.uniform() - 1.0) for _ in bases]
+        assert delays == [base * jitter for base, jitter in zip(bases, jitters)]
         with pytest.raises(ValueError):
-            policy.delay_s(0, rng)
+            backoff_delay_s(0, rng)
 
     def test_jitter_stays_within_the_fraction(self):
-        policy = RetryPolicy(max_attempts=4, backoff_base_s=1.0, jitter_fraction=0.25)
         rng = SeededRNG(7, "jitter")
         for _ in range(100):
-            assert 0.75 <= policy.delay_s(1, rng) <= 1.25
+            assert 0.375 <= backoff_delay_s(1, rng) <= 0.625
 
     def test_registries(self):
         assert list_retry_policies() == ["none", "backoff"]
-        assert not RETRY_POLICIES["none"].retries_enabled
-        assert RETRY_POLICIES["backoff"].max_attempts == 4
+        assert RETRY_POLICIES == {"none": 1, "backoff": 4}
         assert list_backpressure_modes() == ["off", "on"]
-        assert not BACKPRESSURE_MODES["off"].enabled
-        assert BACKPRESSURE_MODES["on"].enabled
+        assert BACKPRESSURE_MODES == {"off": False, "on": True}
 
     def test_backpressure_and_population_validation(self):
-        with pytest.raises(ValueError):
-            BackpressureConfig(throttle_factor=0.5)
-        with pytest.raises(ValueError):
-            BackpressureConfig(shed_window_s=-1.0)
+        assert not ClientPopulationConfig().backpressure
         with pytest.raises(ValueError):
             ClientPopulationConfig(num_clients=0)
-        with pytest.raises(ValueError):
-            ClientPopulationConfig(think_time_mean_s=-1.0)
 
 
 class TestSources:
@@ -306,8 +295,7 @@ class TestClients:
             workload,
             ClientPopulationConfig(
                 num_clients=4,
-                think_time_mean_s=0.1,
-                retry=RETRY_POLICIES["backoff"],
+                max_attempts=RETRY_POLICIES["backoff"],
                 backpressure=BACKPRESSURE_MODES["on"],
             ),
             seed=3,
@@ -340,7 +328,7 @@ class TestClients:
             ClosedLoopPopulation(
                 system,
                 tiny_workload(),
-                ClientPopulationConfig(num_clients=2, retry=RETRY_POLICIES["backoff"]),
+                ClientPopulationConfig(num_clients=2, max_attempts=RETRY_POLICIES["backoff"]),
             )
 
     def test_open_loop_cells_reject_retry_and_backpressure(self):
