@@ -1,7 +1,8 @@
 """Fingerprint simulation outputs to gate bit-identical refactors.
 
-Digests every policy at a canonical scale plus seven sweep grids (12
-digests, a few seconds).  ``scripts/fingerprints.json`` holds the digests
+Digests every policy at a canonical scale, two of those runs with an
+instance killed mid-run, and seven sweep grids (14 digests, a few
+seconds).  ``scripts/fingerprints.json`` holds the digests
 of the current results; CI checks them.
 
 Usage:
@@ -11,23 +12,33 @@ Usage:
 ``--check`` exits 1 and names each digest that differs from FILE's.
 """
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
 
+from repro.chaos.config import FaultEvent, FaultSchedule
 from repro.experiments.figure12 import SYSTEMS
 from repro.experiments.runner import (
     ExperimentScale,
     WORKLOAD_PRESETS,
     build_preset_workload,
+    build_system_config,
     run_policy_on_workload,
 )
 from repro.policies import make_policy
+from repro.serving.system import ClusterServingSystem
 
 #: Every policy replays a 45-second BurstGPT slice on a 2-instance
 #: cluster: small enough to run in seconds, large enough to exercise
 #: overload, preemption and (for KunServe) a parameter drop.
 CANONICAL_SCALE = ExperimentScale("bench-canonical", 2, 45.0, 45.0)
+
+#: Canonical runs with instance 0 killed, at fault paths no grid cell
+#: reaches: InferCept's group holds 8 swapped requests at 42 s, and at
+#: 40 s KunServe's instance 0 is a stage of merged group [0, 1] (which
+#: lives from 30 s to 68 s).  Policy key -> kill time in seconds.
+INSTANCE_KILLS = {"infercept": 42.0, "kunserve": 40.0}
 
 
 def _scrub(obj):
@@ -48,6 +59,25 @@ def digest(obj) -> str:
     ).hexdigest()
 
 
+def run_digest(result, **extra) -> str:
+    """Digest of one run: every request's outcome, the summary, the end."""
+    rows = [
+        (
+            r.request_id,
+            r.ttft,
+            r.mean_tpot,
+            r.finish_time,
+            r.finished,
+            r.output_tokens,
+            r.preemption_count,
+        )
+        for r in result.records
+    ]
+    return digest(
+        {"rows": rows, "summary": result.summary, "dur": result.duration_s, **extra}
+    )
+
+
 def fingerprints() -> dict:
     out = {}
 
@@ -57,20 +87,17 @@ def fingerprints() -> dict:
         result = run_policy_on_workload(
             policy, preset, CANONICAL_SCALE, seed=42, workload=workload
         )
-        rows = [
-            (
-                r.request_id,
-                r.ttft,
-                r.mean_tpot,
-                r.finish_time,
-                r.finished,
-                r.output_tokens,
-                r.preemption_count,
-            )
-            for r in result.records
-        ]
-        out[f"policy:{policy.name}"] = digest(
-            {"rows": rows, "summary": result.summary, "dur": result.duration_s}
+        out[f"policy:{policy.name}"] = run_digest(result)
+
+    config = build_system_config(preset, CANONICAL_SCALE, seed=42)
+    for key, at_s in INSTANCE_KILLS.items():
+        kill = FaultSchedule(events=(FaultEvent("instance_kill", at_s=at_s),), name="kill")
+        policy = make_policy(key)
+        system = ClusterServingSystem(dataclasses.replace(config, chaos=kill), policy)
+        result = system.run(workload)
+        (report,) = system.fault_manager.reports
+        out[f"instance-kill:{policy.name}"] = run_digest(
+            result, report=dataclasses.asdict(report)
         )
 
     from repro.chaos.grid import GRID as CHAOS

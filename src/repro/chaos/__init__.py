@@ -17,7 +17,6 @@ from repro.chaos.config import (
     fault_schedule_preset,
     list_fault_presets,
     sampled_kill_schedule,
-    schedule_fingerprint,
 )
 from repro.chaos.injector import ChaosInjector
 
@@ -34,5 +33,4 @@ __all__ = [
     "fault_schedule_preset",
     "list_fault_presets",
     "sampled_kill_schedule",
-    "schedule_fingerprint",
 ]

@@ -3,10 +3,11 @@
 A :class:`FaultSchedule` is an ordered tuple of :class:`FaultEvent`
 records, each naming a fault *kind*, a trigger time in simulation
 seconds, and a target.  Schedules are plain frozen dataclasses — picklable
-(they ride inside ``ServingConfig`` to sweep worker processes) and
-JSON-able via :func:`schedule_fingerprint` (they are part of every chaos
-cell's cache key), and deliberately import-light like the other config
-modules embedded in :class:`repro.serving.config.ServingConfig`.
+(they ride inside ``ServingConfig`` to sweep worker processes), keyed into
+every chaos cell's cache key with the rest of its config (name and
+events, see :func:`repro.sweeps.grid.cell_task`), and deliberately
+import-light like the other config modules embedded in
+:class:`repro.serving.config.ServingConfig`.
 
 Two ways to build one:
 
@@ -40,8 +41,8 @@ Fault kinds
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import Any, Dict, List, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 #: The recognised fault kinds, in severity order.
 FAULT_KINDS: Tuple[str, ...] = ("instance_kill", "cluster_outage", "wan_degrade")
@@ -127,19 +128,6 @@ class FaultSchedule:
         for event in self.events:
             counts[event.kind] += 1
         return counts
-
-
-def schedule_fingerprint(schedule: FaultSchedule) -> Dict[str, Any]:
-    """JSON-able identity of a schedule, for sweep-task cache keys.
-
-    The name is included: it is how presets are told apart in result
-    documents, and two presets that happen to coincide today should not
-    share cache entries when one of them changes tomorrow.
-    """
-    return {
-        "name": schedule.name,
-        "events": [asdict(event) for event in schedule.events],
-    }
 
 
 def sampled_kill_schedule(

@@ -65,18 +65,12 @@ class FaultToleranceManager:
 
         # Collect the group's requests before tearing it down.  Running
         # requests lose (at least part of) their KV cache: recompute them.
-        displaced = []
-        for request in list(group.scheduler.running):
-            group.scheduler.remove_request(request)
+        running, queued = group.evacuate()
+        for request, _ in running:
             request.reset_for_recompute()
-            displaced.append(request)
-            report.recomputed_requests += 1
-        for request in sorted(
-            list(group.scheduler.waiting), key=lambda r: (r.arrival_time, r.request_id)
-        ):
-            group.scheduler.remove_request(request)
-            displaced.append(request)
-            report.requeued_requests += 1
+        displaced = [request for request, _ in running] + queued
+        report.recomputed_requests = len(running)
+        report.requeued_requests = len(queued)
         report.displaced_request_ids = [r.request_id for r in displaced]
         self.system.retire_group(group)
 

@@ -11,7 +11,7 @@ ongoing requests to the coordinated exchange (§4.2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.drop_plan import (
     DropPlan,
@@ -23,7 +23,6 @@ from repro.core.interfaces import ServingSystemAPI
 from repro.core.kv_exchange import KVExchangeCoordinator
 from repro.core.local_manager import LocalMemoryManager
 from repro.engine.group import MicrobatchFormer, ServingGroup
-from repro.engine.instance import ServingInstance
 from repro.models.memory import param_bytes
 
 #: Capacity targeted beyond the bare demand, as a fraction of the current
@@ -117,16 +116,7 @@ class GlobalMemoryManager:
         self, group_ids: Tuple[int, ...], now: float, report: DropExecutionReport
     ) -> ServingGroup:
         groups = [g for g in self.system.groups if g.group_id in group_ids and g.active]
-        instances: List[ServingInstance] = []
-        prior_owner: Dict[int, ServingInstance] = {}
-        kv_tokens: Dict[int, int] = {}
-        for group in groups:
-            for instance in group.instances:
-                instances.append(instance)
-            owner_instance = group.instances[0]
-            for request in group.scheduler.running:
-                prior_owner[request.request_id] = owner_instance
-                kv_tokens[request.request_id] = group.scheduler.kv_tokens_of(request)
+        instances = [instance for group in groups for instance in group.instances]
 
         # 1. Drop parameters: each instance keeps only its assigned slice.
         assignment = balanced_layer_assignment(self.system.model.num_layers, len(instances))
@@ -139,35 +129,21 @@ class GlobalMemoryManager:
         new_group = self.system.create_group(
             instances, assignment=assignment, microbatch_former=self.lookahead_former
         )
+        moved = []
         for group in groups:
-            self._transfer_requests(group, new_group)
+            running, queued = group.evacuate()
+            for request, tokens in running:
+                new_group.adopt_running(request, tokens)
+                moved.append((request, tokens, group.instances[0]))
+            for request in queued:
+                new_group.adopt_waiting(request)
             self.system.retire_group(group)
 
         # 3. Exchange the KV of ongoing requests so every stage holds the
         #    cache for its layers.
-        exchange_plan = self.exchange.plan_for_merge(new_group, prior_owner, kv_tokens)
+        exchange_plan = self.exchange.plan_for_merge(new_group, moved)
         self.exchange.execute(exchange_plan, new_group)
         report.exchanged_bytes += exchange_plan.total_bytes
         report.exchanged_requests += exchange_plan.num_requests
         new_group.kick()
         return new_group
-
-    @staticmethod
-    def _transfer_requests(source: ServingGroup, destination: ServingGroup) -> None:
-        """Move all of ``source``'s requests into ``destination``."""
-        for request in list(source.scheduler.running):
-            tokens = source.scheduler.kv_tokens_of(request)
-            source.scheduler.remove_request(request)
-            destination.adopt_running(request, tokens)
-        # Preserve FCFS order for queued requests: they are re-enqueued in
-        # arrival order by the destination scheduler.
-        waiting = sorted(
-            list(source.scheduler.waiting), key=lambda r: (r.arrival_time, r.request_id)
-        )
-        for request in waiting:
-            source.scheduler.remove_request(request)
-            destination.adopt_waiting(request)
-        for request in list(source.scheduler.swapped):
-            source.scheduler.remove_request(request)
-            request.reset_for_recompute()
-            destination.adopt_waiting(request)

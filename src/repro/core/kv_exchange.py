@@ -18,7 +18,7 @@ message's residual transfer time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.network import NetworkFabric, Transfer, TransferPriority
 from repro.engine.group import ServingGroup
@@ -81,88 +81,61 @@ class KVExchangeCoordinator:
     # Planning
     # ------------------------------------------------------------------
     def plan_for_merge(
-        self,
-        group: ServingGroup,
-        prior_owner: Dict[int, ServingInstance],
-        kv_tokens: Dict[int, int],
+        self, group: ServingGroup, moved: List[Tuple[Request, int, ServingInstance]]
     ) -> ExchangePlan:
-        """Plan the KV moves after ``group`` was formed by a merge.
-
-        Args:
-            group: the freshly merged group (assignment already set).
-            prior_owner: request id -> instance that held the request's KV
-                before the merge.
-            kv_tokens: request id -> number of KV tokens the request holds.
-        """
-        plan = ExchangePlan()
-        num_layers = group.model.num_layers
-        assignment = group.assignment
-        for request in group.scheduler.running:
-            owner = prior_owner.get(request.request_id)
-            tokens = kv_tokens.get(request.request_id, 0)
-            if owner is None or tokens == 0:
-                continue
-            try:
-                owner_stage = group.instances.index(owner)
-            except ValueError:
-                owner_stage = None
-            kept_layers = len(assignment[owner_stage]) if owner_stage is not None else 0
-            moved_fraction = 1.0 - kept_layers / num_layers
-            if moved_fraction <= 0:
-                continue
-            size = tokens * self.kv_token_bytes * moved_fraction
-            destination = self._pick_destination(group, owner)
-            if destination is None:
-                continue
-            plan.moves.append(
-                ExchangeMove(request=request, src=owner, dst=destination, size_bytes=size)
-            )
-        return plan
+        """KV moves after ``group`` was formed by a merge: each request's
+        KV leaves the instance that held it for the layers it lost."""
+        return self._plan(group, moved, gather=False)
 
     def plan_for_split(
+        self, group: ServingGroup, moved: List[Tuple[Request, int, ServingInstance]]
+    ) -> ExchangePlan:
+        """KV moves when pipelined ``group`` splits after a restore: each
+        request's KV gathers onto its new home instance."""
+        return self._plan(group, moved, gather=True)
+
+    def _plan(
         self,
         group: ServingGroup,
-        new_owner: Dict[int, ServingInstance],
-        kv_tokens: Dict[int, int],
+        moved: List[Tuple[Request, int, ServingInstance]],
+        *,
+        gather: bool,
     ) -> ExchangePlan:
-        """Plan the KV gather when a pipelined group is split after restore.
+        """Plan one move per ``(request, KV tokens, home)`` of ``moved``.
 
-        Each request's KV is spread over the stages proportionally to their
-        layer counts; everything not already on the request's new owner must
-        move there.
+        ``home`` is the stage of the pipelined ``group`` that holds (merge)
+        or will hold (split) the request's whole KV.  The layers ``home``
+        does not serve are the moved fraction; they come from (gather) or
+        go to the peer holding the most layers.
         """
         plan = ExchangePlan()
         num_layers = group.model.num_layers
         assignment = group.assignment
-        for request in group.scheduler.running:
-            owner = new_owner.get(request.request_id)
-            tokens = kv_tokens.get(request.request_id, 0)
-            if owner is None or tokens == 0:
+        for request, tokens, home in moved:
+            if tokens == 0:
                 continue
             try:
-                owner_stage = group.instances.index(owner)
-                kept_layers = len(assignment[owner_stage])
+                kept_layers = len(assignment[group.instances.index(home)])
             except ValueError:
                 kept_layers = 0
             moved_fraction = 1.0 - kept_layers / num_layers
             if moved_fraction <= 0:
                 continue
             size = tokens * self.kv_token_bytes * moved_fraction
-            source = self._pick_destination(group, owner)
-            if source is None:
+            peer = self._pick_peer(group, home)
+            if peer is None:
                 continue
-            plan.moves.append(
-                ExchangeMove(request=request, src=source, dst=owner, size_bytes=size)
-            )
+            src, dst = (peer, home) if gather else (home, peer)
+            plan.moves.append(ExchangeMove(request=request, src=src, dst=dst, size_bytes=size))
         return plan
 
     @staticmethod
-    def _pick_destination(group: ServingGroup, owner: ServingInstance) -> Optional[ServingInstance]:
+    def _pick_peer(group: ServingGroup, home: ServingInstance) -> Optional[ServingInstance]:
         """The peer instance holding the largest share of the moved layers."""
         candidates = [
             (len(layers), instance)
             for instance, layers in zip(group.instances, group.assignment)
-            if instance is not owner
+            if instance is not home
         ]
         if not candidates:
             return None

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional
 from repro.cluster.network import Transfer, TransferPriority
 from repro.core.drop_plan import balanced_layer_assignment
 from repro.core.interfaces import ServingSystemAPI
-from repro.core.kv_exchange import KVExchangeCoordinator
+from repro.core.kv_exchange import ExchangePlan, KVExchangeCoordinator
 from repro.core.local_manager import LocalMemoryManager
 from repro.engine.group import ServingGroup
 from repro.engine.instance import ServingInstance
@@ -182,48 +182,33 @@ class RestoreManager:
         group.sync_kv_capacity()
 
         # 2. Split the merged group back into single-instance groups and
-        #    spread its requests across them (balanced by KV bytes).
+        #    spread its requests across them: the running ones balanced by
+        #    KV tokens, largest first, the queued ones in turn.
         new_groups = [
             self.system.create_group([instance], assignment=[list(range(num_layers))])
             for instance in group.instances
         ]
-        new_owner: Dict[int, ServingInstance] = {}
-        kv_tokens: Dict[int, int] = {}
-        loads = {g.group_id: 0 for g in new_groups}
-        scheduler = group.scheduler
-        running = sorted(scheduler.running, key=scheduler.kv_tokens_of, reverse=True)
-        for request in running:
-            tokens = scheduler.kv_tokens_of(request)
-            kv_tokens[request.request_id] = tokens
-            target = min(new_groups, key=lambda g: loads[g.group_id])
-            loads[target.group_id] += tokens
-            new_owner[request.request_id] = target.instances[0]
-
-        # Plan the KV gather while the old group still knows the layout.
-        gather_plan = self.exchange.plan_for_split(group, new_owner, kv_tokens)
-
-        for request in running:
-            tokens = kv_tokens.get(request.request_id, 0)
-            group.scheduler.remove_request(request)
-            target_instance = new_owner[request.request_id]
-            target_group = next(g for g in new_groups if g.instances[0] is target_instance)
-            target_group.adopt_running(request, tokens)
-        waiting = sorted(
-            list(group.scheduler.waiting), key=lambda r: (r.arrival_time, r.request_id)
-        )
-        for index, request in enumerate(waiting):
-            group.scheduler.remove_request(request)
+        running, queued = group.evacuate()
+        loads = [0] * len(new_groups)
+        home: Dict[int, ServingGroup] = {}
+        for request, tokens in sorted(running, key=lambda pair: pair[1], reverse=True):
+            index = loads.index(min(loads))
+            loads[index] += tokens
+            home[request.request_id] = new_groups[index]
+            new_groups[index].adopt_running(request, tokens)
+        for index, request in enumerate(queued):
             new_groups[index % len(new_groups)].adopt_waiting(request)
-
         self.system.retire_group(group)
         self._inflight.pop(group.group_id, None)
 
-        # 3. Gather each moved request's KV onto its new home.
+        # 3. Gather each moved request's KV onto its new home, planned over
+        #    the old group's layout.
+        gather_plan = self.exchange.plan_for_split(
+            group,
+            [(request, tokens, home[request.request_id].instances[0]) for request, tokens in running],
+        )
         for move in gather_plan.moves:
-            owner_instance = new_owner[move.request.request_id]
-            owner_group = next(g for g in new_groups if g.instances[0] is owner_instance)
-            single_plan = type(gather_plan)(moves=[move])
-            self.exchange.execute(single_plan, owner_group)
+            self.exchange.execute(ExchangePlan(moves=[move]), home[move.request.request_id])
 
         report = RestoreReport(
             group_id=group.group_id,

@@ -213,6 +213,26 @@ class ServingGroup:
         self.scheduler.add_request(request, front=front)
         self.kick()
 
+    def evacuate(self) -> Tuple[List[Tuple[Request, int]], List[Request]]:
+        """Take every request off this group, before it is retired.
+
+        Returns the running requests with their KV tokens, in the order
+        they started running, then the queued ones: the waiting in FCFS
+        order, then the swapped, reset to recompute (their KV cannot
+        follow them off the group's host).  Merge, restore and both fault
+        paths re-home what this returns.
+        """
+        scheduler = self.scheduler
+        running = [(request, scheduler.remove_request(request)) for request in scheduler.running]
+        queued = sorted(scheduler.waiting, key=lambda r: (r.arrival_time, r.request_id))
+        for request in queued:
+            scheduler.remove_request(request)
+        for request in list(scheduler.swapped):
+            scheduler.remove_request(request)
+            request.reset_for_recompute()
+            queued.append(request)
+        return running, queued
+
     # ------------------------------------------------------------------
     # Iteration loop
     # ------------------------------------------------------------------

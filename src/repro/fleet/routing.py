@@ -5,7 +5,8 @@ paper fixes this layer to Llumnix-style least-loaded dispatch for every
 evaluated system; this module makes it a first-class axis, mirroring the
 ``repro.scenarios`` registry pattern: strategies are registered by name
 (:func:`register_router`), instantiated with :func:`make_router`, and the
-dispatcher / fleet controller resolve them from the same registry.
+fleet controller resolves them from the registry (the plain dispatcher
+is always least-loaded).
 
 Every router is deterministic for a fixed seed: the only stochastic
 strategy (power-of-two-choices) samples from a :class:`SeededRNG` stream
@@ -21,6 +22,25 @@ from typing import Callable, Dict, List, Sequence, Type
 from repro.engine.group import ServingGroup
 from repro.engine.request import Request
 from repro.simulation.rng import SeededRNG
+
+
+def session_key(request: Request) -> str:
+    """A request's session: its ``session_id``, or a coarse shape bucket
+    (SLO class + log2 prompt length) when it has none."""
+    if request.session_id is not None:
+        return request.session_id
+    return f"{request.slo_class}:{request.prompt_tokens.bit_length()}"
+
+
+def session_slot(request: Request, slots: int) -> int:
+    """Stable hash of the request's session onto ``range(slots)``.
+
+    The session-affinity router picks a group with it and the
+    multicluster tier a home cluster, so the tier's locality accounting
+    agrees with any affinity routing inside it.
+    """
+    digest = hashlib.sha256(session_key(request).encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "little") % slots
 
 
 def load_key(group: ServingGroup):
@@ -122,16 +142,9 @@ class SessionAffinityRouter(Router):
     preference, not a pin.
     """
 
-    @staticmethod
-    def session_key(request: Request) -> str:
-        if request.session_id is not None:
-            return request.session_id
-        return f"{request.slo_class}:{request.prompt_tokens.bit_length()}"
-
     def route(self, request: Request, groups: Sequence[ServingGroup]) -> ServingGroup:
         ordered = sorted(groups, key=lambda g: g.group_id)
-        digest = hashlib.sha256(self.session_key(request).encode("utf-8")).digest()
-        preferred = ordered[int.from_bytes(digest[:8], "little") % len(ordered)]
+        preferred = ordered[session_slot(request, len(ordered))]
         if preferred.scheduler.memory_blocked:
             return min(groups, key=load_key)
         return preferred

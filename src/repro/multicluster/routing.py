@@ -24,11 +24,10 @@ inter-cluster fabric first, so remote dispatch pays the WAN cost, and the
 from __future__ import annotations
 
 import abc
-import hashlib
 from typing import Dict, List, Sequence, Type, TYPE_CHECKING
 
 from repro.engine.request import Request
-from repro.fleet.routing import SessionAffinityRouter
+from repro.fleet.routing import session_slot
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.multicluster.system import ClusterHandle
@@ -39,16 +38,12 @@ SPILL_QUEUE_DEPTH = 8
 
 
 def home_cluster_index(request: Request, num_clusters: int) -> int:
-    """The request's home cluster: stable hash of its session key.
-
-    Uses the same session key as the fleet's session-affinity router
-    (``session_id`` when present, a coarse shape bucket otherwise), so a
-    multi-turn conversation keeps one home across its whole lifetime and
-    the cross-cluster traffic accounting is router-independent.
-    """
-    key = SessionAffinityRouter.session_key(request)
-    digest = hashlib.sha256(key.encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "little") % num_clusters
+    """The request's home cluster: its session's slot among the clusters
+    (:func:`repro.fleet.routing.session_slot`, the fleet's affinity
+    hash), so a multi-turn conversation keeps one home across its whole
+    lifetime and the cross-cluster traffic accounting is
+    router-independent."""
+    return session_slot(request, num_clusters)
 
 
 def cluster_load_key(cluster: "ClusterHandle"):

@@ -36,13 +36,14 @@ from repro.engine.metrics import TIMELINE_WINDOW_S, RequestRecord, percentile
 from repro.engine.request import Request
 from repro.fleet.config import make_fleet_config
 from repro.fleet.controller import TICK_INTERVAL_S
+from repro.fleet.routing import session_key
 from repro.models.memory import kv_bytes_per_token
 from repro.multicluster.fabric import InterClusterFabric
 from repro.multicluster.placement import make_placement
 from repro.multicluster.routing import home_cluster_index, make_global_router
 from repro.policies.base import OverloadPolicy
 from repro.serving.config import ServingConfig
-from repro.serving.system import ClusterServingSystem
+from repro.serving.system import ClusterServingSystem, SimulationResult
 from repro.simulation.event_loop import EventLoop
 from repro.simulation.process import PeriodicProcess
 from repro.workloads.trace import Workload
@@ -123,26 +124,6 @@ class ClusterHandle:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ClusterHandle(index={self.index}, groups={self.routable_group_count()})"
-
-
-@dataclasses.dataclass
-class MultiClusterResult:
-    """Outcome of replaying one workload on a multicluster system."""
-
-    system_name: str
-    workload_name: str
-    records: List[RequestRecord]
-    duration_s: float
-    submitted_requests: int
-    finished_requests: int
-    summary: Dict[str, float]
-    cluster_stats: List[Dict[str, float]]
-
-    @property
-    def completion_ratio(self) -> float:
-        if self.submitted_requests == 0:
-            return 1.0
-        return self.finished_requests / self.submitted_requests
 
 
 def summarize_records(
@@ -292,27 +273,15 @@ class MultiClusterSystem:
             self._lose(request)
             return
         home = self.home_cluster(request)
-        if not self.handles[home].alive:
+        home_alive = self.handles[home].alive
+        if not home_alive:
             # The home cluster is down: the request cannot follow the
             # healthy path.  What happens next is the session-migration
             # policy's call (this is the axis chaos sweeps compare).
             self.rerouted += 1
             if self.mc.session_migration == "migrate":
                 self._migrate_submit(request)
-            else:
-                # Sticky: route to an alive sibling, but the session stays
-                # homed on the dead cluster — every turn pays a fresh WAN
-                # context transfer (sourced from the home site's durable
-                # session store).
-                target = self.router.route(request, alive)
-                if self.tracer is not None:
-                    self.tracer.on_route(
-                        request, f"cluster{target.index}", scope=self.router.name
-                    )
-                size = float(request.prompt_tokens * self._kv_token_bytes)
-                self.dispatch_bytes += size
-                self._wan_submit(request, home, target, size)
-            return
+                return
         target = self.router.route(request, alive)
         if self.tracer is not None:
             self.tracer.on_route(
@@ -322,10 +291,13 @@ class MultiClusterSystem:
             self.local_routed += 1
             target.system.submit(request)
             return
-        # Remote dispatch: the session's context (conservatively, the full
+        # Away from home: the session's context (conservatively, the full
         # prompt's worth of KV — multi-turn prompts carry their history)
-        # must cross from the home cluster before serving can start.
-        self.remote_routed += 1
+        # must cross from the home cluster before serving can start.  A
+        # sticky session stays homed on a dead cluster, so every turn pays
+        # a fresh transfer (from the home site's durable session store).
+        if home_alive:
+            self.remote_routed += 1
         size = float(request.prompt_tokens * self._kv_token_bytes)
         self.dispatch_bytes += size
         self._wan_submit(request, home, target, size)
@@ -338,10 +310,8 @@ class MultiClusterSystem:
         cluster; later requests of the same session are served there
         locally — the move is amortised over the session's lifetime.
         """
-        from repro.fleet.routing import SessionAffinityRouter
-
         alive = self.alive_handles
-        key = SessionAffinityRouter.session_key(request)
+        key = session_key(request)
         adopted = self._session_adoptions.get(key)
         if adopted is not None and self.handles[adopted].alive:
             self.migration_hits += 1
@@ -455,16 +425,11 @@ class MultiClusterSystem:
         # Collect every request the shard was holding, deterministically.
         displaced = system.fleet.admission.evict_all()
         for group in list(system.groups):
-            for request in list(group.scheduler.running):
-                group.scheduler.remove_request(request)
+            running, queued = group.evacuate()
+            for request, _ in running:
                 request.reset_for_recompute()
                 displaced.append(request)
-            for request in sorted(
-                list(group.scheduler.waiting),
-                key=lambda r: (r.arrival_time, r.request_id),
-            ):
-                group.scheduler.remove_request(request)
-                displaced.append(request)
+            displaced.extend(queued)
             system.retire_group(group)
         system.fleet.autoscaler.spare_instances.clear()
         for instance in system.instances:
@@ -626,14 +591,10 @@ class MultiClusterSystem:
     # ------------------------------------------------------------------
     # Running
     # ------------------------------------------------------------------
-    def run(
-        self,
-        workload: Workload,
-        *,
-        until: Optional[float] = None,
-        drain: bool = True,
-    ) -> MultiClusterResult:
-        """Replay ``workload`` through the tier and aggregate the metrics."""
+    def run(self, workload: Workload) -> SimulationResult:
+        """Replay ``workload`` through the tier until the drain timeout past
+        its last arrival, and aggregate the metrics.  The result has no
+        ``metrics``: every shard keeps its own collector."""
         requests = workload.to_engine_requests()
         for request in requests:
             self.submit_at(request, request.arrival_time)
@@ -641,9 +602,7 @@ class MultiClusterSystem:
             system.monitor.start()
             system.fleet.start()
         self._tick_process.start()
-        horizon = until
-        if horizon is None:
-            horizon = workload.duration + (self.config.drain_timeout_s if drain else 0.0)
+        horizon = workload.duration + self.config.drain_timeout_s
         if self.config.chaos is not None and self.config.chaos:
             # Local import: repro.chaos imports this module's siblings.
             from repro.chaos.injector import ChaosInjector
@@ -671,15 +630,15 @@ class MultiClusterSystem:
         for request in self._lost_requests:
             records.append(RequestRecord.from_request(request))
         finished = sum(1 for record in records if record.finished)
-        return MultiClusterResult(
+        return SimulationResult(
             system_name=self.systems[0].policy.name,
             workload_name=workload.name,
+            metrics=None,
             records=records,
             duration_s=self.loop.now,
             submitted_requests=len(requests),
             finished_requests=finished,
             summary=self._summary(records),
-            cluster_stats=[handle.system.fleet.stats() for handle in self.handles],
         )
 
     # ------------------------------------------------------------------

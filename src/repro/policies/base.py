@@ -56,7 +56,8 @@ class OverloadPolicy(abc.ABC):
     # Scheduler
     # ------------------------------------------------------------------
     def scheduler_config(self, base: SchedulerConfig) -> SchedulerConfig:
-        """Adjust the scheduler configuration (default: unchanged)."""
+        """Adjust the scheduler configuration (default: unchanged, so
+        preemption recomputes, as in vLLM)."""
         return base
 
     # ------------------------------------------------------------------

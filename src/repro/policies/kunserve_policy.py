@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, TYPE_CHECKING
 
 from repro.core.kunserve import KunServeConfig, KunServeController
-from repro.engine.scheduler import PreemptionMode, SchedulerConfig
 from repro.policies.base import OverloadPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -45,15 +44,6 @@ class KunServePolicy(OverloadPolicy):
         self.controller = KunServeController(self.config)
         if label is not None:
             self.name = label
-
-    def scheduler_config(self, base: SchedulerConfig) -> SchedulerConfig:
-        # KunServe keeps vLLM's recompute preemption as the last-resort
-        # fallback when no drop plan is feasible.
-        return SchedulerConfig(
-            token_budget=base.token_budget,
-            max_running_requests=base.max_running_requests,
-            preemption_mode=PreemptionMode.RECOMPUTE,
-        )
 
     def attach(self, system: "ClusterServingSystem") -> None:
         self.controller.attach(system)

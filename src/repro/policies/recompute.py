@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import List
 
 from repro.engine.pipeline import PipelineExecution
-from repro.engine.scheduler import PreemptionMode, SchedulerConfig
 from repro.policies.base import OverloadPolicy
 
 
@@ -56,10 +55,3 @@ class VLLMPolicy(OverloadPolicy):
             return [list(range(num_layers))]
         ranges = PipelineExecution.layer_ranges(num_layers, len(group_instance_indices))
         return [list(r) for r in ranges]
-
-    def scheduler_config(self, base: SchedulerConfig) -> SchedulerConfig:
-        return SchedulerConfig(
-            token_budget=base.token_budget,
-            max_running_requests=base.max_running_requests,
-            preemption_mode=PreemptionMode.RECOMPUTE,
-        )

@@ -9,6 +9,8 @@ requests pay the transfer both ways (the TPOT hit visible in Figure 13).
 
 from __future__ import annotations
 
+import dataclasses
+
 from repro.engine.scheduler import PreemptionMode, SchedulerConfig
 from repro.policies.base import OverloadPolicy
 
@@ -32,8 +34,4 @@ class InferCeptPolicy(OverloadPolicy):
     name = "InferCept"
 
     def scheduler_config(self, base: SchedulerConfig) -> SchedulerConfig:
-        return SchedulerConfig(
-            token_budget=base.token_budget,
-            max_running_requests=base.max_running_requests,
-            preemption_mode=PreemptionMode.SWAP,
-        )
+        return dataclasses.replace(base, preemption_mode=PreemptionMode.SWAP)

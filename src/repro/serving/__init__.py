@@ -10,7 +10,7 @@ workload trace end-to-end and returns the collected metrics.
 from repro.serving.config import ServingConfig
 from repro.serving.dispatcher import Dispatcher
 from repro.serving.monitor import GlobalMonitor
-from repro.serving.system import ClusterServingSystem, SimulationResult, run_workload
+from repro.serving.system import ClusterServingSystem, SimulationResult
 
 __all__ = [
     "ServingConfig",
@@ -18,5 +18,4 @@ __all__ = [
     "GlobalMonitor",
     "ClusterServingSystem",
     "SimulationResult",
-    "run_workload",
 ]

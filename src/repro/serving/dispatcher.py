@@ -1,14 +1,12 @@
 """Global request dispatcher.
 
-Routes each arriving request to a serving group.  The default strategy is
-the Llumnix-style load balancing the paper adopts for *all* evaluated
-systems: pick the group with the lowest memory-demand-to-capacity ratio,
-breaking ties by queue length.  Strategies are resolved from the pluggable
-router registry in :mod:`repro.fleet.routing`, so every registered
-strategy (round-robin, power-of-two-choices, memory headroom, session
-affinity, ...) is available here by name; fleet runs replace the
-dispatcher wholesale with the admission-controlled
-:class:`~repro.fleet.controller.FleetController`.
+Routes each arriving request to a serving group with the Llumnix-style
+load balancing the paper adopts for *all* evaluated systems: pick the
+group with the lowest memory-demand-to-capacity ratio, breaking ties by
+queue length (:class:`~repro.fleet.routing.LeastLoadedRouter`).  Fleet
+runs replace the dispatcher wholesale with the admission-controlled
+:class:`~repro.fleet.controller.FleetController`, whose router is a
+configurable axis.
 """
 
 from __future__ import annotations
@@ -17,24 +15,14 @@ from typing import List
 
 from repro.engine.group import ServingGroup
 from repro.engine.request import Request
-from repro.fleet.routing import list_routers, make_router
+from repro.fleet.routing import LeastLoadedRouter
 
 
 class Dispatcher:
-    """Routes requests to serving groups via a named router strategy."""
+    """Routes requests to the least-loaded active serving group."""
 
-    #: Strategy names available at import time (the built-in routers).
-    STRATEGIES = tuple(list_routers())
-
-    def __init__(self, strategy: str = "least_loaded", *, seed: int = 0) -> None:
-        try:
-            self._router = make_router(strategy, seed=seed)
-        except KeyError:
-            raise ValueError(
-                f"unknown dispatch strategy {strategy!r}; choose from {tuple(list_routers())}"
-            ) from None
-        self.strategy = strategy
-        self.dispatched = 0
+    def __init__(self) -> None:
+        self._router = LeastLoadedRouter()
 
     def dispatch(self, request: Request, groups: List[ServingGroup]) -> ServingGroup:
         """Choose a group for ``request`` and enqueue it there."""
@@ -43,5 +31,4 @@ class Dispatcher:
             raise RuntimeError("no active serving groups to dispatch to")
         group = self._router.route(request, active)
         group.enqueue(request)
-        self.dispatched += 1
         return group

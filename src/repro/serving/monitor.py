@@ -43,7 +43,6 @@ class GlobalMonitor:
         self._process = PeriodicProcess(
             loop, MONITOR_INTERVAL_S, self._tick, name="global-monitor"
         )
-        self.overload_events = 0
 
     def start(self) -> None:
         self._process.start(initial_delay=MONITOR_INTERVAL_S)
@@ -63,7 +62,5 @@ class GlobalMonitor:
         self.metrics.sample_memory(
             now, used_bytes=used, capacity_bytes=capacity, demand_bytes=demand
         )
-        if capacity > 0 and demand > capacity:
-            self.overload_events += 1
         if self.callback is not None:
             self.callback(snapshots, now)

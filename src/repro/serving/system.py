@@ -35,7 +35,9 @@ class SimulationResult:
 
     system_name: str
     workload_name: str
-    metrics: MetricsCollector
+    #: the run's collector; ``None`` for a multicluster tier, whose shards
+    #: keep one each.
+    metrics: Optional[MetricsCollector]
     records: List[RequestRecord]
     duration_s: float
     submitted_requests: int
@@ -351,26 +353,14 @@ class ClusterServingSystem:
     # ------------------------------------------------------------------
     # Running
     # ------------------------------------------------------------------
-    def run(
-        self,
-        workload: Workload,
-        *,
-        until: Optional[float] = None,
-        drain: bool = True,
-    ) -> SimulationResult:
+    def run(self, workload: Workload) -> SimulationResult:
         """Replay ``workload`` and return the collected metrics.
 
-        Args:
-            workload: the requests to serve.
-            until: optional hard stop (simulation seconds); defaults to the
-                workload duration plus the drain timeout.
-            drain: when True, keep simulating after the last arrival until
-                every request finished or the drain timeout expires.
+        The run ends the config's drain timeout after the last arrival,
+        with every request finished or not.
         """
         requests = self.schedule_workload(workload)
-        horizon = until
-        if horizon is None:
-            horizon = workload.duration + (self.config.drain_timeout_s if drain else 0.0)
+        horizon = workload.duration + self.config.drain_timeout_s
         return self._serve(horizon, workload.name, submitted=len(requests))
 
     def run_online(
@@ -441,15 +431,3 @@ class ClusterServingSystem:
             if request.request_id not in recorded_ids:
                 self.metrics.record_request(request)
 
-
-def run_workload(
-    workload: Workload,
-    policy: OverloadPolicy,
-    config: Optional[ServingConfig] = None,
-    **run_kwargs,
-) -> SimulationResult:
-    """One-call helper: build a system, replay a workload, return results."""
-    if config is None:
-        config = ServingConfig()
-    system = ClusterServingSystem(config, policy)
-    return system.run(workload, **run_kwargs)

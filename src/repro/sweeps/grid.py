@@ -80,12 +80,7 @@ from repro.sweeps.cache import ResultCache, default_cache_dir
 from repro.sweeps.executor import run_tasks
 from repro.sweeps.task import SweepTask
 from repro.version import __version__
-from repro.workloads.slo import (
-    LatencyRecord,
-    baseline_p50,
-    slo_violation_curve,
-    slo_violation_ratio,
-)
+from repro.workloads.slo import baseline_p50, slo_violation_ratio
 
 #: Current schema version of every sweep document.
 SCHEMA_VERSION = 1
@@ -712,27 +707,25 @@ def _entries(grid: Grid, cells: Sequence[Cell], payloads: Sequence[Dict]) -> Lis
     for _, group in itertools.groupby(pairs, key=lambda pair: pair[0].spec.name):
         group = list(group)
         slo_scale = group[0][0].spec.slo_scale
-        records = [
-            [LatencyRecord(ttft, tpot) for ttft, tpot in payload["latencies"]]
-            for _, payload in group
-        ]
-        best_ttft, best_tpot = baseline_p50(dict(enumerate(records)))
+        best_ttft, best_tpot = baseline_p50([payload["latencies"] for _, payload in group])
         slo = {
             "slo_scale": slo_scale,
             "ttft_slo_s": slo_scale * best_ttft,
             "tpot_slo_s": slo_scale * best_tpot,
         }
-        curves: Dict[int, Dict[str, float]] = {}
-        if grid.slo_factors:
-            for point in slo_violation_curve(dict(enumerate(records)), scales=grid.slo_factors):
-                field = f"slo_violation_x{point.scale:g}"
-                curves.setdefault(point.system, {})[field] = point.violation_ratio
-        for index, ((cell, payload), cell_records) in enumerate(zip(group, records)):
+        for cell, payload in group:
+            latencies = payload["latencies"]
             violation = slo_violation_ratio(
-                cell_records, ttft_slo_s=slo["ttft_slo_s"], tpot_slo_s=slo["tpot_slo_s"]
+                latencies, ttft_slo_s=slo["ttft_slo_s"], tpot_slo_s=slo["tpot_slo_s"]
             )
+            curve = {
+                f"slo_violation_x{factor:g}": slo_violation_ratio(
+                    latencies, ttft_slo_s=factor * best_ttft, tpot_slo_s=factor * best_tpot
+                )
+                for factor in grid.slo_factors
+            }
             values = {
-                **payload, **cell.values, **slo, **curves.get(index, {}),
+                **payload, **cell.values, **slo, **curve,
                 "slo_violation_ratio": violation, "slo_attainment": 1.0 - violation,
             }
             entry = {key: values[key] for key in grid.entry_fields}

@@ -29,7 +29,7 @@ from repro.workloads.datasets import (
     sample_lengths,
 )
 from repro.workloads.upscaler import upscale_trace, scale_to_average_rate
-from repro.workloads.slo import SLOResult, slo_violation_ratio, slo_violation_curve
+from repro.workloads.slo import baseline_p50, slo_violation_ratio
 
 __all__ = [
     "ArrivalTrace",
@@ -47,7 +47,6 @@ __all__ = [
     "sample_lengths",
     "upscale_trace",
     "scale_to_average_rate",
-    "SLOResult",
+    "baseline_p50",
     "slo_violation_ratio",
-    "slo_violation_curve",
 ]

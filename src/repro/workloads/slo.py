@@ -4,65 +4,37 @@ The paper defines the SLO for scale factor ``N`` as ``N`` times the P50
 latency of the *best baseline*, separately for TTFT and TPOT, and counts a
 request as violating when either metric exceeds its SLO.  Chat workloads
 use a tight factor of 5; document summarisation a looser factor of 10.
+
+Both functions read one ``(ttft, mean_tpot)`` pair per request, ``None``
+where the request has no such latency: the form in which sweep cells
+ship their latencies between worker processes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Optional, Sequence, Tuple
 
-from repro.engine.metrics import RequestRecord, percentile
+from repro.engine.metrics import percentile
 
 #: Typical SLO scale factors marked in the paper's plots.
 CHAT_SLO_SCALE = 5.0
 SUMMARY_SLO_SCALE = 10.0
 
-
-class LatencyRecord:
-    """Minimal record exposing the two attributes SLO accounting reads.
-
-    The sweep runners ship ``(ttft, mean_tpot)`` pairs between worker
-    processes instead of full :class:`RequestRecord` objects; this adapter
-    turns a pair back into something :func:`baseline_p50` and
-    :func:`slo_violation_ratio` accept.
-    """
-
-    __slots__ = ("ttft", "mean_tpot")
-
-    def __init__(self, ttft, mean_tpot) -> None:
-        self.ttft = ttft
-        self.mean_tpot = mean_tpot
+#: One request's ``(ttft, mean_tpot)``.
+LatencyPair = Tuple[Optional[float], Optional[float]]
 
 
-@dataclass
-class SLOResult:
-    """SLO violation ratio of one system at one scale factor."""
+def baseline_p50(cells: Sequence[Sequence[LatencyPair]]) -> Tuple[float, float]:
+    """P50 TTFT / TPOT of the best cell (the SLO reference point).
 
-    system: str
-    scale: float
-    ttft_slo_s: float
-    tpot_slo_s: float
-    violations: int
-    total: int
-
-    @property
-    def violation_ratio(self) -> float:
-        if self.total == 0:
-            return 0.0
-        return self.violations / self.total
-
-
-def baseline_p50(records_by_system: Dict[str, Sequence[RequestRecord]]) -> tuple:
-    """P50 TTFT / TPOT of the best system (the SLO reference point).
-
-    Accepts any records exposing ``ttft`` and ``mean_tpot`` attributes;
-    systems with no data fall back to a 0.0 baseline.
+    Each metric's baseline is the lowest P50 over the cells with data for
+    it, 0.0 when no cell has any.
     """
     best_ttft = float("inf")
     best_tpot = float("inf")
-    for records in records_by_system.values():
-        ttfts = [r.ttft for r in records if r.ttft is not None]
-        tpots = [r.mean_tpot for r in records if r.mean_tpot is not None]
+    for pairs in cells:
+        ttfts = [ttft for ttft, _ in pairs if ttft is not None]
+        tpots = [tpot for _, tpot in pairs if tpot is not None]
         if ttfts:
             best_ttft = min(best_ttft, percentile(ttfts, 50))
         if tpots:
@@ -75,54 +47,17 @@ def baseline_p50(records_by_system: Dict[str, Sequence[RequestRecord]]) -> tuple
 
 
 def slo_violation_ratio(
-    records: Sequence[RequestRecord],
-    *,
-    ttft_slo_s: float,
-    tpot_slo_s: float,
+    pairs: Sequence[LatencyPair], *, ttft_slo_s: float, tpot_slo_s: float
 ) -> float:
-    """Fraction of requests violating either the TTFT or the TPOT SLO."""
-    if not records:
+    """Fraction of requests violating either SLO: no first token, a TTFT
+    above ``ttft_slo_s``, or a mean TPOT above ``tpot_slo_s``.
+
+    A latency above a zero SLO violates it; no requests, no violations.
+    """
+    if not pairs:
         return 0.0
     violations = 0
-    for record in records:
-        ttft_bad = record.ttft is None or record.ttft > ttft_slo_s
-        tpot_bad = record.mean_tpot is not None and record.mean_tpot > tpot_slo_s
-        if ttft_bad or tpot_bad:
+    for ttft, tpot in pairs:
+        if ttft is None or ttft > ttft_slo_s or (tpot is not None and tpot > tpot_slo_s):
             violations += 1
-    return violations / len(records)
-
-
-def slo_violation_curve(
-    records_by_system: Dict[str, Sequence[RequestRecord]],
-    scales: Sequence[float] = (2, 4, 6, 8, 10),
-) -> List[SLOResult]:
-    """Violation ratio of every system at every scale factor.
-
-    The SLO reference (P50 of the best system) is computed across all the
-    given systems, exactly as the paper does.
-    """
-    base_ttft, base_tpot = baseline_p50(records_by_system)
-    results: List[SLOResult] = []
-    for system, records in records_by_system.items():
-        for scale in scales:
-            ttft_slo = scale * base_ttft
-            tpot_slo = scale * base_tpot
-            violations = 0
-            for record in records:
-                ttft_bad = record.ttft is None or (ttft_slo > 0 and record.ttft > ttft_slo)
-                tpot_bad = (
-                    record.mean_tpot is not None and tpot_slo > 0 and record.mean_tpot > tpot_slo
-                )
-                if ttft_bad or tpot_bad:
-                    violations += 1
-            results.append(
-                SLOResult(
-                    system=system,
-                    scale=float(scale),
-                    ttft_slo_s=ttft_slo,
-                    tpot_slo_s=tpot_slo,
-                    violations=violations,
-                    total=len(records),
-                )
-            )
-    return results
+    return violations / len(pairs)

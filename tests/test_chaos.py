@@ -1,7 +1,7 @@
 """Tests for the chaos subsystem (``repro.chaos``).
 
 Covers deterministic fault schedules (validation, ordering, presets,
-hazard-rate sampling, cache fingerprints), the injector's eager target
+hazard-rate sampling, cache keys), the injector's eager target
 validation, single-cluster and tier-level fault firing, the
 ``CHAOS_results.json`` schema contract, and the determinism guarantee:
 same grid + seed ⇒ bit-identical documents across runs, worker counts
@@ -18,6 +18,7 @@ both strictly better — with the conservation invariants of
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import json
 import pathlib
 
@@ -32,7 +33,6 @@ from repro.chaos import (
     fault_schedule_preset,
     list_fault_presets,
     sampled_kill_schedule,
-    schedule_fingerprint,
 )
 from repro.chaos.grid import GRID
 from repro.cluster.specs import cluster_a_spec
@@ -47,6 +47,7 @@ from repro.sweeps.grid import (
     SCALE_KEYS,
     SCHEMA_VERSION,
     build_cell_config,
+    cell_task,
     document_keys,
     format_results,
     main,
@@ -114,15 +115,25 @@ class TestFaultEvents:
         }
 
     def test_fingerprint_is_order_insensitive_and_names_the_schedule(self):
+        """A chaos cell's cache key holds its schedule, events and name."""
         a = FaultEvent(kind="instance_kill", at_s=1.0)
         b = FaultEvent(kind="cluster_outage", at_s=2.0)
-        one = schedule_fingerprint(FaultSchedule(events=(a, b), name="s"))
-        two = schedule_fingerprint(FaultSchedule(events=(b, a), name="s"))
-        assert one == two
-        assert one["name"] == "s"
-        assert json.dumps(one)  # JSON-able, for sweep cache keys
+        cell = chaos_cell("none", "sticky")
+
+        def task(events, name):
+            schedule = FaultSchedule(events=events, name=name)
+            return cell_task(
+                dataclasses.replace(cell, config=dataclasses.replace(cell.config, chaos=schedule))
+            )
+
+        one, two = task((a, b), "s"), task((b, a), "s")
+        assert FaultSchedule(events=(a, b), name="s") == FaultSchedule(events=(b, a), name="s")
+        assert one.key == two.key
+        assert one.content_hash() == two.content_hash()
+        assert one.key["config"]["chaos"]["name"] == "s"
+        assert json.dumps(one.key)  # JSON-able, for sweep cache keys
         # A renamed preset must not share cache entries.
-        assert one != schedule_fingerprint(FaultSchedule(events=(a, b), name="t"))
+        assert one.content_hash() != task((a, b), "t").content_hash()
 
 
 class TestSampledSchedules:

@@ -33,6 +33,7 @@ from repro.fleet import (
 from repro.fleet.autoscaler import COLD_START_S, COOLDOWN_S
 from repro.fleet.grid import GRID
 from repro.fleet.routing import Router, _ROUTERS
+from repro.multicluster.routing import home_cluster_index
 from repro.policies import make_policy
 from repro.scenarios.grid import GRID as SCENARIO_GRID
 from repro.scenarios.registry import get_scenario
@@ -126,6 +127,27 @@ class TestRouterRegistry:
 
 
 class TestRouterStrategies:
+    def test_round_robin_cursor_wraps_around(self):
+        router = make_router("round_robin")
+        groups = [StubGroup(i) for i in range(3)]
+        chosen = [router.route(request(i), groups).group_id for i in range(7)]
+        assert chosen == [0, 1, 2, 0, 1, 2, 0]
+
+    def test_session_affinity_and_home_cluster_share_one_hash(self):
+        """The tier's locality accounting relies on a session's home
+        cluster being the slot affinity routing picks among as many
+        groups."""
+        router = make_router("session_affinity")
+        groups = [StubGroup(i) for i in range(3)]
+        reqs = [
+            Request(arrival_time=0.0, prompt_tokens=8 << i, max_output_tokens=4,
+                    session_id=None if i % 2 else f"user-{i}")
+            for i in range(12)
+        ]
+        picks = [router.route(r, groups).group_id for r in reqs]
+        assert picks == [home_cluster_index(r, len(groups)) for r in reqs]
+        assert len(set(picks)) > 1
+
     def test_memory_headroom_prefers_absolute_free_bytes(self):
         groups = [
             # Lower ratio but less absolute headroom...

@@ -16,6 +16,7 @@ from repro.engine.scheduler import PreemptionMode, SchedulerConfig
 from repro.models.catalog import QWEN_2_5_14B
 from repro.models.memory import kv_bytes_per_token, param_bytes
 from repro.policies import (
+    POLICIES,
     InferCeptPolicy,
     KunServePolicy,
     LlumnixPolicy,
@@ -23,7 +24,6 @@ from repro.policies import (
     make_policy,
 )
 from repro.serving.config import ServingConfig
-from repro.serving.dispatcher import Dispatcher
 from repro.serving.system import ClusterServingSystem
 from repro.workloads.burstgpt import burstgpt_arrival_trace
 from repro.workloads.datasets import LONGBENCH_DATASET, build_workload
@@ -71,13 +71,15 @@ class TestPolicies:
         assignment = policy.initial_layer_assignment([0, 1], 48)
         assert [len(a) for a in assignment] == [24, 24]
 
-    def test_infercept_uses_swap(self):
-        config = InferCeptPolicy().scheduler_config(SchedulerConfig())
-        assert config.preemption_mode is PreemptionMode.SWAP
-
-    def test_kunserve_uses_recompute_fallback(self):
-        config = KunServePolicy().scheduler_config(SchedulerConfig())
-        assert config.preemption_mode is PreemptionMode.RECOMPUTE
+    @pytest.mark.parametrize("key", sorted(POLICIES))
+    def test_scheduler_config_follows_the_policy(self, key):
+        """InferCept swaps; every other policy, KunServe's last-resort
+        fallback included, recomputes.  Budget and cap pass through."""
+        base = SchedulerConfig(token_budget=777, max_running_requests=33)
+        config = make_policy(key).scheduler_config(base)
+        expected = PreemptionMode.SWAP if key == "infercept" else PreemptionMode.RECOMPUTE
+        assert config.preemption_mode is expected
+        assert (config.token_budget, config.max_running_requests) == (777, 33)
 
     def test_llumnix_threshold_validation(self):
         with pytest.raises(ValueError):
@@ -105,16 +107,6 @@ class TestServingSystem:
         owners = {r.owner_group for r in requests}
         assert len(owners) == 2  # spread across both groups
 
-    def test_dispatcher_round_robin(self):
-        dispatcher = Dispatcher(strategy="round_robin")
-        system = build_system(num_instances=2)
-        groups = system.groups
-        first = dispatcher.dispatch(Request(arrival_time=0, prompt_tokens=10, max_output_tokens=1), groups)
-        second = dispatcher.dispatch(Request(arrival_time=0, prompt_tokens=10, max_output_tokens=1), groups)
-        assert first is not second
-        with pytest.raises(ValueError):
-            Dispatcher(strategy="bogus")
-
     def test_run_workload_end_to_end(self):
         system = build_system(num_instances=2)
         result = system.run(small_workload(12))
@@ -125,9 +117,10 @@ class TestServingSystem:
         assert len(result.records) == 12
 
     def test_unfinished_requests_are_recorded(self):
-        system = build_system(num_instances=1, drain_timeout_s=0.0)
+        # The run ends 0.1 s after the last arrival (at 0.4 s).
+        system = build_system(num_instances=1, drain_timeout_s=0.1)
         workload = small_workload(5, prompt=4000, output=400)
-        result = system.run(workload, until=0.5)
+        result = system.run(workload)
         assert len(result.records) == 5
         assert result.finished_requests < 5
 
@@ -202,9 +195,11 @@ class TestKunServeCore:
         manager = GlobalMemoryManager(system, coordinated)
         manager.handle_overload(now=0.0)
         merged = system.groups[0]
-        prior_owner = {r.request_id: merged.instances[0] for r in merged.scheduler.running}
-        tokens = {r.request_id: merged.kv.tokens_of(r.request_id) for r in merged.scheduler.running}
-        plan = coordinated.plan_for_merge(merged, prior_owner, tokens)
+        moved = [
+            (r, merged.kv.tokens_of(r.request_id), merged.instances[0])
+            for r in merged.scheduler.running
+        ]
+        plan = coordinated.plan_for_merge(merged, moved)
         assert coordinated._interference(plan) < uncoordinated._interference(plan)
 
     def test_controller_drop_on_overload_tick(self):
@@ -279,6 +274,30 @@ class TestKunServeCore:
         report = manager.fail_instance(victim)
         assert report.requeued_requests + report.recomputed_requests == 1
         assert len([g for g in system.groups if g.active]) == 1
+
+    def test_fault_re_homes_a_swapped_request(self):
+        """A kill displaces the dead group's swapped requests with the rest:
+        each is re-dispatched, recomputed and finishes on a live group."""
+        system = build_system(num_instances=2, policy=InferCeptPolicy())
+        group, survivor = system.groups
+        capacity = group.kv_capacity_tokens()
+        # Two prompts that nearly fill the cache: decoding soon swaps the
+        # later one out.
+        first = Request(arrival_time=0.0, prompt_tokens=capacity // 2, max_output_tokens=2000)
+        second = Request(arrival_time=0.0, prompt_tokens=capacity // 2 - 256, max_output_tokens=2000)
+        group.enqueue(first)
+        group.enqueue(second)
+        horizon = 0.0
+        while second not in group.scheduler.swapped:
+            horizon += 0.5
+            assert horizon < 200.0, "the second request was never swapped out"
+            system.loop.run(until=horizon)
+        report = FaultToleranceManager(system).fail_instance(group.instances[0])
+        assert report.displaced_request_ids == [first.request_id, second.request_id]
+        assert report.requeued_requests == 1
+        system.loop.run(until=system.loop.now + 300.0)
+        assert second.finished
+        assert second.owner_group == survivor.group_id
 
 
 class TestEndToEndOverload:

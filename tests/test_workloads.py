@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.engine.metrics import RequestRecord
 from repro.workloads.burstgpt import (
     BurstSpec,
     burstgpt_arrival_trace,
@@ -20,7 +19,7 @@ from repro.workloads.datasets import (
     build_workload,
     sample_lengths,
 )
-from repro.workloads.slo import slo_violation_curve, slo_violation_ratio
+from repro.workloads.slo import baseline_p50, slo_violation_ratio
 from repro.workloads.trace import ArrivalTrace, TracedRequest, Workload, merge_workloads
 from repro.workloads.upscaler import scale_to_average_rate, upscale_trace
 
@@ -172,42 +171,46 @@ class TestUpscaler:
         assert len(scaled) == pytest.approx(len(trace) * factor, rel=0.2)
 
 
-def record(ttft, tpot, request_id=0, slo_class="chat"):
-    return RequestRecord(
-        request_id=request_id, arrival_time=0.0, prompt_tokens=10, output_tokens=10,
-        slo_class=slo_class, ttft=ttft, mean_tpot=tpot,
-        finish_time=1.0, e2e_latency=1.0, preemption_count=0, swap_count=0,
-        migration_count=0, finished=True,
-    )
-
-
 class TestSLO:
     def test_violation_ratio(self):
-        records = [record(0.1, 0.05), record(2.0, 0.05), record(0.1, 0.5)]
-        assert slo_violation_ratio(records, ttft_slo_s=1.0, tpot_slo_s=0.1) == pytest.approx(2 / 3)
+        pairs = [(0.1, 0.05), (2.0, 0.05), (0.1, 0.5)]
+        assert slo_violation_ratio(pairs, ttft_slo_s=1.0, tpot_slo_s=0.1) == pytest.approx(2 / 3)
         assert slo_violation_ratio([], ttft_slo_s=1.0, tpot_slo_s=1.0) == 0.0
 
     def test_unfinished_requests_count_as_violations(self):
-        records = [record(None, None)]
-        assert slo_violation_ratio(records, ttft_slo_s=10.0, tpot_slo_s=10.0) == 1.0
+        assert slo_violation_ratio([(None, None)], ttft_slo_s=10.0, tpot_slo_s=10.0) == 1.0
+        # No TPOT (a single output token) violates nothing.
+        assert slo_violation_ratio([(0.1, None)], ttft_slo_s=10.0, tpot_slo_s=10.0) == 0.0
 
     def test_curve_uses_best_system_p50(self):
-        fast = [record(0.1, 0.02, i) for i in range(10)]
-        slow = [record(1.0, 0.02, i) for i in range(10)]
-        results = slo_violation_curve({"fast": fast, "slow": slow}, scales=(2,))
-        by_system = {r.system: r for r in results}
-        # SLO = 2 x P50 of the fast system = 0.2 s, so the slow system violates.
-        assert by_system["fast"].violation_ratio == 0.0
-        assert by_system["slow"].violation_ratio == 1.0
-        assert by_system["slow"].ttft_slo_s == pytest.approx(0.2)
+        fast = [(0.1, 0.02)] * 10
+        slow = [(1.0, 0.02)] * 10
+        best_ttft, best_tpot = baseline_p50([fast, slow])
+        assert (best_ttft, best_tpot) == (0.1, 0.02)
+        # SLO = 2 x P50 of the fast cell = 0.2 s, so the slow cell violates.
+        slo = dict(ttft_slo_s=2 * best_ttft, tpot_slo_s=2 * best_tpot)
+        assert slo_violation_ratio(fast, **slo) == 0.0
+        assert slo_violation_ratio(slow, **slo) == 1.0
 
     def test_violations_monotonically_decrease_with_scale(self):
         import numpy as np
         rng = np.random.default_rng(0)
-        records = [record(float(rng.uniform(0.05, 2.0)), 0.05, i) for i in range(100)]
-        results = slo_violation_curve({"sys": records}, scales=(1, 2, 4, 8))
-        ratios = [r.violation_ratio for r in sorted(results, key=lambda r: r.scale)]
+        pairs = [(float(rng.uniform(0.05, 2.0)), 0.05) for _ in range(100)]
+        best_ttft, best_tpot = baseline_p50([pairs])
+        ratios = [
+            slo_violation_ratio(pairs, ttft_slo_s=f * best_ttft, tpot_slo_s=f * best_tpot)
+            for f in (1, 2, 4, 8)
+        ]
         assert ratios == sorted(ratios, reverse=True)
+
+    def test_zero_baseline(self):
+        # No cell has a TPOT: the TPOT baseline is 0 and violates nothing.
+        assert baseline_p50([[(None, None)], [(0.5, None)]]) == (0.5, 0.0)
+        assert baseline_p50([]) == (0.0, 0.0)
+        # Against a zero SLO every positive latency violates, at any factor.
+        pairs = [(0.1, 0.02), (0.2, None), (None, None)]
+        assert slo_violation_ratio(pairs, ttft_slo_s=0.0, tpot_slo_s=0.0) == 1.0
+        assert slo_violation_ratio([(0.1, None)], ttft_slo_s=1.0, tpot_slo_s=0.0) == 0.0
 
 
 class TestWorkloadContainer:
