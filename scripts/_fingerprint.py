@@ -1,7 +1,7 @@
 """Fingerprint simulation outputs to gate bit-identical refactors.
 
 Digests every policy at a canonical scale, two of those runs with an
-instance killed mid-run, and seven sweep grids (14 digests, a few
+instance killed mid-run, and eight sweep grids (15 digests, a few
 seconds).  ``scripts/fingerprints.json`` holds the digests
 of the current results; CI checks them.
 
@@ -117,6 +117,11 @@ def fingerprints() -> dict:
         )),
         "multicluster": (MULTICLUSTER, dict(
             scenarios=("steady-poisson",), policies=("vllm",), cluster_counts=(2,),
+        )),
+        # Three clusters: the cost_weighted placement and spillover's
+        # remote pick choose among more than one candidate.
+        "multicluster-3": (MULTICLUSTER, dict(
+            scenarios=("steady-poisson",), policies=("vllm",), cluster_counts=(3,),
         )),
         "chaos": (CHAOS, dict(
             scenarios=("steady-poisson",), policies=("vllm",),

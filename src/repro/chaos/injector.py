@@ -37,10 +37,6 @@ class ChaosInjector:
     def __init__(self, system, schedule: FaultSchedule) -> None:
         self.system = system
         self.schedule = schedule
-        #: events past the horizon, never armed.
-        self.skipped = 0
-        #: events armed on the loop (fired or pending).
-        self.armed = 0
 
     def arm(self, horizon: float) -> None:
         """Schedule every in-horizon event of the schedule on the loop."""
@@ -49,14 +45,12 @@ class ChaosInjector:
         loop = self.system.loop
         for event in self.schedule.events:
             if event.at_s >= horizon:
-                self.skipped += 1
                 continue
             loop.schedule_at(
                 event.at_s,
                 lambda e=event: self._fire(e),
                 name=f"chaos-{event.kind}",
             )
-            self.armed += 1
             if event.kind == "wan_degrade" and event.duration_s > 0:
                 end = event.at_s + event.duration_s
                 if end < horizon:

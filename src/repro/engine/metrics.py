@@ -29,16 +29,14 @@ TIMELINE_WINDOW_S = 1.0
 
 def percentile(values: Sequence[float], p: float) -> float:
     """Percentile ``p`` (0-100) of ``values``; 0.0 for an empty sequence."""
-    if len(values) == 0:
-        return 0.0
-    return float(np.percentile(np.asarray(values, dtype=float), p))
+    return sorted_percentile(sorted(values), p)
 
 
 def sorted_percentile(ordered: Sequence[float], p: float) -> float:
     """Percentile ``p`` (0-100) of an ascending sequence of floats.
 
     Repeats numpy's default (``linear``) method operation for operation,
-    so it equals :func:`percentile` of the same values exactly, without
+    so it equals ``np.percentile`` of the same values exactly, without
     the array copy and partition per call.
     """
     n = len(ordered)
@@ -271,14 +269,6 @@ class MetricsCollector:
 
     def tpot_percentile(self, p: float) -> float:
         return percentile(self.tpot_values(), p)
-
-    def mean_ttft_timeline(self, window_s: float = 5.0) -> List[TimelinePoint]:
-        """Mean TTFT of requests bucketed by their arrival time (Figure 12)."""
-        series = TimelineSeries(window_s, mode="mean")
-        for record in self.records:
-            if record.ttft is not None:
-                series.add(record.arrival_time, record.ttft)
-        return series.points()
 
     def total_output_tokens(self) -> int:
         return sum(r.output_tokens for r in self.records)

@@ -102,7 +102,6 @@ class SchedulerHooks:
     the group performs the mechanism (network / PCIe transfers, stalls).
     """
 
-    on_preempt: Optional[Callable[[Request], None]] = None
     on_swap_out: Optional[Callable[[Request], None]] = None
     on_swap_in: Optional[Callable[[Request], None]] = None
 
@@ -661,8 +660,6 @@ class ContinuousBatchingScheduler:
             victim.reset_for_recompute()
             self._enqueue_waiting(victim, True)
             self.preemption_count += 1
-            if self.hooks.on_preempt is not None:
-                self.hooks.on_preempt(victim)
         else:
             victim.state = RequestState.SWAPPED
             victim.swap_count += 1

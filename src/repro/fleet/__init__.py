@@ -23,9 +23,7 @@ from repro.fleet.config import (
     AUTOSCALER_PRESETS,
     AdmissionConfig,
     FleetConfig,
-    fleet_preset,
     list_autoscaler_presets,
-    make_fleet_config,
 )
 from repro.fleet.controller import FleetController
 from repro.fleet.routing import (
@@ -37,7 +35,6 @@ from repro.fleet.routing import (
     SessionAffinityRouter,
     list_routers,
     make_router,
-    register_router,
 )
 
 __all__ = [
@@ -53,10 +50,7 @@ __all__ = [
     "RoundRobinRouter",
     "Router",
     "SessionAffinityRouter",
-    "fleet_preset",
     "list_autoscaler_presets",
     "list_routers",
-    "make_fleet_config",
     "make_router",
-    "register_router",
 ]

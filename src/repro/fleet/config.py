@@ -88,48 +88,9 @@ def list_autoscaler_presets() -> List[str]:
     return list(AUTOSCALER_PRESETS)
 
 
-def make_fleet_config(
-    router: str = "least_loaded",
-    autoscaler: str = "fixed",
-    *,
-    admission: Optional[AdmissionConfig] = None,
-) -> FleetConfig:
-    """Build a :class:`FleetConfig` from a router name and a preset name."""
-    # Local import: this module stays import-light for the sweep workers,
-    # but router typos should still fail at configuration time.
-    from repro.fleet.routing import list_routers
-
-    if router not in list_routers():
-        known = ", ".join(list_routers())
-        raise KeyError(f"unknown router {router!r}; known routers: {known}")
-    return FleetConfig(
-        router=router,
-        admission=admission if admission is not None else AdmissionConfig(),
-        autoscaler=autoscaler,
-    )
-
-
-def fleet_preset(name: str) -> FleetConfig:
-    """Resolve a compact ``"router/autoscaler"`` preset string.
-
-    Either side may be omitted: ``"elastic"`` means the default router with
-    the elastic preset; ``"power_of_two_choices/fixed"`` names both.  This
-    is the format ``repro.scenarios``' ``--fleet`` axis accepts.
-    """
-    router, _, scaler = name.partition("/")
-    if not _:
-        # A single token: an autoscaler preset name, else a router name.
-        if router in AUTOSCALER_PRESETS:
-            return make_fleet_config(autoscaler=router)
-        return make_fleet_config(router=router)
-    return make_fleet_config(router=router, autoscaler=scaler)
-
-
 __all__: Tuple[str, ...] = (
     "AdmissionConfig",
     "AUTOSCALER_PRESETS",
     "FleetConfig",
-    "fleet_preset",
     "list_autoscaler_presets",
-    "make_fleet_config",
 )

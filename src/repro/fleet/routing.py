@@ -1,12 +1,11 @@
-"""Pluggable request routers behind a registry.
+"""Request routers behind a registry.
 
 The router decides which serving group receives an arriving request.  The
 paper fixes this layer to Llumnix-style least-loaded dispatch for every
-evaluated system; this module makes it a first-class axis, mirroring the
-``repro.scenarios`` registry pattern: strategies are registered by name
-(:func:`register_router`), instantiated with :func:`make_router`, and the
-fleet controller resolves them from the registry (the plain dispatcher
-is always least-loaded).
+evaluated system; this module makes it a first-class axis: each strategy
+is a class keyed by its ``name``, instantiated with :func:`make_router`,
+and the fleet controller resolves them from the registry (the plain
+dispatcher is always least-loaded).
 
 Every router is deterministic for a fixed seed: the only stochastic
 strategy (power-of-two-choices) samples from a :class:`SeededRNG` stream
@@ -17,7 +16,7 @@ from __future__ import annotations
 
 import abc
 import hashlib
-from typing import Callable, Dict, List, Sequence, Type
+from typing import Dict, List, Sequence, Type
 
 from repro.engine.group import ServingGroup
 from repro.engine.request import Request
@@ -66,7 +65,7 @@ class Router(abc.ABC):
     call sequence.
     """
 
-    #: registry name, set by ``register_router``.
+    #: registry name; each strategy sets its own.
     name: str = "base"
 
     def __init__(self, *, seed: int = 0) -> None:
@@ -80,12 +79,16 @@ class Router(abc.ABC):
 class LeastLoadedRouter(Router):
     """The paper's default: lowest memory-demand-to-capacity ratio."""
 
+    name = "least_loaded"
+
     def route(self, request: Request, groups: Sequence[ServingGroup]) -> ServingGroup:
         return min(groups, key=load_key)
 
 
 class RoundRobinRouter(Router):
     """Cycle through the groups in list order (controlled experiments)."""
+
+    name = "round_robin"
 
     def __init__(self, *, seed: int = 0) -> None:
         super().__init__(seed=seed)
@@ -103,6 +106,8 @@ class PowerOfTwoChoicesRouter(Router):
     The classic load-balancing result: two random choices gets most of the
     benefit of global least-loaded while only probing two queues.
     """
+
+    name = "power_of_two_choices"
 
     def __init__(self, *, seed: int = 0) -> None:
         super().__init__(seed=seed)
@@ -126,6 +131,8 @@ class MemoryHeadroomRouter(Router):
     away, headroom prefers the group that can absorb the longest context.
     """
 
+    name = "memory_headroom"
+
     def route(self, request: Request, groups: Sequence[ServingGroup]) -> ServingGroup:
         return min(groups, key=headroom_key)
 
@@ -142,6 +149,8 @@ class SessionAffinityRouter(Router):
     preference, not a pin.
     """
 
+    name = "session_affinity"
+
     def route(self, request: Request, groups: Sequence[ServingGroup]) -> ServingGroup:
         ordered = sorted(groups, key=lambda g: g.group_id)
         preferred = ordered[session_slot(request, len(ordered))]
@@ -153,20 +162,16 @@ class SessionAffinityRouter(Router):
 # ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------
-_ROUTERS: Dict[str, Type[Router]] = {}
-
-
-def register_router(
-    name: str, router_class: Type[Router], *, overwrite: bool = False
-) -> Type[Router]:
-    """Add a router class to the registry; refuses duplicates unless told."""
-    if not name:
-        raise ValueError("router name must be non-empty")
-    if name in _ROUTERS and not overwrite:
-        raise ValueError(f"router {name!r} is already registered")
-    router_class.name = name
-    _ROUTERS[name] = router_class
-    return router_class
+_ROUTERS: Dict[str, Type[Router]] = {
+    router.name: router
+    for router in (
+        LeastLoadedRouter,
+        RoundRobinRouter,
+        PowerOfTwoChoicesRouter,
+        MemoryHeadroomRouter,
+        SessionAffinityRouter,
+    )
+}
 
 
 def make_router(name: str, *, seed: int = 0) -> Router:
@@ -178,12 +183,5 @@ def make_router(name: str, *, seed: int = 0) -> Router:
 
 
 def list_routers() -> List[str]:
-    """Registered router names in registration order."""
+    """Registered router names in registry order."""
     return list(_ROUTERS)
-
-
-register_router("least_loaded", LeastLoadedRouter)
-register_router("round_robin", RoundRobinRouter)
-register_router("power_of_two_choices", PowerOfTwoChoicesRouter)
-register_router("memory_headroom", MemoryHeadroomRouter)
-register_router("session_affinity", SessionAffinityRouter)

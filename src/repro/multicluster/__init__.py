@@ -20,18 +20,13 @@ they pull in :mod:`repro.serving`, whose config embeds
 import them directly where needed.
 """
 
-from repro.multicluster.config import (
-    MultiClusterConfig,
-    make_multicluster_config,
-    multicluster_preset,
-)
+from repro.multicluster.config import MultiClusterConfig
 from repro.multicluster.placement import (
     CostWeightedPlacement,
     PlacementPolicy,
     SpareCapacityFirstPlacement,
     list_placements,
     make_placement,
-    register_placement,
 )
 from repro.multicluster.routing import (
     GlobalRouter,
@@ -42,7 +37,6 @@ from repro.multicluster.routing import (
     home_cluster_index,
     list_global_routers,
     make_global_router,
-    register_global_router,
 )
 
 __all__ = [
@@ -59,9 +53,5 @@ __all__ = [
     "list_global_routers",
     "list_placements",
     "make_global_router",
-    "make_multicluster_config",
     "make_placement",
-    "multicluster_preset",
-    "register_global_router",
-    "register_placement",
 ]

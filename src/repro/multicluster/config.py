@@ -20,7 +20,7 @@ controller (:data:`repro.fleet.controller.TICK_INTERVAL_S`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.fleet.config import AdmissionConfig
 
@@ -80,69 +80,8 @@ class MultiClusterConfig:
             )
 
 
-def make_multicluster_config(
-    num_clusters: int = 2,
-    global_router: str = "least_loaded_cluster",
-    placement: str = "spare_capacity_first",
-    *,
-    admission: Optional[AdmissionConfig] = None,
-    session_migration: str = "sticky",
-) -> MultiClusterConfig:
-    """Build a :class:`MultiClusterConfig`, failing fast on unknown names."""
-    # Local imports: this module stays import-light for the sweep workers,
-    # but router and placement typos should fail at configure time.
-    from repro.multicluster.placement import list_placements
-    from repro.multicluster.routing import list_global_routers
-
-    if global_router not in list_global_routers():
-        known = ", ".join(list_global_routers())
-        raise KeyError(f"unknown global router {global_router!r}; known: {known}")
-    if placement not in list_placements():
-        known = ", ".join(list_placements())
-        raise KeyError(f"unknown placement policy {placement!r}; known: {known}")
-    return MultiClusterConfig(
-        num_clusters=num_clusters,
-        global_router=global_router,
-        placement=placement,
-        admission=admission if admission is not None else AdmissionConfig(),
-        session_migration=session_migration,
-    )
-
-
-def multicluster_preset(name: str) -> MultiClusterConfig:
-    """Resolve a compact ``"N/router/placement"`` preset string.
-
-    Segments may be omitted from the right: ``"2"`` means two clusters with
-    the default router and placement, ``"2/locality_affinity"`` names the
-    router too, ``"3/spillover/cost_weighted"`` names all three.  A leading
-    non-numeric segment is treated as the router (two clusters implied), so
-    ``"locality_affinity"`` works as well.  This is the format
-    ``repro.scenarios``' ``--multicluster`` axis accepts.
-    """
-    parts: List[str] = [part for part in name.split("/") if part]
-    if not parts:
-        raise KeyError("empty multicluster preset")
-    kwargs = {}
-    if parts[0].isdigit():
-        kwargs["num_clusters"] = int(parts[0])
-        parts = parts[1:]
-    if parts:
-        kwargs["global_router"] = parts[0]
-        parts = parts[1:]
-    if parts:
-        kwargs["placement"] = parts[0]
-        parts = parts[1:]
-    if parts:
-        raise KeyError(
-            f"malformed multicluster preset {name!r}; expected 'N/router/placement'"
-        )
-    return make_multicluster_config(**kwargs)
-
-
 __all__: Tuple[str, ...] = (
     "MultiClusterConfig",
     "SESSION_MIGRATION_POLICIES",
     "list_session_migrations",
-    "make_multicluster_config",
-    "multicluster_preset",
 )

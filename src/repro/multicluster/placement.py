@@ -4,8 +4,9 @@ Inside one cluster the autoscaler activates its own spare instances.  At
 the multicluster tier a cluster can run out of spares while its siblings
 still hold cold capacity; the placement policy decides which sibling
 scales up on the pressured cluster's behalf (the global router then pulls
-traffic toward the new capacity).  Registered by name, mirroring the
-router registries, so the sweep can treat placement as a grid axis.
+traffic toward the new capacity).  Each policy is a class keyed by its
+``name``, mirroring the router registries, so the sweep can treat
+placement as a grid axis.
 
 Policies choose among *candidate* handles (clusters that still hold spare
 instances; the pressured cluster itself is never a candidate — it had no
@@ -13,11 +14,10 @@ spares, which is why placement ran):
 
 * ``spare_capacity_first`` — the cluster with the most spare instances,
   keeping the fleet's headroom balanced.
-* ``cost_weighted`` — the cluster whose marginal serving cost is lowest:
-  the per-token execution cost fitted from its roofline latency model via
-  :mod:`repro.core.cost_model`, scaled by current KV pressure.  On
-  heterogeneous fleets this prefers cheap, idle hardware; on homogeneous
-  fleets it degenerates to least-pressured.
+* ``cost_weighted`` — the least-pressured cluster: the lowest KV
+  demand/capacity ratio.  The name is kept from when it also weighed a
+  per-token cost fitted per shard; every shard is built from one
+  ``ServingConfig``, so that cost could not differ between shards.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class PlacementPolicy(abc.ABC):
     """Chooses the cluster that absorbs a remote scale-up."""
 
-    #: registry name, set by ``register_placement``.
+    #: registry name; each policy sets its own.
     name: str = "base"
 
     @abc.abstractmethod
@@ -50,6 +50,8 @@ class PlacementPolicy(abc.ABC):
 class SpareCapacityFirstPlacement(PlacementPolicy):
     """Scale up wherever the most spare instances sit (ties: lowest index)."""
 
+    name = "spare_capacity_first"
+
     def place(
         self,
         pressured: "ClusterHandle",
@@ -61,7 +63,10 @@ class SpareCapacityFirstPlacement(PlacementPolicy):
 
 
 class CostWeightedPlacement(PlacementPolicy):
-    """Scale up on the cheapest cluster: fitted cost/token × (1 + pressure)."""
+    """Scale up on the least-pressured cluster: lowest KV ratio (ties:
+    lowest index)."""
+
+    name = "cost_weighted"
 
     def place(
         self,
@@ -70,29 +75,15 @@ class CostWeightedPlacement(PlacementPolicy):
     ) -> Optional["ClusterHandle"]:
         if not candidates:
             return None
-        return min(
-            candidates,
-            key=lambda c: (c.cost_per_token() * (1.0 + c.kv_ratio()), c.index),
-        )
+        return min(candidates, key=lambda c: (c.kv_ratio(), c.index))
 
 
 # ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------
-_PLACEMENTS: Dict[str, Type[PlacementPolicy]] = {}
-
-
-def register_placement(
-    name: str, policy_class: Type[PlacementPolicy], *, overwrite: bool = False
-) -> Type[PlacementPolicy]:
-    """Add a placement policy class to the registry; refuses duplicates."""
-    if not name:
-        raise ValueError("placement policy name must be non-empty")
-    if name in _PLACEMENTS and not overwrite:
-        raise ValueError(f"placement policy {name!r} is already registered")
-    policy_class.name = name
-    _PLACEMENTS[name] = policy_class
-    return policy_class
+_PLACEMENTS: Dict[str, Type[PlacementPolicy]] = {
+    policy.name: policy for policy in (SpareCapacityFirstPlacement, CostWeightedPlacement)
+}
 
 
 def make_placement(name: str) -> PlacementPolicy:
@@ -104,9 +95,5 @@ def make_placement(name: str) -> PlacementPolicy:
 
 
 def list_placements() -> List[str]:
-    """Registered placement policy names in registration order."""
+    """Registered placement policy names in registry order."""
     return list(_PLACEMENTS)
-
-
-register_placement("spare_capacity_first", SpareCapacityFirstPlacement)
-register_placement("cost_weighted", CostWeightedPlacement)

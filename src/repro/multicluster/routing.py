@@ -1,18 +1,16 @@
-"""Pluggable cross-cluster (global) routers behind a registry.
+"""Cross-cluster (global) routers behind a registry.
 
 The global router decides which *cluster* receives an arriving request;
 the chosen cluster's own fleet layer (admission + intra-cluster router)
 then places it on a serving group.  The registry mirrors
-:mod:`repro.fleet.routing`: strategies are registered by name
-(:func:`register_global_router`), instantiated with
-:func:`make_global_router`, and the multicluster system resolves them
-from the same registry the CLI lists.
+:mod:`repro.fleet.routing`: each strategy is a class keyed by its
+``name``, instantiated with :func:`make_global_router`, and the
+multicluster system resolves them from the same registry the CLI lists.
 
 Routers operate on *cluster handles*
 (:class:`repro.multicluster.system.ClusterHandle`) — lightweight views
-exposing load (``backlog``, ``kv_ratio``), topology (``index``,
-``routable_group_count``) and economics (``cost_per_token``, fitted from
-the cluster's roofline latency model via :mod:`repro.core.cost_model`).
+exposing load (``backlog``, ``kv_ratio``) and topology (``index``,
+``routable_group_count``).
 
 Every request has a deterministic *home* cluster — the stable hash of its
 session key over the cluster count (:func:`home_cluster_index`).  Routing
@@ -59,7 +57,7 @@ class GlobalRouter(abc.ABC):
     but must be deterministic for a fixed call sequence.
     """
 
-    #: registry name, set by ``register_global_router``.
+    #: registry name; each strategy sets its own.
     name: str = "base"
 
     @abc.abstractmethod
@@ -75,6 +73,8 @@ class LeastLoadedClusterRouter(GlobalRouter):
     balance.
     """
 
+    name = "least_loaded_cluster"
+
     def route(self, request: Request, clusters: Sequence["ClusterHandle"]) -> "ClusterHandle":
         return min(clusters, key=cluster_load_key)
 
@@ -89,6 +89,8 @@ class WeightedRoundRobinRouter(GlobalRouter):
     and, like any RR scheme, ignores session locality completely, which
     makes it the natural traffic-cost baseline for ``locality_affinity``.
     """
+
+    name = "weighted_round_robin"
 
     def __init__(self) -> None:
         self._current: Dict[int, float] = {}
@@ -117,20 +119,23 @@ class LocalityAffinityRouter(GlobalRouter):
     (that trade-off is what the ``spillover`` strategy relaxes).
     """
 
+    name = "locality_affinity"
+
     def route(self, request: Request, clusters: Sequence["ClusterHandle"]) -> "ClusterHandle":
         return clusters[home_cluster_index(request, len(clusters))]
 
 
 class SpilloverRouter(GlobalRouter):
-    """Home cluster first; overflow to the cheapest remote when it sheds.
+    """Home cluster first; overflow to the least-pressured remote when it sheds.
 
     Keeps locality while the home cluster is healthy.  Once the home's
     per-group backlog reaches :data:`SPILL_QUEUE_DEPTH` (the regime where its
     admission controller queues and ultimately sheds), the request
-    overflows to the cheapest remote cluster — cost-model-weighted, i.e.
-    the lowest fitted per-token execution cost scaled by current KV
-    pressure — accepting one WAN transfer to avoid a shed.
+    overflows to the remote cluster with the lowest KV pressure (ties:
+    lowest index), accepting one WAN transfer to avoid a shed.
     """
+
+    name = "spillover"
 
     def route(self, request: Request, clusters: Sequence["ClusterHandle"]) -> "ClusterHandle":
         home = clusters[home_cluster_index(request, len(clusters))]
@@ -140,29 +145,21 @@ class SpilloverRouter(GlobalRouter):
         remote = [cluster for cluster in clusters if cluster is not home]
         if not remote:
             return home
-        return min(
-            remote,
-            key=lambda c: (c.cost_per_token() * (1.0 + c.kv_ratio()), c.index),
-        )
+        return min(remote, key=lambda c: (c.kv_ratio(), c.index))
 
 
 # ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------
-_GLOBAL_ROUTERS: Dict[str, Type[GlobalRouter]] = {}
-
-
-def register_global_router(
-    name: str, router_class: Type[GlobalRouter], *, overwrite: bool = False
-) -> Type[GlobalRouter]:
-    """Add a global router class to the registry; refuses duplicates."""
-    if not name:
-        raise ValueError("global router name must be non-empty")
-    if name in _GLOBAL_ROUTERS and not overwrite:
-        raise ValueError(f"global router {name!r} is already registered")
-    router_class.name = name
-    _GLOBAL_ROUTERS[name] = router_class
-    return router_class
+_GLOBAL_ROUTERS: Dict[str, Type[GlobalRouter]] = {
+    router.name: router
+    for router in (
+        LeastLoadedClusterRouter,
+        WeightedRoundRobinRouter,
+        LocalityAffinityRouter,
+        SpilloverRouter,
+    )
+}
 
 
 def make_global_router(name: str) -> GlobalRouter:
@@ -174,11 +171,5 @@ def make_global_router(name: str) -> GlobalRouter:
 
 
 def list_global_routers() -> List[str]:
-    """Registered global router names in registration order."""
+    """Registered global router names in registry order."""
     return list(_GLOBAL_ROUTERS)
-
-
-register_global_router("least_loaded_cluster", LeastLoadedClusterRouter)
-register_global_router("weighted_round_robin", WeightedRoundRobinRouter)
-register_global_router("locality_affinity", LocalityAffinityRouter)
-register_global_router("spillover", SpilloverRouter)

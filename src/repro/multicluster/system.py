@@ -34,7 +34,7 @@ from typing import Callable, Dict, List, Optional
 from repro.cluster.network import InterClusterLinkSpec
 from repro.engine.metrics import TIMELINE_WINDOW_S, RequestRecord, percentile
 from repro.engine.request import Request
-from repro.fleet.config import make_fleet_config
+from repro.fleet.config import FleetConfig
 from repro.fleet.controller import TICK_INTERVAL_S
 from repro.fleet.routing import session_key
 from repro.models.memory import kv_bytes_per_token
@@ -68,7 +68,7 @@ class ClusterHandle:
 
     Global routers and placement policies operate on handles, never on
     the serving systems directly — the handle surface (load, topology,
-    economics) is the contract new strategies can rely on.
+    capacity) is the contract new strategies can rely on.
     """
 
     def __init__(self, index: int, system: ClusterServingSystem) -> None:
@@ -77,7 +77,6 @@ class ClusterHandle:
         #: cleared by a chaos ``cluster_outage``; dead shards are invisible
         #: to the global router and the placement tick.
         self.alive = True
-        self._cost_per_token: Optional[float] = None
 
     # -- load ----------------------------------------------------------
     def routable_groups(self):
@@ -101,26 +100,6 @@ class ClusterHandle:
     # -- capacity ------------------------------------------------------
     def spare_instance_count(self) -> int:
         return len(self.system.fleet.autoscaler.spare_instances)
-
-    # -- economics -----------------------------------------------------
-    def cost_per_token(self) -> float:
-        """Marginal execution cost (seconds/token) of this cluster's GPUs.
-
-        Fitted once, lazily, from the shard's roofline latency model via
-        the paper's batch cost model (:mod:`repro.core.cost_model`): the
-        Eq. 1 cost of a 1024-token prefill divided by its length.  On
-        heterogeneous fleets this ranks clusters by hardware speed; on
-        homogeneous ones every shard ties and callers fall back to index
-        order.
-        """
-        if self._cost_per_token is None:
-            # Local import: core.cost_model pulls in numpy + the engine,
-            # which router/placement unit tests with stub handles never need.
-            from repro.core.cost_model import fit_from_latency_model
-
-            model = fit_from_latency_model(self.system.instances[0].latency)
-            self._cost_per_token = model.chunk_cost(0, 1024) / 1024.0
-        return self._cost_per_token
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ClusterHandle(index={self.index}, groups={self.routable_group_count()})"
@@ -166,8 +145,8 @@ class MultiClusterSystem:
         )
         self.router = make_global_router(self.mc.global_router)
         self.placement = make_placement(self.mc.placement)
-        self._fleet_config = make_fleet_config(
-            router=CLUSTER_ROUTER, autoscaler=CLUSTER_AUTOSCALER, admission=self.mc.admission
+        self._fleet_config = FleetConfig(
+            router=CLUSTER_ROUTER, admission=self.mc.admission, autoscaler=CLUSTER_AUTOSCALER
         )
         self.handles: List[ClusterHandle] = []
         for index in range(self.mc.num_clusters):

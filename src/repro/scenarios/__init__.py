@@ -25,7 +25,6 @@ from repro.scenarios.registry import (
     ScenarioSpec,
     get_scenario,
     list_scenarios,
-    register_scenario,
 )
 
 __all__ = [
@@ -41,7 +40,6 @@ __all__ = [
     "multi_tenant_trace",
     "multi_tenant_workload",
     "poisson_trace",
-    "register_scenario",
     "spike_train_trace",
     "stamp_sessions",
 ]

@@ -4,9 +4,8 @@ A :class:`ScenarioSpec` freezes everything one sweep cell needs — a
 workload factory (generator + dataset), the cluster shape, the policy set
 and the SLO strictness — behind a stable name, so experiments, the sweep
 runner and worker processes all resolve the same scenario from the same
-registry.  ``register_scenario`` / ``get_scenario`` / ``list_scenarios``
-are the public API; the built-ins below cover the load shapes the
-generators module provides.
+registry.  ``get_scenario`` / ``list_scenarios`` are the public API; the
+built-ins below cover the load shapes the generators module provides.
 
 Workload factories take ``(scale, seed)`` — an
 :class:`~repro.experiments.runner.ExperimentScale` and an integer — and
@@ -88,17 +87,6 @@ class ScenarioSpec:
         return self.workload_factory(scale, seed)
 
 
-_REGISTRY: Dict[str, ScenarioSpec] = {}
-
-
-def register_scenario(spec: ScenarioSpec, *, overwrite: bool = False) -> ScenarioSpec:
-    """Add ``spec`` to the registry; refuses duplicates unless ``overwrite``."""
-    if spec.name in _REGISTRY and not overwrite:
-        raise ValueError(f"scenario {spec.name!r} is already registered")
-    _REGISTRY[spec.name] = spec
-    return spec
-
-
 def get_scenario(name: str) -> ScenarioSpec:
     """Look up a scenario by name."""
     if name not in _REGISTRY:
@@ -108,7 +96,7 @@ def get_scenario(name: str) -> ScenarioSpec:
 
 
 def list_scenarios() -> List[str]:
-    """Registered scenario names in registration order."""
+    """Registered scenario names in registry order."""
     return list(_REGISTRY)
 
 
@@ -278,5 +266,4 @@ BUILTIN_SCENARIOS: Tuple[ScenarioSpec, ...] = (
     ),
 )
 
-for _spec in BUILTIN_SCENARIOS:
-    register_scenario(_spec)
+_REGISTRY: Dict[str, ScenarioSpec] = {spec.name: spec for spec in BUILTIN_SCENARIOS}

@@ -5,10 +5,9 @@ Everything below this package pre-schedules a complete
 ``repro.serve`` puts a *frontend* in front of the stack instead:
 
 * :class:`~repro.serve.gateway.OnlineGateway` — replays an arrival
-  stream (generator handle, JSONL file tail, rate-shaped synthetic
-  source) into the shared event loop **incrementally**, holding exactly
-  one arrival of lookahead, so the system provably never sees the
-  future;
+  stream (any iterator, e.g. :func:`~repro.serve.sources.workload_arrivals`)
+  into the shared event loop **incrementally**, holding exactly one
+  arrival of lookahead, so the system provably never sees the future;
 * :class:`~repro.serve.clients.ClosedLoopPopulation` — N closed-loop
   clients with seeded think times, multi-turn sessions, a bounded
   retry-with-backoff policy keyed off the admission controller's shed
@@ -29,12 +28,7 @@ from repro.serve.config import (
     list_retry_policies,
 )
 from repro.serve.gateway import OnlineGateway
-from repro.serve.sources import (
-    jsonl_arrivals,
-    synthetic_arrivals,
-    workload_arrivals,
-    write_jsonl_trace,
-)
+from repro.serve.sources import workload_arrivals
 
 __all__ = [
     "BACKPRESSURE_MODES",
@@ -42,10 +36,7 @@ __all__ = [
     "ClosedLoopPopulation",
     "OnlineGateway",
     "RETRY_POLICIES",
-    "jsonl_arrivals",
     "list_backpressure_modes",
     "list_retry_policies",
-    "synthetic_arrivals",
     "workload_arrivals",
-    "write_jsonl_trace",
 ]

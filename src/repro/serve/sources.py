@@ -1,122 +1,21 @@
-"""Pluggable arrival sources for the online gateway.
+"""Arrival sources for the online gateway.
 
 An arrival source is any iterator (or iterable) of
 :class:`~repro.workloads.trace.TracedRequest` in non-decreasing
 ``arrival_time`` order.  The gateway pulls it **lazily** — one element of
 lookahead — so a source may be a live generator whose later elements do
-not exist yet when the simulation starts.  Three canonical sources:
-
-* :func:`workload_arrivals` — replay a materialised workload (the
-  open-loop baseline, now fed online instead of pre-scheduled);
-* :func:`jsonl_arrivals` — tail a JSONL trace file, reading one record
-  per pull (the "file tail" ingestion mode);
-* :func:`synthetic_arrivals` — a rate-shaped seeded Poisson stream
-  generated on the fly, never materialised as a list.
+not exist yet when the simulation starts.  The serve grid replays a
+materialised workload through :func:`workload_arrivals` (the open-loop
+baseline, fed online instead of pre-scheduled).
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-from typing import Iterator, Union
+from typing import Iterator
 
-from repro.simulation.rng import SeededRNG
 from repro.workloads.trace import TracedRequest, Workload
-
-#: JSONL field names; only ``arrival_time``/``prompt_tokens``/
-#: ``output_tokens`` are required per record.
-_REQUIRED_FIELDS = ("arrival_time", "prompt_tokens", "output_tokens")
 
 
 def workload_arrivals(workload: Workload) -> Iterator[TracedRequest]:
     """Replay a workload's requests as an arrival stream (already sorted)."""
     return iter(workload.requests)
-
-
-def jsonl_arrivals(path: Union[str, Path]) -> Iterator[TracedRequest]:
-    """Tail a JSONL trace file, one record per line, lazily.
-
-    Each line is an object with ``arrival_time``, ``prompt_tokens``,
-    ``output_tokens`` and optional ``slo_class`` / ``session_id`` —
-    exactly what :func:`write_jsonl_trace` emits.  Lines are read (and
-    parsed) one pull at a time, so a partially-written file behaves like
-    a live tail up to its current end.
-    """
-
-    def generate() -> Iterator[TracedRequest]:
-        with open(path, "r", encoding="utf-8") as handle:
-            for line_number, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                record = json.loads(line)
-                missing = [f for f in _REQUIRED_FIELDS if f not in record]
-                if missing:
-                    raise ValueError(
-                        f"{path}:{line_number}: missing fields {missing}"
-                    )
-                yield TracedRequest(
-                    arrival_time=float(record["arrival_time"]),
-                    prompt_tokens=int(record["prompt_tokens"]),
-                    output_tokens=int(record["output_tokens"]),
-                    slo_class=record.get("slo_class", "chat"),
-                    session_id=record.get("session_id"),
-                )
-
-    return generate()
-
-
-def write_jsonl_trace(workload: Workload, path: Union[str, Path]) -> Path:
-    """Serialise a workload as the JSONL format :func:`jsonl_arrivals` reads."""
-    target = Path(path)
-    with open(target, "w", encoding="utf-8") as handle:
-        for request in workload.requests:
-            record = {
-                "arrival_time": request.arrival_time,
-                "prompt_tokens": request.prompt_tokens,
-                "output_tokens": request.output_tokens,
-                "slo_class": request.slo_class,
-            }
-            if request.session_id is not None:
-                record["session_id"] = request.session_id
-            handle.write(json.dumps(record) + "\n")
-    return target
-
-
-def synthetic_arrivals(
-    *,
-    rate_per_s: float,
-    duration_s: float,
-    seed: int = 42,
-    prompt_tokens: int = 512,
-    output_tokens: int = 128,
-    slo_class: str = "chat",
-) -> Iterator[TracedRequest]:
-    """A rate-shaped Poisson arrival stream, generated lazily.
-
-    Inter-arrival gaps are exponential with mean ``1 / rate_per_s``;
-    the stream ends after ``duration_s`` simulation seconds.  Nothing is
-    materialised up front: each pull draws exactly one gap from the
-    seeded stream, so the source is deterministic *and* unbounded
-    lookahead is impossible by construction.
-    """
-    if rate_per_s <= 0:
-        raise ValueError("rate_per_s must be positive")
-    if duration_s < 0:
-        raise ValueError("duration_s must be non-negative")
-
-    def generate() -> Iterator[TracedRequest]:
-        rng = SeededRNG(seed, "synthetic-arrivals")
-        now = 0.0
-        while True:
-            now += float(rng.exponential(1.0 / rate_per_s))
-            if now > duration_s:
-                return
-            yield TracedRequest(
-                arrival_time=now,
-                prompt_tokens=prompt_tokens,
-                output_tokens=output_tokens,
-                slo_class=slo_class,
-            )
-
-    return generate()

@@ -25,7 +25,8 @@ module does the rest once:
 * builds the command line (:func:`main`).
 
 Every document shares one layout, schema version 1 (keys are only ever
-added)::
+added, except that the scenario document dropped its ``"fleet"`` and
+``"multicluster"`` keys, always ``null``, with the options that set them)::
 
     {
       "schema_version": 1, "repro_version": str, "seed": int,
@@ -228,8 +229,6 @@ class Axis:
             cell whose earlier values are ``values``, or ``None``.
         by_scenario: when no values are given, ``by_scenario(spec, scale)``
             gives the values each scenario sweeps at the grid's scale.
-        single: an option taking one value (``None`` leaves it unset)
-            instead of a list.
     """
 
     name: str
@@ -240,7 +239,6 @@ class Axis:
     parse: Callable[[Any], Any] = str
     pinned: Optional[Callable[[Mapping[str, Any]], Any]] = None
     by_scenario: Optional[Callable[[ScenarioSpec, ExperimentScale], Sequence[Any]]] = None
-    single: bool = False
     metavar: str = "NAME"
     help: str = ""
 
@@ -350,14 +348,10 @@ def tier_workload_scale(scale: ExperimentScale, num_clusters: int) -> Experiment
 def materialise(
     grid: Grid, values: Mapping[str, Any], scale: ExperimentScale, seed: int = 42
 ) -> Cell:
-    """Check one cell's values (keyed by entry field) and build the cell.
-
-    A single-valued option left out of ``values`` stays unset.
-    """
+    """Check one cell's values (keyed by entry field) and build the cell."""
     checked: Dict[str, Any] = {}
     for axis in grid.axes:
-        value = values.get(axis.field) if axis.single else values[axis.field]
-        checked[axis.field] = None if value is None else axis.check(value)
+        checked[axis.field] = axis.check(values[axis.field])
         pin = axis.pinned(checked) if axis.pinned is not None else None
         if pin is not None and checked[axis.field] != pin:
             raise ValueError(
@@ -377,7 +371,7 @@ def materialise(
     for setting in grid.fixed:
         setting.apply(cell, setting.value)
     for axis in grid.axes:
-        if axis.apply is not None and checked[axis.field] is not None:
+        if axis.apply is not None:
             axis.apply(cell, checked[axis.field])
     return cell
 
@@ -394,10 +388,8 @@ def _checked(axis: Axis, given: Sequence[Any]) -> List[Any]:
 
 
 def _axis_values(axis: Axis, given: Any) -> Any:
-    """An axis' checked values: a list, a single option's value, or
-    ``None`` for a per-scenario axis left to its scenarios."""
-    if axis.single:
-        return None if given is None else axis.check(given)
+    """An axis' checked values, or ``None`` for a per-scenario axis left
+    to its scenarios."""
     if given is None:
         if axis.by_scenario is not None:
             return None
@@ -422,9 +414,7 @@ def grid_cells(
         expanded = []
         for combo in combos:
             values = chosen[axis.name]
-            if axis.single:
-                values = [values]
-            elif values is None:
+            if values is None:
                 spec = grid.scenario(combo["scenario"])
                 values = _checked(axis, axis.by_scenario(spec, scale))
             pin = axis.pinned(combo) if axis.pinned is not None else None
@@ -786,7 +776,7 @@ def run_grid(
     }
     for axis in grid.axes:
         values = chosen[axis.name]
-        if values is None and not axis.single:
+        if values is None:
             values = list(dict.fromkeys(cell.values[axis.field] for cell in cells))
         document[axis.name] = values
     document.update({setting.name: setting.value for setting in grid.fixed})
@@ -805,7 +795,7 @@ def document_keys(grid: Grid) -> Tuple[str, ...]:
     """The top-level keys every document of ``grid`` must carry."""
     return (
         "schema_version", "repro_version", "seed", "scale",
-        *(axis.name for axis in grid.axes if not axis.single),
+        *(axis.name for axis in grid.axes),
         *(setting.name for setting in grid.fixed),
         "entries", "wall_s_total",
     )
@@ -821,7 +811,7 @@ def validate_document(grid: Grid, document: Dict) -> List[str]:
     scale = document.get("scale", {})
     problems.extend(f"missing scale key {key!r}" for key in SCALE_KEYS if key not in scale)
     for axis in grid.axes:
-        if not axis.single and axis.name in document and not isinstance(document[axis.name], list):
+        if axis.name in document and not isinstance(document[axis.name], list):
             problems.append(f"{axis.name} must be a list")
     entries = document.get("entries", [])
     if not isinstance(entries, list):
@@ -885,16 +875,14 @@ def _parser(grid: Grid) -> argparse.ArgumentParser:
         help="sweep scale (default: quick)",
     )
     for axis in grid.axes:
-        if axis.single:
-            default = "none"
-        elif axis.by_scenario is not None:
+        if axis.by_scenario is not None:
             default = "each scenario's own set"
         elif callable(axis.default):
             default = "all registered"
         else:
             default = " ".join(str(value) for value in axis.default)
         parser.add_argument(
-            f"--{axis.name.replace('_', '-')}", nargs=None if axis.single else "*",
+            f"--{axis.name.replace('_', '-')}", nargs="*",
             default=None, metavar=axis.metavar, help=f"{axis.help} (default: {default})",
         )
     parser.add_argument("--seed", type=int, default=42, help="sweep seed")

@@ -7,22 +7,19 @@ tree over the shared event loop::
     system.run(workload)
     tracer.spans()                           # all spans, export order
     write_chrome_trace(tracer.spans(), "trace.json")   # Perfetto-loadable
-    write_spans_jsonl(tracer.spans(), "spans.jsonl")   # stable schema
     LatencyAttribution.from_tracer(tracer).stage_breakdown()
 
 See :mod:`repro.trace.spans` for the span model, :mod:`repro.trace.tracer`
-for the recording hooks, :mod:`repro.trace.export` for the two export
-formats and :mod:`repro.trace.attribution` for per-stage latency
+for the recording hooks, :mod:`repro.trace.export` for the Chrome export
+and :mod:`repro.trace.attribution` for per-stage latency
 decomposition.
 """
 
 from repro.trace.attribution import LatencyAttribution
 from repro.trace.export import (
     chrome_trace,
-    read_spans_jsonl,
     validate_chrome_trace,
     write_chrome_trace,
-    write_spans_jsonl,
 )
 from repro.trace.spans import (
     DETAIL_NAMES,
@@ -42,8 +39,6 @@ __all__ = [
     "TTFT_STAGES",
     "Tracer",
     "chrome_trace",
-    "read_spans_jsonl",
     "validate_chrome_trace",
     "write_chrome_trace",
-    "write_spans_jsonl",
 ]

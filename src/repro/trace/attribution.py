@@ -1,7 +1,7 @@
 """Latency attribution: fold stage spans into per-stage time decomposition.
 
-:class:`LatencyAttribution` consumes spans (from a live
-:class:`~repro.trace.tracer.Tracer` or a spans JSONL file) and answers
+:class:`LatencyAttribution` consumes spans (usually from a live
+:class:`~repro.trace.tracer.Tracer`) and answers
 "which stage ate the time": per finished request a ``{stage: seconds}``
 decomposition whose TTFT stages sum to the recorded TTFT and whose full
 sum is the recorded E2E latency, and per population the aggregated
@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, Iterable, List
 
 from repro.engine.metrics import nearest_rank
-from repro.trace.spans import STAGE_DECODE, STAGE_ORDER, TTFT_STAGES, Span
+from repro.trace.spans import STAGE_ORDER, TTFT_STAGES, Span
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.trace.tracer import Tracer
@@ -36,12 +36,6 @@ class LatencyAttribution:
     def from_tracer(cls, tracer: "Tracer") -> "LatencyAttribution":
         # Detail spans are never read here: leave them out.
         return cls(tracer.request_spans())
-
-    @classmethod
-    def from_jsonl(cls, path) -> "LatencyAttribution":
-        from repro.trace.export import read_spans_jsonl
-
-        return cls(read_spans_jsonl(path))
 
     # ------------------------------------------------------------------
     # Per-request decomposition

@@ -1,4 +1,4 @@
-"""Span export: Chrome trace-event JSON and stable-schema spans JSONL.
+"""Span export: Chrome trace-event JSON.
 
 Chrome export targets the trace-event format that Perfetto and
 ``chrome://tracing`` load: a ``{"traceEvents": [...]}`` object of complete
@@ -9,19 +9,15 @@ so each request renders as a lane showing its stage decomposition; engine
 spans land in one process per cluster with one thread per group
 ("instances as tracks"), and fabric transfers in a ``network`` process
 with one thread per link.
-
-JSONL export writes one :meth:`repro.trace.spans.Span.to_dict` object per
-line in deterministic order — the stable schema
-:class:`repro.trace.attribution.LatencyAttribution` consumes.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, Iterable, List, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Tuple, Union
 
-from repro.trace.spans import REQUEST_TRACK, Span, span_from_dict, span_sort_key
+from repro.trace.spans import REQUEST_TRACK, Span, span_sort_key
 
 _PathLike = Union[str, Path]
 
@@ -96,25 +92,6 @@ def write_chrome_trace(spans: Iterable[Span], path: _PathLike) -> Path:
     document = chrome_trace(spans)
     target.write_text(json.dumps(document, sort_keys=True) + "\n")
     return target
-
-
-def write_spans_jsonl(spans: Iterable[Span], path: _PathLike) -> Path:
-    """Write one stable-schema JSON object per span, one per line."""
-    target = Path(path)
-    ordered = sorted(spans, key=span_sort_key)
-    lines = [json.dumps(span.to_dict(), sort_keys=True) for span in ordered]
-    target.write_text("\n".join(lines) + ("\n" if lines else ""))
-    return target
-
-
-def read_spans_jsonl(path: _PathLike) -> List[Span]:
-    """Read spans back from a JSONL file written by :func:`write_spans_jsonl`."""
-    spans: List[Span] = []
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if line:
-            spans.append(span_from_dict(json.loads(line)))
-    return spans
 
 
 def validate_chrome_trace(document: Dict) -> List[str]:

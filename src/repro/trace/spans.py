@@ -24,7 +24,7 @@ but the common ones are listed in :data:`DETAIL_NAMES` and pinned by
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Mapping, Optional, Tuple
 
 #: Stage names in lifecycle order.  A request's stage spans appear in this
 #: order (stages that do not apply are simply absent) and tile the root.
@@ -95,32 +95,6 @@ class Span:
     @property
     def closed(self) -> bool:
         return self.end_s is not None
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Stable JSON shape of one span (one JSONL line)."""
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "request_id": self.request_id,
-            "start_s": self.start_s,
-            "end_s": self.end_s,
-            "duration_s": self.duration_s,
-            "track": self.track,
-            "meta": dict(self.meta),
-        }
-
-
-def span_from_dict(payload: Mapping[str, Any]) -> Span:
-    """Inverse of :meth:`Span.to_dict` (used by the JSONL reader)."""
-    return Span(
-        name=payload["name"],
-        kind=payload["kind"],
-        start_s=payload["start_s"],
-        end_s=payload["end_s"],
-        request_id=payload.get("request_id", -1),
-        track=payload.get("track", REQUEST_TRACK),
-        meta=dict(payload.get("meta", {})),
-    )
 
 
 def span_sort_key(span: Span) -> Tuple:

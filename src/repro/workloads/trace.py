@@ -11,10 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-try:  # numpy is optional here: every vectorised path keeps a pure-python twin
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised via _force_python_paths
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from repro.engine.request import Request
 
@@ -31,7 +28,7 @@ class ArrivalTrace:
     name: str = "trace"
 
     def __post_init__(self) -> None:
-        if np is not None and len(self.timestamps) >= _VECTORIZE_MIN:
+        if len(self.timestamps) >= _VECTORIZE_MIN:
             # Bit-identical to the python path: float64 conversion and
             # ascending sort commute with tolist(), and IEEE sorting of the
             # same values yields the same order (ties are identical values).
@@ -65,37 +62,6 @@ class ArrivalTrace:
         if self.duration <= 0.0:
             return float(len(self.timestamps))
         return len(self.timestamps) / self.duration
-
-    def rate_timeline(self, window_s: float = 5.0) -> List[tuple]:
-        """Requests-per-second samples bucketed by ``window_s`` (Figure 2a)."""
-        if window_s <= 0:
-            raise ValueError("window_s must be positive")
-        if not self.timestamps:
-            return []
-        if np is not None and len(self.timestamps) >= _VECTORIZE_MIN:
-            # Same buckets as the python path: ``int(t // window_s)`` and
-            # float64 floor-division agree for non-negative timestamps.
-            indices = np.floor_divide(
-                np.asarray(self.timestamps, dtype=np.float64), window_s
-            ).astype(np.int64)
-            buckets_arr, counts = np.unique(indices, return_counts=True)
-            return [
-                (int(bucket) * window_s, int(count) / window_s)
-                for bucket, count in zip(buckets_arr.tolist(), counts.tolist())
-            ]
-        buckets: dict = {}
-        for t in self.timestamps:
-            buckets[int(t // window_s)] = buckets.get(int(t // window_s), 0) + 1
-        return [
-            (bucket * window_s, count / window_s) for bucket, count in sorted(buckets.items())
-        ]
-
-    def clipped(self, max_time: float) -> "ArrivalTrace":
-        """A copy containing only arrivals before ``max_time``."""
-        return ArrivalTrace(
-            timestamps=[t for t in self.timestamps if t <= max_time],
-            name=self.name,
-        )
 
 
 @dataclass
@@ -157,11 +123,6 @@ class Workload:
             return 0.0
         return self.total_output_tokens / len(self.requests)
 
-    def arrival_trace(self) -> ArrivalTrace:
-        return ArrivalTrace(
-            timestamps=[r.arrival_time for r in self.requests], name=self.name
-        )
-
     def to_engine_requests(self) -> List[Request]:
         """Materialise engine requests (fresh objects, safe to simulate)."""
         return [
@@ -174,30 +135,6 @@ class Workload:
             )
             for r in self.requests
         ]
-
-    def kv_token_demand_timeline(
-        self, mean_stay_s: float = 11.0, window_s: float = 5.0
-    ) -> List[tuple]:
-        """Rough KV-token demand over time assuming a mean residency.
-
-        Used only for workload characterisation plots; the real demand comes
-        out of the simulation itself.
-        """
-        events: List[tuple] = []
-        for request in self.requests:
-            tokens = request.prompt_tokens + request.output_tokens
-            events.append((request.arrival_time, tokens))
-            events.append((request.arrival_time + mean_stay_s, -tokens))
-        events.sort()
-        timeline = []
-        level = 0
-        next_sample = 0.0
-        for time, delta in events:
-            while next_sample <= time:
-                timeline.append((next_sample, level))
-                next_sample += window_s
-            level += delta
-        return timeline
 
 
 def merge_workloads(workloads: Sequence[Workload], name: str = "merged") -> Workload:

@@ -180,9 +180,8 @@ def assert_span_conservation(
 ) -> int:
     """Every finished request's stage spans tile its root span exactly.
 
-    Accepts ``repro.trace`` :class:`~repro.trace.Span` objects or their
-    ``to_dict`` form (the spans-JSONL schema).  For every request whose
-    root span carries ``meta.status == "finished"``:
+    Takes ``repro.trace`` :class:`~repro.trace.Span` objects.  For every
+    request whose root span carries ``meta.status == "finished"``:
 
     * there is exactly one root span, and it is closed;
     * the stage spans (kind ``"stage"``) sum to the root duration within
@@ -193,40 +192,31 @@ def assert_span_conservation(
     Returns the number of finished requests checked (callers assert it
     is non-zero so an empty trace cannot vacuously pass).
     """
-    as_dict = lambda span: span if isinstance(span, dict) else span.to_dict()
-    roots: Dict[int, List[Dict]] = {}
-    stages: Dict[int, List[Dict]] = {}
-    for raw in spans:
-        span = as_dict(raw)
-        rid = span["request_id"]
-        if span["kind"] == "root":
-            roots.setdefault(rid, []).append(span)
-        elif span["kind"] == "stage":
-            stages.setdefault(rid, []).append(span)
+    roots: Dict[int, List] = {}
+    stages: Dict[int, List] = {}
+    for span in spans:
+        if span.kind == "root":
+            roots.setdefault(span.request_id, []).append(span)
+        elif span.kind == "stage":
+            stages.setdefault(span.request_id, []).append(span)
     checked = 0
     for rid, request_roots in sorted(roots.items()):
-        finished = [
-            root
-            for root in request_roots
-            if (root.get("meta") or {}).get("status") == "finished"
-        ]
+        finished = [root for root in request_roots if root.meta.get("status") == "finished"]
         if not finished:
             continue
         assert len(request_roots) == 1, (
             f"request {rid}: {len(request_roots)} root spans, expected exactly one"
         )
         root = finished[0]
-        assert root["end_s"] is not None, f"request {rid}: root span never closed"
-        expected = root["end_s"] - root["start_s"]
+        assert root.end_s is not None, f"request {rid}: root span never closed"
+        expected = root.end_s - root.start_s
         total = 0.0
         for stage in stages.get(rid, ()):
-            assert stage["end_s"] is not None, (
-                f"request {rid}: open stage span {stage['name']!r}"
+            assert stage.end_s is not None, f"request {rid}: open stage span {stage.name!r}"
+            assert stage.end_s >= stage.start_s, (
+                f"request {rid}: stage {stage.name!r} has negative duration"
             )
-            assert stage["end_s"] >= stage["start_s"], (
-                f"request {rid}: stage {stage['name']!r} has negative duration"
-            )
-            total += stage["end_s"] - stage["start_s"]
+            total += stage.end_s - stage.start_s
         tolerance = abs_tol + rel_tol * max(1.0, abs(expected))
         assert abs(total - expected) <= tolerance, (
             f"request {rid}: stage durations sum to {total}, root span "

@@ -37,7 +37,7 @@ from repro.chaos import (
 from repro.chaos.grid import GRID
 from repro.cluster.specs import cluster_a_spec
 from repro.experiments.runner import ExperimentScale
-from repro.multicluster import make_multicluster_config
+from repro.multicluster import MultiClusterConfig
 from repro.multicluster.system import MultiClusterSystem
 from repro.policies import make_policy
 from repro.scenarios.registry import get_scenario
@@ -226,7 +226,7 @@ class TestInjector:
     def tier(num_clusters: int = 2) -> MultiClusterSystem:
         spec = get_scenario("steady-poisson")
         config = build_cell_config(spec, TINY_SCALE, seed=1)
-        config.multicluster = make_multicluster_config(num_clusters=num_clusters)
+        config.multicluster = MultiClusterConfig(num_clusters=num_clusters)
         return MultiClusterSystem(config, lambda: make_policy("vllm"))
 
     def test_targets_are_validated_before_the_run(self):
@@ -250,9 +250,10 @@ class TestInjector:
                 FaultEvent(kind="instance_kill", at_s=1.0),
             )
         )
-        injector = ChaosInjector(system, schedule)
-        injector.arm(horizon=10.0)
-        assert injector.armed == 1 and injector.skipped == 1
+        ChaosInjector(system, schedule).arm(horizon=10.0)
+        system.loop.run(until=101.0)
+        assert system.instance_kills == 1
+        assert system.cluster_outages == 0
 
     def test_single_cluster_runs_reject_tier_level_faults(self):
         spec = get_scenario("steady-poisson")

@@ -548,18 +548,6 @@ class TestMetrics:
         assert collector.memory_capacity.max() == 100.0
         assert collector.events[0]["kind"] == "drop"
 
-    def test_mean_ttft_timeline_buckets_by_arrival(self):
-        collector = MetricsCollector()
-        for arrival, ttft in [(0.0, 1.0), (1.0, 2.0), (12.0, 4.0)]:
-            request = Request(arrival_time=arrival, prompt_tokens=10, max_output_tokens=1)
-            request.record_prefill(10, arrival + ttft)
-            request.record_output_token(arrival + ttft)
-            collector.record_request(request)
-        points = collector.mean_ttft_timeline(window_s=10.0)
-        assert len(points) == 2
-        assert points[0].value == pytest.approx(1.5)
-        assert points[1].value == pytest.approx(4.0)
-
     #: A few values drawn again and again make ties; the rest spread over
     #: twelve decades.
     TTFTS = st.one_of(st.sampled_from([0.0, 0.25, 1.0, 3.0]), SPREAD_TIMES)
@@ -595,7 +583,9 @@ class TestMetrics:
         st.floats(min_value=0.0, max_value=100.0),
     )
     def test_sorted_percentile_is_numpys_linear_method(self, values, p):
-        assert sorted_percentile(sorted(values), p) == float(np.percentile(values, p))
+        expected = float(np.percentile(values, p))
+        assert sorted_percentile(sorted(values), p) == expected
+        assert percentile(values, p) == expected
 
     def test_nearest_rank_reads_the_ceil_rank(self):
         # The k-th smallest of n values, k = ceil(q n / 100) and at least 1:

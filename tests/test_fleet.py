@@ -23,16 +23,12 @@ from repro.fleet import (
     AdmissionConfig,
     AdmissionController,
     FleetConfig,
-    fleet_preset,
     list_autoscaler_presets,
     list_routers,
-    make_fleet_config,
     make_router,
-    register_router,
 )
 from repro.fleet.autoscaler import COLD_START_S, COOLDOWN_S
 from repro.fleet.grid import GRID
-from repro.fleet.routing import Router, _ROUTERS
 from repro.multicluster.routing import home_cluster_index
 from repro.policies import make_policy
 from repro.scenarios.grid import GRID as SCENARIO_GRID
@@ -96,34 +92,14 @@ class TestRouterRegistry:
         with pytest.raises(KeyError):
             make_router("no-such-router")
 
-    def test_register_rejects_duplicates_unless_overwrite(self):
-        class Custom(Router):
-            def route(self, request, groups):
-                return groups[0]
-
-        register_router("custom-test-router", Custom)
-        try:
-            with pytest.raises(ValueError):
-                register_router("custom-test-router", Custom)
-            register_router("custom-test-router", Custom, overwrite=True)
-            assert make_router("custom-test-router").name == "custom-test-router"
-        finally:
-            del _ROUTERS["custom-test-router"]
-
-    def test_make_fleet_config_validates_both_axes(self):
+    def test_unknown_router_or_autoscaler_raises_key_error(self):
+        # An unknown autoscaler preset fails when the config is built, an
+        # unknown router when the system resolves it.
         with pytest.raises(KeyError):
-            make_fleet_config(router="nope")
+            FleetConfig(autoscaler="nope")
         with pytest.raises(KeyError):
-            make_fleet_config(autoscaler="nope")
-
-    def test_fleet_preset_forms(self):
-        assert fleet_preset("elastic").autoscaler == "elastic"
-        assert fleet_preset("fixed").autoscaler == "fixed"
-        assert fleet_preset("round_robin").router == "round_robin"
-        combined = fleet_preset("memory_headroom/elastic")
-        assert combined.router == "memory_headroom"
-        assert combined.autoscaler == "elastic"
-        assert "fixed" in list_autoscaler_presets()
+            build_system(router="nope")
+        assert list_autoscaler_presets() == ["fixed", "elastic"]
 
 
 class TestRouterStrategies:
@@ -549,9 +525,9 @@ class TestServingIntegration:
         """A permissive fixed fleet serves the same workload successfully."""
         values = {"scenario": "steady-poisson", "policy": "vllm"}
         plain = run_cell(materialise(SCENARIO_GRID, values, TINY_SCALE, seed=4))
-        fleet = run_cell(
-            materialise(SCENARIO_GRID, {**values, "fleet": "fixed"}, TINY_SCALE, seed=4)
-        )
+        cell = materialise(SCENARIO_GRID, values, TINY_SCALE, seed=4)
+        cell.config.fleet = FleetConfig()
+        fleet = run_cell(cell)
         assert fleet["requests"] == plain["requests"]
         # Admission is pass-through at defaults: nothing shed, all admitted.
         assert fleet["finished"] == plain["finished"]
@@ -565,28 +541,6 @@ class TestServingIntegration:
             }, TINY_SCALE, seed=5))
             assert cell["requests"] > 0
             assert cell["finished"] > 0
-
-    def test_scenario_sweep_fleet_axis_is_additive(self):
-        document = run_grid(
-            SCENARIO_GRID,
-            scenarios=["steady-poisson"],
-            policies=["vllm"],
-            scale=TINY_SCALE,
-            seed=2,
-            max_workers=1,
-            fleet="elastic",
-        )
-        assert document["fleet"] == "elastic"
-        assert validate_document(SCENARIO_GRID, document) == []
-        with pytest.raises(KeyError):
-            run_grid(
-                SCENARIO_GRID,
-                scenarios=["steady-poisson"],
-                policies=["vllm"],
-                scale=TINY_SCALE,
-                max_workers=1,
-                fleet="no-such-preset",
-            )
 
 
 class TestSchema:

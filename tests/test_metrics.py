@@ -27,7 +27,7 @@ from repro.metrics import (
     escape_label_value,
     format_value,
 )
-from repro.multicluster import make_multicluster_config
+from repro.multicluster import MultiClusterConfig
 from repro.multicluster.system import MultiClusterSystem
 from repro.policies import make_policy
 from repro.scenarios.registry import get_scenario
@@ -412,7 +412,7 @@ class TestSystemSources:
             trace_duration_s=5.0, drain_timeout_s=60.0,
         )
         config = build_cell_config(spec, scale, seed=3)
-        config.multicluster = make_multicluster_config(
+        config.multicluster = MultiClusterConfig(
             num_clusters=2,
             global_router="locality_affinity",
             session_migration="migrate",

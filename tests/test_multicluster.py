@@ -2,7 +2,7 @@
 
 Covers the global-router and placement registries and strategy behaviour
 (on stub cluster handles), the cross-cluster WAN link cost model, the
-multicluster preset parser, the end-to-end sharded system (local vs.
+tier config's validation, the end-to-end sharded system (local vs.
 remote routing, WAN-delayed dispatch, placement-directed scale-ups), the
 ``MULTICLUSTER_results.json`` schema contract, and the determinism
 guarantee: same grid + seed ⇒ bit-identical documents across runs,
@@ -27,21 +27,17 @@ from repro.cluster.network import (
 from repro.engine.request import Request
 from repro.experiments.runner import ExperimentScale
 from repro.multicluster import (
-    GlobalRouter,
     MultiClusterConfig,
     home_cluster_index,
     list_global_routers,
     list_placements,
     make_global_router,
-    make_multicluster_config,
     make_placement,
-    multicluster_preset,
-    register_global_router,
 )
 from repro.multicluster.fabric import InterClusterFabric
 from repro.multicluster.grid import GRID
 from repro.models.memory import kv_bytes_per_token
-from repro.multicluster.routing import _GLOBAL_ROUTERS, SPILL_QUEUE_DEPTH
+from repro.multicluster.routing import SPILL_QUEUE_DEPTH
 from repro.multicluster.system import WAN_BANDWIDTH, WAN_LATENCY_S, MultiClusterSystem
 from repro.policies import make_policy
 from repro.scenarios.registry import get_scenario
@@ -83,14 +79,12 @@ class StubHandle:
         backlog: int = 0,
         groups: int = 1,
         spares: int = 0,
-        cost: float = 1.0,
     ) -> None:
         self.index = index
         self._ratio = ratio
         self._backlog = backlog
         self._groups = groups
         self._spares = spares
-        self._cost = cost
 
     def kv_ratio(self) -> float:
         return self._ratio
@@ -103,9 +97,6 @@ class StubHandle:
 
     def spare_instance_count(self) -> int:
         return self._spares
-
-    def cost_per_token(self) -> float:
-        return self._cost
 
 
 def request(i: int = 0, session_id=None) -> Request:
@@ -136,23 +127,6 @@ class TestGlobalRouterRegistry:
     def test_make_router_rejects_unknown(self):
         with pytest.raises(KeyError):
             make_global_router("no-such-router")
-
-    def test_register_rejects_duplicates_unless_overwrite(self):
-        class Custom(GlobalRouter):
-            def route(self, request, clusters):
-                return clusters[0]
-
-        register_global_router("custom-test-global-router", Custom)
-        try:
-            with pytest.raises(ValueError):
-                register_global_router("custom-test-global-router", Custom)
-            register_global_router("custom-test-global-router", Custom, overwrite=True)
-            assert (
-                make_global_router("custom-test-global-router").name
-                == "custom-test-global-router"
-            )
-        finally:
-            del _GLOBAL_ROUTERS["custom-test-global-router"]
 
     def test_placement_registry(self):
         assert {"spare_capacity_first", "cost_weighted"} <= set(list_placements())
@@ -188,22 +162,22 @@ class TestGlobalRouterStrategies:
                  for i in range(5)}
         assert picks == {home}
 
-    def test_spillover_stays_home_until_threshold_then_picks_cheapest(self):
+    def test_spillover_stays_home_until_threshold_then_picks_least_pressured(self):
         session = session_with_home(0, 3)
         clusters = [
             StubHandle(0, backlog=0, groups=1),
-            StubHandle(1, cost=2.0),
-            StubHandle(2, cost=1.0),
+            StubHandle(1, ratio=0.5),
+            StubHandle(2, ratio=0.5),
         ]
         router = make_global_router("spillover")
         clusters[0]._backlog = SPILL_QUEUE_DEPTH - 1
         assert router.route(request(session_id=session), clusters).index == 0
-        # Home sheds (backlog at threshold x groups): cheapest remote wins.
+        # Home sheds (backlog at threshold x groups): remotes ordered by
+        # (kv_ratio, index), so a tie goes to the lower index.
         clusters[0]._backlog = SPILL_QUEUE_DEPTH
-        assert router.route(request(session_id=session), clusters).index == 2
-        # Pressure on the cheap remote makes the expensive one competitive.
-        clusters[2]._ratio = 3.0
         assert router.route(request(session_id=session), clusters).index == 1
+        clusters[1]._ratio = 0.6
+        assert router.route(request(session_id=session), clusters).index == 2
 
     def test_home_cluster_is_stable_and_in_range(self):
         req = request(session_id="abc")
@@ -220,13 +194,17 @@ class TestPlacementPolicies:
         candidates = [StubHandle(1, spares=1), StubHandle(2, spares=3)]
         assert make_placement("spare_capacity_first").place(pressured, candidates).index == 2
 
-    def test_cost_weighted_picks_cheapest_pressure_scaled(self):
+    def test_cost_weighted_picks_the_least_pressured(self):
+        # Candidates ordered by (kv_ratio, index), whatever their spares.
         pressured = StubHandle(0)
         candidates = [
-            StubHandle(1, spares=1, cost=1.0, ratio=2.0),  # 1.0 * 3.0 = 3.0
-            StubHandle(2, spares=1, cost=2.0, ratio=0.0),  # 2.0 * 1.0 = 2.0
+            StubHandle(1, spares=3, ratio=0.5),
+            StubHandle(2, spares=1, ratio=0.5),
+            StubHandle(3, spares=1, ratio=0.2),
         ]
-        assert make_placement("cost_weighted").place(pressured, candidates).index == 2
+        placement = make_placement("cost_weighted")
+        assert placement.place(pressured, candidates).index == 3
+        assert placement.place(pressured, candidates[:2]).index == 1
 
     def test_empty_candidates_decline(self):
         for name in list_placements():
@@ -277,21 +255,12 @@ class TestCrossClusterLink:
 
 
 class TestConfig:
-    def test_preset_forms(self):
-        assert multicluster_preset("3").num_clusters == 3
-        assert multicluster_preset("locality_affinity").global_router == "locality_affinity"
-        combined = multicluster_preset("2/spillover/cost_weighted")
-        assert combined.num_clusters == 2
-        assert combined.global_router == "spillover"
-        assert combined.placement == "cost_weighted"
-
     def test_unknown_names_are_rejected(self):
-        with pytest.raises(KeyError):
-            multicluster_preset("2/nope")
-        with pytest.raises(KeyError):
-            multicluster_preset("2/spillover/nope")
-        with pytest.raises(KeyError):
-            multicluster_preset("2/spillover/cost_weighted/extra")
+        # An unknown global router or placement fails when the tier is built.
+        for tier in ({"global_router": "nope"}, {"placement": "nope"}):
+            config, _ = TestSystem.build("least_loaded_cluster", **tier)
+            with pytest.raises(KeyError):
+                MultiClusterSystem(config, lambda: make_policy("vllm"))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -312,8 +281,8 @@ class TestSystem:
     def build(router: str, seed: int = 3, cluster_count: int = 2, **tier):
         spec = get_scenario("steady-poisson")
         config = build_cell_config(spec, TINY_SCALE, seed=seed)
-        config.multicluster = make_multicluster_config(
-            num_clusters=cluster_count, global_router=router, **tier
+        config.multicluster = MultiClusterConfig(
+            **{"num_clusters": cluster_count, "global_router": router, **tier}
         )
         return config, spec
 

@@ -36,12 +36,9 @@ from repro.serve import (
     ClosedLoopPopulation,
     OnlineGateway,
     RETRY_POLICIES,
-    jsonl_arrivals,
     list_backpressure_modes,
     list_retry_policies,
-    synthetic_arrivals,
     workload_arrivals,
-    write_jsonl_trace,
 )
 from repro.serve.clients import (
     BACKOFF_BASE_S,
@@ -85,9 +82,9 @@ def tiny_system(seed: int = 1, fleet: bool = False) -> ClusterServingSystem:
     spec = get_scenario("steady-poisson")
     config = build_cell_config(spec, TINY_SCALE, seed=seed)
     if fleet:
-        from repro.fleet.config import make_fleet_config
+        from repro.fleet.config import FleetConfig
 
-        config.fleet = make_fleet_config(router="least_loaded", autoscaler="fixed")
+        config.fleet = FleetConfig(router="least_loaded", autoscaler="fixed")
     return ClusterServingSystem(config, make_policy("vllm"))
 
 
@@ -143,46 +140,6 @@ class TestSources:
         assert arrivals == list(workload.requests)
         times = [a.arrival_time for a in arrivals]
         assert times == sorted(times)
-
-    def test_jsonl_roundtrip(self, tmp_path):
-        workload = tiny_workload()
-        path = write_jsonl_trace(workload, tmp_path / "trace.jsonl")
-        replayed = list(jsonl_arrivals(path))
-        assert replayed == list(workload.requests)
-
-    def test_jsonl_missing_fields_are_reported_with_location(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text('{"arrival_time": 1.0, "prompt_tokens": 8}\n')
-        with pytest.raises(ValueError, match="bad.jsonl:1"):
-            list(jsonl_arrivals(path))
-
-    def test_jsonl_is_read_lazily(self, tmp_path):
-        # Only the pulled prefix is ever parsed: a malformed later line
-        # does not break earlier pulls — the file-tail property.
-        path = tmp_path / "tail.jsonl"
-        path.write_text(
-            '{"arrival_time": 0.5, "prompt_tokens": 8, "output_tokens": 4}\n'
-            "this is not json\n"
-        )
-        stream = jsonl_arrivals(path)
-        assert next(stream).arrival_time == 0.5
-        with pytest.raises(json.JSONDecodeError):
-            next(stream)
-
-    def test_synthetic_stream_is_seeded_bounded_and_lazy(self):
-        kwargs = dict(rate_per_s=5.0, duration_s=10.0, seed=3)
-        one = list(synthetic_arrivals(**kwargs))
-        two = list(synthetic_arrivals(**kwargs))
-        assert one == two
-        assert one != list(synthetic_arrivals(rate_per_s=5.0, duration_s=10.0, seed=4))
-        assert one  # ~50 arrivals expected
-        times = [a.arrival_time for a in one]
-        assert times == sorted(times)
-        assert all(0.0 < t <= 10.0 for t in times)
-        with pytest.raises(ValueError):
-            synthetic_arrivals(rate_per_s=0.0, duration_s=1.0)
-        with pytest.raises(ValueError):
-            synthetic_arrivals(rate_per_s=1.0, duration_s=-1.0)
 
 
 @pytest.mark.serve
@@ -246,15 +203,18 @@ class TestGateway:
             system.run_online([gateway], until=5.0)
 
     def test_synthetic_source_feeds_the_gateway(self):
+        # A live generator: each arrival is made only when the gateway pulls it.
+        def arrivals():
+            for index in range(20):
+                yield TracedRequest(
+                    arrival_time=0.25 * (index + 1), prompt_tokens=64, output_tokens=16
+                )
+
         system = tiny_system()
-        gateway = OnlineGateway(
-            system, synthetic_arrivals(rate_per_s=4.0, duration_s=5.0, seed=2)
-        )
+        gateway = OnlineGateway(system, arrivals())
         system.run_online([gateway], until=15.0)
         assert gateway.done
-        assert gateway.submitted == len(
-            list(synthetic_arrivals(rate_per_s=4.0, duration_s=5.0, seed=2))
-        )
+        assert gateway.submitted == 20
 
 
 @pytest.mark.serve

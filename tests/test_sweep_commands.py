@@ -34,8 +34,8 @@ OPTIONS = {
         "--trace", *CACHE_OPTIONS,
     ],
     "repro.scenarios": [
-        "-h", "--help", "--scale", "--scenarios", "--policies", "--fleet",
-        "--multicluster", *COMMON_OPTIONS, *CACHE_OPTIONS, "--list",
+        "-h", "--help", "--scale", "--scenarios", "--policies", *COMMON_OPTIONS,
+        *CACHE_OPTIONS, "--list",
     ],
     "repro.fleet": [
         "-h", "--help", "--scale", "--scenarios", "--policies", "--routers",

@@ -402,8 +402,6 @@ class TestGrid:
 
         for grid in self.grids():
             for axis in grid.axes:
-                if axis.single:
-                    continue
                 value = axis.defaults()[0]
                 with pytest.raises(ValueError, match="repeated"):
                     grid_cells(grid, TINY_SCALE, **{axis.name: [value, value]})
@@ -414,22 +412,35 @@ class TestGrid:
         with pytest.raises(ValueError, match="repeated"):
             grid_cells(self.grids()[-1], TINY_SCALE, clients=[4, "4"])
 
-    def test_a_scenario_policy_set_that_repeats_is_rejected(self):
+    def test_a_scenario_policy_set_that_repeats_is_rejected(self, monkeypatch):
         import dataclasses as dc
 
-        from repro.scenarios import get_scenario, register_scenario
+        from repro.scenarios import get_scenario
         from repro.scenarios import registry as registry_module
         from repro.sweeps.grid import grid_cells
 
         twice = dc.replace(
             get_scenario("steady-poisson"), name="policy-twice", policies=("vllm", "vllm")
         )
-        register_scenario(twice)
-        try:
-            with pytest.raises(ValueError, match="repeated"):
-                grid_cells(self.grids()[0], TINY_SCALE, scenarios=["policy-twice"])
-        finally:
-            del registry_module._REGISTRY["policy-twice"]
+        monkeypatch.setitem(registry_module._REGISTRY, twice.name, twice)
+        with pytest.raises(ValueError, match="repeated"):
+            grid_cells(self.grids()[0], TINY_SCALE, scenarios=["policy-twice"])
+
+    @pytest.mark.parametrize("registry", ["routers", "global_routers", "placements", "scenarios"])
+    def test_each_registry_is_keyed_by_its_entries_names(self, registry):
+        from repro.fleet import routing
+        from repro.multicluster import placement
+        from repro.multicluster import routing as global_routing
+        from repro.scenarios import registry as scenarios
+
+        entries, listed = {
+            "routers": (routing._ROUTERS, routing.list_routers),
+            "global_routers": (global_routing._GLOBAL_ROUTERS, global_routing.list_global_routers),
+            "placements": (placement._PLACEMENTS, placement.list_placements),
+            "scenarios": (scenarios._REGISTRY, scenarios.list_scenarios),
+        }[registry]
+        assert list(entries) == listed()
+        assert [entry.name for entry in entries.values()] == listed()
 
     def test_unknown_axis_keywords_are_rejected(self):
         from repro.sweeps.grid import run_grid

@@ -44,18 +44,15 @@ from repro.simulation.event_loop import EventLoop
 from repro.trace import (
     DETAIL_NAMES,
     LatencyAttribution,
-    REQUEST_TRACK,
     STAGE_ORDER,
     Span,
     TTFT_STAGES,
     Tracer,
     chrome_trace,
-    read_spans_jsonl,
     validate_chrome_trace,
     write_chrome_trace,
-    write_spans_jsonl,
 )
-from repro.trace.spans import DETAIL_ITERATION, span_from_dict, span_sort_key
+from repro.trace.spans import DETAIL_ITERATION, span_sort_key
 
 from invariants import assert_span_conservation
 
@@ -196,11 +193,6 @@ class TestRecording:
         details = {s.name for s in tracers[0].spans() if s.kind == "detail"}
         assert "gateway_pull" in details
 
-    def test_span_dict_round_trip(self):
-        span = Span("prefill", "stage", 1.0, 2.5, 7, REQUEST_TRACK, {"k": 1})
-        assert span_from_dict(span.to_dict()) == span
-        assert span.duration_s == pytest.approx(1.5)
-
 
 # ----------------------------------------------------------------------
 # Conservation + attribution (the tentpole acceptance criteria)
@@ -253,20 +245,6 @@ class TestAttribution:
             assert LatencyAttribution.from_tracer(tracer).stage_breakdown() == (
                 LatencyAttribution(spans).stage_breakdown()
             )
-
-    def test_jsonl_round_trip_preserves_attribution(self, traced_serve, tmp_path):
-        _, tracer = traced_serve
-        path = tmp_path / "spans.jsonl"
-        write_spans_jsonl(tracer.spans(), path)
-        spans = read_spans_jsonl(path)
-        assert spans == tracer.spans()
-        restored = LatencyAttribution.from_jsonl(path)
-        assert restored.per_request() == (
-            LatencyAttribution.from_tracer(tracer).per_request()
-        )
-        assert assert_span_conservation(
-            [json.loads(line) for line in path.read_text().splitlines()]
-        ) > 0
 
 
 # ----------------------------------------------------------------------

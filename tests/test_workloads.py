@@ -53,16 +53,6 @@ class TestArrivalTrace:
         with pytest.raises(ValueError):
             scale_to_average_rate(ArrivalTrace(timestamps=[]), 5.0)
 
-    def test_rate_timeline(self):
-        trace = ArrivalTrace(timestamps=[0.1, 0.2, 5.5])
-        timeline = trace.rate_timeline(window_s=5.0)
-        assert timeline[0] == (0.0, pytest.approx(0.4))
-        assert timeline[1] == (5.0, pytest.approx(0.2))
-
-    def test_clipped(self):
-        trace = ArrivalTrace(timestamps=[1.0, 2.0, 30.0])
-        assert len(trace.clipped(10.0)) == 2
-
 
 class TestBurstTraces:
     def test_burst_roughly_doubles_rate(self):
@@ -226,7 +216,6 @@ class TestWorkloadContainer:
         assert workload.mean_prompt_tokens == 200
         assert workload.total_output_tokens == 40
         assert workload.duration == 1.0
-        assert len(workload.arrival_trace()) == 2
 
     def test_merge_workloads(self):
         a = Workload(name="a", requests=[TracedRequest(arrival_time=0.0, prompt_tokens=10, output_tokens=1)])
@@ -237,12 +226,3 @@ class TestWorkloadContainer:
     def test_invalid_traced_request(self):
         with pytest.raises(ValueError):
             TracedRequest(arrival_time=0.0, prompt_tokens=0, output_tokens=1)
-
-    def test_kv_demand_timeline_rises_and_falls(self):
-        workload = Workload(
-            name="w",
-            requests=[TracedRequest(arrival_time=float(i), prompt_tokens=100, output_tokens=10) for i in range(5)],
-        )
-        timeline = workload.kv_token_demand_timeline(mean_stay_s=2.0, window_s=1.0)
-        values = [v for _, v in timeline]
-        assert max(values) > 0
