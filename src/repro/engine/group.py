@@ -237,11 +237,19 @@ class ServingGroup:
     # Iteration loop
     # ------------------------------------------------------------------
     def kick(self) -> None:
-        """Ensure an iteration attempt is scheduled if the group is idle."""
+        """Ensure an iteration attempt is scheduled now if the group is idle.
+
+        A pending stall-expiry wake-up gives way to the immediate attempt;
+        a pass that then finds nothing to run re-arms it
+        (:meth:`_schedule_wakeup`).
+        """
         if not self.active or self._busy:
             return
-        if self._pending_kick is not None and not self._pending_kick.cancelled:
-            return
+        pending = self._pending_kick
+        if pending is not None and not pending.cancelled:
+            if pending.time <= self.loop.now:
+                return
+            pending.cancel()
         self._pending_kick = self.loop.schedule(0.0, self._run_iteration, name=self._kick_name)
 
     def deactivate(self) -> None:

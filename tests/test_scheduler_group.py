@@ -255,11 +255,6 @@ class TestServingGroup:
         assert len(completed) == passes
         assert not request.finished
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="known defect: kick() returns while a stall-expiry wake-up is pending, "
-        "so work enqueued on an idle group waits for that wake-up",
-    )
     def test_enqueue_on_a_stalled_idle_group_runs_at_once(
         self, loop, small_cluster, metrics, two_instances
     ):
@@ -273,8 +268,14 @@ class TestServingGroup:
         loop.schedule_at(1.0, lambda: group.enqueue(fresh))
         loop.run(until=6.0)
         assert fresh.ttft is not None
-        # Its prefill alone takes about 20 ms; it waits for the 5 s wake-up.
+        # Its prefill alone takes about 20 ms: the enqueue replaces the 5 s
+        # wake-up with an immediate pass.
         assert fresh.ttft < 0.5
+        # Once the group idles again, the wake-up is re-armed: the stalled
+        # request decodes from t = 5 s (reading the running set first
+        # brings the decode cohort's tokens up to date).
+        assert stalled in group.scheduler.running
+        assert stalled.last_token_time > 5.0
 
     def test_migration_between_groups(self, loop, small_cluster, metrics, two_instances):
         source = build_group([two_instances[0]], loop, small_cluster.fabric, metrics)
